@@ -319,28 +319,41 @@ func (d *Device) ColumnReadyAt(addr Address, write bool) int64 {
 	if !bk.open || bk.row != addr.Row {
 		return -1
 	}
-	t := bk.colReady
-	if d.anyCol {
-		ccd := d.t.TCCD
-		if d.t.BankGroup(addr.Bank) == d.lastColBG && d.t.TCCDL > ccd {
-			ccd = d.t.TCCDL
-		}
-		if s := d.lastCol + ccd; s > t {
+	t := d.ColumnGateAt(write)
+	if bk.colReady > t {
+		t = bk.colReady
+	}
+	// tCCD_L ≥ tCCD_S (validated), so a same-group command only waits longer.
+	if d.anyCol && d.t.BankGroup(addr.Bank) == d.lastColBG {
+		if s := d.lastCol + d.t.TCCDL; s > t {
 			t = s
 		}
-		if write && !d.lastColWr {
-			if s := d.lastCol + d.t.TRTW; s > t {
-				t = s
-			}
-		}
-		if !write && d.lastColWr {
-			if s := d.lastCol + d.t.TWTR; s > t {
-				t = s
-			}
+	}
+	return t
+}
+
+// ColumnGateAt returns the first clock at which the device-wide column
+// constraints — the refresh shadow, tCCD_S and bus turnaround — admit a
+// column command of the given direction. Per-bank terms (tRCD, tCCD_L,
+// the open row) only push a command later, so no READ (write false) or
+// WRITE (write true) can issue to any bank before the returned clock.
+func (d *Device) ColumnGateAt(write bool) int64 {
+	t := d.refBusyTill
+	if !d.anyCol {
+		return t
+	}
+	if s := d.lastCol + d.t.TCCD; s > t {
+		t = s
+	}
+	if write && !d.lastColWr {
+		if s := d.lastCol + d.t.TRTW; s > t {
+			t = s
 		}
 	}
-	if d.refBusyTill > t {
-		t = d.refBusyTill
+	if !write && d.lastColWr {
+		if s := d.lastCol + d.t.TWTR; s > t {
+			t = s
+		}
 	}
 	return t
 }

@@ -1,6 +1,7 @@
 package gddr6x
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -92,7 +93,7 @@ func TestMapSectorQuick(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
-	if DefaultTiming().BankGroup(5) != 1 {
+	if cfg.BankGroup(5) != 1 {
 		t.Error("bank group mapping wrong")
 	}
 	if (Address{Bank: 1, Row: 2, Col: 3}).String() != "b1/r2/c3" {
@@ -293,5 +294,68 @@ func TestCounters(t *testing.T) {
 	}
 	if row, open := d.OpenRow(0); open || row != 1 {
 		t.Error("bank should be closed after precharge")
+	}
+}
+
+// TestColumnReadinessQueriesAreExact drives random legal command
+// sequences (refreshes included) and checks the column readiness queries
+// against the predicates they summarize: CanRead/CanWrite first hold at
+// ColumnReadyAt, and ColumnGateAt never exceeds any bank's ready clock.
+func TestColumnReadinessQueriesAreExact(t *testing.T) {
+	d := mustDevice(t)
+	cfg := d.Timing()
+	r := rand.New(rand.NewSource(5))
+	now := int64(0)
+	for step := 0; step < 20000; step++ {
+		now += int64(r.Intn(4))
+		for b := 0; b < cfg.Banks; b++ {
+			row, open := d.OpenRow(b)
+			for _, write := range []bool{false, true} {
+				a := Address{Bank: b, Row: row}
+				ready := d.ColumnReadyAt(a, write)
+				if !open {
+					if ready != -1 {
+						t.Fatalf("step %d: closed bank %d column-ready at %d", step, b, ready)
+					}
+					continue
+				}
+				can := d.CanRead
+				if write {
+					can = d.CanWrite
+				}
+				if gate := d.ColumnGateAt(write); gate > ready {
+					t.Fatalf("step %d: gate %d above bank %d ready clock %d (write=%v)", step, gate, b, ready, write)
+				}
+				if !can(a, ready) || can(a, ready-1) {
+					t.Fatalf("step %d: bank %d write=%v ready at %d disagrees with the predicate", step, b, write, ready)
+				}
+			}
+		}
+		b := r.Intn(cfg.Banks)
+		row, open := d.OpenRow(b)
+		a := Address{Bank: b, Row: row}
+		var err error
+		switch {
+		case d.RefreshDue(now):
+			if d.CanRefresh(now) {
+				err = d.Refresh(now)
+			} else if d.CanPrecharge(b, now) {
+				err = d.Precharge(b, now)
+			}
+		case !open && d.CanActivate(b, now):
+			err = d.Activate(b, uint32(r.Intn(4)), now)
+		case open && r.Intn(8) == 0 && d.CanPrecharge(b, now):
+			err = d.Precharge(b, now)
+		case open && r.Intn(3) == 0 && d.CanWrite(a, now):
+			err = d.Write(a, now)
+		case open && d.CanRead(a, now):
+			err = d.Read(a, now)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, _, _, refs := d.Counters(); refs == 0 {
+		t.Fatal("no refresh exercised")
 	}
 }

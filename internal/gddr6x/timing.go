@@ -122,8 +122,9 @@ func (a Address) String() string {
 // interleave round-robin across banks, and RowSectors/ChunkSectors chunks
 // fill one row per bank before advancing to the next row. Sequential
 // streams therefore both exploit bank-level parallelism and revisit open
-// rows.
-func (t Timing) MapSector(sector uint64) Address {
+// rows. Pointer receiver: Timing is 152 bytes and the controller maps
+// every request it accepts.
+func (t *Timing) MapSector(sector uint64) Address {
 	chunk := sector / uint64(t.ChunkSectors)
 	within := uint32(sector % uint64(t.ChunkSectors))
 	bank := int(chunk % uint64(t.Banks))
@@ -134,5 +135,6 @@ func (t Timing) MapSector(sector uint64) Address {
 	return Address{Bank: bank, Row: row, Col: col}
 }
 
-// BankGroup returns the bank-group index of a bank.
-func (t Timing) BankGroup(bank int) int { return bank % t.BankGroups }
+// BankGroup returns the bank-group index of a bank. Pointer receiver:
+// the device asks on every column command and readiness query.
+func (t *Timing) BankGroup(bank int) int { return bank % t.BankGroups }

@@ -71,14 +71,20 @@ type Driver struct {
 	ctrl *memctrl.Controller
 	gen  Generator
 
-	inflight   int
-	pendingWB  []uint64
-	pendingRd  *memctrl.Request
-	nextAccess *Access
-	thinkLeft  int64
-	reqID      uint64
-	res        RunResult
-	m          *driverMetrics // optional live telemetry (nil when unattached)
+	inflight  int
+	pendingWB []uint64
+	// pendingRd is a backpressured read miss (valid when hasPendingRd) and
+	// nextAccess the access waiting out its think time (valid when
+	// hasNext). Both are held by value so the per-access path allocates
+	// nothing.
+	pendingRd    memctrl.Request
+	hasPendingRd bool
+	nextAccess   Access
+	hasNext      bool
+	thinkLeft    int64
+	reqID        uint64
+	res          RunResult
+	m            *driverMetrics // optional live telemetry (nil when unattached)
 }
 
 // NewDriver builds a driver. ctrl must be freshly constructed; the driver
@@ -117,20 +123,8 @@ func (d *Driver) Run() (RunResult, error) {
 		if d.res.Clocks >= d.cfg.MaxClocks {
 			return d.res, fmt.Errorf("gpu: run exceeded %d clocks", d.cfg.MaxClocks)
 		}
-		if skip {
-			d.fastForward()
-		}
-		var before RunResult
-		if d.m != nil {
-			before = d.res
-		}
-		progressed := d.step()
-		d.ctrl.Tick()
-		d.res.Clocks++
-		if d.m != nil {
-			d.mirror(before)
-		}
-		if !progressed && d.inflight == 0 && d.nextAccess == nil && d.pendingRd == nil &&
+		progressed := d.cycle(skip)
+		if !progressed && d.inflight == 0 && !d.hasNext && !d.hasPendingRd &&
 			len(d.pendingWB) == 0 && d.generatorDone() {
 			break
 		}
@@ -143,6 +137,26 @@ func (d *Driver) Run() (RunResult, error) {
 		d.res.LLC = d.llc.Stats()
 	}
 	return d.res, nil
+}
+
+// cycle runs one iteration of the run loop — a fast-forward across inert
+// clocks when skip is set, then one driver step and one controller tick
+// — and reports whether the step had work in flight.
+func (d *Driver) cycle(skip bool) bool {
+	if skip {
+		d.fastForward()
+	}
+	var before RunResult
+	if d.m != nil {
+		before = d.res
+	}
+	progressed := d.step()
+	d.ctrl.Tick()
+	d.res.Clocks++
+	if d.m != nil {
+		d.mirror(before)
+	}
+	return progressed
 }
 
 // fastForward advances the driver and its controller together across
@@ -208,7 +222,7 @@ func (d *Driver) idleHorizon() (n int64, stall, think bool) {
 		}
 		return 0, false, false
 	}
-	if d.pendingRd != nil {
+	if d.hasPendingRd {
 		// A backpressured read retries until an MSHR frees (a completion)
 		// or the read queue drains (an issue) — both controller events.
 		if d.inflight >= d.cfg.MSHRs || d.ctrl.ReadQueueFull() {
@@ -219,7 +233,7 @@ func (d *Driver) idleHorizon() (n int64, stall, think bool) {
 	if d.thinkLeft > 0 {
 		return d.thinkLeft, false, true
 	}
-	if d.nextAccess == nil && d.generatorDone() && d.inflight > 0 {
+	if !d.hasNext && d.generatorDone() && d.inflight > 0 {
 		// End-of-workload drain: only completions advance state.
 		return unbounded, false, false
 	}
@@ -239,7 +253,7 @@ func (d *Driver) mirror(before RunResult) {
 }
 
 func (d *Driver) drained() bool {
-	return d.inflight == 0 && d.pendingRd == nil && len(d.pendingWB) == 0
+	return d.inflight == 0 && !d.hasPendingRd && len(d.pendingWB) == 0
 }
 
 func (d *Driver) generatorDone() bool { return d.gen == nil }
@@ -248,25 +262,19 @@ func (d *Driver) generatorDone() bool { return d.gen == nil }
 // flight.
 func (d *Driver) step() bool {
 	// Retry backpressured writebacks first (oldest data).
-	for len(d.pendingWB) > 0 {
-		req := &memctrl.Request{ID: d.reqID, Kind: memctrl.Write, Sector: d.pendingWB[0]}
-		if !d.ctrl.Enqueue(req) {
-			d.res.StallClocks++
-			return true
-		}
-		d.reqID++
-		d.res.DRAMWrites++
-		d.pendingWB = d.pendingWB[1:]
+	if len(d.pendingWB) > 0 && !d.retryWritebacks() {
+		d.res.StallClocks++
+		return true
 	}
 	// Retry a backpressured read miss.
-	if d.pendingRd != nil {
-		if d.inflight >= d.cfg.MSHRs || !d.ctrl.Enqueue(d.pendingRd) {
+	if d.hasPendingRd {
+		if d.inflight >= d.cfg.MSHRs || !d.ctrl.Enqueue(&d.pendingRd) {
 			d.res.StallClocks++
 			return true
 		}
 		d.inflight++
 		d.res.DRAMReads++
-		d.pendingRd = nil
+		d.hasPendingRd = false
 	}
 	// Think time between accesses.
 	if d.thinkLeft > 0 {
@@ -274,7 +282,7 @@ func (d *Driver) step() bool {
 		return true
 	}
 	// Pull the next access.
-	if d.nextAccess == nil {
+	if !d.hasNext {
 		if d.gen == nil {
 			return d.inflight > 0
 		}
@@ -287,25 +295,25 @@ func (d *Driver) step() bool {
 			d.gen = nil
 			return d.inflight > 0
 		}
-		d.nextAccess = &a
+		d.nextAccess, d.hasNext = a, true
 		if a.Think > 0 {
 			d.thinkLeft = a.Think
 			return true
 		}
 	}
 	// Issue the access through the LLC.
-	a := *d.nextAccess
-	d.nextAccess = nil
+	a := d.nextAccess
+	d.hasNext = false
 	d.res.Accesses++
 	if d.llc == nil {
-		req := &memctrl.Request{ID: d.reqID, Kind: memctrl.Read, Sector: a.Sector}
+		req := memctrl.Request{ID: d.reqID, Kind: memctrl.Read, Sector: a.Sector}
 		if a.Write {
 			req.Kind = memctrl.Write
 		}
 		d.reqID++
 		if req.Kind == memctrl.Read {
-			d.pendingRd = req
-		} else if !d.ctrl.Enqueue(req) {
+			d.pendingRd, d.hasPendingRd = req, true
+		} else if !d.ctrl.Enqueue(&req) {
 			d.pendingWB = append(d.pendingWB, a.Sector)
 		} else {
 			d.res.DRAMWrites++
@@ -315,8 +323,27 @@ func (d *Driver) step() bool {
 	needRead, wbs := d.llc.Access(a.Sector, a.Write)
 	d.pendingWB = append(d.pendingWB, wbs...)
 	if needRead {
-		d.pendingRd = &memctrl.Request{ID: d.reqID, Kind: memctrl.Read, Sector: a.Sector}
+		d.pendingRd = memctrl.Request{ID: d.reqID, Kind: memctrl.Read, Sector: a.Sector}
+		d.hasPendingRd = true
 		d.reqID++
 	}
 	return true
+}
+
+// retryWritebacks offers the backpressured writebacks to the controller
+// oldest first and reports whether all were accepted. Accepted entries
+// are compacted out in place, so the slice's capacity is reused instead
+// of leaking off its front.
+func (d *Driver) retryWritebacks() bool {
+	n := 0
+	for ; n < len(d.pendingWB); n++ {
+		req := memctrl.Request{ID: d.reqID, Kind: memctrl.Write, Sector: d.pendingWB[n]}
+		if !d.ctrl.Enqueue(&req) {
+			break
+		}
+		d.reqID++
+		d.res.DRAMWrites++
+	}
+	d.pendingWB = d.pendingWB[:copy(d.pendingWB, d.pendingWB[n:])]
+	return len(d.pendingWB) == 0
 }

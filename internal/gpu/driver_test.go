@@ -207,3 +207,36 @@ func TestThinkTimePacesTraffic(t *testing.T) {
 		t.Errorf("think time ignored: %d vs %d clocks", fast, slow)
 	}
 }
+
+// TestDriverSteadyStateAllocFree pins the zero-allocation steady state of
+// the whole driver+controller stack (the companion of the bus package's
+// TestExactSteadyStateAllocFree): once the queues, the completion list
+// and the writeback buffer have grown to their working depth, generating,
+// enqueuing, scheduling, encoding and completing accesses allocates
+// nothing, in expected-energy and exact-data mode alike.
+func TestDriverSteadyStateAllocFree(t *testing.T) {
+	for _, exact := range []bool{false, true} {
+		cfg := memctrl.Config{Policy: memctrl.SMOREs,
+			Scheme: core.Scheme{Specification: core.VariableCode, Detection: core.Exhaustive}}
+		cfg.Bus.ExactData = exact
+		ctrl, err := memctrl.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := &randGen{r: rng.New(11), ws: 1 << 16, wfrac: 0.3, think: 3}
+		d, err := NewDriver(DriverConfig{MSHRs: 32}, ctrl, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		advance := func(n int64) {
+			for target := d.res.Accesses + n; d.res.Accesses < target; {
+				d.cycle(true)
+			}
+		}
+		advance(20000) // warm-up
+		const n = 5000
+		if allocs := testing.AllocsPerRun(1, func() { advance(n) }); allocs != 0 {
+			t.Errorf("exact=%v: %v allocations over %d accesses in steady state", exact, allocs, n)
+		}
+	}
+}

@@ -128,13 +128,6 @@ type Config struct {
 	// consulted when Fault is installed. Zero value selects defaults.
 	Replay ReplayConfig
 
-	// NoEventSkip forces Drain (and any caller honouring it, e.g. the GPU
-	// driver) back onto the legacy one-clock-at-a-time tick loop instead of
-	// next-event skipping. The two loops are bit-identical by construction
-	// and by the differential test in the report package; the flag exists
-	// for that A/B test and for debugging.
-	NoEventSkip bool
-
 	// Obs registers the controller's, device's, and channel's live
 	// counters into the given registry. Nil disables telemetry; the hot
 	// path then pays only predictable nil checks.

@@ -93,8 +93,8 @@ type Controller struct {
 	ch  *bus.Channel
 
 	clock  int64
-	readQ  []*Request
-	writeQ []*Request
+	readQ  queue
+	writeQ queue
 
 	writeMode  bool
 	refreshing bool
@@ -134,7 +134,7 @@ type Controller struct {
 	payload *rng.RNG
 	buf     [bus.BurstBytes]byte
 
-	completions []*Request // sorted by Done
+	completions []Request // sorted by Done; delivered ones are compacted out
 	onReadDone  func(*Request)
 
 	readGaps  *stats.Histogram
@@ -152,11 +152,15 @@ type Controller struct {
 	// for EvCodecSwitch trace instants.
 	lastCodeLen int
 	haveBurst   bool
+
+	// noEventSkip pins Drain and the GPU driver to the per-clock tick loop
+	// (see DisableEventSkip).
+	noEventSkip bool
 }
 
 // xfer tracks one data transfer through decision and idle accounting.
 type xfer struct {
-	req       *Request
+	req       Request
 	cmdAt     int64
 	dataStart int64
 	kind      Kind
@@ -204,6 +208,7 @@ func New(cfg Config) (*Controller, error) {
 		tr:        cfg.Tracer,
 		chanID:    int32(cfg.Channel),
 	}
+	c.readQ.kind, c.writeQ.kind = Read, Write
 	if cfg.Bus.ExactData {
 		c.payload = rng.New(0x5310_4E5)
 	}
@@ -217,7 +222,9 @@ func New(cfg Config) (*Controller, error) {
 }
 
 // OnReadDone registers the completion callback (data fully arrived and
-// decoded). Must be set before ticking if completions matter.
+// decoded). Must be set before ticking if completions matter. The
+// *Request passed to f points into the controller's completion list and
+// is valid only until f returns; copy the value to keep it.
 func (c *Controller) OnReadDone(f func(*Request)) { c.onReadDone = f }
 
 // Clock returns the current command clock.
@@ -244,29 +251,40 @@ func (c *Controller) WriteGapHistogram() *stats.Histogram { return c.writeGaps.C
 
 // QueueLens returns the current read and write queue depths.
 func (c *Controller) QueueLens() (reads, writes int) {
-	return len(c.readQ), len(c.writeQ)
+	return len(c.readQ.reqs), len(c.writeQ.reqs)
 }
 
 // Enqueue offers a request; it reports false when the target queue is
 // full (the caller must retry later — this is the backpressure path).
+// The controller queues a copy of *r, filling in the copy's Addr and
+// Arrive; the caller keeps ownership of r.
 func (c *Controller) Enqueue(r *Request) bool {
-	r.Addr = c.cfg.Timing.MapSector(r.Sector)
-	r.Arrive = c.clock
+	q, capacity := &c.readQ, c.cfg.ReadQueueCap
 	switch r.Kind {
 	case Read:
-		if len(c.readQ) >= c.cfg.ReadQueueCap {
-			return false
-		}
-		c.readQ = append(c.readQ, r)
 	case Write:
-		if len(c.writeQ) >= c.cfg.WriteQueueCap {
-			return false
-		}
-		c.writeQ = append(c.writeQ, r)
+		q, capacity = &c.writeQ, c.cfg.WriteQueueCap
 	default:
 		panic("memctrl: unknown request kind")
 	}
+	if len(q.reqs) >= capacity {
+		return false
+	}
+	in := *r
+	in.Addr = c.cfg.Timing.MapSector(in.Sector)
+	in.Arrive = c.clock
+	q.push(&in, c.dev.RowHit(in.Addr))
 	return true
+}
+
+// latency returns the command-to-data delay of a column command of kind
+// k, including the codec pipeline ablation.
+func (c *Controller) latency(k Kind) int64 {
+	lat := c.cfg.Timing.RL
+	if k == Write {
+		lat = c.cfg.Timing.WL
+	}
+	return lat + c.cfg.ExtraCodecLatency
 }
 
 // decisionDeadline returns how long after a column command the encoding
@@ -286,10 +304,21 @@ func (c *Controller) decisionDeadline() int64 {
 
 // Tick advances one command clock.
 func (c *Controller) Tick() {
+	if c.beginTick() {
+		c.schedule()
+	}
+	c.clock++
+}
+
+// beginTick runs the part of a tick before FR-FCFS scheduling: gauges,
+// completions, the pending decision deadline, refresh, and the
+// read/write mode switch. It reports whether the scheduler may issue a
+// column, ACTIVATE or PRECHARGE command this clock.
+func (c *Controller) beginTick() bool {
 	c.st.Clock = c.clock
 	c.m.clock.Set(c.clock)
-	c.m.readQ.Set(int64(len(c.readQ)))
-	c.m.writeQ.Set(int64(len(c.writeQ)))
+	c.m.readQ.Set(int64(len(c.readQ.reqs)))
+	c.m.writeQ.Set(int64(len(c.writeQ.reqs)))
 	c.deliverCompletions()
 
 	// Encoding decision deadline for the pending transfer: no follow-up
@@ -302,54 +331,47 @@ func (c *Controller) Tick() {
 	}
 
 	if c.dev.Busy(c.clock) {
-		c.clock++
-		return
+		return false
 	}
 
 	if c.cfg.Refresh == PerBank {
 		if c.issuePerBankRefresh() {
-			c.clock++
-			return
+			return false
 		}
 	} else {
 		if c.dev.RefreshDue(c.clock) {
 			c.refreshing = true
 		}
-		if c.refreshing {
-			if c.issueForRefresh() {
-				c.clock++
-				return
-			}
-			// No refresh-related command issuable this clock: fall through
-			// so in-flight banks can finish their row cycles.
+		// With no refresh-related command issuable this clock, fall
+		// through so in-flight banks can finish their row cycles.
+		if c.refreshing && c.issueForRefresh() {
+			return false
 		}
 	}
 
 	c.updateMode()
+	return !c.refreshing && c.clock >= c.cmdBusyTill
+}
 
-	if !c.refreshing && c.clock >= c.cmdBusyTill {
-		// Column commands claim their slot; activates and precharges use
-		// the free slots between them (tCCD leaves every other clock
-		// open). Because a GDDR6-style ACTIVATE spans two command clocks,
-		// an ACT started in a free slot spills into the next column slot
-		// and slips that transfer by one clock — the paper's §IV-A
-		// dominant source of one-clock data-bus gaps.
-		if c.issueColumn() || c.issuePrep(c.activeQueue()) || c.issuePrep(c.inactiveQueue()) ||
-			c.issueClosePage() {
-			c.clock++
-			return
-		}
-	}
-	c.clock++
+// schedule issues at most one command and reports whether it did.
+// Column commands claim their slot; activates and precharges use the
+// free slots between them (tCCD leaves every other clock open). Because
+// a GDDR6-style ACTIVATE spans two command clocks, an ACT started in a
+// free slot spills into the next column slot and slips that transfer by
+// one clock — the paper's §IV-A dominant source of one-clock data-bus
+// gaps.
+func (c *Controller) schedule() bool {
+	return c.issueColumn() || c.issuePrep(c.activeQueue()) || c.issuePrep(c.inactiveQueue()) ||
+		c.issueClosePage()
 }
 
 // Drain runs the controller until all queued and in-flight work has
 // completed or maxClocks elapse; it returns false on timeout. No new
 // requests arrive during a drain, so the inert clocks between events are
-// skipped (unless Config.NoEventSkip pins the legacy per-clock loop).
+// skipped (unless DisableEventSkip pinned the per-clock loop).
 func (c *Controller) Drain(maxClocks int64) bool {
 	deadline := c.clock + maxClocks
-	for (len(c.readQ) > 0 || len(c.writeQ) > 0 || len(c.completions) > 0) && c.clock < deadline {
+	for (len(c.readQ.reqs) > 0 || len(c.writeQ.reqs) > 0 || len(c.completions) > 0) && c.clock < deadline {
 		if !c.skipThenTick(deadline) {
 			break
 		}
@@ -366,14 +388,14 @@ func (c *Controller) Drain(maxClocks int64) bool {
 			break
 		}
 	}
-	return len(c.readQ) == 0 && len(c.writeQ) == 0 && len(c.completions) == 0
+	return len(c.readQ.reqs) == 0 && len(c.writeQ.reqs) == 0 && len(c.completions) == 0
 }
 
 // skipThenTick advances to the next event (when skipping is enabled) and
 // runs one Tick. It reports false when the skip alone reached limit, in
 // which case no Tick ran.
 func (c *Controller) skipThenTick(limit int64) bool {
-	if !c.cfg.NoEventSkip {
+	if !c.noEventSkip {
 		if t := c.NextEventClock(); t > c.clock {
 			if t > limit {
 				t = limit
@@ -388,14 +410,14 @@ func (c *Controller) skipThenTick(limit int64) bool {
 	return true
 }
 
-func (c *Controller) activeQueue() *[]*Request {
+func (c *Controller) activeQueue() *queue {
 	if c.writeMode {
 		return &c.writeQ
 	}
 	return &c.readQ
 }
 
-func (c *Controller) inactiveQueue() *[]*Request {
+func (c *Controller) inactiveQueue() *queue {
 	if c.writeMode {
 		return &c.readQ
 	}
@@ -403,13 +425,14 @@ func (c *Controller) inactiveQueue() *[]*Request {
 }
 
 func (c *Controller) updateMode() {
+	reads, writes := len(c.readQ.reqs), len(c.writeQ.reqs)
 	if c.writeMode {
-		if len(c.writeQ) == 0 || (len(c.writeQ) <= c.cfg.WriteLo && len(c.readQ) > 0) {
+		if writes == 0 || (writes <= c.cfg.WriteLo && reads > 0) {
 			c.writeMode = false
 		}
 		return
 	}
-	if len(c.writeQ) >= c.cfg.WriteHi || (len(c.readQ) == 0 && len(c.writeQ) > 0) {
+	if writes >= c.cfg.WriteHi || (reads == 0 && writes > 0) {
 		c.writeMode = true
 	}
 }
@@ -429,62 +452,91 @@ func (c *Controller) issueForRefresh() bool {
 		return true
 	}
 	for b := 0; b < c.cfg.Timing.Banks; b++ {
-		if _, open := c.dev.OpenRow(b); open && c.dev.CanPrecharge(b, c.clock) {
-			if err := c.dev.Precharge(b, c.clock); err != nil {
-				panic("memctrl: " + err.Error())
-			}
-			if c.tr != nil {
-				c.tr.Emit(obs.TraceEvent{Cycle: c.clock, Dur: 1, Type: obs.EvPRE,
-					Channel: c.chanID, Bank: int32(b)})
-			}
+		if c.dev.CanPrecharge(b, c.clock) {
+			c.precharge(b)
 			return true
 		}
 	}
 	return false
 }
 
+// precharge closes bank b and keeps both queues' bank indexes exact.
+// Every PRECHARGE the controller issues goes through here.
+func (c *Controller) precharge(b int) {
+	if err := c.dev.Precharge(b, c.clock); err != nil {
+		panic("memctrl: " + err.Error())
+	}
+	c.readQ.rowClosed(b)
+	c.writeQ.rowClosed(b)
+	if c.tr != nil {
+		c.tr.Emit(obs.TraceEvent{Cycle: c.clock, Dur: 1, Type: obs.EvPRE,
+			Channel: c.chanID, Bank: int32(b)})
+	}
+}
+
+// activate opens row in bank b and recounts the bank in both queues'
+// indexes. ACT is a two-clock command: it holds the command bus through
+// the next clock.
+func (c *Controller) activate(b int, row uint32) {
+	if err := c.dev.Activate(b, row, c.clock); err != nil {
+		panic("memctrl: " + err.Error())
+	}
+	c.cmdBusyTill = c.clock + 2
+	c.readQ.rowOpened(b, row)
+	c.writeQ.rowOpened(b, row)
+	if c.tr != nil {
+		c.tr.Emit(obs.TraceEvent{Cycle: c.clock, Dur: 2, Type: obs.EvACT,
+			Channel: c.chanID, Bank: int32(b), Arg: int64(row)})
+	}
+}
+
 // issueColumn issues the first legal READ/WRITE from the active queue
 // (FR-FCFS: the queue scan naturally prefers older requests; row hits are
-// the only issuable ones).
+// the only issuable ones). The bank index and the device-wide gates
+// settle most clocks without touching a request.
 func (c *Controller) issueColumn() bool {
 	q := c.activeQueue()
-	for i, r := range *q {
-		var ok bool
-		lat := c.cfg.Timing.RL
-		if r.Kind == Read {
-			ok = c.dev.CanRead(r.Addr, c.clock)
-		} else {
-			lat = c.cfg.Timing.WL
-			ok = c.dev.CanWrite(r.Addr, c.clock)
-		}
-		lat += c.cfg.ExtraCodecLatency // must match placeTransfer's data start
-		// Hold the command if its data would start inside a booked slot
-		// (e.g. a read stretched across a gap; write data is buffered).
-		if ok && c.clock+lat < c.busReservedUntil {
-			ok = false
-		}
-		if !ok {
+	if q.hits == 0 {
+		return false
+	}
+	write := q.kind == Write
+	// Device-wide holds apply to every bank alike: the column gate, and a
+	// booked data slot the command's data would start inside (e.g. a read
+	// stretched across a gap; write data is buffered).
+	if c.clock < c.dev.ColumnGateAt(write) || c.clock+c.latency(q.kind) < c.busReservedUntil {
+		return false
+	}
+	for i := range q.reqs {
+		r := &q.reqs[i]
+		if q.hits&(1<<uint(r.Addr.Bank)) == 0 {
 			continue
 		}
 		var err error
-		if r.Kind == Read {
-			err = c.dev.Read(r.Addr, c.clock)
-		} else {
+		if write {
+			if !c.dev.CanWrite(r.Addr, c.clock) {
+				continue
+			}
 			err = c.dev.Write(r.Addr, c.clock)
+		} else {
+			if !c.dev.CanRead(r.Addr, c.clock) {
+				continue
+			}
+			err = c.dev.Read(r.Addr, c.clock)
 		}
 		if err != nil {
 			panic("memctrl: " + err.Error())
 		}
 		if c.tr != nil {
 			ev := obs.EvRD
-			if r.Kind == Write {
+			if write {
 				ev = obs.EvWR
 			}
 			c.tr.Emit(obs.TraceEvent{Cycle: c.clock, Dur: 1, Type: ev,
 				Channel: c.chanID, Bank: int32(r.Addr.Bank), Arg: int64(r.Addr.Row)})
 		}
-		*q = append((*q)[:i], (*q)[i+1:]...)
-		c.placeTransfer(r)
+		req := *r
+		q.remove(i)
+		c.placeTransfer(&req)
 		return true
 	}
 	return false
@@ -495,43 +547,42 @@ func (c *Controller) issueColumn() bool {
 // at the call site ordering in Tick — per the paper, GPU controllers
 // prioritize activates to sustain bank-level parallelism, and those stolen
 // command slots are the dominant source of one-clock data-bus gaps.
-func (c *Controller) issuePrep(q *[]*Request) bool {
-	// Per-bank dedup via a bitmask: banks are ≤ 64 (validated), and the
-	// mask keeps this per-tick path allocation-free (it used to build a
-	// map here — the single hottest allocation site in a fleet run).
-	var prepped uint64
-	for _, r := range *q {
-		if prepped&(1<<uint(r.Addr.Bank)) != 0 {
+func (c *Controller) issuePrep(q *queue) bool {
+	// Banks holding a row miss that can take their command now: PRE for an
+	// open bank (its row is the wrong one), ACT for a closed one.
+	var ready uint64
+	for m := q.miss; m != 0; {
+		b := lowBank(&m)
+		if _, open := c.dev.OpenRow(b); open {
+			if c.dev.CanPrecharge(b, c.clock) {
+				ready |= 1 << uint(b)
+			}
+		} else if c.dev.CanActivate(b, c.clock) {
+			ready |= 1 << uint(b)
+		}
+	}
+	if ready == 0 {
+		return false
+	}
+	// The oldest request of each bank decides its prep: a bank whose oldest
+	// request hits the open row is left alone.
+	var seen uint64
+	for i := range q.reqs {
+		a := q.reqs[i].Addr
+		bit := uint64(1) << uint(a.Bank)
+		if ready&bit == 0 || seen&bit != 0 {
 			continue
 		}
-		prepped |= 1 << uint(r.Addr.Bank)
-		if c.dev.RowHit(r.Addr) {
+		seen |= bit
+		if c.dev.RowHit(a) {
 			continue
 		}
-		if c.dev.NeedsPrecharge(r.Addr) {
-			if c.dev.CanPrecharge(r.Addr.Bank, c.clock) {
-				if err := c.dev.Precharge(r.Addr.Bank, c.clock); err != nil {
-					panic("memctrl: " + err.Error())
-				}
-				if c.tr != nil {
-					c.tr.Emit(obs.TraceEvent{Cycle: c.clock, Dur: 1, Type: obs.EvPRE,
-						Channel: c.chanID, Bank: int32(r.Addr.Bank)})
-				}
-				return true
-			}
-			continue
+		if c.dev.NeedsPrecharge(a) {
+			c.precharge(a.Bank)
+		} else {
+			c.activate(a.Bank, a.Row)
 		}
-		if c.dev.CanActivate(r.Addr.Bank, c.clock) {
-			if err := c.dev.Activate(r.Addr.Bank, r.Addr.Row, c.clock); err != nil {
-				panic("memctrl: " + err.Error())
-			}
-			c.cmdBusyTill = c.clock + 2 // ACT is a two-clock command
-			if c.tr != nil {
-				c.tr.Emit(obs.TraceEvent{Cycle: c.clock, Dur: 2, Type: obs.EvACT,
-					Channel: c.chanID, Bank: int32(r.Addr.Bank), Arg: int64(r.Addr.Row)})
-			}
-			return true
-		}
+		return true
 	}
 	return false
 }
@@ -546,13 +597,7 @@ func (c *Controller) issuePerBankRefresh() bool {
 	b := c.dev.NextRefreshBank()
 	if _, open := c.dev.OpenRow(b); open {
 		if c.dev.CanPrecharge(b, c.clock) {
-			if err := c.dev.Precharge(b, c.clock); err != nil {
-				panic("memctrl: " + err.Error())
-			}
-			if c.tr != nil {
-				c.tr.Emit(obs.TraceEvent{Cycle: c.clock, Dur: 1, Type: obs.EvPRE,
-					Channel: c.chanID, Bank: int32(b)})
-			}
+			c.precharge(b)
 			return true
 		}
 		return false
@@ -576,34 +621,12 @@ func (c *Controller) issueClosePage() bool {
 	if c.cfg.Pages != ClosedPage {
 		return false
 	}
+	wanted := c.readQ.hits | c.writeQ.hits
 	for b := 0; b < c.cfg.Timing.Banks; b++ {
-		row, open := c.dev.OpenRow(b)
-		if !open || !c.dev.CanPrecharge(b, c.clock) {
-			continue
+		if wanted&(1<<uint(b)) == 0 && c.dev.CanPrecharge(b, c.clock) {
+			c.precharge(b)
+			return true
 		}
-		wanted := false
-		for _, q := range []*[]*Request{&c.readQ, &c.writeQ} {
-			for _, r := range *q {
-				if r.Addr.Bank == b && r.Addr.Row == row {
-					wanted = true
-					break
-				}
-			}
-			if wanted {
-				break
-			}
-		}
-		if wanted {
-			continue
-		}
-		if err := c.dev.Precharge(b, c.clock); err != nil {
-			panic("memctrl: " + err.Error())
-		}
-		if c.tr != nil {
-			c.tr.Emit(obs.TraceEvent{Cycle: c.clock, Dur: 1, Type: obs.EvPRE,
-				Channel: c.chanID, Bank: int32(b)})
-		}
-		return true
 	}
 	return false
 }
@@ -612,14 +635,9 @@ func (c *Controller) issueClosePage() bool {
 // decides the previous pending transfer's encoding, and accounts the idle
 // span between them.
 func (c *Controller) placeTransfer(r *Request) {
-	lat := c.cfg.Timing.RL
-	if r.Kind == Write {
-		lat = c.cfg.Timing.WL
-	}
-	lat += c.cfg.ExtraCodecLatency
-	x := xfer{req: r, cmdAt: c.clock, dataStart: c.clock + lat, kind: r.Kind}
-	r.IssuedAt = c.clock
-	r.DataStart = x.dataStart
+	x := xfer{req: *r, cmdAt: c.clock, dataStart: c.clock + c.latency(r.Kind), kind: r.Kind}
+	x.req.IssuedAt = c.clock
+	x.req.DataStart = x.dataStart
 
 	// Both ends of the link observe every column command; the DRAM-side
 	// and GPU-side trackers must always agree (verified in decidePending).
@@ -647,7 +665,7 @@ func (c *Controller) placeTransfer(r *Request) {
 	if c.tr != nil {
 		c.tr.Emit(obs.TraceEvent{Cycle: c.clock, Type: obs.EvQueueDepth,
 			Channel: c.chanID, Bank: -1,
-			Arg: int64(len(c.readQ)), Arg2: int64(len(c.writeQ))})
+			Arg: int64(len(c.readQ.reqs)), Arg2: int64(len(c.writeQ.reqs))})
 	}
 }
 
@@ -746,7 +764,7 @@ func (c *Controller) decidePending(gap, gpuGap int, known bool, nextKind Kind) {
 
 	if p.kind == Read {
 		p.req.Done = p.dataStart + int64(core.SlotClocks(codeLen)) + p.replayClocks
-		c.scheduleCompletion(p.req)
+		c.scheduleCompletion(&p.req)
 	} else {
 		c.st.WritesServed++
 		c.m.writesServed.Inc()
@@ -832,15 +850,18 @@ func (c *Controller) scheduleCompletion(r *Request) {
 	for i > 0 && c.completions[i-1].Done > r.Done {
 		i--
 	}
-	c.completions = append(c.completions, nil)
+	c.completions = append(c.completions, Request{})
 	copy(c.completions[i+1:], c.completions[i:])
-	c.completions[i] = r
+	c.completions[i] = *r
 }
 
+// deliverCompletions hands every read due by now to the callback, then
+// compacts the delivered entries out in place so the list's capacity is
+// reused instead of leaking off its front.
 func (c *Controller) deliverCompletions() {
-	for len(c.completions) > 0 && c.completions[0].Done <= c.clock {
-		r := c.completions[0]
-		c.completions = c.completions[1:]
+	n := 0
+	for ; n < len(c.completions) && c.completions[n].Done <= c.clock; n++ {
+		r := &c.completions[n]
 		c.st.ReadsServed++
 		c.st.ReadLatencySum += r.Done - r.Arrive
 		c.m.readsServed.Inc()
@@ -848,6 +869,9 @@ func (c *Controller) deliverCompletions() {
 		if c.onReadDone != nil {
 			c.onReadDone(r)
 		}
+	}
+	if n > 0 {
+		c.completions = c.completions[:copy(c.completions, c.completions[n:])]
 	}
 }
 

@@ -104,10 +104,11 @@ func TestBackToBackReadsHaveNoGaps(t *testing.T) {
 
 func TestIsolatedReadLatency(t *testing.T) {
 	c := newCtrl(t, Config{Policy: BaselineMTA})
-	var got *Request
-	c.OnReadDone(func(r *Request) { got = r })
+	var got Request
+	done := false
+	c.OnReadDone(func(r *Request) { got, done = *r, true })
 	feed(t, c, seqReads(1, 0, 0))
-	if got == nil {
+	if !done {
 		t.Fatal("read never completed")
 	}
 	cfg := gddr6x.DefaultTiming()

@@ -12,8 +12,11 @@ package memctrl
 // inert Tick and re-arms (the per-clock loop is the degenerate case);
 // waking too late would diverge, so every bound below is the exact
 // ready-clock of the device's Can* predicates or earlier. Bit-identity
-// with the legacy loop is enforced by TestEventSkipBitIdentical in the
-// report package across all five evaluation policies.
+// with the per-clock loop (DisableEventSkip) is enforced by
+// TestEventSkipBitIdentical in the report package across all five
+// evaluation policies.
+
+import "smores/internal/gddr6x"
 
 const farFuture = int64(1) << 62
 
@@ -84,10 +87,10 @@ func (c *Controller) NextEventClock() int64 {
 		}
 	}
 
-	if len(c.readQ)+len(c.writeQ) > 0 {
+	if len(c.readQ.reqs)+len(c.writeQ.reqs) > 0 {
 		// Streaming bail-out: if a column command landed within the last
 		// tCCD_L clocks, the next issue slot is at most that far away and
-		// the per-request scan below would cost more than the skip saves.
+		// the per-bank scan below would cost more than the skip saves.
 		// Returning "now" is always safe (the tick just runs normally).
 		if c.dev.LastColumnAt()+c.cfg.Timing.TCCDL > now {
 			return now
@@ -119,6 +122,9 @@ func clampNow(next, now int64) int64 {
 // occur by time alone (empty queues). The bound is conservative: it
 // ignores FR-FCFS ordering, per-bank prep dedup, and the active/inactive
 // queue split, all of which can only delay the real issue past the bound.
+// A request's ready clock depends only on its bank, its direction and
+// whether it hits the open row, so one query per indexed bank covers
+// every request.
 func (c *Controller) nextIssueReady() int64 {
 	next := int64(-1)
 	better := func(t int64) {
@@ -126,25 +132,28 @@ func (c *Controller) nextIssueReady() int64 {
 			next = t
 		}
 	}
-	for qi, q := range [2]*[]*Request{&c.readQ, &c.writeQ} {
-		write := qi == 1
-		lat := c.cfg.Timing.RL
-		if write {
-			lat = c.cfg.Timing.WL
+	for _, q := range [2]*queue{&c.readQ, &c.writeQ} {
+		write := q.kind == Write
+		// issueColumn holds commands whose data would start inside a
+		// booked slot.
+		hold := c.busReservedUntil - c.latency(q.kind)
+		for m := q.hits; m != 0; {
+			b := lowBank(&m)
+			row, _ := c.dev.OpenRow(b)
+			t := c.dev.ColumnReadyAt(gddr6x.Address{Bank: b, Row: row}, write)
+			if hold > t {
+				t = hold
+			}
+			better(t)
 		}
-		lat += c.cfg.ExtraCodecLatency
-		for _, r := range *q {
-			if t := c.dev.ColumnReadyAt(r.Addr, write); t >= 0 {
-				// issueColumn holds commands whose data would start inside
-				// a booked (stretched) slot.
-				if hold := c.busReservedUntil - lat; hold > t {
-					t = hold
-				}
+		// A miss in an open bank needs a PRECHARGE, in a closed one an
+		// ACTIVATE.
+		for m := q.miss; m != 0; {
+			b := lowBank(&m)
+			if t := c.dev.PrechargeReadyAt(b); t >= 0 {
 				better(t)
-			} else if c.dev.NeedsPrecharge(r.Addr) {
-				better(c.dev.PrechargeReadyAt(r.Addr.Bank))
 			} else {
-				better(c.dev.ActivateReadyAt(r.Addr.Bank))
+				better(c.dev.ActivateReadyAt(b))
 			}
 		}
 	}
@@ -169,17 +178,23 @@ func (c *Controller) SkipTo(target int64) {
 	// Preserve the post-Tick invariant st.Clock == clock-1.
 	c.st.Clock = target - 1
 	c.m.clock.Set(target - 1)
-	c.m.readQ.Set(int64(len(c.readQ)))
-	c.m.writeQ.Set(int64(len(c.writeQ)))
+	c.m.readQ.Set(int64(len(c.readQ.reqs)))
+	c.m.writeQ.Set(int64(len(c.writeQ.reqs)))
 }
 
 // ReadQueueFull and WriteQueueFull report request-queue backpressure;
 // the GPU driver uses them to recognize stall windows it can skip.
-func (c *Controller) ReadQueueFull() bool { return len(c.readQ) >= c.cfg.ReadQueueCap }
+func (c *Controller) ReadQueueFull() bool { return len(c.readQ.reqs) >= c.cfg.ReadQueueCap }
 
 // WriteQueueFull reports whether the write queue is at capacity.
-func (c *Controller) WriteQueueFull() bool { return len(c.writeQ) >= c.cfg.WriteQueueCap }
+func (c *Controller) WriteQueueFull() bool { return len(c.writeQ.reqs) >= c.cfg.WriteQueueCap }
 
 // EventSkipEnabled reports whether this controller may be advanced with
-// next-event skipping (Config.NoEventSkip unset).
-func (c *Controller) EventSkipEnabled() bool { return !c.cfg.NoEventSkip }
+// next-event skipping (DisableEventSkip not called).
+func (c *Controller) EventSkipEnabled() bool { return !c.noEventSkip }
+
+// DisableEventSkip pins this controller — Drain, and the GPU driver that
+// runs it — to the one-clock-at-a-time tick loop. It is the test oracle
+// the event-skip differential tests compare the skipping loop against;
+// the two are bit-identical, so simulations have no reason to call it.
+func (c *Controller) DisableEventSkip() { c.noEventSkip = true }

@@ -100,9 +100,8 @@ func TestEventSkipBitIdenticalStats(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			const n = 3000
-			legacyCfg := tc.cfg
-			legacyCfg.NoEventSkip = true
-			legacy := newCtrl(t, legacyCfg)
+			legacy := newCtrl(t, tc.cfg)
+			legacy.DisableEventSkip()
 			skip := newCtrl(t, tc.cfg)
 
 			runArrivals(t, legacy, randomArrivals(n, 42), false)

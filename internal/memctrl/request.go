@@ -33,6 +33,9 @@ func (k Kind) String() string {
 }
 
 // Request is one 32-byte sector transfer requested of the controller.
+// The controller holds requests by value (Enqueue copies one in), and it
+// has no pointer fields, so queues of them cost the garbage collector
+// nothing.
 type Request struct {
 	// ID is a caller-chosen identifier, echoed on completion.
 	ID uint64
@@ -43,7 +46,8 @@ type Request struct {
 	// Arrive is the clock at which the request entered the controller.
 	Arrive int64
 
-	// Fields filled by the controller:
+	// Fields the controller fills in on its copy (visible to the
+	// OnReadDone callback):
 
 	// Addr is the decomposed DRAM coordinate.
 	Addr gddr6x.Address

@@ -25,9 +25,7 @@ func TestEventSkipBitIdentical(t *testing.T) {
 		t.Run(spec.Policy.String()+"/"+spec.Scheme.String(), func(t *testing.T) {
 			for _, ai := range apps {
 				p := fleet[ai]
-				legacySpec := spec
-				legacySpec.NoEventSkip = true
-				want, err := RunApp(p, legacySpec)
+				want, err := runApp(p, spec, true)
 				if err != nil {
 					t.Fatalf("%s legacy: %v", p.Name, err)
 				}

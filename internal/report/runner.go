@@ -71,10 +71,6 @@ type RunSpec struct {
 	Profile *obs.Profile
 	// Channel identifies the controller in traces and default labels.
 	Channel int
-	// NoEventSkip pins the legacy one-clock-at-a-time tick loop instead of
-	// next-event skipping; the two are bit-identical (enforced by the
-	// differential test in this package). For A/B testing and debugging.
-	NoEventSkip bool
 }
 
 // controllerConfig assembles the memctrl configuration for a spec.
@@ -92,7 +88,6 @@ func (s RunSpec) controllerConfig() memctrl.Config {
 		ObsLabels:         s.ObsLabels,
 		Tracer:            s.Tracer,
 		Channel:           s.Channel,
-		NoEventSkip:       s.NoEventSkip,
 	}
 	cfg.Bus.Profile = s.Profile
 	cfg.Bus.ExactData = s.ExactData || s.Fault != nil
@@ -146,6 +141,13 @@ type AppResult struct {
 // from workload.OpenGenerator, so trace-backed fleet members replay
 // their recorded stream while synthetic apps synthesize from the seed.
 func RunApp(p workload.Profile, spec RunSpec) (AppResult, error) {
+	return runApp(p, spec, false)
+}
+
+// runApp is RunApp; perClock pins the controller and driver to the
+// one-clock-at-a-time tick loop, the oracle TestEventSkipBitIdentical
+// compares next-event skipping against.
+func runApp(p workload.Profile, spec RunSpec, perClock bool) (AppResult, error) {
 	gen, err := workload.OpenGenerator(p, spec.Seed)
 	if err != nil {
 		return AppResult{}, err
@@ -161,6 +163,9 @@ func RunApp(p workload.Profile, spec RunSpec) (AppResult, error) {
 	ctrl, err := memctrl.New(ccfg)
 	if err != nil {
 		return AppResult{}, err
+	}
+	if perClock {
+		ctrl.DisableEventSkip()
 	}
 	dcfg := gpu.DriverConfig{
 		MSHRs:       p.MSHRs,
