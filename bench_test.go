@@ -502,32 +502,14 @@ func BenchmarkErrorDetectionStudy(b *testing.B) {
 	b.ReportMetric(rate*100, "%detected(4b3s)")
 }
 
+// BenchmarkMultiChannel runs one app over four channels with a
+// saturated shard pool.
 func BenchmarkMultiChannel(b *testing.B) {
 	p, _ := workload.ByName("bert")
 	var mr report.MultiResult
 	for i := 0; i < b.N; i++ {
 		var err error
 		mr, err = report.RunAppMultiChannel(p, report.RunSpec{
-			Policy:   memctrl.SMOREs,
-			Scheme:   core.Scheme{Specification: core.StaticCode, Detection: core.Exhaustive},
-			Accesses: 4000, Seed: 3,
-		}, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(mr.PerBit, "fJ/bit")
-}
-
-// BenchmarkMultiChannelSharded is the same workload on the
-// shard-per-goroutine engine with a saturated pool — the headline
-// speedup over BenchmarkMultiChannel's lockstep interleaver.
-func BenchmarkMultiChannelSharded(b *testing.B) {
-	p, _ := workload.ByName("bert")
-	var mr report.MultiResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		mr, err = report.RunAppMultiChannelSharded(p, report.RunSpec{
 			Policy:   memctrl.SMOREs,
 			Scheme:   core.Scheme{Specification: core.StaticCode, Detection: core.Exhaustive},
 			Accesses: 4000, Seed: 3,

@@ -38,8 +38,7 @@ func main() {
 		scenario  = flag.Bool("scenario", false, "play the Figure 4 timing scenarios instead")
 		eye       = flag.Bool("eye", false, "run the signal-integrity (crosstalk/eye) analysis instead")
 		channels  = flag.Int("channels", 1, "number of interleaved GDDR6X channels")
-		sharded   = flag.Bool("sharded", false, "with -channels >1: use the shard-per-goroutine engine instead of the lockstep interleaver")
-		shardJ    = flag.Int("j", 0, "with -sharded: concurrent shard simulations (0 = GOMAXPROCS, 1 = sequential)")
+		shardJ    = flag.Int("j", 0, "with -channels >1: concurrent channel simulations (0 = GOMAXPROCS, 1 = sequential)")
 		listen    = flag.String("listen", "", "serve live telemetry (/metrics, /healthz, /progress, pprof) on this address; keeps serving after the run until interrupted")
 		traceOut  = flag.String("trace", "", "write a Chrome trace-event JSON (load in Perfetto) to this file")
 		traceCap  = flag.Int("trace-depth", obs.DefaultTraceCapacity, "ring-buffer capacity of the tracer (most recent events kept)")
@@ -129,22 +128,10 @@ func main() {
 	}
 
 	if *channels > 1 {
-		var (
-			mr  report.MultiResult
-			err error
-		)
-		if *sharded {
-			mr, err = report.RunAppMultiChannelSharded(p, rs, *channels,
-				report.ShardOptions{Workers: *shardJ, Obs: reg, Progress: prog})
-		} else {
-			mr, err = report.RunAppMultiChannel(p, rs, *channels)
-		}
+		mr, err := report.RunAppMultiChannel(p, rs, *channels,
+			report.ShardOptions{Workers: *shardJ, Obs: reg, Progress: prog})
 		fail(err)
-		engine := "lockstep"
-		if mr.Sharded {
-			engine = "sharded"
-		}
-		fmt.Printf("%s under %s over %d channels (%s engine)\n", p.Name, mr.Label, mr.Channels, engine)
+		fmt.Printf("%s under %s over %d channels\n", p.Name, mr.Label, mr.Channels)
 		fmt.Printf("  DRAM traffic:    %d reads, %d writes over %d clocks (%.2f B/clock)\n",
 			mr.Reads, mr.Writes, mr.Clocks, float64(mr.Reads+mr.Writes)*32/float64(mr.Clocks))
 		fmt.Printf("  energy:          %.1f fJ/bit aggregate\n", mr.PerBit)

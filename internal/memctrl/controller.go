@@ -45,8 +45,7 @@ type Stats struct {
 // Merge folds another controller's snapshot into s — the multi-channel
 // roll-up path. Counters add; Clock and MaxGapClocks take the maximum,
 // because sharded channels advance in parallel wall-clock (the merged
-// Clock is the slowest shard, exactly like the lockstep interleaver's
-// shared clock).
+// Clock is the slowest shard's).
 func (s *Stats) Merge(o Stats) {
 	if o.Clock > s.Clock {
 		s.Clock = o.Clock

@@ -212,7 +212,7 @@ func RunBench(cfg BenchConfig) (BenchReport, error) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		start := time.Now()
-		fr, err := RunFleetOpts(spec, FleetOptions{Workers: cfg.Workers})
+		fr, err := RunFleetApps(workload.Fleet(), spec, FleetOptions{Workers: cfg.Workers})
 		wall := time.Since(start)
 		runtime.ReadMemStats(&after)
 		if err != nil {
@@ -251,7 +251,7 @@ func RunMultiChannelBench(rep *BenchReport, channels, workers int) error {
 	}
 	spec := PolicySpecs(rep.Accesses, rep.Seed, false)[2]
 	start := time.Now()
-	fr, err := RunFleetMultiChannel(spec, channels, ShardOptions{Workers: workers})
+	fr, err := RunFleetAppsMultiChannel(workload.Fleet(), spec, channels, ShardOptions{Workers: workers})
 	wall := time.Since(start)
 	if err != nil {
 		return fmt.Errorf("bench: multichannel fleet: %w", err)

@@ -12,13 +12,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
 	"strings"
-	"sync"
 
 	"smores/internal/core"
 	"smores/internal/fault"
 	"smores/internal/memctrl"
+	"smores/internal/shard"
 	"smores/internal/workload"
 )
 
@@ -191,41 +190,17 @@ func RunCampaign(spec CampaignSpec) (CampaignResult, error) {
 
 	// Run the jobs.
 	results := make([]AppResult, len(jobs))
-	errs := make([]error, len(jobs))
-	workers := spec.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers <= 1 {
-		for j, job := range jobs {
-			results[j], errs[j] = RunApp(spec.Apps[job.app], job.spec)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for j := range idx {
-					results[j], errs[j] = RunApp(spec.Apps[jobs[j].app], jobs[j].spec)
-				}
-			}()
-		}
-		for j := range jobs {
-			idx <- j
-		}
-		close(idx)
-		wg.Wait()
-	}
-	for j, err := range errs {
+	err := shard.RunJobs(len(jobs), spec.Workers, func(_, j int) error {
+		job := jobs[j]
+		var err error
+		results[j], err = RunApp(spec.Apps[job.app], job.spec)
 		if err != nil {
-			return CampaignResult{}, fmt.Errorf("report: campaign point %d app %s: %w",
-				jobs[j].point, spec.Apps[jobs[j].app].Name, err)
+			return fmt.Errorf("report: campaign point %d app %s: %w", job.point, spec.Apps[job.app].Name, err)
 		}
+		return nil
+	})
+	if err != nil {
+		return CampaignResult{}, err
 	}
 
 	// Aggregate per point.

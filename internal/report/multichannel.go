@@ -13,16 +13,12 @@ import (
 	"smores/internal/workload"
 )
 
-// MultiResult is the outcome of a multi-channel simulation (lockstep or
-// sharded — see Sharded).
+// MultiResult is the outcome of a multi-channel simulation
+// (RunAppMultiChannel).
 type MultiResult struct {
 	App      workload.Profile
 	Channels int
 	Label    string
-	// Sharded reports which engine produced the result: the
-	// shard-per-goroutine engine (RunAppMultiChannelSharded) or the
-	// legacy lockstep interleaver (RunAppMultiChannel).
-	Sharded bool
 	// PerBit is the aggregate fJ per data bit across all channels.
 	PerBit float64
 	// PerChannel holds each channel's bus statistics; Bus is their
@@ -49,8 +45,7 @@ type MultiResult struct {
 // id keeps telemetry series and trace tracks distinguishable
 // (channel="0"..N-1), and a configured fault injector gets a
 // channel-decorrelated seed so the channels see independent error
-// processes. Both multi-channel engines — lockstep and sharded — derive
-// their channels through this one helper.
+// processes.
 func channelSpec(spec RunSpec, i int) RunSpec {
 	chSpec := spec
 	chSpec.Channel = i
@@ -64,27 +59,8 @@ func channelSpec(spec RunSpec, i int) RunSpec {
 	return chSpec
 }
 
-// buildChannelController assembles channel i's controller and optional
-// fault injector for a multi-channel run.
-func buildChannelController(spec RunSpec, i int) (*memctrl.Controller, *fault.Injector, error) {
-	chSpec := channelSpec(spec, i)
-	in, err := chSpec.faultInjector()
-	if err != nil {
-		return nil, nil, err
-	}
-	ccfg := chSpec.controllerConfig()
-	if in != nil {
-		ccfg.Fault = in
-	}
-	ctrl, err := memctrl.New(ccfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ctrl, in, nil
-}
-
 // mergeChannels folds the per-channel outcomes into mr in channel order
-// (the deterministic merge both engines share). It validates the label
+// (the deterministic merge). It validates the label
 // and invariant contracts; on any violation the caller must discard mr.
 func mergeChannels(mr *MultiResult, ctrls []*memctrl.Controller, injectors []*fault.Injector) error {
 	mr.Label = ctrls[0].Describe()
@@ -119,65 +95,6 @@ func mergeChannels(mr *MultiResult, ctrls []*memctrl.Controller, injectors []*fa
 	}
 	mr.PerBit = mr.Bus.PerBit()
 	return nil
-}
-
-// RunAppMultiChannel simulates one application over several interleaved
-// GDDR6X channels (the RTX 3090 has 24). Sectors stripe round-robin
-// across channels; every channel runs the same encoding policy, and the
-// MSHR pool scales with the channel count. This is the legacy lockstep
-// engine — one driver loop stepping every channel each clock with a
-// shared MSHR pool. RunAppMultiChannelSharded is the
-// shard-per-goroutine engine that scales with cores.
-//
-// On any error — construction, invariant violation, label disagreement
-// — the zero MultiResult is returned: a populated result never rides
-// alongside an error, so callers cannot accidentally consume
-// half-merged statistics.
-func RunAppMultiChannel(p workload.Profile, spec RunSpec, channels int) (MultiResult, error) {
-	if channels < 1 {
-		return MultiResult{}, fmt.Errorf("report: channel count must be positive, got %d", channels)
-	}
-	gen, err := workload.OpenGenerator(p, spec.Seed)
-	if err != nil {
-		return MultiResult{}, err
-	}
-	ctrls := make([]*memctrl.Controller, channels)
-	injectors := make([]*fault.Injector, channels)
-	for i := range ctrls {
-		ctrls[i], injectors[i], err = buildChannelController(spec, i)
-		if err != nil {
-			return MultiResult{}, err
-		}
-	}
-	dcfg := gpu.DriverConfig{
-		MSHRs:       p.MSHRs * channels,
-		MaxAccesses: spec.Accesses,
-	}
-	if spec.UseLLC {
-		llc := gpu.DefaultLLCConfig()
-		dcfg.LLC = &llc
-	}
-	drv, err := gpu.NewMultiDriver(dcfg, ctrls, gen)
-	if err != nil {
-		return MultiResult{}, err
-	}
-	res, err := drv.Run()
-	if err != nil {
-		return MultiResult{}, err
-	}
-
-	mr := MultiResult{
-		App:      p,
-		Channels: channels,
-		Clocks:   res.Clocks,
-		Reads:    res.DRAMReads,
-		Writes:   res.DRAMWrites,
-		LLC:      res.LLC,
-	}
-	if err := mergeChannels(&mr, ctrls, injectors); err != nil {
-		return MultiResult{}, err
-	}
-	return mr, nil
 }
 
 // ChannelBalance returns the max/min ratio of per-channel transferred

@@ -5,98 +5,9 @@ import (
 	"testing"
 
 	"smores/internal/bus"
-	"smores/internal/core"
 	"smores/internal/fault"
 	"smores/internal/floats"
-	"smores/internal/memctrl"
-	"smores/internal/workload"
 )
-
-func TestMultiChannelBasics(t *testing.T) {
-	p, _ := workload.ByName("srad")
-	mr, err := RunAppMultiChannel(p, RunSpec{
-		Policy:   memctrl.BaselineMTA,
-		Accesses: 4000, Seed: 5,
-	}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mr.Channels != 4 || len(mr.PerChannel) != 4 {
-		t.Fatalf("channel bookkeeping wrong: %+v", mr)
-	}
-	if mr.Reads == 0 || mr.PerBit <= 0 {
-		t.Fatal("no traffic simulated")
-	}
-	// Round-robin striping balances traffic across channels.
-	if bal := mr.ChannelBalance(); bal > 1.3 {
-		t.Errorf("channel imbalance %.2f, want ≤1.3", bal)
-	}
-	// Total transferred bits across channels equals the request count.
-	var bits float64
-	for _, st := range mr.PerChannel {
-		bits += st.DataBits
-	}
-	if want := float64(mr.Reads+mr.Writes) * 32 * 8; math.Abs(bits-want) > 1e-6 {
-		t.Errorf("bits accounted %.0f, want %.0f", bits, want)
-	}
-}
-
-func TestMultiChannelScalesThroughput(t *testing.T) {
-	p, _ := workload.ByName("resnet50")
-	run := func(channels int) int64 {
-		mr, err := RunAppMultiChannel(p, RunSpec{
-			Policy:   memctrl.BaselineMTA,
-			Accesses: 6000, Seed: 6,
-		}, channels)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return mr.Clocks
-	}
-	one := run(1)
-	four := run(4)
-	if four >= one {
-		t.Errorf("4 channels (%d clocks) not faster than 1 (%d)", four, one)
-	}
-}
-
-func TestMultiChannelSMOREsSavesEnergy(t *testing.T) {
-	p, _ := workload.ByName("bfs")
-	base, err := RunAppMultiChannel(p, RunSpec{
-		Policy: memctrl.BaselineMTA, Accesses: 4000, Seed: 7,
-	}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sm, err := RunAppMultiChannel(p, RunSpec{
-		Policy:   memctrl.SMOREs,
-		Scheme:   core.Scheme{Specification: core.StaticCode, Detection: core.Exhaustive},
-		Accesses: 4000, Seed: 7,
-	}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sm.PerBit >= base.PerBit {
-		t.Errorf("multi-channel SMOREs (%.1f) not cheaper than baseline (%.1f)", sm.PerBit, base.PerBit)
-	}
-	if sm.Label != "smores(exhaustive/static)" {
-		t.Errorf("label = %q", sm.Label)
-	}
-}
-
-func TestMultiChannelValidation(t *testing.T) {
-	p, _ := workload.ByName("bfs")
-	if _, err := RunAppMultiChannel(p, RunSpec{Policy: memctrl.BaselineMTA, Accesses: 10}, 0); err == nil {
-		t.Error("zero channels must error")
-	}
-	bad := p
-	bad.MSHRs = 0
-	if mr, err := RunAppMultiChannel(bad, RunSpec{Accesses: 10}, 2); err == nil {
-		t.Error("invalid profile must error")
-	} else if mr.Channels != 0 || mr.PerChannel != nil || mr.Reads != 0 {
-		t.Errorf("error must come with the zero MultiResult, got %+v", mr)
-	}
-}
 
 // ChannelBalance distinguishes its degenerate shapes with sentinels:
 // NaN when there are no channels to compare, 1 when every channel is
@@ -127,8 +38,8 @@ func TestChannelBalanceSentinels(t *testing.T) {
 	}
 }
 
-// Both engines share channelSpec, which must give every channel a
-// decorrelated fault seed without touching the caller's config.
+// channelSpec must give every channel a decorrelated fault seed without
+// touching the caller's config.
 func TestChannelSpecDecorrelatesFaultSeeds(t *testing.T) {
 	base := RunSpec{Fault: &fault.Config{Model: fault.ModelUniform, Rate: 1e-3, Seed: 42}}
 	seen := map[uint64]bool{}

@@ -118,10 +118,10 @@ func TestObsReconcilesWithReportTables(t *testing.T) {
 	eqI("smores_dram_commands_total", []obs.Label{ch, obs.L("cmd", "wr")}, ar.Ctrl.WritesServed)
 }
 
-// TestRunFleetOptsDeterministic proves worker count cannot change
+// TestFleetWorkerCountDeterministic proves worker count cannot change
 // results: a 4-worker run must reproduce the sequential run bit-for-bit,
 // app by app, in fleet order.
-func TestRunFleetOptsDeterministic(t *testing.T) {
+func TestFleetWorkerCountDeterministic(t *testing.T) {
 	spec := RunSpec{
 		Policy:   memctrl.SMOREs,
 		Scheme:   core.Scheme{Specification: core.StaticCode, Detection: core.Conservative},
@@ -131,7 +131,7 @@ func TestRunFleetOptsDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunFleetOpts(spec, FleetOptions{Workers: 4, Progress: obs.NewProgress(int64(len(workload.Fleet())))})
+	par, err := RunFleetApps(workload.Fleet(), spec, FleetOptions{Workers: 4, Progress: obs.NewProgress(int64(len(workload.Fleet())))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,12 +153,21 @@ func TestRunFleetOptsDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunFleetOptsWorkerMetrics checks the per-worker counters cover the
-// whole fleet.
-func TestRunFleetOptsWorkerMetrics(t *testing.T) {
+// TestFleetWorkerMetrics checks the per-worker counters cover the
+// whole fleet, with one series per pool worker and none on the
+// sequential path.
+func TestFleetWorkerMetrics(t *testing.T) {
+	series := func(reg *obs.Registry) int {
+		for _, fam := range reg.Gather() {
+			if fam.Name == "smores_fleet_worker_apps_total" {
+				return len(fam.Series)
+			}
+		}
+		return 0
+	}
 	reg := obs.NewRegistry()
 	spec := RunSpec{Policy: memctrl.BaselineMTA, Accesses: 200, Seed: 5}
-	fr, err := RunFleetOpts(spec, FleetOptions{Workers: 3, Obs: reg})
+	fr, err := RunFleetApps(workload.Fleet(), spec, FleetOptions{Workers: 3, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,8 +178,18 @@ func TestRunFleetOptsWorkerMetrics(t *testing.T) {
 	if done != int64(len(fr.Results)) {
 		t.Errorf("worker counters sum to %d, want %d", done, len(fr.Results))
 	}
+	if n := series(reg); n != 3 {
+		t.Errorf("3 workers registered %d worker series, want 3", n)
+	}
 	// App-scoped series must exist for a known fleet member.
 	if v := reg.Value("smores_gpu_accesses_total", obs.L("app", "bfs")); v != 200 {
 		t.Errorf("app-scoped accesses = %v, want 200", v)
+	}
+	seq := obs.NewRegistry()
+	if _, err := RunFleetApps(workload.Fleet()[:2], spec, FleetOptions{Workers: 1, Obs: seq}); err != nil {
+		t.Fatal(err)
+	}
+	if n := series(seq); n != 0 {
+		t.Errorf("sequential fleet registered %d worker series, want none", n)
 	}
 }

@@ -5,9 +5,7 @@ package report
 
 import (
 	"fmt"
-	"runtime"
 	"strconv"
-	"sync"
 
 	"smores/internal/bus"
 	"smores/internal/core"
@@ -16,6 +14,7 @@ import (
 	"smores/internal/gpu"
 	"smores/internal/memctrl"
 	"smores/internal/obs"
+	"smores/internal/shard"
 	"smores/internal/stats"
 	"smores/internal/workload"
 )
@@ -140,6 +139,7 @@ type AppResult struct {
 // RunApp simulates one application under one spec. The generator comes
 // from workload.OpenGenerator, so trace-backed fleet members replay
 // their recorded stream while synthetic apps synthesize from the seed.
+// spec.Accesses must be positive: synthetic generators never end.
 func RunApp(p workload.Profile, spec RunSpec) (AppResult, error) {
 	return runApp(p, spec, false)
 }
@@ -148,6 +148,10 @@ func RunApp(p workload.Profile, spec RunSpec) (AppResult, error) {
 // one-clock-at-a-time tick loop, the oracle TestEventSkipBitIdentical
 // compares next-event skipping against.
 func runApp(p workload.Profile, spec RunSpec, perClock bool) (AppResult, error) {
+	if spec.Accesses <= 0 {
+		return AppResult{}, fmt.Errorf("report: %s: run needs a positive access budget (generators are endless), got %d",
+			p.Name, spec.Accesses)
+	}
 	gen, err := workload.OpenGenerator(p, spec.Seed)
 	if err != nil {
 		return AppResult{}, err
@@ -247,11 +251,11 @@ type FleetResult struct {
 }
 
 // RunFleet simulates all 42 applications under one spec, sequentially.
-// Use RunFleetOpts for the worker-pool variant.
+// Use RunFleetApps for the worker-pool variant.
 //
 //smores:partialok documented partial-failure contract: completed app results are preserved alongside the lowest-indexed error
 func RunFleet(spec RunSpec) (FleetResult, error) {
-	return RunFleetOpts(spec, FleetOptions{Workers: 1})
+	return RunFleetApps(workload.Fleet(), spec, FleetOptions{Workers: 1})
 }
 
 // FleetOptions tunes a fleet run.
@@ -286,106 +290,59 @@ func fleetAppSpec(spec RunSpec, opts FleetOptions, i int, p workload.Profile) Ru
 	return appSpec
 }
 
-// RunFleetOpts simulates all 42 applications under one spec using a
-// bounded worker pool. Results are ordered by fleet position regardless
-// of worker count or completion order; on error the lowest-indexed
-// failure is reported (again independent of scheduling), the successfully
-// completed results are preserved in fleet order, and the label comes
-// from the last successful result — identical contracts for the
-// sequential and parallel paths. An empty fleet yields an empty result,
-// not a panic.
-//
-//smores:partialok documented partial-failure contract: completed app results are preserved alongside the lowest-indexed error
-func RunFleetOpts(spec RunSpec, opts FleetOptions) (FleetResult, error) {
-	return runFleet(workload.Fleet(), spec, opts)
-}
-
-// RunFleetApps is RunFleetOpts over an explicit application subset —
-// the telemetry service's session runner submits arbitrary app lists
-// (parsed from a RunSpecJSON) without paying for the full 42-app fleet.
-// All RunFleetOpts contracts hold: fleet-position seeds, deterministic
-// ordering, lowest-indexed-failure reporting.
+// RunFleetApps simulates every application of fleet (pass
+// workload.Fleet() for all 42) under one spec on the shard worker pool.
+// Every app runs, whatever the others do. Results are ordered by fleet
+// position at every worker count; on error the lowest-indexed failure is
+// reported, the successfully completed results are preserved in fleet
+// order, and the label comes from the last successful result. An empty
+// fleet yields an empty result, not a panic. The telemetry service's
+// session runner submits arbitrary app lists (parsed from a RunSpecJSON)
+// through it.
 //
 //smores:partialok documented partial-failure contract: completed app results are preserved alongside the lowest-indexed error
 func RunFleetApps(fleet []workload.Profile, spec RunSpec, opts FleetOptions) (FleetResult, error) {
-	return runFleet(fleet, spec, opts)
-}
-
-// runFleet is RunFleetOpts over an explicit application list (the tests
-// exercise the empty-fleet and partial-failure contracts directly).
-//
-//smores:partialok documented partial-failure contract: completed app results are preserved alongside the lowest-indexed error
-func runFleet(fleet []workload.Profile, spec RunSpec, opts FleetOptions) (FleetResult, error) {
-	fr := FleetResult{Spec: spec}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(fleet) {
-		workers = len(fleet)
-	}
-
-	if workers <= 1 {
-		// Sequential fast path: identical to the historical loop — no
-		// goroutines, no channels — so benchmarks measure the simulator.
-		for i, p := range fleet {
-			r, err := RunApp(p, fleetAppSpec(spec, opts, i, p))
-			if err != nil {
-				return fr, fmt.Errorf("report: fleet app %d: %w", i, err)
-			}
-			fr.Results = append(fr.Results, r)
-			fr.Label = r.Label
-			opts.Progress.Step(1)
+	workers := shard.Workers(opts.Workers, len(fleet))
+	// One completion counter per pool worker; none on the sequential path.
+	var done []*obs.Counter
+	if workers > 1 && opts.Obs != nil {
+		done = make([]*obs.Counter, workers)
+		for w := range done {
+			done[w] = opts.Obs.Counter("smores_fleet_worker_apps_total",
+				"Apps completed, by fleet worker.", obs.L("worker", strconv.Itoa(w)))
 		}
-		return fr, nil
 	}
-
 	results := make([]AppResult, len(fleet))
-	errs := make([]error, len(fleet))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			var done *obs.Counter
-			if opts.Obs != nil {
-				done = opts.Obs.Counter("smores_fleet_worker_apps_total",
-					"Apps completed, by fleet worker.",
-					obs.L("worker", strconv.Itoa(worker)))
-			}
-			for i := range idx {
-				p := fleet[i]
-				results[i], errs[i] = RunApp(p, fleetAppSpec(spec, opts, i, p))
-				done.Inc()
-				opts.Progress.Step(1)
-			}
-		}(w)
-	}
-	for i := range fleet {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-
-	var firstErr error
-	for i, err := range errs {
+	failed := make([]bool, len(fleet))
+	err := shard.RunJobs(len(fleet), workers, func(w, i int) error {
+		p := fleet[i]
+		r, err := RunApp(p, fleetAppSpec(spec, opts, i, p))
+		if done != nil {
+			done[w].Inc()
+		}
+		opts.Progress.Step(1)
 		if err != nil {
-			firstErr = fmt.Errorf("report: fleet app %d: %w", i, err)
-			break
+			failed[i] = true
+			return fmt.Errorf("report: fleet app %d: %w", i, err)
+		}
+		results[i] = r
+		return nil
+	})
+	// Compact the successes in place: copying them to a second slice
+	// would allocate a fleet's worth of AppResults on every run.
+	n := 0
+	for i := range results {
+		if !failed[i] {
+			results[n] = results[i]
+			n++
 		}
 	}
-	for i, r := range results {
-		if errs[i] != nil {
-			continue
-		}
-		fr.Results = append(fr.Results, r)
-		fr.Label = r.Label
+	clear(results[n:])
+	fr := FleetResult{Spec: spec, Results: results[:n]}
+	if n > 0 {
+		fr.Label = results[n-1].Label
 	}
-	if firstErr != nil {
-		return fr, firstErr
-	}
-	return fr, nil
+	return fr, err
 }
 
 // MeanPerBit returns the fleet-average fJ/bit.

@@ -177,7 +177,7 @@ func TestAggregateGapsMergesAllApps(t *testing.T) {
 func TestRunFleetEmptyFleet(t *testing.T) {
 	spec := RunSpec{Policy: memctrl.BaselineMTA, Accesses: 100, Seed: 1}
 	for _, workers := range []int{1, 4} {
-		fr, err := runFleet(nil, spec, FleetOptions{Workers: workers})
+		fr, err := RunFleetApps(nil, spec, FleetOptions{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -192,10 +192,11 @@ func TestRunFleetEmptyFleet(t *testing.T) {
 }
 
 // TestRunFleetPartialFailure pins the unified error contract of the
-// sequential and parallel paths: the reported failure is the
-// lowest-indexed one regardless of scheduling, successfully completed
+// sequential and parallel paths: every app runs, the reported failure is
+// the lowest-indexed one regardless of scheduling, successfully completed
 // results are preserved in fleet order, and the label comes from the
-// last successful result.
+// last successful result — so the result does not depend on the worker
+// count.
 func TestRunFleetPartialFailure(t *testing.T) {
 	good1, _ := workload.ByName("bfs")
 	good2, _ := workload.ByName("lulesh")
@@ -204,30 +205,47 @@ func TestRunFleetPartialFailure(t *testing.T) {
 	bad.MSHRs = 0 // fails Profile.Validate inside RunApp
 	fleet := []workload.Profile{good1, bad, good2}
 	spec := RunSpec{Policy: memctrl.BaselineMTA, Accesses: 200, Seed: 3}
+	var labels []string
 	for _, workers := range []int{1, 3} {
-		fr, err := runFleet(fleet, spec, FleetOptions{Workers: workers})
+		fr, err := RunFleetApps(fleet, spec, FleetOptions{Workers: workers})
 		if err == nil {
 			t.Fatalf("workers=%d: expected error from app 1", workers)
 		}
 		if !strings.Contains(err.Error(), "fleet app 1") {
 			t.Errorf("workers=%d: error %q does not name fleet app 1", workers, err)
 		}
-		for i, r := range fr.Results {
-			if r.Reads == 0 {
-				t.Errorf("workers=%d: partial result %d (%s) has no traffic", workers, i, r.App.Name)
-			}
-			if r.App.Name == "broken" {
-				t.Errorf("workers=%d: failed app leaked into results", workers)
+		if len(fr.Results) != 2 {
+			t.Fatalf("workers=%d: preserved %d results, want 2 (apps 0 and 2)", workers, len(fr.Results))
+		}
+		for i, want := range []string{"bfs", "lulesh"} {
+			if r := fr.Results[i]; r.App.Name != want || r.Reads == 0 {
+				t.Errorf("workers=%d: result %d is %s with %d reads, want %s with traffic",
+					workers, i, r.App.Name, r.Reads, want)
 			}
 		}
-		if len(fr.Results) > 0 && fr.Label != fr.Results[len(fr.Results)-1].Label {
+		if fr.Label != fr.Results[1].Label {
 			t.Errorf("workers=%d: label %q not from last successful result", workers, fr.Label)
 		}
+		labels = append(labels, fr.Label)
 	}
-	// The parallel path preserves successes after the failure too.
-	fr, _ := runFleet(fleet, spec, FleetOptions{Workers: 3})
-	if len(fr.Results) != 2 {
-		t.Errorf("parallel: preserved %d results, want 2 (apps 0 and 2)", len(fr.Results))
+	if labels[0] != labels[1] {
+		t.Errorf("label depends on the worker count: %q vs %q", labels[0], labels[1])
+	}
+}
+
+// RunApp rejects a non-positive access budget up front: the synthetic
+// generators never end, so the run would otherwise spin to the driver's
+// clock limit.
+func TestRunAppRejectsNonPositiveBudget(t *testing.T) {
+	p, _ := workload.ByName("bfs")
+	for _, accesses := range []int64{0, -5} {
+		r, err := RunApp(p, RunSpec{Policy: memctrl.BaselineMTA, Accesses: accesses, Seed: 1})
+		if err == nil || !strings.Contains(err.Error(), "needs a positive access budget") {
+			t.Errorf("accesses=%d: err = %v, want a positive-budget error", accesses, err)
+		}
+		if r.Reads != 0 || r.Label != "" || r.ReadGaps != nil {
+			t.Errorf("accesses=%d: error must come with the zero AppResult, got %+v", accesses, r)
+		}
 	}
 }
 

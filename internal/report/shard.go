@@ -1,15 +1,15 @@
 package report
 
-// The shard-per-goroutine multi-channel engine. The front-end epoch
-// (generator + shared LLC) runs once and splits the workload into
-// per-channel streams behind the sector-striping interleaver; each
-// channel then replays its stream as an independent shard.Unit —
-// controller + event-skipping single-channel driver — on a bounded
-// worker pool. The merge walks shards in channel order, so for a fixed
-// seed the result is byte-identical at every worker count: stats,
-// histograms, and profile cells (shard_test.go is the differential
-// gate). RunFleetMultiChannel is the fleet scheduler on top: it packs
-// the shards of many applications onto one pool, which is what lets
+// The multi-channel engine. The front-end epoch (generator + shared
+// LLC) runs once and splits the workload into per-channel streams
+// behind the sector-striping interleaver; each channel then replays its
+// stream as an independent shard.Unit — controller + event-skipping
+// single-channel driver — on the shard worker pool. The merge walks
+// shards in channel order, so for a fixed seed the result is
+// byte-identical at every worker count: stats, histograms, and profile
+// cells (shard_test.go is the differential gate).
+// RunFleetAppsMultiChannel is the fleet scheduler on top: it packs the
+// shards of many applications onto one pool, which is what lets
 // `smores-eval -channels N -j M` saturate any core count.
 
 import (
@@ -102,9 +102,8 @@ func buildAppShards(p workload.Profile, spec RunSpec, channels int, opts ShardOp
 			return nil, err
 		}
 		as.injectors[i] = in
-		// Each shard gets the per-channel MSHR share (the lockstep engine
-		// pools p.MSHRs × channels; per-shard p.MSHRs keeps the total
-		// identical).
+		// Each shard gets the app's MSHR count as its per-channel share,
+		// so the app holds p.MSHRs × channels in total.
 		dcfg := gpu.DriverConfig{
 			MSHRs:     p.MSHRs,
 			Obs:       chSpec.Obs,
@@ -125,7 +124,6 @@ func (as *appShards) merge(dst *obs.Profile) (MultiResult, error) {
 	mr := MultiResult{
 		App:      as.app,
 		Channels: as.plan.Channels,
-		Sharded:  true,
 		LLC:      as.plan.LLC,
 	}
 	ctrls := make([]*memctrl.Controller, len(as.units))
@@ -148,12 +146,15 @@ func (as *appShards) merge(dst *obs.Profile) (MultiResult, error) {
 	return mr, nil
 }
 
-// RunAppMultiChannelSharded simulates one application over several
-// GDDR6X channels with the shard-per-goroutine engine. For a fixed
-// seed the result — stats, histograms, profile cells — is byte-
-// identical at every opts.Workers value; opts.Workers only changes
-// wall-clock time. On any error the zero MultiResult is returned.
-func RunAppMultiChannelSharded(p workload.Profile, spec RunSpec, channels int, opts ShardOptions) (MultiResult, error) {
+// RunAppMultiChannel simulates one application over several
+// interleaved GDDR6X channels (the RTX 3090 has 24). Sectors stripe
+// round-robin across channels and every channel runs the same encoding
+// policy. For a fixed seed the result — stats, histograms, profile
+// cells — is byte-identical at every opts.Workers value; opts.Workers
+// only changes wall-clock time. On any error — construction, invariant
+// violation, label disagreement — the zero MultiResult is returned: a
+// populated result never rides alongside an error.
+func RunAppMultiChannel(p workload.Profile, spec RunSpec, channels int, opts ShardOptions) (MultiResult, error) {
 	as, err := buildAppShards(p, spec, channels, opts)
 	if err != nil {
 		return MultiResult{}, err
@@ -203,27 +204,18 @@ func (fr MultiFleetResult) MeanClocks() float64 {
 	return float64(sum) / float64(len(fr.Results))
 }
 
-// RunFleetMultiChannel runs all 42 applications over the given channel
-// count with the sharded engine — the fleet scheduler. Every app's
-// front-end epoch runs first (sequential, deterministic, cheap); then
-// one bounded worker pool packs all apps × channels shard units, so a
-// 42-app × 8-channel fleet offers 336 independent jobs to the pool.
-// Per-app seeds follow the fleet-position contract (appSeed), results
-// are ordered by fleet position, and the whole result is byte-identical
-// for every worker count. On any error — including a shard invariant
-// violation — the zero-value result is returned with the lowest-indexed
-// failure, never a partially merged fleet.
-func RunFleetMultiChannel(spec RunSpec, channels int, opts ShardOptions) (MultiFleetResult, error) {
-	return runFleetMultiChannel(workload.Fleet(), spec, channels, opts)
-}
-
-// RunFleetAppsMultiChannel is RunFleetMultiChannel over an explicit
-// application subset.
+// RunFleetAppsMultiChannel runs every application of fleet (pass
+// workload.Fleet() for all 42) over the given channel count — the fleet
+// scheduler. Every app's front-end epoch runs first (sequential,
+// deterministic, cheap); then one bounded worker pool packs all apps ×
+// channels shard units, so a 42-app × 8-channel fleet offers 336
+// independent jobs to the pool. Per-app seeds follow the fleet-position
+// contract (appSeed), results are ordered by fleet position, and the
+// whole result is byte-identical for every worker count. On any error —
+// including a shard invariant violation — the zero-value result is
+// returned with the lowest-indexed failure, never a partially merged
+// fleet.
 func RunFleetAppsMultiChannel(fleet []workload.Profile, spec RunSpec, channels int, opts ShardOptions) (MultiFleetResult, error) {
-	return runFleetMultiChannel(fleet, spec, channels, opts)
-}
-
-func runFleetMultiChannel(fleet []workload.Profile, spec RunSpec, channels int, opts ShardOptions) (MultiFleetResult, error) {
 	fr := MultiFleetResult{Spec: spec, Channels: channels}
 	apps := make([]*appShards, len(fleet))
 	var pool []*shard.Unit

@@ -2,18 +2,18 @@ package report
 
 // Trace-store recording: capture the exact access streams the fleet
 // runners consume into columnar stores (internal/tracestore), one store
-// per application on the bounded worker pool, with shard-parallel
+// per application on the shard worker pool, with shard-parallel
 // compression inside each store. A store recorded here replays
-// byte-identically through RunApp / RunAppMultiChannelSharded because
-// the per-app seeds come from the same appSeed derivation the fleet
-// runners use.
+// byte-identically through RunApp / RunAppMultiChannel because the
+// per-app seeds come from the same appSeed derivation the fleet runners
+// use.
 
 import (
 	"fmt"
 	"path/filepath"
 	"runtime"
-	"sync"
 
+	"smores/internal/shard"
 	"smores/internal/tracestore"
 	"smores/internal/workload"
 )
@@ -87,52 +87,24 @@ func RecordAppStore(p workload.Profile, dir string, opts RecordOptions) (tracest
 
 // RecordFleetStores captures every fleet application's stream into
 // baseDir/<app-name>, one app per pool worker. Seeds derive from the
-// app's fleet position exactly as RunFleetOpts derives them, so the
+// app's fleet position exactly as RunFleetApps derives them, so the
 // stores replay the fleet's traffic verbatim. Manifests return in fleet
 // order; on error the lowest-indexed failure is reported and nil
 // manifests are returned (the zero-on-error contract).
 func RecordFleetStores(fleet []workload.Profile, baseDir string, opts RecordOptions) ([]tracestore.Manifest, error) {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(fleet) {
-		workers = len(fleet)
-	}
 	manifests := make([]tracestore.Manifest, len(fleet))
-	errs := make([]error, len(fleet))
-	record := func(i int) {
+	err := shard.RunJobs(len(fleet), opts.Workers, func(_, i int) error {
 		p := fleet[i]
 		appOpts := opts
 		appOpts.Seed = appSeed(opts.Seed, i)
-		manifests[i], errs[i] = RecordAppStore(p, filepath.Join(baseDir, p.Name), appOpts)
-	}
-	if workers <= 1 {
-		for i := range fleet {
-			record(i)
+		var err error
+		if manifests[i], err = RecordAppStore(p, filepath.Join(baseDir, p.Name), appOpts); err != nil {
+			return fmt.Errorf("report: fleet app %d: %w", i, err)
 		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					record(i)
-				}
-			}()
-		}
-		for i := range fleet {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("report: fleet app %d: %w", i, err)
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return manifests, nil
 }

@@ -122,12 +122,12 @@ func TestStoreReplayShardedByteIdentical(t *testing.T) {
 		PolicySpecs(accesses, seed, false)[2],
 		PolicySpecs(accesses, seed, false)[0],
 	} {
-		live, err := RunAppMultiChannelSharded(p, spec, channels, ShardOptions{Workers: 1})
+		live, err := RunAppMultiChannel(p, spec, channels, ShardOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 4} {
-			replay, err := RunAppMultiChannelSharded(sp, spec, channels, ShardOptions{Workers: workers})
+			replay, err := RunAppMultiChannel(sp, spec, channels, ShardOptions{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}

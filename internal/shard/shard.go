@@ -1,33 +1,41 @@
 // Package shard turns the multi-channel memory system into
-// shard-per-goroutine units. The legacy gpu.MultiDriver steps every
-// channel in lockstep inside one loop — correct, but serial and unable
-// to use the controllers' next-event skipping. This package decomposes
-// a multi-channel run into two epochs separated by the MSHR/LLC
-// boundary:
+// shard-per-goroutine units, and holds the bounded worker pool every
+// parallel runner shares (RunJobs). A multi-channel run splits into two
+// epochs separated by the MSHR/LLC boundary:
 //
 //  1. Front-end epoch (BuildPlan): the workload generator and the
 //     shared LLC run once, sequentially, producing one deterministic
 //     DRAM-operation stream per channel behind the sector-striping
 //     address interleaver (sector % channels picks the channel,
-//     sector / channels is the channel-local address — the same
-//     routing the lockstep interleaver uses). LLC content decisions
-//     depend only on access order, never on DRAM timing, so this
-//     epoch is exact, not an approximation.
+//     sector / channels is the channel-local address). LLC content
+//     decisions depend only on access order, never on DRAM timing, so
+//     this epoch is exact, not an approximation.
 //
 //  2. Shard epoch (Unit/RunUnits): each channel replays its stream
 //     through its own controller + single-channel driver — a Unit —
 //     with nothing shared between units. Units therefore run on any
 //     number of goroutines and produce results that are byte-identical
-//     to running them one at a time; a bounded worker pool packs units
-//     from any number of applications onto the machine's cores.
+//     to running them one at a time; the pool packs units from any
+//     number of applications onto the machine's cores.
 //
-// The model difference versus the lockstep interleaver is intentional:
-// each shard is a channel(-pair) device with its own command queue and
-// MSHR share, so cross-channel MSHR contention disappears (compute
+// Each shard is a channel(-pair) device with its own command queue and
+// MSHR share, so there is no cross-channel MSHR contention (compute
 // think time rides with the operation it precedes). What the package
 // guarantees — and what the report-level differential tests enforce —
-// is that for a fixed seed the sharded results are bit-identical
-// across every worker count, including the sequential one.
+// is that for a fixed seed the results are bit-identical across every
+// worker count, including the sequential one.
+//
+// A one-channel run differs from the single-channel runner
+// (report.RunApp) in two ways, pinned by
+// report.TestShardedSingleChannelMatchesRunAppTraffic:
+//
+//   - Without an LLC every statistic matches except timing at the end
+//     of the stream: the unit's driver has no access budget, so it
+//     spends one extra clock finding the stream's end (Clocks is
+//     exactly +1; the controller's Clock is +1 or equal).
+//   - With an LLC, traffic and data bits match but timing and energy
+//     do not: the plan filters hits out before replay, so the driver
+//     clock each LLC hit costs the single-channel runner never elapses.
 package shard
 
 import (
@@ -109,7 +117,7 @@ func BuildPlan(gen gpu.Generator, channels int, maxAccesses int64, llcCfg *gpu.L
 			continue
 		}
 		// Writebacks first, then the demand read — the order the
-		// lockstep driver issues them in.
+		// single-channel driver issues them in.
 		needRead, wbs := llc.Access(a.Sector, a.Write)
 		for _, wb := range wbs {
 			emit(wb, true)
@@ -195,50 +203,72 @@ func (u *Unit) Result() gpu.RunResult { return u.result }
 // Err returns Run's error (nil until Run, or on success).
 func (u *Unit) Err() error { return u.err }
 
-// RunUnits executes every unit on a bounded worker pool. workers ≤ 0
-// selects GOMAXPROCS; 1 runs sequentially with no goroutines. Every
-// unit runs regardless of other units' failures (they are independent),
-// and the returned error is the lowest-indexed unit's — the same error
-// every worker count reports. onDone, when non-nil, is invoked after
-// each unit finishes (possibly concurrently) — the progress-bar hook.
+// RunUnits executes every unit on the RunJobs pool. Every unit runs
+// regardless of other units' failures (they are independent), and the
+// returned error is the lowest-indexed unit's — the same error every
+// worker count reports. onDone, when non-nil, is invoked after each
+// unit finishes (possibly concurrently), on the worker that ran it and
+// before that worker takes its next unit — the progress-bar hook.
 func RunUnits(units []*Unit, workers int, onDone func(*Unit)) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	return RunJobs(len(units), workers, func(_, i int) error {
+		err := units[i].Run()
+		if onDone != nil {
+			onDone(units[i])
+		}
+		return err
+	})
+}
+
+// Workers resolves a requested pool size for n jobs: requested ≤ 0
+// selects GOMAXPROCS, and the result never exceeds n. RunJobs runs
+// sequentially when it is at most 1.
+func Workers(requested, n int) int {
+	if requested <= 0 {
+		requested = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(units) {
-		workers = len(units)
-	}
+	return min(requested, n)
+}
+
+// RunJobs is the bounded worker pool behind every parallel runner: it
+// calls job(worker, i) once for each i in [0, n) and returns the
+// lowest-indexed job's error. Every job runs regardless of the others'
+// failures, so that error is the same at every worker count. The pool
+// has Workers(workers, n) workers. With at most one, the jobs run in
+// index order on the calling goroutine (as worker 0) and no goroutine
+// starts. Otherwise each pool goroutine (worker 0 … size−1) takes the
+// next index, in ascending order, from an unbuffered channel, and
+// finishes its job before taking another.
+func RunJobs(n, workers int, job func(worker, i int) error) error {
+	workers = Workers(workers, n)
 	if workers <= 1 {
-		for _, u := range units {
-			u.Run()
-			if onDone != nil {
-				onDone(u)
+		var first error
+		for i := 0; i < n; i++ {
+			if err := job(0, i); err != nil && first == nil {
+				first = err
 			}
 		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					units[i].Run()
-					if onDone != nil {
-						onDone(units[i])
-					}
-				}
-			}()
-		}
-		for i := range units {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
+		return first
 	}
-	for _, u := range units {
-		if u.err != nil {
-			return u.err
+	errs := make([]error, n)
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := range idx {
+				errs[i] = job(w, i)
+			}
+		}(w)
+	}
+	for i := 0; i < n; i++ {
+		idx <- i
+	}
+	close(idx)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
 	return nil

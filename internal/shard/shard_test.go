@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"smores/internal/gpu"
@@ -275,5 +277,45 @@ func TestRunUnitsOnDone(t *testing.T) {
 	}
 	if calls != len(units) {
 		t.Fatalf("onDone fired %d times, want %d", calls, len(units))
+	}
+}
+
+// RunJobs runs every job exactly once, on a worker id inside the
+// resolved pool (0 on the sequential path), and reports the
+// lowest-indexed failure at every worker count.
+func TestRunJobs(t *testing.T) {
+	if got := Workers(5, 2); got != 2 {
+		t.Errorf("Workers(5, 2) = %d, want the job count 2", got)
+	}
+	if got, want := Workers(0, 1000), runtime.GOMAXPROCS(0); got != want {
+		t.Errorf("Workers(0, 1000) = %d, want GOMAXPROCS %d", got, want)
+	}
+	if err := RunJobs(0, 4, func(int, int) error { t.Error("job ran on an empty pool"); return nil }); err != nil {
+		t.Errorf("empty pool: %v", err)
+	}
+	const n = 10
+	for _, workers := range []int{0, 1, 3, 16} {
+		size := Workers(workers, n)
+		runs := make([]int, n)
+		ids := make([]int, n)
+		err := RunJobs(n, workers, func(w, i int) error {
+			runs[i]++
+			ids[i] = w
+			if i == 4 || i == 7 {
+				return fmt.Errorf("job %d", i)
+			}
+			return nil
+		})
+		if err == nil || err.Error() != "job 4" {
+			t.Errorf("workers=%d: err = %v, want job 4's", workers, err)
+		}
+		for i := range runs {
+			if runs[i] != 1 {
+				t.Errorf("workers=%d: job %d ran %d times", workers, i, runs[i])
+			}
+			if ids[i] < 0 || ids[i] >= size {
+				t.Errorf("workers=%d: job %d ran on worker %d of %d", workers, i, ids[i], size)
+			}
+		}
 	}
 }
