@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint fuzz-smoke bench-smoke bench-regress fault-smoke serve-smoke federate-smoke trace-smoke
+.PHONY: build test race lint fuzz-smoke bench-smoke bench-regress fault-smoke serve-smoke trace-smoke
 
 build:
 	$(GO) build ./...
@@ -12,7 +12,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/obs/ ./internal/obs/session/ ./internal/obs/fedclient/ ./internal/report/ ./internal/memctrl/ ./internal/gpu/ ./internal/shard/ ./internal/tracestore/
+	$(GO) test -race ./internal/obs/ ./internal/obs/session/ ./internal/report/ ./internal/memctrl/ ./internal/gpu/ ./internal/shard/ ./internal/tracestore/
 
 # lint runs the in-repo gates that need no network. CI layers
 # staticcheck and govulncheck on top (installed there with go install,
@@ -27,6 +27,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMTARoundTrip -fuzztime 10s ./internal/mta/
 	$(GO) test -run '^$$' -fuzz FuzzEDCDetect -fuzztime 10s ./internal/edc/
 	$(GO) test -run '^$$' -fuzz FuzzStoreRoundTrip -fuzztime 10s ./internal/tracestore/
+	$(GO) test -run '^$$' -fuzz FuzzImport -fuzztime 10s ./internal/tracestore/
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
@@ -50,28 +51,20 @@ fault-smoke:
 serve-smoke:
 	$(GO) run ./cmd/smores-serve -smoke -smoke-sessions 3 -out fleet-rollup.json
 
-# federate-smoke boots two in-process service instances (each under a
-# tiny retention cap so the retired accumulator is on the scraped path),
-# federates them through the scrape client, and asserts the merged
-# /federation/metrics and /federation/profile documents are
-# byte-identical to fetching both peers' fleet roll-ups and merging them
-# in peer order.
-federate-smoke:
-	$(GO) run ./cmd/smores-serve -smoke -federate self -smoke-sessions 3 -out federation-rollup.json
-
 # trace-smoke drives the columnar trace-store pipeline end to end:
-# record a workload, pack it into a sharded store, column-scan it
+# record a workload straight into a sharded store, column-scan it
 # (sector only — the other columns must stay on disk), verify every
-# checksum, and replay both the flat trace and the store, demanding
-# identical simulation output. Writes store-stats.json for inspection /
-# CI artifact upload.
+# checksum, and replay it beside the committed SMTR fixture of the same
+# stream imported as a store, demanding identical simulation output.
+# Writes store-stats.json for inspection / CI artifact upload.
 trace-smoke:
-	$(GO) run ./cmd/smores-trace -record bfs -n 2000 -out trace-smoke.smtr
-	$(GO) run ./cmd/smores-trace -pack trace-smoke.smtr -store trace-smoke.store -shards 4 -name bfs-smoke
+	rm -rf trace-smoke.store trace-smoke-fixture.store
+	$(GO) run ./cmd/smores-trace -record bfs -n 2000 -seed 1 -store trace-smoke.store -shards 4 -name bfs-smoke
 	$(GO) run ./cmd/smores-trace -info trace-smoke.store -stats-json store-stats.json
 	$(GO) run ./cmd/smores-trace -scan trace-smoke.store -fields sector
 	$(GO) run ./cmd/smores-trace -verify trace-smoke.store
-	$(GO) run ./cmd/smores-trace -replay trace-smoke.smtr > trace-smoke-flat.txt
+	$(GO) run ./cmd/smores-trace -import internal/report/testdata/bfs-2000-seed1.smtr -store trace-smoke-fixture.store
 	$(GO) run ./cmd/smores-trace -replay trace-smoke.store > trace-smoke-store.txt
-	cmp trace-smoke-flat.txt trace-smoke-store.txt
+	$(GO) run ./cmd/smores-trace -replay trace-smoke-fixture.store > trace-smoke-fixture.txt
+	cmp trace-smoke-store.txt trace-smoke-fixture.txt
 	cat trace-smoke-store.txt

@@ -200,4 +200,7 @@ func TestServeSmoke(t *testing.T) {
 	if len(fams) == 0 {
 		t.Fatalf("roll-up is empty")
 	}
+
+	// An invocation with the old -federate flag fails as a parse error.
+	wantExit(t, dir, 2, "smores-serve", "-federate", "x")
 }

@@ -1,13 +1,15 @@
 package smoke
 
 // Black-box pipeline tests for smores-trace's columnar-store verbs and
-// their hand-off to smores-eval: record → pack → scan → verify → replay
-// → unpack must round-trip byte-identically, and a CSV-imported store
-// must run end-to-end through the evaluation as a named fleet member.
+// their hand-off to smores-eval: record → info → scan → verify → replay
+// must reproduce the replay of the committed SMTR fixture imported as a
+// store, and a CSV-imported store must run end-to-end through the
+// evaluation as a named fleet member.
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -26,32 +28,54 @@ func runTool(t *testing.T, dir, name string, args ...string) string {
 	return string(out)
 }
 
+// wantExit runs a tool that must fail and checks its exit code.
+func wantExit(t *testing.T, dir string, code int, name string, args ...string) {
+	t.Helper()
+	out, err := exec.Command(bin(dir, name), args...).CombinedOutput()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != code {
+		t.Errorf("%s %s: err=%v, want exit code %d\n%s", name, strings.Join(args, " "), err, code, out)
+	}
+}
+
 func TestTraceStorePipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
 	dir := buildMains(t)
 	work := t.TempDir()
-	smtr := filepath.Join(work, "t.smtr")
 	store := filepath.Join(work, "t.store")
 
-	// A zero-access recording is a valid empty trace, not a header error.
+	// The flat-file flags are parse errors, and a zero-access recording
+	// is refused rather than defaulted to the full-length run.
+	wantExit(t, dir, 2, "smores-trace", "-pack", filepath.Join(work, "t.smtr"))
+	wantExit(t, dir, 2, "smores-trace", "-unpack", store)
+	wantExit(t, dir, 2, "smores-trace", "-record", "bfs", "-out", filepath.Join(work, "t.smtr"))
+	wantExit(t, dir, 1, "smores-trace", "-record", "bfs", "-n", "0", "-store", store)
+
+	// A zero-byte SMTR file is a valid empty trace, not a header error.
 	empty := filepath.Join(work, "empty.smtr")
-	runTool(t, dir, "smores-trace", "-record", "bfs", "-n", "0", "-out", empty)
-	if out := runTool(t, dir, "smores-trace", "-info", empty); !strings.Contains(out, "empty trace") {
-		t.Errorf("-info on a zero-access recording: %q, want \"empty trace\"", out)
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	emptyStore := filepath.Join(work, "empty.store")
+	if out := runTool(t, dir, "smores-trace", "-import", empty, "-store", emptyStore); !strings.Contains(out, "imported 0 records") {
+		t.Errorf("import of a zero-byte trace: %q", out)
+	}
+	if out := runTool(t, dir, "smores-trace", "-info", emptyStore); !strings.Contains(out, "0 records in 1 shards") {
+		t.Errorf("-info on the empty store: %q", out)
 	}
 
-	runTool(t, dir, "smores-trace", "-record", "bfs", "-n", "400", "-out", smtr)
-	out := runTool(t, dir, "smores-trace", "-pack", smtr, "-store", store, "-shards", "2", "-name", "bfs-rec")
-	if !strings.Contains(out, "packed 400 records") {
-		t.Fatalf("pack: %q", out)
+	out := runTool(t, dir, "smores-trace", "-record", "bfs", "-n", "2000", "-seed", "1",
+		"-store", store, "-shards", "2", "-name", "bfs-rec")
+	if !strings.Contains(out, "recorded 2000 accesses") {
+		t.Fatalf("record: %q", out)
 	}
 
 	// -info with the JSON artifact CI uploads.
 	statsPath := filepath.Join(work, "store-stats.json")
 	out = runTool(t, dir, "smores-trace", "-info", store, "-stats-json", statsPath)
-	if !strings.Contains(out, `store of "bfs-rec"`) || !strings.Contains(out, "400 records in 2 shards") {
+	if !strings.Contains(out, `store of "bfs-rec"`) || !strings.Contains(out, "2000 records in 2 shards") {
 		t.Errorf("store info: %q", out)
 	}
 	raw, err := os.ReadFile(statsPath)
@@ -66,14 +90,14 @@ func TestTraceStorePipeline(t *testing.T) {
 	if err := json.Unmarshal(raw, &stats); err != nil {
 		t.Fatalf("stats artifact is not JSON: %v\n%s", err, raw)
 	}
-	if stats.Records != 400 || stats.Shards != 2 || stats.CompressedBytes <= 0 {
+	if stats.Records != 2000 || stats.Shards != 2 || stats.CompressedBytes <= 0 {
 		t.Errorf("stats artifact wrong: %+v", stats)
 	}
 
 	// A sector-only scan decodes just the sector column: the think, flags
 	// and payload rows must report zero bytes read.
 	out = runTool(t, dir, "smores-trace", "-scan", store, "-fields", "sector")
-	if !strings.Contains(out, "scanned 400 of 400 records") {
+	if !strings.Contains(out, "scanned 2000 of 2000 records") {
 		t.Errorf("scan: %q", out)
 	}
 	for _, col := range []string{"think", "flags", "payload"} {
@@ -87,28 +111,15 @@ func TestTraceStorePipeline(t *testing.T) {
 		t.Errorf("verify: %q", out)
 	}
 
-	// Replaying the store must reproduce the flat trace's replay exactly
-	// (same accesses, clocks, energy, gap histogram).
-	flat := runTool(t, dir, "smores-trace", "-replay", smtr)
-	packed := runTool(t, dir, "smores-trace", "-replay", store)
-	if flat != packed {
-		t.Errorf("store replay diverged from flat replay:\nflat   %q\npacked %q", flat, packed)
-	}
-
-	// Unpacking restores the original SMTR byte-for-byte (the encoding is
-	// canonical).
-	unpacked := filepath.Join(work, "u.smtr")
-	runTool(t, dir, "smores-trace", "-unpack", store, "-out", unpacked)
-	a, err := os.ReadFile(smtr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(unpacked)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Errorf("unpack is not byte-identical: %d vs %d bytes", len(a), len(b))
+	// The recorded store must replay exactly like the committed SMTR
+	// fixture of the same stream (bfs, 2000 accesses, seed 1) imported
+	// as a store: same accesses, clocks, energy, gap histogram.
+	fixture := filepath.Join("..", "..", "internal", "report", "testdata", "bfs-2000-seed1.smtr")
+	imported := filepath.Join(work, "fixture.store")
+	runTool(t, dir, "smores-trace", "-import", fixture, "-store", imported)
+	recorded := runTool(t, dir, "smores-trace", "-replay", store)
+	if want := runTool(t, dir, "smores-trace", "-replay", imported); recorded != want {
+		t.Errorf("recorded store replay diverged from the fixture's:\nrecorded %q\nfixture  %q", recorded, want)
 	}
 }
 

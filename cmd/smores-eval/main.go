@@ -37,7 +37,7 @@ func main() {
 		workers  = flag.Int("j", 0, "concurrent app simulations per fleet (0 = GOMAXPROCS, 1 = sequential)")
 		channels = flag.Int("channels", 1, "interleaved GDDR6X channels per app; >1 switches to the sharded multi-channel evaluation")
 		listen   = flag.String("listen", "", "serve live telemetry (/metrics, /healthz, /progress with ETA, pprof) on this address for the duration of the run")
-		traces   = flag.String("trace", "", "comma-separated trace-store directories (smores-trace -pack/-import) evaluated as additional fleet members")
+		traces   = flag.String("trace", "", "comma-separated trace-store directories (smores-trace -record/-import) evaluated as additional fleet members")
 	)
 	flag.Parse()
 	fleet := workload.Fleet()

@@ -31,7 +31,6 @@ import (
 
 	"smores/internal/floats"
 	"smores/internal/obs"
-	"smores/internal/obs/fedclient"
 	"smores/internal/obs/session"
 )
 
@@ -48,20 +47,8 @@ func main() {
 		smoke     = flag.Bool("smoke", false, "run the self-test against an ephemeral instance and exit")
 		smokeN    = flag.Int("smoke-sessions", 3, "sessions the self-test submits")
 		out       = flag.String("out", "", "smoke mode: write the fleet roll-up JSON here ('-' for stdout)")
-
-		federate    = flag.String("federate", "", "comma-separated peer base URLs to scrape into /federation/* (with -smoke: run the two-instance federation self-test)")
-		fedInterval = flag.Duration("federate-interval", 2*time.Second, "federation scrape period")
-		fedTimeout  = flag.Duration("federate-timeout", 5*time.Second, "per-peer federation scrape timeout")
-		fedSelf     = flag.Bool("federate-self", true, "include this instance's own fleet in the federated roll-up")
 	)
 	flag.Parse()
-
-	if *smoke && *federate != "" {
-		err := runFederateSmoke(*smokeN, *fedInterval, *fedTimeout, *out)
-		fail(err)
-		fmt.Fprintln(os.Stderr, "smores-serve: federate smoke OK")
-		return
-	}
 
 	g := session.NewRegistry(session.Options{
 		Workers:        *workers,
@@ -92,28 +79,11 @@ func main() {
 		return
 	}
 
-	var fed *fedclient.Client
-	if *federate != "" {
-		peers := strings.Split(*federate, ",")
-		if *fedSelf {
-			peers = append([]string{"http://" + bound}, peers...)
-		}
-		fed = fedclient.New(peers, g.Obs(), fedclient.Options{
-			Interval: *fedInterval,
-			Timeout:  *fedTimeout,
-		})
-		svc.AttachFederation(fed)
-		fed.Start()
-		fmt.Fprintf(os.Stderr, "smores-serve: federating %s every %s\n",
-			strings.Join(fed.Peers(), ", "), *fedInterval)
-	}
-
 	fmt.Fprintf(os.Stderr, "smores-serve: listening on http://%s (POST /sessions to submit)\n", bound)
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	fmt.Fprintln(os.Stderr, "smores-serve: draining")
-	fed.Stop()
 	fail(srv.Close())
 	g.Drain()
 }
@@ -238,184 +208,6 @@ func runSmoke(base string, n int, out string) error {
 		return err
 	}
 	if err := os.WriteFile(out, raw, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "smores-serve: wrote %s\n", out)
-	return nil
-}
-
-// runFederateSmoke is the two-instance federation self-test: it starts
-// two in-process service instances on ephemeral ports (each with a tiny
-// retention cap, so the retired accumulator is on the scraped path),
-// runs sessions on both, federates them through a client mounted on the
-// first instance, and verifies over real HTTP that the federated
-// roll-up is byte-identical to fetching the two peers' fleet documents
-// and merging them in peer order — exact conservation, not approximate.
-// Any violation exits non-zero.
-func runFederateSmoke(n int, interval, timeout time.Duration, out string) error {
-	client := &http.Client{Timeout: 5 * time.Minute}
-
-	type instance struct {
-		g    *session.Registry
-		svc  *session.Service
-		srv  *obs.Server
-		base string
-	}
-	var insts []*instance
-	defer func() {
-		for _, in := range insts {
-			in.srv.Close()
-			in.g.Drain()
-		}
-	}()
-	for i := 0; i < 2; i++ {
-		g := session.NewRegistry(session.Options{
-			SampleInterval: 5 * time.Millisecond,
-			RetainFinished: 1,
-		})
-		svc := session.NewService(g)
-		srv := obs.NewServer(g.Obs(), nil)
-		svc.Attach(srv)
-		bound, err := srv.Start("127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		insts = append(insts, &instance{g: g, svc: svc, srv: srv, base: "http://" + bound})
-	}
-
-	// Run n sessions on each instance with distinct seeds, so the peers
-	// hold genuinely different fleets; follow every stream to its final.
-	policies := []string{"", "optimized-mta", "smores"}
-	for ii, in := range insts {
-		for i := 0; i < n; i++ {
-			pol := ""
-			if p := policies[i%len(policies)]; p != "" {
-				pol = fmt.Sprintf(`, "policy": %q`, p)
-			}
-			body := fmt.Sprintf(`{"accesses": 2000, "max_apps": 2, "seed": %d%s}`, 200+ii*50+i, pol)
-			resp, err := client.Post(in.base+"/sessions", "application/json", strings.NewReader(body))
-			if err != nil {
-				return err
-			}
-			raw, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusAccepted {
-				return fmt.Errorf("POST %s/sessions = %d: %s", in.base, resp.StatusCode, raw)
-			}
-			var info struct {
-				ID string `json:"id"`
-			}
-			if err := json.Unmarshal(raw, &info); err != nil || info.ID == "" {
-				return fmt.Errorf("submit response: %v (%s)", err, raw)
-			}
-			if err := follow(client, in.base, info.ID, obs.NewStreamState()); err != nil {
-				return fmt.Errorf("stream %s on %s: %w", info.ID, in.base, err)
-			}
-		}
-	}
-
-	// Federate: the first instance scrapes itself and its peer.
-	fed := fedclient.New([]string{insts[0].base, insts[1].base}, insts[0].g.Obs(), fedclient.Options{
-		Interval: interval,
-		Timeout:  timeout,
-	})
-	insts[0].svc.AttachFederation(fed)
-	if err := fed.ScrapeNow(); err != nil {
-		return fmt.Errorf("federation scrape: %w", err)
-	}
-
-	// The federated roll-up must equal, byte for byte, parsing each
-	// peer's fleet documents and merging them in peer order — the same
-	// operations the client performed, so equality is exact.
-	gotMetrics, err := getBody(client, insts[0].base+"/federation/metrics.json")
-	if err != nil {
-		return err
-	}
-	wantReg := obs.NewRegistry()
-	wantProf := obs.NewProfile()
-	for _, in := range insts {
-		raw, err := getBody(client, in.base+"/fleet/metrics.json")
-		if err != nil {
-			return err
-		}
-		reg, err := obs.ParseRegistryJSON(strings.NewReader(string(raw)))
-		if err != nil {
-			return fmt.Errorf("parse %s fleet: %w", in.base, err)
-		}
-		if err := wantReg.Merge(reg); err != nil {
-			return err
-		}
-		raw, err = getBody(client, in.base+"/fleet/profile?format=json")
-		if err != nil {
-			return err
-		}
-		prof, err := obs.ParseProfileJSON(strings.NewReader(string(raw)))
-		if err != nil {
-			return fmt.Errorf("parse %s profile: %w", in.base, err)
-		}
-		wantProf.Merge(prof)
-	}
-	var wantMetrics strings.Builder
-	if err := obs.WriteJSON(&wantMetrics, wantReg); err != nil {
-		return err
-	}
-	if string(gotMetrics) != wantMetrics.String() {
-		return fmt.Errorf("federated metrics != ordered sum of per-peer fleets\ngot  %.400s\nwant %.400s",
-			gotMetrics, wantMetrics.String())
-	}
-	if len(wantReg.Gather()) == 0 {
-		return fmt.Errorf("federated roll-up is empty")
-	}
-
-	gotProfile, err := getBody(client, insts[0].base+"/federation/profile?format=json")
-	if err != nil {
-		return err
-	}
-	var wantProfile strings.Builder
-	if err := obs.WriteProfileJSON(&wantProfile, wantProf.Snapshot()); err != nil {
-		return err
-	}
-	if string(gotProfile) != wantProfile.String() {
-		return fmt.Errorf("federated profile != ordered sum of per-peer profiles")
-	}
-
-	// Per-peer attribution: both peers listed, healthy, scraped.
-	rawPeers, err := getBody(client, insts[0].base+"/federation/peers")
-	if err != nil {
-		return err
-	}
-	var peers []fedclient.PeerStatus
-	if err := json.Unmarshal(rawPeers, &peers); err != nil {
-		return fmt.Errorf("peers JSON: %w", err)
-	}
-	if len(peers) != 2 {
-		return fmt.Errorf("federation lists %d peers, want 2", len(peers))
-	}
-	for _, p := range peers {
-		if !p.Healthy || p.Scrapes == 0 {
-			return fmt.Errorf("peer %s unhealthy after successful scrape: %+v", p.URL, p)
-		}
-	}
-	// And the host's own /metrics carries the federation counters.
-	rawSvc, err := getBody(client, insts[0].base+"/metrics")
-	if err != nil {
-		return err
-	}
-	if !strings.Contains(string(rawSvc), "smores_federation_scrapes_total") {
-		return fmt.Errorf("host /metrics missing federation counters")
-	}
-
-	fmt.Fprintf(os.Stderr, "smores-serve: federated %d peers, %d families conserved byte-for-byte\n",
-		len(peers), len(wantReg.Gather()))
-
-	if out == "" {
-		return nil
-	}
-	if out == "-" {
-		_, err = os.Stdout.Write(gotMetrics)
-		return err
-	}
-	if err := os.WriteFile(out, gotMetrics, 0o644); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "smores-serve: wrote %s\n", out)

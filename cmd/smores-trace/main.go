@@ -1,11 +1,10 @@
-// Command smores-trace records workload access traces, inspects them,
-// and replays them through the simulator so different encoding policies
-// can be compared on bit-identical traffic. It handles both the flat
-// SMTR v1 stream and the sharded columnar store format
-// (internal/tracestore): -pack/-unpack convert between the two, -import
-// ingests external CSV/binary memory traces, -scan column-scans a store
-// decoding only the requested fields, and -info/-replay accept either a
-// trace file or a store directory.
+// Command smores-trace records workload access traces into the columnar
+// store format (internal/tracestore), inspects them, and replays them
+// through the simulator so different encoding policies can be compared
+// on bit-identical traffic: -record captures a workload's stream,
+// -import ingests external SMTR/CSV/binary memory traces, -scan
+// column-scans a store decoding only the requested fields, and
+// -info/-replay take a store directory.
 package main
 
 import (
@@ -20,39 +19,36 @@ import (
 	"smores/internal/gpu"
 	"smores/internal/memctrl"
 	"smores/internal/obs"
-	"smores/internal/trace"
+	"smores/internal/report"
 	"smores/internal/tracestore"
 	"smores/internal/workload"
 )
 
 func main() {
 	var (
-		record   = flag.String("record", "", "record the named workload to -out")
-		out      = flag.String("out", "trace.smtr", "output trace path for -record/-unpack")
-		info     = flag.String("info", "", "summarize a trace file or store directory")
-		replay   = flag.String("replay", "", "replay a trace file or store directory through the simulator")
+		record   = flag.String("record", "", "record the named workload into a store at -store")
+		info     = flag.String("info", "", "summarize a store directory")
+		replay   = flag.String("replay", "", "replay a store directory through the simulator")
 		chrome   = flag.String("chrome", "", "during -replay, also write a cycle-level Chrome trace-event JSON (Perfetto) to this file")
 		folded   = flag.String("folded", "", "during -replay, write the energy-attribution profile as folded stacks (flamegraph.pl input) to this file")
 		profJSON = flag.String("profile", "", "during -replay, write the energy-attribution profile snapshot as JSON to this file")
 		accesses = flag.Int64("n", 50000, "accesses to record")
 		seed     = flag.Uint64("seed", 1, "generator seed")
 
-		pack     = flag.String("pack", "", "convert an SMTR trace into a columnar store at -store")
-		unpack   = flag.String("unpack", "", "convert a columnar store back into an SMTR trace at -out")
-		doImport = flag.String("import", "", "import an external memory trace (CSV or binary) into a store at -store")
+		doImport = flag.String("import", "", "import an external memory trace (SMTR, CSV or binary) into a store at -store")
 		scan     = flag.String("scan", "", "column-scan a store directory, decoding only -fields")
 		verify   = flag.String("verify", "", "read every record of a store, validating every block checksum")
 
-		storeDir  = flag.String("store", "trace.store", "store directory written by -pack/-import")
-		name      = flag.String("name", "", "workload name for -pack/-import (default: source file base name)")
-		shards    = flag.Int("shards", 1, "shard count for -pack (shards compress in parallel)")
-		statsJSON = flag.String("stats-json", "", "with -info on a store, also write per-column stats JSON to this file")
+		storeDir  = flag.String("store", "trace.store", "store directory written by -record/-import")
+		name      = flag.String("name", "", "workload name for -record/-import (default: the workload, or the source file base name)")
+		shards    = flag.Int("shards", 1, "shard count for -record (shards compress in parallel)")
+		statsJSON = flag.String("stats-json", "", "with -info, also write per-column stats JSON to this file")
 
 		fields    = flag.String("fields", "sector", "comma-separated columns for -scan (think,sector,flags,payload)")
 		minSector = flag.Uint64("min-sector", 0, "with -scan, keep records at or above this sector")
 		maxSector = flag.Uint64("max-sector", ^uint64(0), "with -scan, keep records at or below this sector")
 
-		format      = flag.String("format", "", "import format: csv or binary (default: by file extension)")
+		format      = flag.String("format", "", "import format: smtr, csv or binary (default: by file extension)")
 		addrCol     = flag.String("addr-col", "", "CSV import: explicit address column header")
 		thinkCol    = flag.String("think-col", "", "CSV import: explicit think column header")
 		opCol       = flag.String("op-col", "", "CSV import: explicit read/write column header")
@@ -71,11 +67,7 @@ func main() {
 	}
 	switch {
 	case *record != "":
-		fail(doRecord(*record, *out, *accesses, *seed))
-	case *pack != "":
-		fail(doPack(*pack, *storeDir, *name, *seed, *shards))
-	case *unpack != "":
-		fail(doUnpack(*unpack, *out))
+		fail(doRecord(*record, *storeDir, *name, *accesses, *seed, *shards))
 	case *doImport != "":
 		fail(runImport(*doImport, *storeDir, *name, *format, *payload, importOpts))
 	case *scan != "":
@@ -92,53 +84,23 @@ func main() {
 	}
 }
 
-func doRecord(app, path string, n int64, seed uint64) error {
+func doRecord(app, dir, name string, n int64, seed uint64, shards int) error {
 	p, ok := workload.ByName(app)
 	if !ok {
 		return fmt.Errorf("unknown workload %q", app)
 	}
-	gen, err := workload.OpenGenerator(p, seed)
+	if n <= 0 {
+		return fmt.Errorf("-n %d: record at least one access", n)
+	}
+	if name != "" {
+		p.Name = name
+	}
+	m, err := report.RecordAppStore(p, dir, report.RecordOptions{Accesses: n, Seed: seed, Shards: shards})
 	if err != nil {
 		return err
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	w := trace.NewWriter(f)
-	rec := trace.NewRecorder(gen, w)
-	var count int64
-	for count < n {
-		if _, ok := rec.Next(); !ok {
-			break
-		}
-		count++
-	}
-	// Recorder errors, the flush, and the file close all matter: a short
-	// write anywhere leaves a trace that silently replays less traffic.
-	if err := rec.Err(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("recorded %d accesses of %s to %s\n", w.Count(), app, path)
+	fmt.Printf("recorded %d accesses of %s into %s (%d shards)\n", m.Records, app, dir, len(m.Shards))
 	return nil
-}
-
-// isStore reports whether path is a store directory.
-func isStore(path string) bool {
-	fi, err := os.Stat(path)
-	if err != nil || !fi.IsDir() {
-		return false
-	}
-	_, err = os.Stat(filepath.Join(path, tracestore.ManifestName))
-	return err == nil
 }
 
 // defaultName derives a workload name from a source path.
@@ -150,67 +112,17 @@ func defaultName(name, source string) string {
 	return strings.TrimSuffix(base, filepath.Ext(base))
 }
 
-func doPack(src, dir, name string, seed uint64, shards int) error {
-	meta := tracestore.Meta{Name: defaultName(name, src), Seed: seed}
-	f, err := os.Open(src)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	var m tracestore.Manifest
-	if shards <= 1 {
-		m, err = tracestore.FromSMTR(f, dir, meta)
-	} else {
-		var accesses []gpu.Access
-		accesses, err = trace.ReadAll(f)
-		if err != nil {
-			return err
-		}
-		recs := make([]tracestore.Record, len(accesses))
-		for i, a := range accesses {
-			recs[i] = tracestore.Record{Access: a}
-		}
-		meta.Source = "smtr"
-		m, err = tracestore.WriteRecords(dir, meta, recs, shards)
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Printf("packed %d records of %s into %s (%d shards)\n",
-		m.Records, src, dir, len(m.Shards))
-	return nil
-}
-
-func doUnpack(dir, out string) error {
-	s, err := tracestore.Open(dir)
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	n, err := tracestore.ToSMTR(s, f)
-	if err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("unpacked %d records of %s to %s\n", n, dir, out)
-	return nil
-}
-
 func runImport(src, dir, name, format string, payload bool, opts tracestore.ImportOptions) error {
 	if format == "" {
 		switch strings.ToLower(filepath.Ext(src)) {
+		case ".smtr":
+			format = "smtr"
 		case ".csv":
 			format = "csv"
 		case ".bin", ".mtr":
 			format = "binary"
 		default:
-			return fmt.Errorf("cannot infer import format of %q; pass -format csv|binary", src)
+			return fmt.Errorf("cannot infer import format of %q; pass -format smtr|csv|binary", src)
 		}
 	}
 	f, err := os.Open(src)
@@ -221,12 +133,14 @@ func runImport(src, dir, name, format string, payload bool, opts tracestore.Impo
 	meta := tracestore.Meta{Name: defaultName(name, src), Payload: payload}
 	var m tracestore.Manifest
 	switch format {
+	case "smtr":
+		m, err = tracestore.ImportSMTR(f, dir, meta)
 	case "csv":
 		m, err = tracestore.ImportCSV(f, dir, meta, opts)
 	case "binary":
 		m, err = tracestore.ImportBinary(f, dir, meta, opts)
 	default:
-		return fmt.Errorf("unknown import format %q (want csv or binary)", format)
+		return fmt.Errorf("unknown import format %q (want smtr, csv or binary)", format)
 	}
 	if err != nil {
 		return err
@@ -297,48 +211,7 @@ func doVerify(dir string) error {
 	return nil
 }
 
-func doInfo(path, statsJSON string) error {
-	if isStore(path) {
-		return storeInfo(path, statsJSON)
-	}
-	if statsJSON != "" {
-		return fmt.Errorf("-stats-json needs a store directory, and %s is a flat trace", path)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	r := trace.NewReader(f)
-	var n, writes, think int64
-	var maxSector uint64
-	for {
-		a, err := r.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		n++
-		if a.Write {
-			writes++
-		}
-		think += a.Think
-		if a.Sector > maxSector {
-			maxSector = a.Sector
-		}
-	}
-	if n == 0 {
-		fmt.Println("empty trace")
-		return nil
-	}
-	fmt.Printf("%s: %d accesses, %.1f%% writes, mean think %.2f clocks, footprint ≤ %d MB\n",
-		path, n, float64(writes)/float64(n)*100, float64(think)/float64(n), (maxSector+1)*32>>20)
-	return nil
-}
-
-func storeInfo(dir, statsJSON string) error {
+func doInfo(dir, statsJSON string) error {
 	s, err := tracestore.Open(dir)
 	if err != nil {
 		return err
@@ -378,37 +251,12 @@ func storeInfo(dir, statsJSON string) error {
 	return nil
 }
 
-// replayGenerator opens path as a replay source: a store directory or a
-// flat SMTR trace. The returned done func surfaces replay errors and
-// releases the source.
-func replayGenerator(path string) (gpu.Generator, func() error, error) {
-	if isStore(path) {
-		s, err := tracestore.Open(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		rep, err := s.Replayer()
-		if err != nil {
-			return nil, nil, err
-		}
-		return rep, rep.Err, nil
-	}
-	f, err := os.Open(path)
+func doReplay(dir, chrome, folded, profJSON string) error {
+	s, err := tracestore.Open(dir)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	rep := trace.NewReplayer(f)
-	return rep, func() error {
-		if err := rep.Err(); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}, nil
-}
-
-func doReplay(path, chrome, folded, profJSON string) error {
-	rep, done, err := replayGenerator(path)
+	rep, err := s.Replayer()
 	if err != nil {
 		return err
 	}
@@ -435,7 +283,7 @@ func doReplay(path, chrome, folded, profJSON string) error {
 	if err != nil {
 		return err
 	}
-	if err := done(); err != nil {
+	if err := rep.Err(); err != nil {
 		return err
 	}
 	fmt.Printf("replayed %d accesses in %d clocks: %.1f fJ/bit, gaps %v\n",

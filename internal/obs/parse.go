@@ -4,92 +4,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
 
-// Parsers for the service's own JSON exports — the inverse of WriteJSON
-// and WriteProfileJSON. The federation client scrapes peers'
-// /fleet/metrics.json and /fleet/profile?format=json and rebuilds live
-// Registry/Profile values from them, so the cross-process roll-up rides
-// the exact same nil-safe Merge paths the in-process fleet roll-up uses.
-//
-// Kind fidelity: the JSON export folds Counter and FloatCounter into one
-// "counter" kind string, so a parsed registry cannot distinguish them.
-// ParseRegistryJSON resolves every "counter" to a FloatCounter — exact
-// for any integer counter below 2^53 — which keeps all parsed registries
-// mutually mergeable. Federation therefore merges only parsed
-// registries (a process's own contribution enters via a self-scrape),
-// never a parsed registry into a native one.
-
-// ParseRegistryJSON reads a WriteJSON document and rebuilds a registry.
-// Series are created even at zero value, so the merged structure
-// mirrors the source exactly.
-func ParseRegistryJSON(r io.Reader) (*Registry, error) {
-	var fams []jsonFamily
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&fams); err != nil {
-		return nil, fmt.Errorf("obs: parse registry: %w", err)
-	}
-	reg := NewRegistry()
-	for _, f := range fams {
-		for _, s := range f.Series {
-			labels := labelsFromMap(s.Labels)
-			switch f.Kind {
-			case "counter":
-				c := reg.FloatCounter(f.Name, f.Help, labels...)
-				if s.Value != nil {
-					c.Add(*s.Value)
-				}
-			case "gauge":
-				g := reg.Gauge(f.Name, f.Help, labels...)
-				if s.Value != nil {
-					g.Set(int64(*s.Value))
-				}
-			case "histogram":
-				if s.Hist == nil {
-					return nil, fmt.Errorf("obs: parse registry: histogram %q series missing histogram body", f.Name)
-				}
-				if len(s.Hist.Counts) != len(s.Hist.Bounds) {
-					return nil, fmt.Errorf("obs: parse registry: histogram %q has %d counts for %d bounds",
-						f.Name, len(s.Hist.Counts), len(s.Hist.Bounds))
-				}
-				h := reg.Histogram(f.Name, f.Help, s.Hist.Bounds, labels...)
-				snap := HistogramSnapshot{
-					Bounds: s.Hist.Bounds, Counts: s.Hist.Counts,
-					Inf: s.Hist.Inf, Sum: s.Hist.Sum, Count: s.Hist.Count,
-				}
-				if err := h.merge(snap); err != nil {
-					return nil, fmt.Errorf("obs: parse registry: %q: %w", f.Name, err)
-				}
-			default:
-				return nil, fmt.Errorf("obs: parse registry: family %q has unknown kind %q", f.Name, f.Kind)
-			}
-		}
-	}
-	return reg, nil
-}
-
-// labelsFromMap rebuilds a label set in sorted key order. The JSON
-// decoder hands us a Go map, so ranging it directly would order the
-// rebuilt labels randomly per process — and everything downstream
-// (family keys, re-export byte identity) assumes the canonical order.
-func labelsFromMap(m map[string]string) []Label {
-	if len(m) == 0 {
-		return nil
-	}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]Label, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, L(k, m[k]))
-	}
-	return out
-}
+// Parser for the energy-profile JSON export, the inverse of
+// WriteProfileJSON. Only tests call it: the session tests decode a
+// scraped /profile?format=json document with it, as the reference a
+// streamed profile reconstruction must equal.
 
 // ParseProfileJSON reads a WriteProfileJSON document and rebuilds an
 // attribution profile by reverse-mapping the exported phase/codec/wire/

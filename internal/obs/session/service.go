@@ -36,21 +36,6 @@ type Service struct {
 	mu       sync.Mutex
 	handlers map[string]http.Handler // per-session mounted obs handlers
 	srv      *obs.Server             // set by Attach; streams watch its drain
-	fed      Federation              // set by AttachFederation; nil → 404s
-}
-
-// Federation is what the service needs from a cross-process federation
-// client to serve /federation/*: the merged roll-up across every scraped
-// peer and the per-peer health listing. The session package defines the
-// interface (rather than importing the client) to keep the dependency
-// arrow pointing fedclient → session-free obs, with cmd wiring the two.
-type Federation interface {
-	// Merged returns the federated registry and profile roll-up — the
-	// exact ordered sum of the peers' last-good scrapes.
-	Merged() (*obs.Registry, *obs.Profile, error)
-	// PeersJSON returns the per-peer status listing as a JSON-encodable
-	// value (health, staleness, scrape/failure counts).
-	PeersJSON() any
 }
 
 // NewService wraps a registry. Retired sessions drop out of the
@@ -65,23 +50,6 @@ func NewService(reg *Registry) *Service {
 		s.mu.Unlock()
 	})
 	return s
-}
-
-// AttachFederation wires a federation client into the /federation/*
-// endpoints. Call before Attach/Handler serves traffic.
-func (s *Service) AttachFederation(f Federation) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.fed = f
-	s.mu.Unlock()
-}
-
-func (s *Service) federation() Federation {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.fed
 }
 
 // Attach mounts the service on an obs.Server: the server keeps its base
@@ -115,10 +83,6 @@ func (s *Service) Handler(base http.Handler) http.Handler {
 	mux.HandleFunc("/fleet/metrics", s.handleFleetMetrics(false))
 	mux.HandleFunc("/fleet/metrics.json", s.handleFleetMetrics(true))
 	mux.HandleFunc("/fleet/profile", s.handleFleetProfile)
-	mux.HandleFunc("/federation/metrics", s.handleFederationMetrics(false))
-	mux.HandleFunc("/federation/metrics.json", s.handleFederationMetrics(true))
-	mux.HandleFunc("/federation/profile", s.handleFederationProfile)
-	mux.HandleFunc("/federation/peers", s.handleFederationPeers)
 	return mux
 }
 
@@ -404,63 +368,6 @@ func (s *Service) handleFleetProfile(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Service) handleFederationMetrics(asJSON bool) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		fed := s.federation()
-		if fed == nil {
-			http.Error(w, "federation disabled (start with -federate)", http.StatusNotFound)
-			return
-		}
-		merged, _, err := fed.Merged()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		if asJSON || r.URL.Query().Get("format") == "json" {
-			w.Header().Set("Content-Type", "application/json")
-			_ = obs.WriteJSON(w, merged)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = obs.WritePrometheus(w, merged)
-	}
-}
-
-func (s *Service) handleFederationProfile(w http.ResponseWriter, r *http.Request) {
-	fed := s.federation()
-	if fed == nil {
-		http.Error(w, "federation disabled (start with -federate)", http.StatusNotFound)
-		return
-	}
-	_, prof, err := fed.Merged()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	snap := prof.Snapshot()
-	switch r.URL.Query().Get("format") {
-	case "json":
-		w.Header().Set("Content-Type", "application/json")
-		_ = obs.WriteProfileJSON(w, snap)
-	case "prom":
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = obs.WriteProfilePrometheus(w, snap)
-	default:
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, obs.RenderProfile(snap, 0))
-	}
-}
-
-func (s *Service) handleFederationPeers(w http.ResponseWriter, r *http.Request) {
-	fed := s.federation()
-	if fed == nil {
-		http.Error(w, "federation disabled (start with -federate)", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, fed.PeersJSON())
-}
-
 // indexExtra renders the live session index into the obs.Server landing
 // page (between its endpoint list and the closing tags). Rows are capped
 // and newest-first — on a long-lived service the interesting sessions
@@ -487,14 +394,7 @@ func (s *Service) indexExtra() string {
 	b.WriteString(`</p><ul>
 <li><a href="/sessions">/sessions</a> — session listing (POST a run spec here to submit)</li>
 <li><a href="/fleet/metrics">/fleet/metrics</a> — roll-up merged across all sessions (incl. retired)</li>
-<li><a href="/fleet/profile">/fleet/profile</a> — roll-up energy attribution</li>`)
-	if s.federation() != nil {
-		b.WriteString(`
-<li><a href="/federation/metrics">/federation/metrics</a> — cross-process roll-up</li>
-<li><a href="/federation/profile">/federation/profile</a> — cross-process energy attribution</li>
-<li><a href="/federation/peers">/federation/peers</a> — peer scrape health</li>`)
-	}
-	b.WriteString(`
+<li><a href="/fleet/profile">/fleet/profile</a> — roll-up energy attribution</li>
 </ul><ul>`)
 	const maxListed = 20
 	for i := len(infos) - 1; i >= 0; i-- {

@@ -533,18 +533,6 @@ func TestServiceStreamWithProfile(t *testing.T) {
 	}
 }
 
-// TestServiceFederationDisabled: without an attached federation client
-// the /federation endpoints 404 with a hint.
-func TestServiceFederationDisabled(t *testing.T) {
-	_, _, base := newTestService(t, Options{Workers: 1})
-	for _, p := range []string{"/federation/metrics", "/federation/metrics.json", "/federation/profile", "/federation/peers"} {
-		code, body := get(t, base+p)
-		if code != http.StatusNotFound || !strings.Contains(body, "federation disabled") {
-			t.Fatalf("%s = %d: %s", p, code, body)
-		}
-	}
-}
-
 // TestServiceStreamEndsOnShutdown: an open stream terminates promptly
 // when the server closes (the obs.Server drain contract, end to end).
 func TestServiceStreamEndsOnShutdown(t *testing.T) {

@@ -9,6 +9,8 @@ package report
 // first-class fleet members.
 
 import (
+	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -215,5 +217,55 @@ func TestRecordAppStoreShortStream(t *testing.T) {
 	}
 	if m.Records != 100 {
 		t.Fatalf("re-recording a 100-record store captured %d records", m.Records)
+	}
+}
+
+// TestRecordAppStoreMatchesSMTRFixture pins recording to a file the
+// former flat-trace recorder wrote: testdata/bfs-2000-seed1.smtr holds
+// bfs at 2000 accesses and seed 1 in SMTR v1. Importing it must yield
+// exactly the records RecordAppStore captures for the same workload,
+// seed and length, however many shards the recording uses.
+func TestRecordAppStoreMatchesSMTRFixture(t *testing.T) {
+	readStore := func(dir string) []tracestore.Record {
+		t.Helper()
+		s, err := tracestore.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := tracestore.ReadAll(s, tracestore.AccessFields)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return recs
+	}
+	f, err := os.Open(filepath.Join("testdata", "bfs-2000-seed1.smtr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	fixture := filepath.Join(t.TempDir(), "fixture")
+	if _, err := tracestore.ImportSMTR(f, fixture, tracestore.Meta{Name: "bfs-fixture"}); err != nil {
+		t.Fatal(err)
+	}
+	want := readStore(fixture)
+	if len(want) != 2000 {
+		t.Fatalf("fixture holds %d records, want 2000", len(want))
+	}
+
+	p, _ := workload.ByName("bfs")
+	for _, shards := range []int{1, 2, 4} {
+		dir := filepath.Join(t.TempDir(), fmt.Sprintf("shards-%d", shards))
+		if _, err := RecordAppStore(p, dir, RecordOptions{Accesses: 2000, Seed: 1, Shards: shards}); err != nil {
+			t.Fatal(err)
+		}
+		got := readStore(dir)
+		if len(got) != len(want) {
+			t.Fatalf("shards=%d: recorded %d records, fixture holds %d", shards, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Access != want[i].Access {
+				t.Fatalf("shards=%d: record %d = %+v, fixture %+v", shards, i, got[i].Access, want[i].Access)
+			}
+		}
 	}
 }

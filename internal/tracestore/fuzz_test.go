@@ -1,6 +1,7 @@
 package tracestore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"os"
@@ -112,6 +113,41 @@ func FuzzStoreRoundTrip(f *testing.F) {
 		}
 		if _, err := Open(dir); !errors.Is(err, ErrBadStore) {
 			t.Fatalf("truncated index: err = %v, want ErrBadStore", err)
+		}
+	})
+}
+
+// FuzzImport feeds arbitrary bytes to the importer format selects (0
+// SMTR, 1 CSV, 2 fixed binary). An import never panics, and one that
+// succeeds leaves a store that opens and reads back exactly the record
+// count its manifest claims.
+func FuzzImport(f *testing.F) {
+	f.Fuzz(func(t *testing.T, format byte, data []byte) {
+		dir := filepath.Join(t.TempDir(), "store")
+		meta := Meta{Name: "fuzz"}
+		var m Manifest
+		var err error
+		switch format % 3 {
+		case 0:
+			m, err = ImportSMTR(bytes.NewReader(data), dir, meta)
+		case 1:
+			m, err = ImportCSV(bytes.NewReader(data), dir, meta, ImportOptions{})
+		default:
+			m, err = ImportBinary(bytes.NewReader(data), dir, meta, ImportOptions{})
+		}
+		if err != nil {
+			return
+		}
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatalf("imported store does not open: %v", err)
+		}
+		recs, err := ReadAll(s, AccessFields)
+		if err != nil {
+			t.Fatalf("ReadAll: %v", err)
+		}
+		if int64(len(recs)) != m.Records {
+			t.Fatalf("read %d records, manifest claims %d", len(recs), m.Records)
 		}
 	})
 }

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -17,12 +18,57 @@ import (
 // ImportOptions tunes the CSV/binary memory-trace importers.
 type ImportOptions struct {
 	// SectorBytes divides byte addresses down to 32-byte sector indexes
-	// (0 selects PayloadBytes, i.e. 32). Ignored for columns that already
-	// hold sector indexes.
+	// (0 selects PayloadBytes, i.e. 32; negative is an error). Ignored
+	// for columns that already hold sector indexes.
 	SectorBytes int
 	// AddrCol, ThinkCol, OpCol, PayloadCol override the header-based
 	// column auto-mapping with explicit header names.
 	AddrCol, ThinkCol, OpCol, PayloadCol string
+}
+
+// sectorBytes resolves SectorBytes for both importers: 0 selects
+// PayloadBytes, and a negative width is refused instead of wrapping to
+// 2^64-1 and mapping every address to sector 0.
+func (o ImportOptions) sectorBytes() (uint64, error) {
+	switch {
+	case o.SectorBytes < 0:
+		return 0, fmt.Errorf("tracestore: negative sector width %d", o.SectorBytes)
+	case o.SectorBytes == 0:
+		return PayloadBytes, nil
+	}
+	return uint64(o.SectorBytes), nil
+}
+
+// writeStore is the write sequence every importer shares: create the
+// store at dir, stream next's records into its single shard, close the
+// shard, and write the manifest. next returns io.EOF at the end of its
+// input; any other error aborts the import.
+func writeStore(dir string, meta Meta, next func() (Record, error)) (Manifest, error) {
+	w, err := Create(dir, meta)
+	if err != nil {
+		return Manifest{}, err
+	}
+	sw, err := w.NewShard()
+	if err != nil {
+		return Manifest{}, err
+	}
+	for {
+		rec, err := next()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err == nil {
+			err = sw.Append(rec)
+		}
+		if err != nil {
+			sw.Close()
+			return Manifest{}, err
+		}
+	}
+	if err := sw.Close(); err != nil {
+		return Manifest{}, err
+	}
+	return w.Finalize()
 }
 
 // Header names the auto-mapper recognizes. "sector" holds a sector
@@ -46,9 +92,9 @@ type csvMapping struct {
 // mapColumns builds the column mapping from a CSV header row.
 func mapColumns(header []string, opts ImportOptions) (csvMapping, error) {
 	m := csvMapping{addr: -1, think: -1, op: -1, payload: -1}
-	m.sectorBytes = uint64(opts.SectorBytes)
-	if m.sectorBytes == 0 {
-		m.sectorBytes = PayloadBytes
+	var err error
+	if m.sectorBytes, err = opts.sectorBytes(); err != nil {
+		return m, err
 	}
 	find := func(names []string, explicit string) int {
 		for i, h := range header {
@@ -140,24 +186,15 @@ func ImportCSV(r io.Reader, dir string, meta Meta, opts ImportOptions) (Manifest
 	if meta.Source == "" {
 		meta.Source = "csv"
 	}
-	w, err := Create(dir, meta)
-	if err != nil {
-		return Manifest{}, err
-	}
-	sw, err := w.NewShard()
-	if err != nil {
-		return Manifest{}, err
-	}
 	row := 1
-	fail := func(err error) (Manifest, error) {
-		sw.Close()
-		return Manifest{}, fmt.Errorf("tracestore: csv row %d: %w", row, err)
+	fail := func(err error) (Record, error) {
+		return Record{}, fmt.Errorf("tracestore: csv row %d: %w", row, err)
 	}
-	for {
+	return writeStore(dir, meta, func() (Record, error) {
 		row++
 		cells, err := cr.Read()
 		if errors.Is(err, io.EOF) {
-			break
+			return Record{}, io.EOF
 		}
 		if err != nil {
 			return fail(err)
@@ -193,15 +230,8 @@ func ImportCSV(r io.Reader, dir string, meta Meta, opts ImportOptions) (Manifest
 			}
 			rec.Payload = payload
 		}
-		if err := sw.Append(rec); err != nil {
-			sw.Close()
-			return Manifest{}, err
-		}
-	}
-	if err := sw.Close(); err != nil {
-		return Manifest{}, err
-	}
-	return w.Finalize()
+		return rec, nil
+	})
 }
 
 // binaryRecordSize is the fixed record width of the binary import
@@ -214,9 +244,9 @@ const binaryRecordSize = 13
 // bit0 = write) into a store at dir. Addresses are divided by
 // opts.SectorBytes (default 32).
 func ImportBinary(r io.Reader, dir string, meta Meta, opts ImportOptions) (Manifest, error) {
-	sectorBytes := uint64(opts.SectorBytes)
-	if sectorBytes == 0 {
-		sectorBytes = PayloadBytes
+	sectorBytes, err := opts.sectorBytes()
+	if err != nil {
+		return Manifest{}, err
 	}
 	if meta.Payload {
 		return Manifest{}, fmt.Errorf("tracestore: binary: format carries no payload column")
@@ -224,40 +254,90 @@ func ImportBinary(r io.Reader, dir string, meta Meta, opts ImportOptions) (Manif
 	if meta.Source == "" {
 		meta.Source = "binary"
 	}
-	w, err := Create(dir, meta)
-	if err != nil {
-		return Manifest{}, err
-	}
-	sw, err := w.NewShard()
-	if err != nil {
-		return Manifest{}, err
-	}
 	br := bufio.NewReader(r)
 	var buf [binaryRecordSize]byte
 	row := 0
-	for {
+	return writeStore(dir, meta, func() (Record, error) {
 		row++
 		_, err := io.ReadFull(br, buf[:])
 		if errors.Is(err, io.EOF) {
-			break
+			return Record{}, io.EOF
 		}
 		if err != nil {
-			sw.Close()
-			return Manifest{}, fmt.Errorf("tracestore: binary record %d: %w", row, err)
+			return Record{}, fmt.Errorf("tracestore: binary record %d: %w", row, err)
 		}
 		le := binary.LittleEndian
-		a := gpu.Access{
+		return Record{Access: gpu.Access{
 			Sector: le.Uint64(buf[0:8]) / sectorBytes,
 			Think:  int64(le.Uint32(buf[8:12])),
 			Write:  buf[12]&1 == 1,
-		}
-		if err := sw.AppendAccess(a); err != nil {
-			sw.Close()
-			return Manifest{}, err
-		}
+		}}, nil
+	})
+}
+
+// smtrMagic opens every SMTR v1 trace: an 8-byte header (the magic,
+// u16 version, u16 reserved) followed by one record per access — the
+// think clocks as a uvarint, then the sector shifted left one bit with
+// the write flag in bit 0, also a uvarint.
+var smtrMagic = [4]byte{'S', 'M', 'T', 'R'}
+
+// smtrVersion is the only SMTR version the importer reads.
+const smtrVersion = 1
+
+// ErrBadSMTRHeader reports an SMTR input whose header is truncated or
+// carries the wrong magic or version.
+var ErrBadSMTRHeader = errors.New("tracestore: bad smtr header")
+
+// ImportSMTR converts a flat SMTR v1 trace into a store at dir. A
+// zero-byte input is a valid empty trace and imports as an empty store;
+// a bad header fails with ErrBadSMTRHeader before dir is created.
+func ImportSMTR(r io.Reader, dir string, meta Meta) (Manifest, error) {
+	if meta.Payload {
+		return Manifest{}, fmt.Errorf("tracestore: smtr: format carries no payload column")
 	}
-	if err := sw.Close(); err != nil {
-		return Manifest{}, err
+	br := bufio.NewReader(r)
+	var hdr [8]byte
+	switch _, err := io.ReadFull(br, hdr[:]); {
+	case errors.Is(err, io.EOF):
+		// Zero bytes: the record loop below ends at once.
+	case errors.Is(err, io.ErrUnexpectedEOF):
+		return Manifest{}, fmt.Errorf("%w: truncated", ErrBadSMTRHeader)
+	case err != nil:
+		return Manifest{}, fmt.Errorf("tracestore: smtr: %w", err)
+	case [4]byte(hdr[:4]) != smtrMagic:
+		return Manifest{}, fmt.Errorf("%w: magic %q", ErrBadSMTRHeader, hdr[:4])
+	case binary.LittleEndian.Uint16(hdr[4:6]) != smtrVersion:
+		return Manifest{}, fmt.Errorf("%w: unsupported version %d",
+			ErrBadSMTRHeader, binary.LittleEndian.Uint16(hdr[4:6]))
 	}
-	return w.Finalize()
+	if meta.Source == "" {
+		meta.Source = "smtr"
+	}
+	row := 0
+	return writeStore(dir, meta, func() (Record, error) {
+		row++
+		think, err := binary.ReadUvarint(br)
+		if errors.Is(err, io.EOF) {
+			return Record{}, io.EOF
+		}
+		if err != nil {
+			return Record{}, fmt.Errorf("tracestore: smtr record %d: %w", row, err)
+		}
+		if think > math.MaxInt64 {
+			// Would wrap negative on the int64 conversion.
+			return Record{}, fmt.Errorf("tracestore: smtr record %d: think %d overflows int64", row, think)
+		}
+		packed, err := binary.ReadUvarint(br)
+		if errors.Is(err, io.EOF) {
+			err = io.ErrUnexpectedEOF // the record stops after its think field
+		}
+		if err != nil {
+			return Record{}, fmt.Errorf("tracestore: smtr record %d: %w", row, err)
+		}
+		return Record{Access: gpu.Access{
+			Think:  int64(think),
+			Sector: packed >> 1,
+			Write:  packed&1 == 1,
+		}}, nil
+	})
 }

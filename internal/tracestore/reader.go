@@ -344,3 +344,23 @@ func (p *Replayer) Next() (gpu.Access, bool) {
 
 // Err returns the first replay error (nil at a clean end of store).
 func (p *Replayer) Err() error { return p.err }
+
+// ReadAll drains a store's records (intended for tools and tests).
+func ReadAll(s *Store, fields FieldSet) ([]Record, error) {
+	r, err := s.NewReader(ReadOptions{Fields: fields})
+	if err != nil {
+		return nil, err
+	}
+	defer r.Close()
+	var out []Record
+	for {
+		rec, err := r.Next()
+		if errors.Is(err, io.EOF) {
+			return out, nil
+		}
+		if err != nil {
+			return out, err
+		}
+		out = append(out, rec)
+	}
+}

@@ -305,6 +305,21 @@ func TestWriterMisuse(t *testing.T) {
 	}
 }
 
+// TestWriteRecordsRejectsNegativeThink: recording writes through
+// WriteRecords, so a negative think in any shard's segment fails the
+// whole write and leaves no openable store behind.
+func TestWriteRecordsRejectsNegativeThink(t *testing.T) {
+	recs := genRecords(9, 400, false)
+	recs[len(recs)-1].Think = -1 // in the last of the shards' segments
+	dir := filepath.Join(t.TempDir(), "neg")
+	if _, err := WriteRecords(dir, Meta{Name: "neg"}, recs, 3); err == nil {
+		t.Fatal("negative think accepted")
+	}
+	if _, err := Open(dir); err == nil {
+		t.Fatal("failed write left an openable store")
+	}
+}
+
 func TestStats(t *testing.T) {
 	recs := genRecords(5, 3000, true)
 	s, _ := mustWrite(t, recs, Meta{Name: "stats", Payload: true, BlockRecords: 512}, 2)

@@ -370,3 +370,64 @@ func deflate(raw []byte) ([]byte, error) {
 	}
 	return buf.Bytes(), nil
 }
+
+// WriteRecords builds a store from an in-memory record slice, splitting
+// the stream into shards contiguous segments written in parallel (one
+// goroutine per shard). Segment order is preserved, so replay is
+// byte-identical to iterating recs.
+func WriteRecords(dir string, meta Meta, recs []Record, shards int) (Manifest, error) {
+	if shards < 1 {
+		shards = 1
+	}
+	if shards > len(recs) && len(recs) > 0 {
+		shards = len(recs)
+	}
+	if len(recs) == 0 {
+		shards = 1
+	}
+	w, err := Create(dir, meta)
+	if err != nil {
+		return Manifest{}, err
+	}
+	// Open every shard up front (NewShard names them in stream order),
+	// then let each goroutine own one writer.
+	writers := make([]*ShardWriter, shards)
+	for i := range writers {
+		if writers[i], err = w.NewShard(); err != nil {
+			for _, sw := range writers[:i] {
+				sw.Close()
+			}
+			return Manifest{}, err
+		}
+	}
+	per := len(recs) / shards
+	rem := len(recs) % shards
+	errs := make([]error, shards)
+	var wg sync.WaitGroup
+	start := 0
+	for i := 0; i < shards; i++ {
+		n := per
+		if i < rem {
+			n++
+		}
+		seg := recs[start : start+n]
+		start += n
+		wg.Add(1)
+		go func(i int, sw *ShardWriter, seg []Record) {
+			defer wg.Done()
+			for _, rec := range seg {
+				if err := sw.Append(rec); err != nil {
+					break // Close reports the shard's first error
+				}
+			}
+			errs[i] = sw.Close()
+		}(i, writers[i], seg)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return Manifest{}, err
+		}
+	}
+	return w.Finalize()
+}
