@@ -170,17 +170,19 @@ func main() {
 }
 
 // runMultiChannel is the `-channels N` evaluation: every policy's fleet
-// runs through the shard-per-goroutine engine, where -j bounds the
-// worker pool packing all apps × channels shard simulations. For a
-// fixed seed the summary and the -json export are byte-identical at
-// every -j (the report package's differential tests enforce it).
+// runs through the shard-per-goroutine engine, where -j bounds how many
+// apps run at once — each worker takes one app, runs its front end and
+// its channel shards, and keeps only the merged result, so memory is
+// bounded by -j rather than by apps × channels. For a fixed seed the
+// summary and the -json export are byte-identical at every -j (the
+// report package's differential tests and cmd/smoke enforce it).
 func runMultiChannel(fleet []workload.Profile, channels int, accesses int64, seed uint64, workers int, listen, jsonOut string) {
 	specs := report.PolicySpecs(accesses, seed, false)
 	labels := []string{"baseline", "optimized", "variable", "static", "conservative"}
 
 	// Energy attribution rides the variable-SMOREs fleet (specs[2]),
 	// mirroring the single-channel evaluation: each shard profiles
-	// privately and the merge folds the cells in channel order.
+	// privately and the fleet adds the cells in (app, channel) order.
 	prof := obs.NewProfile()
 	specs[2].Profile = prof
 

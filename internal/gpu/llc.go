@@ -30,6 +30,8 @@ func (c LLCConfig) Validate() error {
 		return fmt.Errorf("gpu: LLC parameters must be positive")
 	case c.LineBytes%c.SectorBytes != 0:
 		return fmt.Errorf("gpu: line size %d not a multiple of sector size %d", c.LineBytes, c.SectorBytes)
+	case c.SectorsPerLine() > maxSectorsPerLine:
+		return fmt.Errorf("gpu: %d sectors per line exceed the %d a line's sector masks hold", c.SectorsPerLine(), maxSectorsPerLine)
 	case c.SizeBytes%(c.LineBytes*c.Ways) != 0:
 		return fmt.Errorf("gpu: size %d not divisible into %d-way sets of %d-byte lines", c.SizeBytes, c.Ways, c.LineBytes)
 	}
@@ -66,13 +68,17 @@ type llcLine struct {
 	lru    uint64
 }
 
+// maxSectorsPerLine is the widest line llcLine's sector masks track.
+const maxSectorsPerLine = 8
+
 // LLC is a sectored, write-back, write-validate last-level cache operating
 // on 32-byte sector addresses. Write misses of a full sector allocate
 // without fetching (GPU stores are write-validate), so only read misses
 // generate DRAM reads.
 type LLC struct {
 	cfg     LLCConfig
-	sets    [][]llcLine
+	lines   []llcLine // every set's ways: set s is lines[s*Ways : (s+1)*Ways]
+	sets    uint64    // cfg.Sets()
 	tick    uint64
 	perLine int
 	stats   LLCStats
@@ -84,12 +90,12 @@ func NewLLC(cfg LLCConfig) (*LLC, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	l := &LLC{cfg: cfg, perLine: cfg.SectorsPerLine()}
-	l.sets = make([][]llcLine, cfg.Sets())
-	for i := range l.sets {
-		l.sets[i] = make([]llcLine, cfg.Ways)
-	}
-	return l, nil
+	return &LLC{
+		cfg:     cfg,
+		lines:   make([]llcLine, cfg.Sets()*cfg.Ways),
+		sets:    uint64(cfg.Sets()),
+		perLine: cfg.SectorsPerLine(),
+	}, nil
 }
 
 // Stats returns a snapshot of cache statistics.
@@ -122,9 +128,10 @@ func (l *LLC) Access(sector uint64, write bool) (dramRead bool, writebacks []uin
 	}
 	lineAddr := sector / uint64(l.perLine)
 	sectorIdx := uint(sector % uint64(l.perLine))
-	setIdx := lineAddr % uint64(len(l.sets))
-	tag := lineAddr / uint64(len(l.sets))
-	set := l.sets[setIdx]
+	setIdx := lineAddr % l.sets
+	tag := lineAddr / l.sets
+	ways := uint64(l.cfg.Ways)
+	set := l.lines[setIdx*ways : (setIdx+1)*ways]
 
 	// Lookup.
 	for w := range set {
@@ -166,7 +173,7 @@ func (l *LLC) Access(sector uint64, write bool) (dramRead bool, writebacks []uin
 	if ln.valid {
 		l.stats.Evictions++
 		if ln.dirty != 0 {
-			base := (ln.tag*uint64(len(l.sets)) + setIdx) * uint64(l.perLine)
+			base := (ln.tag*l.sets + setIdx) * uint64(l.perLine)
 			for s := 0; s < l.perLine; s++ {
 				if ln.dirty&(1<<uint(s)) != 0 {
 					writebacks = append(writebacks, base+uint64(s))

@@ -28,6 +28,9 @@ func TestLLCConfigValidation(t *testing.T) {
 		{SizeBytes: 6 << 20, LineBytes: 100, SectorBytes: 32, Ways: 16},
 		{SizeBytes: 1000, LineBytes: 128, SectorBytes: 32, Ways: 16},
 		{SizeBytes: 6 << 20, LineBytes: 128, SectorBytes: 32, Ways: 0},
+		// 16 sectors per line: the line's 8-bit sector masks cannot
+		// track sectors 8-15.
+		{SizeBytes: 16384, LineBytes: 512, SectorBytes: 32, Ways: 4},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

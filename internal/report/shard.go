@@ -8,9 +8,10 @@ package report
 // shards in channel order, so for a fixed seed the result is
 // byte-identical at every worker count: stats, histograms, and profile
 // cells (shard_test.go is the differential gate).
-// RunFleetAppsMultiChannel is the fleet scheduler on top: it packs the
-// shards of many applications onto one pool, which is what lets
-// `smores-eval -channels N -j M` saturate any core count.
+// RunFleetAppsMultiChannel is the fleet scheduler on top: it streams the
+// fleet one app per pool job — front-end epoch, shards in channel order,
+// merge — so live memory is bounded by the worker count times one app,
+// not by apps × channels.
 
 import (
 	"fmt"
@@ -28,9 +29,11 @@ import (
 
 // ShardOptions tunes a sharded multi-channel run.
 type ShardOptions struct {
-	// Workers bounds concurrent shard simulations. 0 selects GOMAXPROCS;
-	// 1 runs sequentially with no goroutines. Results are identical for
-	// every value (test-enforced).
+	// Workers bounds concurrent shard simulations for one app, and
+	// concurrent apps on the fleet path (RunFleetAppsMultiChannel runs
+	// each app's shards on one worker). 0 selects GOMAXPROCS; 1 runs
+	// sequentially with no goroutines. Results are identical for every
+	// value (test-enforced).
 	Workers int
 	// Obs, when non-nil, registers each shard's stack counters scoped by
 	// a channel=<id> label (plus app=<name> on the fleet path).
@@ -39,8 +42,7 @@ type ShardOptions struct {
 	Progress *obs.Progress
 }
 
-// appShards holds one application's planned shard units before the
-// pool runs them.
+// appShards holds one application's planned shard units.
 type appShards struct {
 	app       workload.Profile
 	plan      *shard.Plan
@@ -51,9 +53,9 @@ type appShards struct {
 
 // buildAppShards runs the front-end epoch for one app and wires its
 // per-channel units. When spec.Profile is set, each shard gets a
-// private profile (merged later in channel order — concurrent shards
-// must not race float additions into shared cells, or the totals would
-// depend on scheduling).
+// private profile (its cells are added later in channel order —
+// concurrent shards must not race float additions into shared cells,
+// or the totals would depend on scheduling).
 func buildAppShards(p workload.Profile, spec RunSpec, channels int, opts ShardOptions) (*appShards, error) {
 	if channels < 1 {
 		return nil, fmt.Errorf("report: channel count must be positive, got %d", channels)
@@ -117,10 +119,16 @@ func buildAppShards(p workload.Profile, spec RunSpec, channels int, opts ShardOp
 	return as, nil
 }
 
-// merge folds the app's completed shards into a MultiResult, merging
-// per-shard profiles into dst (spec.Profile) in channel order. On any
-// error the zero MultiResult is returned.
-func (as *appShards) merge(dst *obs.Profile) (MultiResult, error) {
+// run executes the app's shards on a pool of the given size and folds
+// them into a MultiResult in channel order. It also returns the
+// non-empty cells of every shard's private profile, concatenated in
+// channel order (none when the app is not profiled), so the caller can
+// drop the dense profiles and add the cells to spec.Profile later. On
+// any error the zero MultiResult and no cells are returned.
+func (as *appShards) run(workers int, prog *obs.Progress) (MultiResult, []obs.ProfileCell, error) {
+	if err := shard.RunUnits(as.units, workers, progressHook(prog)); err != nil {
+		return MultiResult{}, nil, err
+	}
 	mr := MultiResult{
 		App:      as.app,
 		Channels: as.plan.Channels,
@@ -138,12 +146,23 @@ func (as *appShards) merge(dst *obs.Profile) (MultiResult, error) {
 		}
 	}
 	if err := mergeChannels(&mr, ctrls, as.injectors); err != nil {
-		return MultiResult{}, err
+		return MultiResult{}, nil, err
 	}
+	var cells []obs.ProfileCell
 	for _, p := range as.profiles {
-		dst.Merge(p)
+		cells = append(cells, p.Snapshot().Cells...)
 	}
-	return mr, nil
+	return mr, cells, nil
+}
+
+// addCells adds profile cells to dst in slice order. Profile.Add, like
+// Profile.Merge, adds energy only when it is positive and a count only
+// when it is positive, so adding a shard profile's snapshot cells
+// reproduces merging the dense profile bit for bit.
+func addCells(dst *obs.Profile, cells []obs.ProfileCell) {
+	for _, c := range cells {
+		dst.Add(c.Phase, c.Codec, c.Wire, c.Level, c.Trans, c.FJ, c.Count)
+	}
 }
 
 // RunAppMultiChannel simulates one application over several
@@ -159,10 +178,12 @@ func RunAppMultiChannel(p workload.Profile, spec RunSpec, channels int, opts Sha
 	if err != nil {
 		return MultiResult{}, err
 	}
-	if err := shard.RunUnits(as.units, opts.Workers, progressHook(opts.Progress)); err != nil {
+	mr, cells, err := as.run(opts.Workers, opts.Progress)
+	if err != nil {
 		return MultiResult{}, err
 	}
-	return as.merge(spec.Profile)
+	addCells(spec.Profile, cells)
+	return mr, nil
 }
 
 // progressHook adapts an optional progress bar to the shard pool's
@@ -206,20 +227,23 @@ func (fr MultiFleetResult) MeanClocks() float64 {
 
 // RunFleetAppsMultiChannel runs every application of fleet (pass
 // workload.Fleet() for all 42) over the given channel count — the fleet
-// scheduler. Every app's front-end epoch runs first (sequential,
-// deterministic, cheap); then one bounded worker pool packs all apps ×
-// channels shard units, so a 42-app × 8-channel fleet offers 336
-// independent jobs to the pool. Per-app seeds follow the fleet-position
+// scheduler. Each app is one job on a bounded worker pool: the worker
+// runs the app's front-end epoch and then its shards in channel order,
+// and keeps only the merged MultiResult and the shards' non-empty
+// profile cells, so live memory is bounded by opts.Workers × one app,
+// not by apps × channels. Per-app seeds follow the fleet-position
 // contract (appSeed), results are ordered by fleet position, and the
-// whole result is byte-identical for every worker count. On any error —
+// cells are added to spec.Profile in (app, channel) order once every app
+// has succeeded, so the whole result is byte-identical for every worker
+// count. Every app runs, whatever the others do. On any error —
 // including a shard invariant violation — the zero-value result is
-// returned with the lowest-indexed failure, never a partially merged
-// fleet.
+// returned with the lowest-indexed app's failure, and nothing is added
+// to spec.Profile.
 func RunFleetAppsMultiChannel(fleet []workload.Profile, spec RunSpec, channels int, opts ShardOptions) (MultiFleetResult, error) {
-	fr := MultiFleetResult{Spec: spec, Channels: channels}
-	apps := make([]*appShards, len(fleet))
-	var pool []*shard.Unit
-	for i, p := range fleet {
+	results := make([]MultiResult, len(fleet))
+	cells := make([][]obs.ProfileCell, len(fleet))
+	err := shard.RunJobs(len(fleet), opts.Workers, func(_, i int) error {
+		p := fleet[i]
 		appSpec := spec
 		appSpec.Seed = appSeed(spec.Seed, i)
 		if opts.Obs != nil {
@@ -227,30 +251,20 @@ func RunFleetAppsMultiChannel(fleet []workload.Profile, spec RunSpec, channels i
 				obs.L("app", p.Name))
 		}
 		as, err := buildAppShards(p, appSpec, channels, opts)
+		if err == nil {
+			results[i], cells[i], err = as.run(1, opts.Progress)
+		}
 		if err != nil {
-			return MultiFleetResult{}, fmt.Errorf("report: fleet app %d: %w", i, err)
+			return fmt.Errorf("report: fleet app %d: %w", i, err)
 		}
-		apps[i] = as
-		pool = append(pool, as.units...)
-	}
-	if err := shard.RunUnits(pool, opts.Workers, progressHook(opts.Progress)); err != nil {
-		// The pool preserves submission order, so the first failing unit
-		// in `pool` is the lowest (app, channel) failure.
-		for i, as := range apps {
-			for _, u := range as.units {
-				if u.Err() != nil {
-					return MultiFleetResult{}, fmt.Errorf("report: fleet app %d: %w", i, u.Err())
-				}
-			}
-		}
+		return nil
+	})
+	if err != nil {
 		return MultiFleetResult{}, err
 	}
-	for i, as := range apps {
-		mr, err := as.merge(spec.Profile)
-		if err != nil {
-			return MultiFleetResult{}, fmt.Errorf("report: fleet app %d: %w", i, err)
-		}
-		fr.Results = append(fr.Results, mr)
+	fr := MultiFleetResult{Spec: spec, Channels: channels, Results: results}
+	for i, mr := range results {
+		addCells(spec.Profile, cells[i])
 		fr.Label = mr.Label
 	}
 	return fr, nil

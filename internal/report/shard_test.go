@@ -3,12 +3,15 @@ package report
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"smores/internal/fault"
 	"smores/internal/floats"
 	"smores/internal/memctrl"
 	"smores/internal/obs"
+	"smores/internal/shard"
 	"smores/internal/workload"
 )
 
@@ -299,17 +302,151 @@ func TestFleetMultiChannelDeterministic(t *testing.T) {
 	}
 }
 
-func TestFleetMultiChannelErrorContract(t *testing.T) {
-	fleet := workload.Fleet()[:3]
-	bad := fleet[1]
-	bad.MSHRs = 0
-	fleet = append(append([]workload.Profile{}, fleet[0]), bad, fleet[2])
-	fr, err := RunFleetAppsMultiChannel(fleet, RunSpec{Policy: memctrl.BaselineMTA, Accesses: 100, Seed: 1}, 2, ShardOptions{})
-	if err == nil {
-		t.Fatal("invalid app must fail the fleet")
+// requireSameCells asserts two profile snapshots hold the same cells,
+// energies bit for bit.
+func requireSameCells(t *testing.T, tag string, want, got []obs.ProfileCell) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d profile cells, want %d", tag, len(got), len(want))
 	}
-	if fr.Results != nil || fr.Label != "" {
-		t.Fatalf("error must come with the zero fleet result, got %+v", fr)
+	for i, w := range want {
+		g := got[i]
+		if g.Phase != w.Phase || g.Codec != w.Codec || g.Wire != w.Wire || g.Level != w.Level || g.Trans != w.Trans {
+			t.Fatalf("%s: cell %d is %+v, want %+v", tag, i, g, w)
+		}
+		if !floats.Eq(g.FJ, w.FJ) || g.Count != w.Count {
+			t.Fatalf("%s: cell %d holds %v fJ over %d symbols, want %v fJ over %d",
+				tag, i, g.FJ, g.Count, w.FJ, w.Count)
+		}
+	}
+}
+
+// Adding a profile's snapshot cells must reproduce merging the dense
+// profile bit for bit — the fleet path relies on it to drop each
+// shard's dense profile as soon as the shard's app finishes. The
+// sources are fed energy-only, count-only and non-positive samples, and
+// the destinations start non-empty.
+func TestAddCellsMatchesMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	merged, added := obs.NewProfile(), obs.NewProfile()
+	for _, dst := range []*obs.Profile{merged, added} {
+		dst.AddAggregate(obs.PhaseSparsePayload, 1, 0.1, 3)
+	}
+	for src := 0; src < 4; src++ {
+		p := obs.NewProfile()
+		for k := 0; k < 300; k++ {
+			fj := rng.Float64() * 100
+			n := rng.Int63n(4)
+			switch rng.Intn(5) {
+			case 0:
+				fj = 0
+			case 1:
+				fj = -fj
+			}
+			p.Add(obs.Phase(rng.Intn(int(obs.NumPhases))), rng.Intn(obs.NumProfileCodecs),
+				rng.Intn(obs.ProfileWires+1), rng.Intn(obs.ProfileLevels+1),
+				obs.TransClass(rng.Intn(int(obs.NumTransClasses))), fj, n)
+		}
+		merged.Merge(p)
+		addCells(added, p.Snapshot().Cells)
+	}
+	want := merged.Snapshot().Cells
+	if len(want) < 100 {
+		t.Fatalf("only %d merged cells — the test is vacuous", len(want))
+	}
+	requireSameCells(t, "cells vs merge", want, added.Snapshot().Cells)
+}
+
+// The fleet path adds each shard's profile cells to spec.Profile only
+// after every app has finished. At every worker count the result must
+// equal, bit for bit, a reference that runs the apps one at a time
+// through RunAppMultiChannel into one profile: the (app, channel) order
+// in which shard profiles are merged. That reference must in turn equal
+// merging every shard's dense profile in (app, channel) order.
+func TestFleetMultiChannelProfileCells(t *testing.T) {
+	fleet := workload.Fleet()[:4]
+	faulty := PolicySpecs(500, 23, false)[3]
+	faulty.Fault = &fault.Config{Model: fault.ModelUniform, Rate: 1e-3, EDC: true, Seed: 5}
+	cases := []struct {
+		name     string
+		spec     RunSpec
+		channels int
+	}{
+		{"expected", PolicySpecs(800, 17, true)[2], 3},
+		{"exact-faults", faulty, 4},
+	}
+	for _, c := range cases {
+		ref, dense := obs.NewProfile(), obs.NewProfile()
+		for i, p := range fleet {
+			s := c.spec
+			s.Seed = DecorrelateSeed(c.spec.Seed, i)
+			s.Profile = ref
+			if _, err := RunAppMultiChannel(p, s, c.channels, ShardOptions{Workers: 1}); err != nil {
+				t.Fatalf("%s: reference app %d: %v", c.name, i, err)
+			}
+			as, err := buildAppShards(p, s, c.channels, ShardOptions{})
+			if err == nil {
+				err = shard.RunUnits(as.units, 1, nil)
+			}
+			if err != nil {
+				t.Fatalf("%s: dense reference app %d: %v", c.name, i, err)
+			}
+			for _, sp := range as.profiles {
+				dense.Merge(sp)
+			}
+		}
+		want := ref.Snapshot().Cells
+		if len(want) == 0 {
+			t.Fatalf("%s: the reference profile is empty — the test is vacuous", c.name)
+		}
+		requireSameCells(t, c.name+" reference vs dense merge", dense.Snapshot().Cells, want)
+		for _, workers := range []int{1, 2, 8} {
+			tag := fmt.Sprintf("%s workers %d", c.name, workers)
+			prof := obs.NewProfile()
+			s := c.spec
+			s.Profile = prof
+			fr, err := RunFleetAppsMultiChannel(fleet, s, c.channels, ShardOptions{Workers: workers})
+			if err != nil {
+				t.Fatalf("%s: %v", tag, err)
+			}
+			if c.spec.Fault != nil {
+				var fired int64
+				for _, r := range fr.Results {
+					fired += r.Fault.CorruptedBursts
+				}
+				if fired == 0 {
+					t.Fatalf("%s: injector never fired — the fault case is vacuous", tag)
+				}
+			}
+			requireSameCells(t, tag, want, prof.Snapshot().Cells)
+		}
+	}
+}
+
+// A failing fleet returns the zero result and the lowest-indexed app's
+// error at every worker count, and adds nothing to spec.Profile — even
+// though the apps around the failures ran and profiled their shards.
+func TestFleetMultiChannelErrorContract(t *testing.T) {
+	fleet := append([]workload.Profile{}, workload.Fleet()[:5]...)
+	for _, i := range []int{1, 3} {
+		fleet[i].MSHRs = 0
+	}
+	for _, workers := range []int{1, 4} {
+		prof := obs.NewProfile()
+		spec := RunSpec{Policy: memctrl.BaselineMTA, Accesses: 100, Seed: 1, Profile: prof}
+		fr, err := RunFleetAppsMultiChannel(fleet, spec, 2, ShardOptions{Workers: workers})
+		if err == nil {
+			t.Fatalf("workers %d: invalid apps must fail the fleet", workers)
+		}
+		if !strings.Contains(err.Error(), "fleet app 1:") {
+			t.Errorf("workers %d: error %q does not name fleet app 1", workers, err)
+		}
+		if fr.Results != nil || fr.Label != "" || fr.Channels != 0 {
+			t.Errorf("workers %d: error must come with the zero fleet result, got %+v", workers, fr)
+		}
+		if cells := prof.Snapshot().Cells; len(cells) != 0 {
+			t.Errorf("workers %d: a failed fleet added %d cells to the profile", workers, len(cells))
+		}
 	}
 }
 

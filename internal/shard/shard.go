@@ -15,8 +15,7 @@
 //     through its own controller + single-channel driver — a Unit —
 //     with nothing shared between units. Units therefore run on any
 //     number of goroutines and produce results that are byte-identical
-//     to running them one at a time; the pool packs units from any
-//     number of applications onto the machine's cores.
+//     to running them one at a time.
 //
 // Each shard is a channel(-pair) device with its own command queue and
 // MSHR share, so there is no cross-channel MSHR contention (compute
