@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint fuzz-smoke bench-smoke bench-regress fault-smoke serve-smoke trace-smoke
+.PHONY: build test race lint fuzz-smoke bench-smoke bench-regress fault-smoke trace-smoke
 
 build:
 	$(GO) build ./...
@@ -12,7 +12,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/obs/ ./internal/obs/session/ ./internal/report/ ./internal/memctrl/ ./internal/gpu/ ./internal/shard/ ./internal/tracestore/
+	$(GO) test -race ./internal/obs/ ./internal/report/ ./internal/memctrl/ ./internal/gpu/ ./internal/shard/ ./internal/tracestore/
 
 # lint runs the in-repo gates that need no network. CI layers
 # staticcheck and govulncheck on top (installed there with go install,
@@ -33,7 +33,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
 bench-regress:
-	$(GO) run ./cmd/smores-bench -compare BENCH_baseline.json -tolerance 5%
+	$(GO) run ./cmd/smores-bench -compare BENCH_baseline.json
 
 # fault-smoke runs a small Monte Carlo fault campaign and gates on the
 # link-reliability promise: with EDC enabled, a 1e-4 error rate must
@@ -42,14 +42,6 @@ bench-regress:
 fault-smoke:
 	$(GO) run ./cmd/smores-fault -rates 1e-4 -models uniform,bursty -edc on \
 		-apps 2 -accesses 2000 -gate-silent -json fault-smoke.json
-
-# serve-smoke boots the telemetry service on an ephemeral port, submits
-# sessions over real HTTP, asserts every NDJSON delta stream reconciles
-# exactly with the session's final metrics and that /fleet/metrics
-# conserves the per-session totals, then writes the roll-up JSON for
-# inspection / CI artifact upload.
-serve-smoke:
-	$(GO) run ./cmd/smores-serve -smoke -smoke-sessions 3 -out fleet-rollup.json
 
 # trace-smoke drives the columnar trace-store pipeline end to end:
 # record a workload straight into a sharded store, column-scan it

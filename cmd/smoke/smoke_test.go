@@ -8,6 +8,7 @@ package smoke
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -22,7 +23,6 @@ var mains = []string{
 	"smores-fault",
 	"smores-hwcost",
 	"smores-lint",
-	"smores-serve",
 	"smores-sim",
 	"smores-trace",
 	"smores-verilog",
@@ -144,63 +144,32 @@ func TestBenchJSONShapeAndRegressionGate(t *testing.T) {
 		t.Errorf("self-comparison regressed: %v", err)
 	}
 
-	// Injected regression: halve every baseline energy so the current run
-	// is 2x worse than the "baseline" — must exit 1.
-	var doc map[string]any
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range doc["schemes"].([]any) {
-		row := s.(map[string]any)
-		row["energy_pj_per_bit"] = row["energy_pj_per_bit"].(float64) / 2
-	}
-	worse, err := json.Marshal(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := filepath.Join(t.TempDir(), "regressed.json")
-	if err := os.WriteFile(bad, worse, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err = runBench(t, dir, "-compare", bad)
-	ee, ok := err.(*exec.ExitError)
-	if !ok || ee.ExitCode() != 1 {
-		t.Errorf("injected energy regression: err=%v, want exit code 1", err)
+	// A baseline one ulp away from the current run, in either direction,
+	// is an energy regression: energies must match bit for bit — exit 1.
+	for _, toward := range []float64{math.Inf(1), math.Inf(-1)} {
+		var doc map[string]any
+		if err := json.Unmarshal(raw, &doc); err != nil {
+			t.Fatal(err)
+		}
+		row := doc["schemes"].([]any)[0].(map[string]any)
+		row["energy_pj_per_bit"] = math.Nextafter(row["energy_pj_per_bit"].(float64), toward)
+		perturbed, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := filepath.Join(t.TempDir(), "perturbed.json")
+		if err := os.WriteFile(bad, perturbed, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err = runBench(t, dir, "-compare", bad)
+		ee, ok := err.(*exec.ExitError)
+		if !ok || ee.ExitCode() != 1 {
+			t.Errorf("baseline energy one ulp toward %v: err=%v, want exit code 1", toward, err)
+		}
 	}
 
 	// A malformed tolerance is a usage error (exit 1 via fail()).
-	if _, err := runBench(t, dir, "-tolerance", "2.5"); err == nil {
-		t.Error("tolerance 2.5 accepted; want rejection (outside [0,1])")
+	if _, err := runBench(t, dir, "-perf-tolerance", "2.5"); err == nil {
+		t.Error("perf tolerance 2.5 accepted; want rejection (outside [0,1])")
 	}
-}
-
-// TestServeSmoke runs the telemetry service's built-in self-test as a
-// black box: smores-serve -smoke must submit sessions over HTTP, verify
-// stream reconciliation and fleet conservation, write the roll-up JSON
-// artifact, and exit 0.
-func TestServeSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds binaries")
-	}
-	dir := buildMains(t)
-	rollup := filepath.Join(t.TempDir(), "fleet-rollup.json")
-	out, err := exec.Command(bin(dir, "smores-serve"),
-		"-smoke", "-smoke-sessions", "3", "-out", rollup).CombinedOutput()
-	if err != nil {
-		t.Fatalf("smores-serve -smoke: %v\n%s", err, out)
-	}
-	raw, err := os.ReadFile(rollup)
-	if err != nil {
-		t.Fatalf("self-test wrote no roll-up: %v", err)
-	}
-	var fams []map[string]any
-	if err := json.Unmarshal(raw, &fams); err != nil {
-		t.Fatalf("roll-up is not a JSON family list: %v", err)
-	}
-	if len(fams) == 0 {
-		t.Fatalf("roll-up is empty")
-	}
-
-	// An invocation with the old -federate flag fails as a parse error.
-	wantExit(t, dir, 2, "smores-serve", "-federate", "x")
 }

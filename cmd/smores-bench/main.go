@@ -4,15 +4,13 @@
 // BENCH_<date>.json report with, per scheme, the reproduced energy
 // (pJ/bit — deterministic), the wall-clock throughput, and the
 // allocation profile. With -compare it gates the run against a
-// committed baseline: energy is always enforced; throughput and
-// allocations only when the host fingerprint matches the baseline's
-// (so CI runners still get the energy gate against a baseline
-// generated elsewhere).
+// committed baseline: energy must match bit for bit, on the same
+// accesses and seed; throughput and allocations are checked only when
+// the host fingerprint matches the baseline's (so CI runners still get
+// the energy gate against a baseline generated elsewhere).
 //
 //	smores-bench -out BENCH_baseline.json          # seed a baseline
 //	smores-bench -compare BENCH_baseline.json      # gate (exit 1 on regression)
-//	smores-bench -multichannel 8 -compare ...      # also gate the sharded fleet row
-//	smores-bench -tracestore -compare ...          # also gate the store-replay row
 package main
 
 import (
@@ -21,7 +19,6 @@ import (
 	"os"
 	"time"
 
-	"smores/internal/obs/session"
 	"smores/internal/report"
 )
 
@@ -32,19 +29,11 @@ func main() {
 		workers  = flag.Int("j", 1, "concurrent app simulations (1 = sequential, most reproducible allocs)")
 		out      = flag.String("out", "", "report path (default BENCH_<date>.json; '-' for stdout only)")
 		compare  = flag.String("compare", "", "baseline report to gate against")
-		tol      = flag.String("tolerance", "5%", "relative energy tolerance ('5%' or '0.05')")
 		perfTol  = flag.String("perf-tolerance", "30%", "relative wall-time/alloc tolerance (same-host only)")
-		service  = flag.Bool("service", false, "add the telemetry-service throughput row (sessions/sec at a fixed spec)")
-		multi    = flag.Int("multichannel", 0, "add the sharded multi-channel fleet row at this channel count (0 = off)")
-		multiJ   = flag.Int("multichannel-j", 0, "worker pool for the multichannel row (0 = GOMAXPROCS)")
-		tstore   = flag.Bool("tracestore", false, "add the columnar-store replay row (record, pack, byte-identical replay)")
-		tshards  = flag.Int("tracestore-shards", 0, "shards for the tracestore row's pack (0 = GOMAXPROCS, capped at 8)")
 		quiet    = flag.Bool("q", false, "suppress the report table")
 	)
 	flag.Parse()
 
-	energyTol, err := report.ParseTolerance(*tol)
-	fail(err)
 	wallTol, err := report.ParseTolerance(*perfTol)
 	fail(err)
 
@@ -52,17 +41,6 @@ func main() {
 		Accesses: *accesses, Seed: *seed, Workers: *workers,
 	})
 	fail(err)
-	if *service {
-		svc, err := session.RunServiceBench(session.DefaultBenchSpec)
-		fail(err)
-		rep.Service = svc
-	}
-	if *multi > 0 {
-		fail(report.RunMultiChannelBench(&rep, *multi, *multiJ))
-	}
-	if *tstore {
-		fail(report.RunTraceStoreBench(&rep, *tshards))
-	}
 	if !*quiet {
 		fmt.Print(report.RenderBench(rep))
 	}
@@ -86,7 +64,7 @@ func main() {
 	}
 	base, err := report.ReadBench(*compare)
 	fail(err)
-	cmp, err := report.CompareBench(base, rep, energyTol, wallTol)
+	cmp, err := report.CompareBench(base, rep, wallTol)
 	fail(err)
 	for _, n := range cmp.Notes {
 		fmt.Fprintf(os.Stderr, "smores-bench: note: %s\n", n)
@@ -97,7 +75,7 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "smores-bench: %d schemes within tolerance of %s — 0 regressions\n",
+	fmt.Fprintf(os.Stderr, "smores-bench: %d schemes match %s — 0 regressions\n",
 		len(rep.Schemes), *compare)
 }
 

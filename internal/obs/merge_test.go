@@ -1,135 +1,10 @@
 package obs
 
 import (
-	"strings"
 	"testing"
 
 	"smores/internal/floats"
 )
-
-// TestRegistryMergeConserves proves the fleet roll-up contract: merging
-// two registries into an empty one yields, per series, exactly the sum
-// of the inputs across every instrument kind.
-func TestRegistryMergeConserves(t *testing.T) {
-	mk := func(c, g int64, f float64, hist []float64) *Registry {
-		r := NewRegistry()
-		r.Counter("m_total", "h", L("app", "a")).Add(c)
-		r.Gauge("m_depth", "h").Add(g)
-		r.FloatCounter("m_energy_fj", "h").Add(f)
-		h := r.Histogram("m_gaps", "h", []float64{1, 2, 4})
-		for _, v := range hist {
-			h.Observe(v)
-		}
-		return r
-	}
-	a := mk(5, 2, 1.5, []float64{0, 1, 3, 9})
-	b := mk(7, 3, 2.25, []float64{2, 2, 5})
-
-	sum := NewRegistry()
-	if err := sum.Merge(a); err != nil {
-		t.Fatal(err)
-	}
-	if err := sum.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-
-	if got := sum.Value("m_total", L("app", "a")); got != 12 {
-		t.Errorf("merged counter = %v, want 12", got)
-	}
-	if got := sum.Value("m_depth"); got != 5 {
-		t.Errorf("merged gauge = %v, want 5 (gauges sum for fleet totals)", got)
-	}
-	if got := sum.Value("m_energy_fj"); !floats.Eq(got, 1.5+2.25) {
-		t.Errorf("merged float counter = %v, want 3.75", got)
-	}
-	h := sum.HistogramSeries("m_gaps")
-	if h.Count() != 7 {
-		t.Errorf("merged histogram count = %d, want 7", h.Count())
-	}
-	// Buckets: le=1 gets {0,1}+{} = 2... recompute: a observes 0,1,3,9 →
-	// buckets le1:2, le2:0, le4:1, inf:1; b observes 2,2,5 → le1:0,
-	// le2:2, le4:0, inf:1.
-	for i, want := range []int64{2, 2, 1} {
-		if got := h.BucketCount(i); got != want {
-			t.Errorf("bucket %d = %d, want %d", i, got, want)
-		}
-	}
-	if got := h.BucketCount(3); got != 2 {
-		t.Errorf("+Inf bucket = %d, want 2", got)
-	}
-	if !floats.Eq(h.Sum(), (1.0+3+9)+(2+2+5)) {
-		t.Errorf("merged histogram sum = %v", h.Sum())
-	}
-}
-
-func TestRegistryMergeKindConflict(t *testing.T) {
-	dst := NewRegistry()
-	dst.Counter("m", "h")
-	src := NewRegistry()
-	src.Gauge("m", "h")
-	if err := dst.Merge(src); err == nil {
-		t.Fatal("merging conflicting kinds must error, not panic")
-	}
-}
-
-func TestRegistryMergeBoundsMismatch(t *testing.T) {
-	dst := NewRegistry()
-	dst.Histogram("m", "h", []float64{1, 2}).Observe(1)
-	src := NewRegistry()
-	src.Histogram("m", "h", []float64{1, 2, 3}).Observe(1)
-	if err := dst.Merge(src); err == nil {
-		t.Fatal("merging mismatched histogram bounds must error")
-	}
-}
-
-// TestRegistryMergeBoundValueMismatch: same bucket count but different
-// edge values is still a conflict (the bound-count check alone would
-// pass), and the error names the offending family.
-func TestRegistryMergeBoundValueMismatch(t *testing.T) {
-	dst := NewRegistry()
-	dst.Histogram("m_gaps", "h", []float64{1, 2}).Observe(1)
-	src := NewRegistry()
-	src.Histogram("m_gaps", "h", []float64{1, 3}).Observe(1)
-	err := dst.Merge(src)
-	if err == nil {
-		t.Fatal("merging mismatched bound values must error")
-	}
-	if !strings.Contains(err.Error(), "m_gaps") {
-		t.Fatalf("error must name the family: %v", err)
-	}
-	// The failed merge must not have corrupted dst's own counts.
-	if h := dst.HistogramSeries("m_gaps"); h.Count() != 1 {
-		t.Fatalf("failed merge mutated destination: count %d", h.Count())
-	}
-}
-
-// TestRegistryMergeKindConflictNames: the kind-conflict error carries
-// the metric name and both kinds, so a fleet 500 is actionable.
-func TestRegistryMergeKindConflictNames(t *testing.T) {
-	dst := NewRegistry()
-	dst.Histogram("m_mixed", "h", []float64{1})
-	src := NewRegistry()
-	src.FloatCounter("m_mixed", "h").Add(1)
-	err := dst.Merge(src)
-	if err == nil {
-		t.Fatal("kind conflict must error")
-	}
-	for _, want := range []string{"m_mixed", "histogram", "counter"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("error %q missing %q", err, want)
-		}
-	}
-}
-
-func TestRegistryMergeNilSafe(t *testing.T) {
-	var nilReg *Registry
-	if err := nilReg.Merge(NewRegistry()); err != nil {
-		t.Fatal(err)
-	}
-	if err := NewRegistry().Merge(nil); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // TestProfileMergeConserves checks the profile roll-up: cell-wise sums
 // and therefore total-energy conservation.

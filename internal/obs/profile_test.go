@@ -3,8 +3,11 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"strconv"
 	"strings"
 	"testing"
+
+	"smores/internal/floats"
 )
 
 func TestProfileNilSafety(t *testing.T) {
@@ -235,6 +238,51 @@ func TestProfileExportFormats(t *testing.T) {
 	for _, want := range []string{"by phase:", "by codec:", "fJ/bit", "mta-payload"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("RenderProfile missing %q:\n%s", want, text)
+		}
+	}
+}
+
+// TestProfileJSONExactCells: WriteProfileJSON exports every snapshot
+// cell exactly — its five coordinate names, including the agg/mix
+// pseudo-coordinates, its energy bit for bit, and its symbol count.
+func TestProfileJSONExactCells(t *testing.T) {
+	p := NewProfile()
+	p.AddSymbol(PhaseMTAPayload, ProfileCodecMTA, 0, 1, Trans1DV, 0.1+0.2)
+	p.AddSymbol(PhaseDBIWire, ProfileCodecPAM4DBI, 17, 3, Trans3DV, 7.5)
+	p.AddSymbol(PhaseSparsePayload, ProfileCodecIndex(5), 9, 0, TransSeam, 12)
+	p.AddAggregate(PhaseLogic, ProfileCodecPAM4, 99.25, 1024)
+	p.Add(PhaseReplay, ProfileCodecIndex(8), 3, 2, Trans2DV, 0, 6) // count-only cell
+	snap := p.Snapshot()
+
+	var buf bytes.Buffer
+	if err := WriteProfileJSON(&buf, snap); err != nil {
+		t.Fatal(err)
+	}
+	var doc profileJSONDoc
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("profile JSON must parse: %v", err)
+	}
+	if len(snap.Cells) != 5 || len(doc.Cells) != len(snap.Cells) {
+		t.Fatalf("exported %d cells for a %d-cell snapshot, want 5", len(doc.Cells), len(snap.Cells))
+	}
+	for i, c := range snap.Cells {
+		wire, level := "agg", "mix"
+		if c.Wire != WireAgg {
+			wire = strconv.Itoa(c.Wire)
+		}
+		if c.Level != LevelMix {
+			level = "L" + strconv.Itoa(c.Level)
+		}
+		want := profileJSONCell{
+			Phase: c.Phase.String(), Codec: ProfileCodecName(c.Codec),
+			Wire: wire, Level: level, Transition: c.Trans.String(),
+			FJ: c.FJ, Symbols: c.Count,
+		}
+		got := doc.Cells[i]
+		if got.Phase != want.Phase || got.Codec != want.Codec || got.Wire != want.Wire ||
+			got.Level != want.Level || got.Transition != want.Transition ||
+			!floats.Eq(got.FJ, want.FJ) || got.Symbols != want.Symbols {
+			t.Errorf("cell %d exported as %+v, want %+v", i, got, want)
 		}
 	}
 }

@@ -28,14 +28,6 @@ func NewProgress(total int64) *Progress {
 	return p
 }
 
-// SetTotal adjusts the expected unit count.
-func (p *Progress) SetTotal(n int64) {
-	if p == nil {
-		return
-	}
-	p.total.Store(n)
-}
-
 // SetPhase labels the currently running stage (e.g. "fleet: static").
 func (p *Progress) SetPhase(phase string) {
 	if p == nil {

@@ -69,7 +69,6 @@ func TestRegistryNilSafe(t *testing.T) {
 	var p *Progress
 	p.Step(1)
 	p.SetPhase("x")
-	p.SetTotal(2)
 	if s := p.Snapshot(); s.Done != 0 {
 		t.Fatalf("nil progress must be empty")
 	}

@@ -27,71 +27,22 @@ type Server struct {
 	prof   *Profile
 	health func() error
 
-	handler    http.Handler  // optional override served by Start
-	indexExtra func() string // optional extra HTML on the landing page
-	drain      time.Duration
-
 	srv  *http.Server
 	lis  net.Listener
 	done chan struct{}
 
-	draining  chan struct{}
 	closeOnce sync.Once
 	closeErr  error
 }
 
 // DefaultDrainTimeout bounds how long Close waits for in-flight
-// handlers and open streams before force-closing their connections.
+// handlers before force-closing their connections.
 const DefaultDrainTimeout = 5 * time.Second
 
 // NewServer builds a telemetry server over a registry and an optional
 // progress tracker (nil is fine for both).
 func NewServer(reg *Registry, prog *Progress) *Server {
-	return &Server{reg: reg, prog: prog, drain: DefaultDrainTimeout,
-		draining: make(chan struct{})}
-}
-
-// SetHandler overrides the handler served by Start (the session service
-// wraps the default telemetry mux with its own routes). Handler() still
-// returns the default mux for embedding. Call before Start.
-func (s *Server) SetHandler(h http.Handler) {
-	if s == nil {
-		return
-	}
-	s.handler = h
-}
-
-// SetIndexExtra installs a callback whose HTML is appended to the
-// landing page on every render — the hook the session service uses to
-// serve a live session index from the existing index page. Call before
-// Start.
-func (s *Server) SetIndexExtra(f func() string) {
-	if s == nil {
-		return
-	}
-	s.indexExtra = f
-}
-
-// SetDrainTimeout adjusts how long Close waits for in-flight handlers
-// before force-closing connections (non-positive restores the default).
-func (s *Server) SetDrainTimeout(d time.Duration) {
-	if s == nil {
-		return
-	}
-	if d <= 0 {
-		d = DefaultDrainTimeout
-	}
-	s.drain = d
-}
-
-// Draining is closed when Close begins: long-lived handlers (streams)
-// select on it and terminate so shutdown completes inside the drain
-// deadline instead of waiting it out. Usable before Start.
-func (s *Server) Draining() <-chan struct{} {
-	if s == nil {
-		return nil
-	}
-	return s.draining
+	return &Server{reg: reg, prog: prog}
 }
 
 // SetHealthCheck installs a liveness probe; a non-nil error turns
@@ -183,10 +134,6 @@ func (s *Server) Handler() http.Handler {
 		}
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
 		fmt.Fprint(w, indexPage)
-		if s.indexExtra != nil {
-			fmt.Fprint(w, s.indexExtra())
-		}
-		fmt.Fprint(w, indexFoot)
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -196,8 +143,7 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// indexPage is the landing page served at "/", linking every endpoint;
-// SetIndexExtra content renders between it and indexFoot.
+// indexPage is the landing page served at "/", linking every endpoint.
 const indexPage = `<!doctype html><html><head><title>smores telemetry</title></head><body>
 <h1>smores telemetry</h1><ul>
 <li><a href="/metrics">/metrics</a> — Prometheus text exposition</li>
@@ -206,9 +152,8 @@ const indexPage = `<!doctype html><html><head><title>smores telemetry</title></h
 <li><a href="/progress">/progress</a> — run progress with rate and ETA</li>
 <li><a href="/healthz">/healthz</a> — liveness</li>
 <li><a href="/debug/pprof/">/debug/pprof/</a> — Go profiling</li>
-</ul>`
-
-const indexFoot = "</body></html>\n"
+</ul></body></html>
+`
 
 // Start binds addr and serves in a background goroutine, returning the
 // bound address (useful with ":0").
@@ -221,11 +166,7 @@ func (s *Server) Start(addr string) (string, error) {
 		return "", fmt.Errorf("obs: listen %s: %w", addr, err)
 	}
 	s.lis = lis
-	h := s.handler
-	if h == nil {
-		h = s.Handler()
-	}
-	s.srv = &http.Server{Handler: h, ReadHeaderTimeout: 5 * time.Second}
+	s.srv = &http.Server{Handler: s.Handler(), ReadHeaderTimeout: 5 * time.Second}
 	s.done = make(chan struct{})
 	go func() {
 		defer close(s.done)
@@ -245,27 +186,25 @@ func (s *Server) Addr() string {
 	return s.lis.Addr().String()
 }
 
-// Close stops the server gracefully: it signals Draining, gives
-// in-flight handlers and open streams the drain timeout to finish
-// (http.Server.Shutdown), then force-closes whatever remains. Close
-// before Start and repeated Close are safe no-ops (the first result is
-// returned again), so defer chains and error paths can all Close
-// unconditionally.
+// Close stops the server gracefully: it gives in-flight handlers
+// DefaultDrainTimeout to finish (http.Server.Shutdown), then
+// force-closes whatever remains. Close before Start and repeated Close
+// are safe no-ops (the first result is returned again), so defer chains
+// and error paths can all Close unconditionally.
 func (s *Server) Close() error {
 	if s == nil {
 		return nil
 	}
 	s.closeOnce.Do(func() {
-		close(s.draining)
 		if s.srv == nil {
 			return // Close before Start: nothing is listening
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), s.drain)
+		ctx, cancel := context.WithTimeout(context.Background(), DefaultDrainTimeout)
 		defer cancel()
 		if err := s.srv.Shutdown(ctx); err != nil {
-			// Drain deadline expired with streams still open: cut them.
-			// The server still stops — a stuck client must not wedge
-			// shutdown — so only a failing force-close is an error.
+			// Drain deadline expired with handlers still running: cut
+			// them. The server still stops — a stuck client must not
+			// wedge shutdown — so only a failing force-close is an error.
 			s.closeErr = s.srv.Close()
 		}
 		<-s.done

@@ -1,12 +1,13 @@
 package obs
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"strings"
 	"testing"
 	"time"
@@ -167,102 +168,59 @@ func TestServerCloseIsIdempotent(t *testing.T) {
 	}
 }
 
-// TestServerCloseDrainsInFlight: a handler that is mid-response when
-// Close begins gets to finish (graceful drain), and an open stream that
-// honours Draining() terminates promptly instead of eating the whole
-// drain deadline.
+// TestServerCloseDrainsInFlight: a request that is mid-response when
+// Close begins gets to finish (graceful drain) — here a one-second CPU
+// profile scrape — and Close returns once it has, well before the drain
+// deadline.
 func TestServerCloseDrainsInFlight(t *testing.T) {
 	s := NewServer(NewRegistry(), nil)
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	mux := http.NewServeMux()
-	mux.HandleFunc("/slow", func(w http.ResponseWriter, _ *http.Request) {
-		close(entered)
-		<-release
-		fmt.Fprint(w, "done")
-	})
-	streamEntered := make(chan struct{})
-	mux.HandleFunc("/stream", func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		w.(http.Flusher).Flush()
-		close(streamEntered)
-		select {
-		case <-s.Draining():
-		case <-r.Context().Done():
-		}
-	})
-	s.SetHandler(mux)
-	s.SetDrainTimeout(2 * time.Second)
 	addr, err := s.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	slowBody := make(chan string, 1)
-	go func() {
-		resp, err := http.Get("http://" + addr + "/slow")
-		if err != nil {
-			slowBody <- "error: " + err.Error()
-			return
+	wrote := make(chan struct{}, 1)
+	trace := &httptrace.ClientTrace{WroteRequest: func(httptrace.WroteRequestInfo) {
+		select {
+		case wrote <- struct{}{}:
+		default:
 		}
-		defer resp.Body.Close()
-		b, _ := io.ReadAll(resp.Body)
-		slowBody <- string(b)
-	}()
-	<-entered
-	streamDone := make(chan error, 1)
-	go func() {
-		resp, err := http.Get("http://" + addr + "/stream")
-		if err == nil {
-			_, err = io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}
-		streamDone <- err
-	}()
-	<-streamEntered
-
-	closed := make(chan error, 1)
-	go func() {
-		// Let the in-flight handler finish once shutdown has begun.
-		time.Sleep(50 * time.Millisecond)
-		close(release)
-	}()
-	start := time.Now()
-	go func() { closed <- s.Close() }()
-
-	if err := <-closed; err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	if got := <-slowBody; got != "done" {
-		t.Fatalf("in-flight handler was cut off: %q", got)
-	}
-	if err := <-streamDone; err != nil {
-		t.Fatalf("stream did not terminate cleanly: %v", err)
-	}
-	if d := time.Since(start); d > 1500*time.Millisecond {
-		t.Fatalf("Close took %v — streams must exit via Draining, not the deadline", d)
-	}
-}
-
-// TestServerIndexExtra: the landing page carries SetIndexExtra content
-// (the session service's live session index rides this hook).
-func TestServerIndexExtra(t *testing.T) {
-	s := NewServer(NewRegistry(), nil)
-	s.SetIndexExtra(func() string { return `<h2>sessions</h2><a href="/sessions">live</a>` })
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/")
+	}}
+	req, err := http.NewRequestWithContext(httptrace.WithClientTrace(context.Background(), trace),
+		http.MethodGet, "http://"+addr+"/debug/pprof/profile?seconds=1", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if !strings.Contains(string(body), "<h2>sessions</h2>") ||
-		!strings.Contains(string(body), "/metrics") {
-		t.Fatalf("index page missing extra section or base links:\n%s", body)
+	type scrape struct {
+		code, bytes int
+		err         error
 	}
-	if !strings.HasSuffix(strings.TrimSpace(string(body)), "</html>") {
-		t.Fatalf("index page must stay well-formed:\n%s", body)
+	done := make(chan scrape, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			done <- scrape{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		done <- scrape{code: resp.StatusCode, bytes: len(b), err: err}
+	}()
+	// Close while the profile is still being collected. Once the request
+	// is on the wire, the pause only lets the server's accept loop take
+	// the connection; from then on Shutdown waits for it.
+	<-wrote
+	time.Sleep(250 * time.Millisecond)
+	start := time.Now()
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if d := time.Since(start); d >= DefaultDrainTimeout {
+		t.Fatalf("Close took %v — it must return once the in-flight request drains", d)
+	}
+	if got := <-done; got.err != nil || got.code != http.StatusOK || got.bytes == 0 {
+		t.Fatalf("in-flight profile scrape was cut off: code %d, %d bytes, err %v",
+			got.code, got.bytes, got.err)
 	}
 }
 

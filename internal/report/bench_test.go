@@ -3,6 +3,7 @@ package report
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -67,17 +68,50 @@ func TestBenchRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmp, err := CompareBench(got, rep, 0.05, 0.30)
+	cmp, err := CompareBench(got, rep, 0.30)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(cmp.Regressions) != 0 {
 		t.Errorf("self-comparison regressed: %v", cmp.Regressions)
 	}
+
+	// Every committed trajectory point still loads, including rows this
+	// binary no longer writes, and any that ran the baseline's traffic
+	// holds its energies bit for bit.
+	paths, err := filepath.Glob("../../BENCH_*.json")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no committed BENCH_*.json found (err %v)", err)
+	}
+	base, err := ReadBench("../../BENCH_baseline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range paths {
+		committed, err := ReadBench(path)
+		if err != nil {
+			t.Errorf("%s: %v", path, err)
+			continue
+		}
+		if len(committed.Schemes) != len(base.Schemes) || committed.Apps == 0 {
+			t.Errorf("%s: %d schemes over %d apps", path, len(committed.Schemes), committed.Apps)
+			continue
+		}
+		if committed.Accesses != base.Accesses || committed.Seed != base.Seed || committed.Apps != base.Apps {
+			continue
+		}
+		for i, b := range base.Schemes {
+			c := committed.Schemes[i]
+			if c.Label != b.Label || !floats.Eq(c.EnergyPJPerBit, b.EnergyPJPerBit) {
+				t.Errorf("%s: %s at %v pJ/bit, baseline %s at %v", path, c.Label, c.EnergyPJPerBit, b.Label, b.EnergyPJPerBit)
+			}
+		}
+	}
 }
 
-// TestCompareBenchGates pins the gate semantics: energy regressions
-// always fire; perf regressions fire only on matching host fingerprints.
+// TestCompareBenchGates pins the gate semantics: energy must match bit
+// for bit, either way, on the same traffic; perf regressions fire only
+// on matching host fingerprints.
 func TestCompareBenchGates(t *testing.T) {
 	base := BenchReport{
 		Version: BenchVersion, Accesses: 100, Seed: 1, Apps: 2, Workers: 1,
@@ -87,32 +121,46 @@ func TestCompareBenchGates(t *testing.T) {
 		},
 	}
 	cur := base
-	cur.Schemes = []BenchScheme{
-		{Label: "x", EnergyPJPerBit: 1.10, WallSeconds: 1.0, Allocs: 1000},
-	}
-	cmp, err := CompareBench(base, cur, 0.05, 0.30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cmp.Regressions) != 1 || !strings.Contains(cmp.Regressions[0], "energy") {
-		t.Errorf("10%% energy rise at 5%% tolerance must regress: %v", cmp.Regressions)
+	cur.Schemes = []BenchScheme{base.Schemes[0]}
+	if cmp, err := CompareBench(base, cur, 0.30); err != nil || len(cmp.Regressions) != 0 {
+		t.Fatalf("identical reports: %v, %v", cmp.Regressions, err)
 	}
 
-	// Same rise within tolerance: clean.
-	cur.Schemes[0].EnergyPJPerBit = 1.04
-	if cmp, _ = CompareBench(base, cur, 0.05, 0.30); len(cmp.Regressions) != 0 {
-		t.Errorf("4%% energy rise at 5%% tolerance must pass: %v", cmp.Regressions)
+	// One ulp in either direction is a regression: energies are
+	// deterministic, so any change is a model change.
+	for _, e := range []float64{math.Nextafter(1, 2), math.Nextafter(1, 0)} {
+		cur.Schemes[0].EnergyPJPerBit = e
+		cmp, err := CompareBench(base, cur, 0.30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cmp.Regressions) != 1 || !strings.Contains(cmp.Regressions[0], "energy") {
+			t.Errorf("energy %v against 1 must regress: %v", e, cmp.Regressions)
+		}
+	}
+
+	// Different traffic cannot be compared at all.
+	for _, mut := range []func(*BenchReport){
+		func(r *BenchReport) { r.Accesses++ },
+		func(r *BenchReport) { r.Seed++ },
+		func(r *BenchReport) { r.Apps++ },
+	} {
+		other := base
+		mut(&other)
+		if _, err := CompareBench(base, other, 0.30); err == nil {
+			t.Errorf("traffic mismatch (%d/%d/%d) must error", other.Accesses, other.Seed, other.Apps)
+		}
 	}
 
 	// Wall-time blowup on the same host: regress.
 	cur.Schemes[0] = BenchScheme{Label: "x", EnergyPJPerBit: 1.0, WallSeconds: 2.0, Allocs: 1000}
-	if cmp, _ = CompareBench(base, cur, 0.05, 0.30); len(cmp.Regressions) != 1 {
+	if cmp, _ := CompareBench(base, cur, 0.30); len(cmp.Regressions) != 1 {
 		t.Errorf("2x wall time on same host must regress: %v", cmp.Regressions)
 	}
 
 	// Same blowup across hosts: skipped with a note.
 	cur.Host.Hostname = "b"
-	cmp, _ = CompareBench(base, cur, 0.05, 0.30)
+	cmp, _ := CompareBench(base, cur, 0.30)
 	if len(cmp.Regressions) != 0 {
 		t.Errorf("cross-host wall time must be skipped: %v", cmp.Regressions)
 	}
@@ -123,178 +171,14 @@ func TestCompareBenchGates(t *testing.T) {
 	// Label drift is always a regression.
 	cur = base
 	cur.Schemes = []BenchScheme{{Label: "y", EnergyPJPerBit: 1.0}}
-	if cmp, _ = CompareBench(base, cur, 0.05, 0.30); len(cmp.Regressions) != 1 {
+	if cmp, _ = CompareBench(base, cur, 0.30); len(cmp.Regressions) != 1 {
 		t.Errorf("label drift must regress: %v", cmp.Regressions)
 	}
 
 	// Scheme-count drift is a hard error.
 	cur.Schemes = nil
-	if _, err := CompareBench(base, cur, 0.05, 0.30); err == nil {
+	if _, err := CompareBench(base, cur, 0.30); err == nil {
 		t.Error("scheme count mismatch must error")
-	}
-}
-
-func TestCompareMultiChannelGates(t *testing.T) {
-	host := BenchHost{Hostname: "a", OS: "linux", Arch: "amd64", CPUs: 4}
-	mk := func(m *MultiChannelBench) BenchReport {
-		return BenchReport{
-			Version: BenchVersion, Accesses: 100, Seed: 1, Apps: 2, Workers: 1, Host: host,
-			Schemes:      []BenchScheme{{Label: "x", EnergyPJPerBit: 1.0}},
-			MultiChannel: m,
-		}
-	}
-	row := MultiChannelBench{Channels: 8, Apps: 42, Accesses: 100, Workers: 4,
-		EnergyPJPerBit: 2.0, WallSeconds: 10.0, ShardsPerSec: 33.6}
-
-	// Missing row on either side: note, never a regression.
-	for _, tc := range []struct{ b, c *MultiChannelBench }{{nil, &row}, {&row, nil}} {
-		cmp, err := CompareBench(mk(tc.b), mk(tc.c), 0.05, 0.30)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(cmp.Regressions) != 0 {
-			t.Errorf("missing multichannel row must not regress: %v", cmp.Regressions)
-		}
-		if len(cmp.Notes) == 0 {
-			t.Error("missing multichannel row must be noted")
-		}
-	}
-
-	// Energy is gated even same-spec same-host.
-	hot := row
-	hot.EnergyPJPerBit = 2.3
-	cmp, _ := CompareBench(mk(&row), mk(&hot), 0.05, 0.30)
-	if len(cmp.Regressions) != 1 || !strings.Contains(cmp.Regressions[0], "multichannel: energy") {
-		t.Errorf("15%% multichannel energy rise must regress: %v", cmp.Regressions)
-	}
-
-	// Wall blowup same host: regress; different channel count: skipped.
-	slow := row
-	slow.WallSeconds = 20
-	if cmp, _ = CompareBench(mk(&row), mk(&slow), 0.05, 0.30); len(cmp.Regressions) != 1 {
-		t.Errorf("2x multichannel wall on same host must regress: %v", cmp.Regressions)
-	}
-	slow.Channels = 4
-	if cmp, _ = CompareBench(mk(&row), mk(&slow), 0.05, 0.30); len(cmp.Regressions) != 0 {
-		t.Errorf("different channel count must skip the gate: %v", cmp.Regressions)
-	}
-	// Different worker count: energy still gated, wall skipped.
-	slow = row
-	slow.WallSeconds = 20
-	slow.Workers = 8
-	if cmp, _ = CompareBench(mk(&row), mk(&slow), 0.05, 0.30); len(cmp.Regressions) != 0 {
-		t.Errorf("different pool size must skip the wall gate: %v", cmp.Regressions)
-	}
-}
-
-func TestRunMultiChannelBench(t *testing.T) {
-	rep := BenchReport{Accesses: 150, Seed: 3}
-	if err := RunMultiChannelBench(&rep, 1, 0); err == nil {
-		t.Error("single channel must be rejected")
-	}
-	if err := RunMultiChannelBench(&rep, 2, 0); err != nil {
-		t.Fatal(err)
-	}
-	m := rep.MultiChannel
-	if m == nil || m.Channels != 2 || m.Apps == 0 || m.EnergyPJPerBit <= 0 {
-		t.Fatalf("bad multichannel row: %+v", m)
-	}
-	if !strings.Contains(RenderBench(rep), "multichannel:") {
-		t.Error("render must include the multichannel row")
-	}
-	// Deterministic energy at any pool size.
-	seq := BenchReport{Accesses: 150, Seed: 3}
-	if err := RunMultiChannelBench(&seq, 2, 1); err != nil {
-		t.Fatal(err)
-	}
-	if !floats.Eq(seq.MultiChannel.EnergyPJPerBit, m.EnergyPJPerBit) {
-		t.Errorf("multichannel energy depends on workers: %v vs %v",
-			seq.MultiChannel.EnergyPJPerBit, m.EnergyPJPerBit)
-	}
-}
-
-func TestCompareTraceStoreGates(t *testing.T) {
-	host := BenchHost{Hostname: "a", OS: "linux", Arch: "amd64", CPUs: 4}
-	mk := func(ts *TraceStoreBench) BenchReport {
-		return BenchReport{
-			Version: BenchVersion, Accesses: 100, Seed: 1, Apps: 2, Workers: 1, Host: host,
-			Schemes:    []BenchScheme{{Label: "x", EnergyPJPerBit: 1.0}},
-			TraceStore: ts,
-		}
-	}
-	row := TraceStoreBench{App: "bfs", Accesses: 100, Shards: 2,
-		EnergyPJPerBit: 0.5, CompressedBytes: 1000, BytesPerRecord: 10,
-		PackWallSeconds: 1.0, ReplayWallSeconds: 2.0, RecordsPerSec: 50}
-
-	// Missing row on either side: note, never a regression.
-	for _, tc := range []struct{ b, c *TraceStoreBench }{{nil, &row}, {&row, nil}} {
-		cmp, err := CompareBench(mk(tc.b), mk(tc.c), 0.05, 0.30)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(cmp.Regressions) != 0 {
-			t.Errorf("missing tracestore row must not regress: %v", cmp.Regressions)
-		}
-		if len(cmp.Notes) == 0 {
-			t.Error("missing tracestore row must be noted")
-		}
-	}
-
-	// Replay energy is gated unconditionally.
-	hot := row
-	hot.EnergyPJPerBit = 0.6
-	cmp, _ := CompareBench(mk(&row), mk(&hot), 0.05, 0.30)
-	if len(cmp.Regressions) != 1 || !strings.Contains(cmp.Regressions[0], "tracestore: replay energy") {
-		t.Errorf("20%% replay-energy rise must regress: %v", cmp.Regressions)
-	}
-
-	// Compression regressions fire when the shard splits match and are
-	// skipped (with a note) when they differ.
-	fat := row
-	fat.CompressedBytes = 1200
-	if cmp, _ = CompareBench(mk(&row), mk(&fat), 0.05, 0.30); len(cmp.Regressions) != 1 {
-		t.Errorf("20%% store growth must regress: %v", cmp.Regressions)
-	}
-	fat.Shards = 4
-	if cmp, _ = CompareBench(mk(&row), mk(&fat), 0.05, 0.30); len(cmp.Regressions) != 0 {
-		t.Errorf("different shard split must skip the footprint gate: %v", cmp.Regressions)
-	}
-
-	// Wall blowups: same host regresses, different traffic skips all.
-	slow := row
-	slow.ReplayWallSeconds = 4.0
-	if cmp, _ = CompareBench(mk(&row), mk(&slow), 0.05, 0.30); len(cmp.Regressions) != 1 {
-		t.Errorf("2x replay wall on same host must regress: %v", cmp.Regressions)
-	}
-	slow.App = "lulesh"
-	if cmp, _ = CompareBench(mk(&row), mk(&slow), 0.05, 0.30); len(cmp.Regressions) != 0 {
-		t.Errorf("different app must skip the tracestore gate: %v", cmp.Regressions)
-	}
-}
-
-func TestRunTraceStoreBench(t *testing.T) {
-	rep := BenchReport{Accesses: 300, Seed: 3}
-	if err := RunTraceStoreBench(&rep, 2); err != nil {
-		t.Fatal(err)
-	}
-	ts := rep.TraceStore
-	if ts == nil || ts.App == "" || ts.EnergyPJPerBit <= 0 || ts.CompressedBytes <= 0 {
-		t.Fatalf("bad tracestore row: %+v", ts)
-	}
-	if ts.Accesses != 300 || ts.Shards != 2 {
-		t.Errorf("row not pinned to the requested spec: %+v", ts)
-	}
-	if !strings.Contains(RenderBench(rep), "tracestore:") {
-		t.Error("render must include the tracestore row")
-	}
-	// Deterministic energy and footprint across repeat runs.
-	again := BenchReport{Accesses: 300, Seed: 3}
-	if err := RunTraceStoreBench(&again, 2); err != nil {
-		t.Fatal(err)
-	}
-	if !floats.Eq(again.TraceStore.EnergyPJPerBit, ts.EnergyPJPerBit) ||
-		again.TraceStore.CompressedBytes != ts.CompressedBytes {
-		t.Errorf("tracestore row not deterministic: %+v vs %+v", again.TraceStore, ts)
 	}
 }
 

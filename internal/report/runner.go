@@ -296,9 +296,10 @@ func fleetAppSpec(spec RunSpec, opts FleetOptions, i int, p workload.Profile) Ru
 // position at every worker count; on error the lowest-indexed failure is
 // reported, the successfully completed results are preserved in fleet
 // order, and the label comes from the last successful result. An empty
-// fleet yields an empty result, not a panic. The telemetry service's
-// session runner submits arbitrary app lists (parsed from a RunSpecJSON)
-// through it.
+// fleet yields an empty result, not a panic. Running every app and
+// keeping the completed results makes the outcome, error included, the
+// same at every worker count: a pool that stopped at its first failure
+// would keep a scheduling-dependent subset.
 //
 //smores:partialok documented partial-failure contract: completed app results are preserved alongside the lowest-indexed error
 func RunFleetApps(fleet []workload.Profile, spec RunSpec, opts FleetOptions) (FleetResult, error) {

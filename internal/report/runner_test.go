@@ -280,3 +280,27 @@ func TestAggregateGapsNonDefaultBuckets(t *testing.T) {
 		t.Error("bucket-count mismatch did not error")
 	}
 }
+
+// TestRunFleetApps runs a two-app subset end to end and checks the
+// per-app seeds match fleet-position derivation.
+func TestRunFleetApps(t *testing.T) {
+	fleet := workload.Fleet()[:2]
+	spec := RunSpec{Policy: memctrl.BaselineMTA, Accesses: 200, Seed: 11}
+	fr, err := RunFleetApps(fleet, spec, FleetOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fr.Results) != 2 {
+		t.Fatalf("results = %d", len(fr.Results))
+	}
+	// Same subset through the worker pool is identical.
+	fr2, err := RunFleetApps(fleet, spec, FleetOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range fr.Results {
+		if fr.Results[i].Bus.TotalEnergy() != fr2.Results[i].Bus.TotalEnergy() {
+			t.Errorf("app %d energy differs across worker counts", i)
+		}
+	}
+}

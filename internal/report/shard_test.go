@@ -85,9 +85,7 @@ func TestShardedDeterministicMatrix(t *testing.T) {
 				}
 				tag := fmt.Sprintf("policy %d channels %d workers %d", pi, channels, workers)
 				requireIdentical(t, tag, seq, par)
-				if !obs.EqualCells(obs.ProfileDeltaCells(seqProf.Snapshot()), obs.ProfileDeltaCells(parProf.Snapshot())) {
-					t.Fatalf("%s: profile cells diverged", tag)
-				}
+				requireSameCells(t, tag+" profile", seqProf.Snapshot().Cells, parProf.Snapshot().Cells)
 			}
 		}
 	}

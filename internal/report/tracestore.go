@@ -35,8 +35,6 @@ type RecordOptions struct {
 	// Workers bounds concurrent app recordings on the fleet path
 	// (0 selects GOMAXPROCS).
 	Workers int
-	// BlockRecords overrides the store block size (0 keeps the default).
-	BlockRecords int
 }
 
 func (o RecordOptions) shards() int {
@@ -71,12 +69,11 @@ func RecordAppStore(p workload.Profile, dir string, opts RecordOptions) (tracest
 		recs = append(recs, tracestore.Record{Access: a})
 	}
 	meta := tracestore.Meta{
-		Name:         p.Name,
-		Suite:        p.Suite,
-		Source:       "recorded",
-		Seed:         opts.Seed,
-		MSHRs:        p.MSHRs,
-		BlockRecords: opts.BlockRecords,
+		Name:   p.Name,
+		Suite:  p.Suite,
+		Source: "recorded",
+		Seed:   opts.Seed,
+		MSHRs:  p.MSHRs,
 	}
 	m, err := tracestore.WriteRecords(dir, meta, recs, opts.shards())
 	if err != nil {

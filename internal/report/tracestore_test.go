@@ -91,9 +91,7 @@ func TestStoreReplayByteIdentical(t *testing.T) {
 		}
 
 		assertSameRun(t, labels[i], live, replay)
-		if !obs.EqualCells(obs.ProfileDeltaCells(liveProf.Snapshot()), obs.ProfileDeltaCells(replayProf.Snapshot())) {
-			t.Errorf("%s: energy-profiler cells diverged", labels[i])
-		}
+		requireSameCells(t, labels[i]+" energy profiler", liveProf.Snapshot().Cells, replayProf.Snapshot().Cells)
 	}
 
 	// The LLC-interposed variant exercises the driver's cache path: the

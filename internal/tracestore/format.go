@@ -46,6 +46,12 @@ const PayloadBytes = 32
 // the per-block index entry over thousands of records.
 const DefaultBlockRecords = 4096
 
+// MaxBlockRecords caps the records per block. A reader sizes its decode
+// buffers from a block's record count, so the cap bounds what one
+// index entry can make it allocate; Create refuses larger blocks and
+// Open rejects an index that claims them.
+const MaxBlockRecords = 1 << 16
+
 // ManifestName is the store's directory-level metadata file.
 const ManifestName = "manifest.json"
 

@@ -112,6 +112,9 @@ func parseIndex(name string, data []byte) (*shardIndex, error) {
 		BlockRecords: int(le.Uint32(body[8:12])),
 		Records:      int64(le.Uint64(body[12:20])),
 	}
+	if si.BlockRecords < 1 || si.BlockRecords > MaxBlockRecords {
+		return nil, bad("%d records per block outside [1, %d]", si.BlockRecords, MaxBlockRecords)
+	}
 	nBlocks := int(le.Uint32(body[20:24]))
 	pos := 24
 	need := func(n int) bool { return pos+n <= len(body) }
@@ -142,8 +145,17 @@ func parseIndex(name string, data []byte) (*shardIndex, error) {
 			}
 			pos += 20
 		}
-		if blk.Records <= 0 {
-			return nil, bad("block %d has %d records", i, blk.Records)
+		if blk.Records <= 0 || blk.Records > si.BlockRecords {
+			return nil, bad("block %d has %d records (block size %d)", i, blk.Records, si.BlockRecords)
+		}
+		for f := FieldThink; f < numFields; f++ {
+			if f == FieldPayload && !si.Payload {
+				continue
+			}
+			if lo, hi := rawLenBounds(f, blk.Records); int64(blk.Cols[f].RawLen) < lo || int64(blk.Cols[f].RawLen) > hi {
+				return nil, bad("block %d %s column claims %d raw bytes for %d records",
+					i, f, blk.Cols[f].RawLen, blk.Records)
+			}
 		}
 		total += int64(blk.Records)
 		si.Blocks = append(si.Blocks, blk)
@@ -155,6 +167,21 @@ func parseIndex(name string, data []byte) (*shardIndex, error) {
 		return nil, bad("blocks hold %d records, header claims %d", total, si.Records)
 	}
 	return si, nil
+}
+
+// rawLenBounds is the range of uncompressed lengths column f can have
+// for n records: a varint is 1 to MaxVarintLen64 bytes, flags pack 8
+// records a byte, and payloads are fixed-size.
+func rawLenBounds(f Field, n int) (lo, hi int64) {
+	switch f {
+	case FieldFlags:
+		lo = int64(n+7) / 8
+		return lo, lo
+	case FieldPayload:
+		lo = int64(n) * PayloadBytes
+		return lo, lo
+	}
+	return int64(n), int64(n) * binary.MaxVarintLen64
 }
 
 // loadIndex reads and parses one shard's index file.

@@ -92,6 +92,7 @@ type Reader struct {
 
 	si    int
 	files [numFields]*os.File
+	sizes [numFields]int64 // byte length of each open column file
 	bi    int
 
 	thinks   []int64
@@ -273,7 +274,9 @@ func (r *Reader) loadBlock(si *shardIndex, blk blockIndex) error {
 }
 
 // readColumn reads one column block's compressed bytes (opening the
-// column file lazily), verifies the CRC, and inflates it.
+// column file lazily), verifies the CRC, and inflates it. A block that
+// the index places past the end of its file is rejected before any
+// buffer is sized from the index.
 func (r *Reader) readColumn(si *shardIndex, f Field, loc colLoc) ([]byte, error) {
 	file := r.files[f]
 	if file == nil {
@@ -282,7 +285,18 @@ func (r *Reader) readColumn(si *shardIndex, f Field, loc colLoc) ([]byte, error)
 		if err != nil {
 			return nil, fmt.Errorf("%s column: %w", f, err)
 		}
-		r.files[f] = file
+		// Seek reports the size without Stat's per-call allocation;
+		// reads below use ReadAt, so the offset it leaves is unused.
+		size, err := file.Seek(0, io.SeekEnd)
+		if err != nil {
+			file.Close()
+			return nil, fmt.Errorf("%s column: %w", f, err)
+		}
+		r.files[f], r.sizes[f] = file, size
+	}
+	if loc.Offset < 0 || loc.Offset > r.sizes[f]-int64(loc.CompLen) {
+		return nil, fmt.Errorf("%s column: block [%d, +%d) runs past the %d-byte file",
+			f, loc.Offset, loc.CompLen, r.sizes[f])
 	}
 	comp := make([]byte, loc.CompLen)
 	if _, err := file.ReadAt(comp, loc.Offset); err != nil {

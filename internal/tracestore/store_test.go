@@ -1,10 +1,14 @@
 package tracestore
 
 import (
+	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -247,6 +251,9 @@ func TestWriterMisuse(t *testing.T) {
 	if _, err := Create(dir, Meta{}); err == nil {
 		t.Fatal("Create accepted an unnamed store")
 	}
+	if _, err := Create(dir, Meta{Name: "m", BlockRecords: MaxBlockRecords + 1}); err == nil {
+		t.Fatal("Create accepted blocks over MaxBlockRecords")
+	}
 	w, err := Create(dir, Meta{Name: "m"})
 	if err != nil {
 		t.Fatal(err)
@@ -411,6 +418,86 @@ func TestCorruption(t *testing.T) {
 			t.Fatalf("err = %v, want ErrBadStore", err)
 		}
 	})
+}
+
+// TestOpenRejectsCraftedCounts: an index whose CRC was recomputed over
+// inflated counts must fail with a typed error — at Open, or at the
+// first record — without allocating what the counts claim.
+func TestOpenRejectsCraftedCounts(t *testing.T) {
+	const huge = 1 << 24
+	le := binary.LittleEndian
+	claimRecords := func(t *testing.T, dir string, body []byte) {
+		le.PutUint64(body[12:20], huge) // shard records
+		le.PutUint32(body[24:28], huge) // block 0 records
+		rewriteManifest(t, dir, func(m *Manifest) {
+			m.Records, m.Shards[0].Records = huge, huge
+		})
+	}
+	for _, tc := range []struct {
+		name  string
+		craft func(t *testing.T, dir string, body []byte)
+	}{
+		{"block-records", claimRecords},
+		{"think-complen", func(_ *testing.T, _ string, body []byte) {
+			le.PutUint32(body[24+20+8:], 1<<28) // block 0, think column CompLen
+		}},
+		{"block-size-and-records", func(t *testing.T, dir string, body []byte) {
+			le.PutUint32(body[8:12], huge) // records per block
+			claimRecords(t, dir, body)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, dir := mustWrite(t, genRecords(5, 1, false), Meta{Name: "crafted"}, 1)
+			path := filepath.Join(dir, "shard-000000.index")
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body := data[:len(data)-4]
+			tc.craft(t, dir, body)
+			le.PutUint32(data[len(body):], crc32.ChecksumIEEE(body))
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			s, err := Open(dir)
+			if err == nil {
+				_, err = ReadAll(s, AccessFields)
+				if !errors.Is(err, ErrCorrupt) {
+					t.Errorf("opened, then read err = %v, want ErrCorrupt", err)
+				}
+			} else if !errors.Is(err, ErrBadStore) {
+				t.Errorf("Open err = %v, want ErrBadStore", err)
+			}
+			runtime.ReadMemStats(&after)
+			if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+				t.Errorf("rejecting the store allocated %d bytes, want under 1 MiB", got)
+			}
+		})
+	}
+}
+
+// rewriteManifest applies edit to a store's manifest on disk.
+func rewriteManifest(t *testing.T, dir string, edit func(*Manifest)) {
+	t.Helper()
+	path := filepath.Join(dir, ManifestName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m Manifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	edit(&m)
+	if data, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func flipByte(t *testing.T, path string, off int64) {

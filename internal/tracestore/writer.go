@@ -39,7 +39,7 @@ type Meta struct {
 	// record must then carry exactly PayloadBytes bytes.
 	Payload bool
 	// BlockRecords is the records-per-block target (0 selects
-	// DefaultBlockRecords).
+	// DefaultBlockRecords; at most MaxBlockRecords).
 	BlockRecords int
 }
 
@@ -94,6 +94,9 @@ func Create(dir string, meta Meta) (*Writer, error) {
 	}
 	if meta.BlockRecords <= 0 {
 		meta.BlockRecords = DefaultBlockRecords
+	}
+	if meta.BlockRecords > MaxBlockRecords {
+		return nil, fmt.Errorf("tracestore: %d records per block exceeds the %d cap", meta.BlockRecords, MaxBlockRecords)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("tracestore: %w", err)
