@@ -12,7 +12,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/obs/ ./internal/report/ ./internal/memctrl/ ./internal/gpu/ ./internal/shard/ ./internal/tracestore/
+	$(GO) test -race ./internal/obs/ ./internal/report/ ./internal/memctrl/ ./internal/gpu/ ./internal/shard/ ./internal/tracestore/ ./internal/bus/ ./internal/fault/
 
 # lint runs the in-repo gates that need no network. CI layers
 # staticcheck and govulncheck on top (installed there with go install,
@@ -28,6 +28,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEDCDetect -fuzztime 10s ./internal/edc/
 	$(GO) test -run '^$$' -fuzz FuzzStoreRoundTrip -fuzztime 10s ./internal/tracestore/
 	$(GO) test -run '^$$' -fuzz FuzzImport -fuzztime 10s ./internal/tracestore/
+	$(GO) test -run '^$$' -fuzz FuzzProfileConservation -fuzztime 10s ./internal/bus/
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .

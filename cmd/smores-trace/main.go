@@ -286,6 +286,7 @@ func doReplay(dir, chrome, folded, profJSON string) error {
 	if err := rep.Err(); err != nil {
 		return err
 	}
+	ctrl.PublishProfile()
 	fmt.Printf("replayed %d accesses in %d clocks: %.1f fJ/bit, gaps %v\n",
 		res.Accesses, res.Clocks, ctrl.BusStats().PerBit(), ctrl.ReadGapHistogram())
 	if tracer != nil {

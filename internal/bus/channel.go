@@ -80,12 +80,16 @@ type Config struct {
 	// energy profiler, keyed by (phase × codec × wire × level ×
 	// transition class). In exact-data mode each transmitted symbol is
 	// attributed individually; in expected mode the closed-form energies
-	// land in aggregate cells. The profiler's total reconciles with
+	// land in aggregate cells. The channel tallies the samples privately
+	// (obs.Tally) and adds them to Profile only when PublishProfile is
+	// called, so a caller driving the channel must publish before it
+	// reads Profile. The published total reconciles with
 	// Stats.TotalEnergy (test-enforced). Nil disables attribution; the
 	// hot path then pays one nil check per accounting block.
 	Profile *obs.Profile
 	// Fault installs a link-reliability hook (see hook.go) that observes
-	// every exact-data burst and may inject/classify symbol errors. Nil
+	// every exact-data burst, handed the columns the channel put on the
+	// wires, and may inject/classify symbol errors. Nil
 	// disables injection at zero hot-path cost beyond a nil check; the
 	// hook is never consulted in expected mode.
 	Fault BurstHook
@@ -194,6 +198,9 @@ type Channel struct {
 	stats     Stats
 	m         *busMetrics
 	prof      *obs.Profile
+	// tally collects prof's samples until PublishProfile adds them (nil
+	// without a profile, and between a publish and the next transfer).
+	tally *obs.Tally
 	// fault is the installed link-reliability hook (nil = perfect link);
 	// verdict latches the hook's judgement of the most recent burst.
 	fault   BurstHook
@@ -206,9 +213,10 @@ type Channel struct {
 	// integrates energy symbol by symbol and a direct array load beats a
 	// method call with a validity check in the innermost loop.
 	levelE [pam4.NumLevels]float64
-	// colScratch is the reusable column buffer for exact-mode sparse
-	// bursts, eliminating the per-group slice allocation in steady state.
-	colScratch []mta.Column
+	// txCols holds each group's columns of the latest exact-mode burst:
+	// the accounting walks them and the fault hook is handed them. The
+	// buffers are reused, so steady-state bursts allocate nothing.
+	txCols [Groups][]mta.Column
 }
 
 // expSparseEnergy caches one sparse codec's closed-form group-burst
@@ -285,29 +293,47 @@ func (ch *Channel) SendBurst(data []byte, codeLength int) error {
 	if ch.recording {
 		ch.record(Event{Kind: EventBurst, CodeLength: codeLength, Data: append([]byte(nil), data...)})
 	}
+	ch.takeTally()
 	var before Stats
 	if ch.m.on {
 		before = ch.stats
 	}
-	var pre [Groups]mta.GroupState
-	hook := ch.faultActive()
-	if hook {
-		pre = ch.states
-	}
+	pre := ch.states
 	var err error
 	if codeLength == 0 {
 		err = ch.sendMTA(data)
 	} else {
 		err = ch.sendSparse(data, codeLength)
 	}
+	if ch.exact && err == nil {
+		ch.accountPayload(&pre, codeLength)
+	}
 	if ch.m.on && err == nil {
 		ch.mirrorDeltas(before)
 		ch.m.burst(codeLength)
 	}
-	if hook && err == nil {
+	if ch.faultActive() && err == nil {
 		ch.dispatchFault(data, codeLength, pre, false)
 	}
 	return err
+}
+
+// takeTally gives a profiled channel a tally from the pool when it has
+// none: at its first transfer, and at the first after PublishProfile.
+func (ch *Channel) takeTally() {
+	if ch.tally == nil && ch.prof != nil {
+		ch.tally = obs.NewTally(ch.exact)
+	}
+}
+
+// PublishProfile adds everything the channel has attributed since its
+// last publish to Config.Profile, one Profile.Add per non-empty cell,
+// and hands the tally back for reuse; a second call adds nothing. Until
+// it is called, Config.Profile holds none of the channel's energy.
+// Runners publish once per run, after the run's checks pass.
+func (ch *Channel) PublishProfile() {
+	ch.tally.Publish(ch.prof)
+	ch.tally = nil
 }
 
 // mirrorDeltas publishes the difference between the current stats and a
@@ -327,24 +353,26 @@ func (ch *Channel) mirrorDeltas(before Stats) {
 	ch.m.violations.Add(d.Violations - before.Violations)
 }
 
+// sendMTA accounts a dense burst in expected mode; in exact mode it
+// accounts the logic energy and encodes the payload into txCols.
 func (ch *Channel) sendMTA(data []byte) error {
 	ch.stats.MTABursts++
 	ch.stats.DataBits += BurstBytes * 8
 	ch.stats.BusyUIs += BurstUIs
 	logic := BurstBytes * 8 * ch.mtaLogic
 	ch.stats.LogicEnergy += logic
-	ch.prof.AddAggregate(obs.PhaseLogic, obs.ProfileCodecMTA, logic, 0)
+	ch.tally.AddAggregate(obs.PhaseLogic, obs.ProfileCodecMTA, logic, 0)
 	ch.lastMTA = true
 	if !ch.exact {
 		// 2 groups × 2 beats, with the inversion chain warming up from
 		// the last seam reset.
 		for beat := 0; beat < 2; beat++ {
 			ch.stats.WireEnergy += Groups * ch.mtaCodec.ExpectedBeatEnergyAt(ch.mtaChain)
-			if ch.prof.On() {
+			if ch.tally != nil {
 				payload, dbi := ch.mtaCodec.ExpectedBeatEnergySplitAt(ch.mtaChain)
-				ch.prof.AddAggregate(obs.PhaseMTAPayload, obs.ProfileCodecMTA,
+				ch.tally.AddAggregate(obs.PhaseMTAPayload, obs.ProfileCodecMTA,
 					Groups*payload, Groups*mta.GroupDataWires*mta.SeqSymbols)
-				ch.prof.AddAggregate(obs.PhaseDBIWire, obs.ProfileCodecMTA,
+				ch.tally.AddAggregate(obs.PhaseDBIWire, obs.ProfileCodecMTA,
 					Groups*dbi, Groups*mta.SeqSymbols)
 			}
 			ch.mtaChain++
@@ -354,20 +382,40 @@ func (ch *Channel) sendMTA(data []byte) error {
 	if len(data) != BurstBytes {
 		return fmt.Errorf("bus: MTA burst needs %d bytes, got %d", BurstBytes, len(data))
 	}
-	for g := 0; g < Groups; g++ {
+	ch.encodeMTA(data)
+	return nil
+}
+
+// encodeMTA encodes a dense burst into txCols from the channel's
+// trailing levels, advancing them.
+func (ch *Channel) encodeMTA(data []byte) {
+	for g := range ch.txCols {
+		cols := ch.txCols[g][:0]
 		for beat := 0; beat < 2; beat++ {
 			var bytes8 [mta.GroupDataWires]byte
 			copy(bytes8[:], data[g*GroupBurstBytes+beat*mta.GroupDataWires:])
-			prev := ch.states[g]
-			b := ch.mtaCodec.EncodeGroupBeat(bytes8, &ch.states[g])
-			for _, col := range b.Columns() {
-				ch.accountColumn(g, &prev, col, obs.PhaseMTAPayload, obs.ProfileCodecMTA)
-			}
+			bc := ch.mtaCodec.EncodeGroupBeat(bytes8, &ch.states[g]).Columns()
+			cols = append(cols, bc[:]...)
 		}
+		ch.txCols[g] = cols
+	}
+}
+
+// encodeSparse encodes a sparse burst into txCols from the channel's
+// trailing levels, advancing them.
+func (ch *Channel) encodeSparse(sc *core.SparseGroupCodec, data []byte) error {
+	for g := range ch.txCols {
+		cols, err := sc.AppendGroupBurst(ch.txCols[g][:0], data[g*GroupBurstBytes:(g+1)*GroupBurstBytes], &ch.states[g])
+		if err != nil {
+			return err
+		}
+		ch.txCols[g] = cols // keep the (possibly grown) buffer
 	}
 	return nil
 }
 
+// sendSparse accounts a sparse burst in expected mode; in exact mode it
+// accounts the logic energy and encodes the payload into txCols.
 func (ch *Channel) sendSparse(data []byte, codeLength int) error {
 	sc := ch.family.ByLength(codeLength)
 	if sc == nil {
@@ -381,17 +429,17 @@ func (ch *Channel) sendSparse(data []byte, codeLength int) error {
 	logic := BurstBytes * 8 * ch.sparseLogic
 	ch.stats.LogicEnergy += logic
 	codecIdx := obs.ProfileCodecIndex(codeLength)
-	ch.prof.AddAggregate(obs.PhaseLogic, codecIdx, logic, 0)
+	ch.tally.AddAggregate(obs.PhaseLogic, codecIdx, logic, 0)
 	ch.lastMTA = false
 	ch.mtaChain = 0 // sparse bursts end at ≤L2: the inversion chain resets
 	if !ch.exact {
 		e := ch.expectedSparse(sc, codeLength)
 		ch.stats.WireEnergy += Groups * e.total
-		if ch.prof.On() {
+		if ch.tally != nil {
 			cols := int64(sc.BurstUIs(GroupBurstBytes))
-			ch.prof.AddAggregate(obs.PhaseSparsePayload, codecIdx,
+			ch.tally.AddAggregate(obs.PhaseSparsePayload, codecIdx,
 				Groups*(e.total-e.dbi), Groups*cols*mta.GroupDataWires)
-			ch.prof.AddAggregate(obs.PhaseDBIWire, codecIdx,
+			ch.tally.AddAggregate(obs.PhaseDBIWire, codecIdx,
 				Groups*e.dbi, Groups*cols)
 		}
 		return nil
@@ -399,18 +447,23 @@ func (ch *Channel) sendSparse(data []byte, codeLength int) error {
 	if len(data) != BurstBytes {
 		return fmt.Errorf("bus: sparse burst needs %d bytes, got %d", BurstBytes, len(data))
 	}
-	for g := 0; g < Groups; g++ {
-		prev := ch.states[g]
-		cols, err := sc.AppendGroupBurst(ch.colScratch[:0], data[g*GroupBurstBytes:(g+1)*GroupBurstBytes], &ch.states[g])
-		if err != nil {
-			return err
-		}
-		ch.colScratch = cols // keep the (possibly grown) buffer
-		for _, col := range cols {
-			ch.accountColumn(g, &prev, col, obs.PhaseSparsePayload, codecIdx)
+	return ch.encodeSparse(sc, data)
+}
+
+// accountPayload integrates the payload burst's columns in txCols from
+// the pre-burst trailing levels pre.
+func (ch *Channel) accountPayload(pre *[Groups]mta.GroupState, codeLength int) {
+	ph := obs.PhaseSparsePayload
+	if codeLength == 0 {
+		ph = obs.PhaseMTAPayload
+	}
+	codec := obs.ProfileCodecIndex(codeLength)
+	for g := range ch.txCols {
+		prev := pre[g]
+		for _, col := range ch.txCols[g] {
+			ch.accountColumn(g, &prev, col, ph, codec)
 		}
 	}
-	return nil
 }
 
 // expShared memoizes closed-form group-burst energies across channels,
@@ -453,6 +506,7 @@ func (ch *Channel) expectedSparse(sc *core.SparseGroupCodec, codeLength int) exp
 // channel records the calibrated postamble drive energy.
 func (ch *Channel) Postamble() {
 	ch.record(Event{Kind: EventPostamble})
+	ch.takeTally()
 	if ch.m.on {
 		defer ch.mirrorDeltas(ch.stats)
 	}
@@ -463,15 +517,15 @@ func (ch *Channel) Postamble() {
 	postE := float64(Groups*mta.GroupWires) * float64(PostambleUIs()) *
 		ch.model.PostambleWireUIEnergy()
 	ch.stats.PostambleEnergy += postE
-	if ch.prof.On() && !ch.exact {
+	if !ch.exact {
 		// Expected mode carries no trailing wire state, so the drive is
 		// attributed in aggregate; exact mode attributes per wire below.
-		ch.prof.AddAggregate(obs.PhasePostamble, obs.ProfileCodecMTA,
+		ch.tally.AddAggregate(obs.PhasePostamble, obs.ProfileCodecMTA,
 			postE, Groups*mta.GroupWires*PostambleUIs())
 	}
 	for g := 0; g < Groups; g++ {
 		if ch.exact {
-			if ch.prof.On() {
+			if ch.tally != nil {
 				ch.profilePostamble(g, &ch.states[g])
 			}
 			prev := ch.states[g]
@@ -497,6 +551,7 @@ func (ch *Channel) Idle(uis int64) {
 		return
 	}
 	ch.record(Event{Kind: EventIdle, IdleUIs: uis})
+	ch.takeTally()
 	if ch.m.on {
 		if ch.shiftIdle && ch.lastMTA {
 			ch.m.seams.Inc()
@@ -510,7 +565,7 @@ func (ch *Channel) Idle(uis int64) {
 		wires := Groups * (mta.GroupDataWires*pEnd + 0.25) // DBI wire's last symbol is uniform
 		shiftE := wires * ch.model.SymbolEnergy(pam4.L1)
 		ch.stats.WireEnergy += shiftE
-		ch.prof.AddAggregate(obs.PhaseIdleShift, obs.ProfileCodecMTA, shiftE, 0)
+		ch.tally.AddAggregate(obs.PhaseIdleShift, obs.ProfileCodecMTA, shiftE, 0)
 	}
 	ch.stats.IdleUIs += uis
 	ch.mtaChain = 0
@@ -551,7 +606,7 @@ func (ch *Channel) NeedsPostamble() bool { return ch.lastMTA }
 //
 //smores:hotpath
 func (ch *Channel) accountColumn(g int, prev *mta.GroupState, col mta.Column, ph obs.Phase, codec int) {
-	if ch.prof.On() {
+	if ch.tally != nil {
 		ch.profileColumn(g, prev, col, ph, codec)
 	}
 	for _, l := range col {

@@ -7,6 +7,7 @@ import (
 
 	"smores/internal/core"
 	"smores/internal/mta"
+	"smores/internal/obs"
 	"smores/internal/pam4"
 )
 
@@ -274,36 +275,54 @@ func TestPostambleEnergyValue(t *testing.T) {
 }
 
 // TestExactSteadyStateAllocFree pins the zero-alloc property of the
-// exact-data hot path: after warm-up (scratch buffer grown, caches
-// filled), sending bursts and idling must not allocate. This is what
-// keeps exact-mode fleet runs off the garbage collector.
+// exact-data hot path: after warm-up (column buffers grown, caches
+// filled, tally taken), sending and replaying bursts, postambles and
+// idling must not allocate — on a bare channel, with a profile attached,
+// and with a fault hook attached. This is what keeps exact-mode fleet
+// runs off the garbage collector.
 func TestExactSteadyStateAllocFree(t *testing.T) {
-	ch := New(Config{ExactData: true})
-	rng := rand.New(rand.NewSource(7))
-	data := randomSector(rng)
-	n := ch.Family().Lengths()[0]
-	// Warm up: grow the column scratch buffer and touch every path once.
-	for i := 0; i < 4; i++ {
-		if err := ch.SendBurst(data, core.MaxSparseSymbols); err != nil {
-			t.Fatal(err)
-		}
-		if err := ch.SendBurst(data, 0); err != nil {
-			t.Fatal(err)
-		}
-		ch.Postamble()
-		ch.Idle(8)
-	}
-	for name, fn := range map[string]func(){
-		"sparse": func() {
-			if err := ch.SendBurst(data, n); err != nil {
-				t.Fatal(err)
-			}
-		},
-		"mta":  func() { _ = ch.SendBurst(data, 0) },
-		"idle": func() { ch.Postamble(); ch.Idle(4) },
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"bare", Config{ExactData: true}},
+		{"profiled", Config{ExactData: true, Profile: obs.NewProfile()}},
+		{"hooked", Config{ExactData: true, Fault: &recordingHook{}}},
 	} {
-		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
-			t.Errorf("%s path allocates %.1f times per op in steady state", name, allocs)
+		ch := New(c.cfg)
+		rng := rand.New(rand.NewSource(7))
+		data := randomSector(rng)
+		n := ch.Family().Lengths()[0]
+		// Warm up: grow the column buffers and touch every path once.
+		for i := 0; i < 4; i++ {
+			for _, cl := range []int{core.MaxSparseSymbols, 0} {
+				if err := ch.SendBurst(data, cl); err != nil {
+					t.Fatal(err)
+				}
+				if err := ch.ReplayBurst(data, cl); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ch.Postamble()
+			ch.Idle(8)
+		}
+		for _, p := range []struct {
+			name string
+			fn   func()
+		}{
+			{"sparse", func() {
+				if err := ch.SendBurst(data, n); err != nil {
+					t.Fatal(err)
+				}
+			}},
+			{"mta", func() { _ = ch.SendBurst(data, 0) }},
+			{"sparse replay", func() { _ = ch.ReplayBurst(data, n) }},
+			{"mta replay", func() { _ = ch.ReplayBurst(data, 0) }},
+			{"idle", func() { ch.Postamble(); ch.Idle(4) }},
+		} {
+			if allocs := testing.AllocsPerRun(100, p.fn); allocs != 0 {
+				t.Errorf("%s: %s path allocates %.1f times per op in steady state", c.name, p.name, allocs)
+			}
 		}
 	}
 }

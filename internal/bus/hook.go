@@ -2,8 +2,10 @@ package bus
 
 // Fault-injection hook: the link-reliability subsystem (internal/fault)
 // observes every transferred burst through a BurstHook installed at
-// channel construction. The hook is the only coupling point — the bus
-// never imports the fault package — and it is zero-overhead when nil:
+// channel construction, handed the very columns the channel encoded and
+// accounted, so the hook never encodes a burst again. The hook is the
+// only coupling point — the bus never imports the fault package — and
+// it is zero-overhead when nil:
 // the uninstalled path costs one predictable branch per burst and
 // allocates nothing (enforced by TestExactSteadyStateAllocFree and the
 // hotpathalloc analyzer).
@@ -39,12 +41,14 @@ type BurstVerdict struct {
 // BurstHook observes every burst a channel transfers in exact-data mode.
 // data is the 32-byte payload, codeLength the encoding (0 = dense MTA),
 // pre the per-group trailing wire levels the encoder saw before the
-// burst, and replay whether this transmission is an EDC-triggered
-// retransmission. Implementations are driven from the simulation's
-// single-threaded hot path and need not be concurrency-safe, but must
-// not retain data or pre past the call.
+// burst, tx each group's columns as the channel put them on the wires
+// (payload bursts and replays alike), and replay whether this
+// transmission is an EDC-triggered retransmission. Implementations are
+// driven from the simulation's single-threaded hot path and need not be
+// concurrency-safe, but must not modify data or tx, nor retain data or
+// tx past the call: the channel reuses tx's buffers for its next burst.
 type BurstHook interface {
-	OnBurst(data []byte, codeLength int, pre [Groups]mta.GroupState, replay bool) BurstVerdict
+	OnBurst(data []byte, codeLength int, pre [Groups]mta.GroupState, tx [Groups][]mta.Column, replay bool) BurstVerdict
 }
 
 // LastBurstVerdict returns the hook's verdict for the most recent burst
@@ -58,14 +62,15 @@ func (ch *Channel) LastBurstVerdict() BurstVerdict { return ch.verdict }
 //smores:hotpath
 func (ch *Channel) faultActive() bool { return ch.fault != nil && ch.exact }
 
-// dispatchFault forwards one completed burst to the installed hook and
-// latches its verdict. The nil-hook path never reaches here (callers
-// gate on faultActive), so the hot-path cost of a disabled hook is the
-// gate's two predictable branches.
+// dispatchFault forwards one completed burst, with the columns it put
+// on the wires, to the installed hook and latches its verdict. The
+// nil-hook path never reaches here (callers gate on faultActive), so the
+// hot-path cost of a disabled hook is the gate's two predictable
+// branches.
 //
 //smores:hotpath
 func (ch *Channel) dispatchFault(data []byte, codeLength int, pre [Groups]mta.GroupState, replay bool) {
-	ch.verdict = ch.fault.OnBurst(data, codeLength, pre, replay)
+	ch.verdict = ch.fault.OnBurst(data, codeLength, pre, ch.txCols, replay)
 }
 
 // ReplayBurst retransmits one 32-byte sector after the receiver flagged
@@ -78,8 +83,8 @@ func (ch *Channel) dispatchFault(data []byte, codeLength int, pre [Groups]mta.Gr
 //     replays deliver no new payload).
 //   - Stats.ReplayBursts and BusyUIs advance; the profiler sees every
 //     symbol under PhaseReplay with real wire/level/transition identity.
-//   - The installed hook observes the retransmission (replay=true), so a
-//     replay can itself be corrupted and re-detected.
+//   - The installed hook observes the retransmission (replay=true), with
+//     its columns, so a replay can itself be corrupted and re-detected.
 func (ch *Channel) ReplayBurst(data []byte, codeLength int) error {
 	if !ch.exact {
 		return fmt.Errorf("bus: ReplayBurst requires exact-data mode")
@@ -90,15 +95,12 @@ func (ch *Channel) ReplayBurst(data []byte, codeLength int) error {
 	if ch.recording {
 		ch.record(Event{Kind: EventReplay, CodeLength: codeLength, Data: append([]byte(nil), data...)})
 	}
+	ch.takeTally()
 	var before Stats
 	if ch.m.on {
 		before = ch.stats
 	}
-	var pre [Groups]mta.GroupState
-	hook := ch.faultActive()
-	if hook {
-		pre = ch.states
-	}
+	pre := ch.states
 	var err error
 	if codeLength == 0 {
 		err = ch.replayMTA(data)
@@ -108,37 +110,30 @@ func (ch *Channel) ReplayBurst(data []byte, codeLength int) error {
 	if err != nil {
 		return err
 	}
+	ch.accountReplay(&pre, obs.ProfileCodecIndex(codeLength))
 	ch.stats.ReplayBursts++
 	if ch.m.on {
 		ch.mirrorDeltas(before)
 	}
-	if hook {
+	if ch.faultActive() {
 		ch.dispatchFault(data, codeLength, pre, true)
 	}
 	return nil
 }
 
-// replayMTA retransmits a dense burst, accounting into ReplayEnergy.
+// replayMTA re-encodes a dense burst, accounting its logic energy into
+// ReplayEnergy.
 func (ch *Channel) replayMTA(data []byte) error {
 	ch.stats.BusyUIs += BurstUIs
 	ch.stats.ReplayEnergy += BurstBytes * 8 * ch.mtaLogic
-	ch.prof.AddAggregate(obs.PhaseReplay, obs.ProfileCodecMTA, BurstBytes*8*ch.mtaLogic, 0)
+	ch.tally.AddAggregate(obs.PhaseReplay, obs.ProfileCodecMTA, BurstBytes*8*ch.mtaLogic, 0)
 	ch.lastMTA = true
-	for g := 0; g < Groups; g++ {
-		for beat := 0; beat < 2; beat++ {
-			var bytes8 [mta.GroupDataWires]byte
-			copy(bytes8[:], data[g*GroupBurstBytes+beat*mta.GroupDataWires:])
-			prev := ch.states[g]
-			b := ch.mtaCodec.EncodeGroupBeat(bytes8, &ch.states[g])
-			for _, col := range b.Columns() {
-				ch.accountReplayColumn(g, &prev, col, obs.ProfileCodecMTA)
-			}
-		}
-	}
+	ch.encodeMTA(data)
 	return nil
 }
 
-// replaySparse retransmits a sparse burst, accounting into ReplayEnergy.
+// replaySparse re-encodes a sparse burst, accounting its logic energy
+// into ReplayEnergy.
 func (ch *Channel) replaySparse(data []byte, codeLength int) error {
 	sc := ch.family.ByLength(codeLength)
 	if sc == nil {
@@ -147,22 +142,20 @@ func (ch *Channel) replaySparse(data []byte, codeLength int) error {
 	ch.stats.BusyUIs += int64(sc.BurstUIs(GroupBurstBytes))
 	logic := BurstBytes * 8 * ch.sparseLogic
 	ch.stats.ReplayEnergy += logic
-	codecIdx := obs.ProfileCodecIndex(codeLength)
-	ch.prof.AddAggregate(obs.PhaseReplay, codecIdx, logic, 0)
+	ch.tally.AddAggregate(obs.PhaseReplay, obs.ProfileCodecIndex(codeLength), logic, 0)
 	ch.lastMTA = false
 	ch.mtaChain = 0
-	for g := 0; g < Groups; g++ {
-		prev := ch.states[g]
-		cols, err := sc.AppendGroupBurst(ch.colScratch[:0], data[g*GroupBurstBytes:(g+1)*GroupBurstBytes], &ch.states[g])
-		if err != nil {
-			return err
-		}
-		ch.colScratch = cols
-		for _, col := range cols {
-			ch.accountReplayColumn(g, &prev, col, codecIdx)
+	return ch.encodeSparse(sc, data)
+}
+
+// accountReplay is accountPayload for retransmissions.
+func (ch *Channel) accountReplay(pre *[Groups]mta.GroupState, codec int) {
+	for g := range ch.txCols {
+		prev := pre[g]
+		for _, col := range ch.txCols[g] {
+			ch.accountReplayColumn(g, &prev, col, codec)
 		}
 	}
-	return nil
 }
 
 // accountReplayColumn is accountColumn for retransmissions: same energy
@@ -170,14 +163,14 @@ func (ch *Channel) replaySparse(data []byte, codeLength int) error {
 // Stats.ReplayEnergy and the profiler's PhaseReplay (keeping the
 // payload-phase partition of WireEnergy intact).
 func (ch *Channel) accountReplayColumn(g int, prev *mta.GroupState, col mta.Column, codec int) {
-	if ch.prof.On() {
+	if ch.tally != nil {
 		base := g * mta.GroupWires
 		for w, l := range col {
 			tc := obs.TransOfDelta(pam4.Delta(prev[w], l))
 			if codec != obs.ProfileCodecMTA && prev[w] == pam4.L3 {
 				tc = obs.TransSeam
 			}
-			ch.prof.AddSymbol(obs.PhaseReplay, codec, base+w, int(l), tc, ch.levelE[l])
+			ch.tally.AddSymbol(obs.PhaseReplay, codec, base+w, int(l), tc, ch.levelE[l])
 		}
 	}
 	for _, l := range col {

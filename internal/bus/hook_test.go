@@ -5,26 +5,131 @@ import (
 	"math/rand"
 	"testing"
 
+	"smores/internal/core"
 	"smores/internal/floats"
 	"smores/internal/mta"
 	"smores/internal/obs"
+	"smores/internal/pam4"
 )
 
-// recordingHook captures every dispatch for inspection.
+// recordingHook captures every dispatch for inspection. It copies the
+// transmitted columns into buffers of its own, which it reuses, so a
+// warmed-up hook allocates nothing.
 type recordingHook struct {
-	calls   int
-	replays int
-	lastPre [Groups]mta.GroupState
-	verdict BurstVerdict
+	calls      int
+	replays    int
+	lastPre    [Groups]mta.GroupState
+	lastTx     [Groups][]mta.Column
+	lastReplay bool
+	verdict    BurstVerdict
 }
 
-func (h *recordingHook) OnBurst(data []byte, codeLength int, pre [Groups]mta.GroupState, replay bool) BurstVerdict {
+func (h *recordingHook) OnBurst(data []byte, codeLength int, pre [Groups]mta.GroupState, tx [Groups][]mta.Column, replay bool) BurstVerdict {
 	h.calls++
 	if replay {
 		h.replays++
 	}
 	h.lastPre = pre
+	for g := range tx {
+		h.lastTx[g] = append(h.lastTx[g][:0], tx[g]...)
+	}
+	h.lastReplay = replay
 	return h.verdict
+}
+
+// encodeOracle re-encodes a burst from the pre-burst trailing levels
+// with the channel's codecs, independently of the channel's own encode.
+func encodeOracle(t *testing.T, ch *Channel, data []byte, codeLength int, pre [Groups]mta.GroupState) [Groups][]mta.Column {
+	t.Helper()
+	var tx [Groups][]mta.Column
+	for g := range tx {
+		st := pre[g]
+		if codeLength == 0 {
+			for beat := 0; beat < 2; beat++ {
+				var bytes8 [mta.GroupDataWires]byte
+				copy(bytes8[:], data[g*GroupBurstBytes+beat*mta.GroupDataWires:])
+				bc := ch.MTACodec().EncodeGroupBeat(bytes8, &st).Columns()
+				tx[g] = append(tx[g], bc[:]...)
+			}
+			continue
+		}
+		cols, err := ch.Family().ByLength(codeLength).AppendGroupBurst(nil, data[g*GroupBurstBytes:(g+1)*GroupBurstBytes], &st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tx[g] = cols
+	}
+	return tx
+}
+
+// TestHookSeesTransmittedColumns checks that the hook is handed exactly
+// what went on the wires: the pre-burst levels, and columns equal to
+// re-encoding the payload from them. It covers MTA, every sparse length,
+// a replay of each, and a sparse burst right after an MTA burst (the
+// level-shift seam).
+func TestHookSeesTransmittedColumns(t *testing.T) {
+	h := &recordingHook{}
+	ch := New(Config{ExactData: true, Fault: h})
+	rng := rand.New(rand.NewSource(17))
+	check := func(tag string, data []byte, codeLength int, pre [Groups]mta.GroupState, replay bool) {
+		t.Helper()
+		if h.lastPre != pre || h.lastReplay != replay {
+			t.Fatalf("%s: hook saw pre %v replay %v, want %v %v", tag, h.lastPre, h.lastReplay, pre, replay)
+		}
+		want := encodeOracle(t, ch, data, codeLength, pre)
+		for g := range want {
+			if len(h.lastTx[g]) != len(want[g]) {
+				t.Fatalf("%s group %d: hook saw %d columns, want %d", tag, g, len(h.lastTx[g]), len(want[g]))
+			}
+			for i := range want[g] {
+				if h.lastTx[g][i] != want[g][i] {
+					t.Fatalf("%s group %d column %d: hook saw %v, want %v", tag, g, i, h.lastTx[g][i], want[g][i])
+				}
+			}
+		}
+	}
+	send := func(codeLength int) {
+		t.Helper()
+		data := randomSector(rng)
+		pre := ch.states
+		if err := ch.SendBurst(data, codeLength); err != nil {
+			t.Fatal(err)
+		}
+		check("send", data, codeLength, pre, false)
+		pre = ch.states
+		if err := ch.ReplayBurst(data, codeLength); err != nil {
+			t.Fatal(err)
+		}
+		check("replay", data, codeLength, pre, true)
+	}
+	lengths := []int{0}
+	for cl := core.MinSparseSymbols; cl <= core.MaxSparseSymbols; cl++ {
+		if ch.Family().ByLength(cl) == nil {
+			t.Fatalf("default family lacks the %d-symbol code", cl)
+		}
+		lengths = append(lengths, cl)
+	}
+	seams := 0
+	for _, cl := range lengths {
+		send(cl)
+		// The same length again right after an MTA burst: the burst must
+		// start from whatever L3 levels the MTA burst left behind.
+		send(0)
+		for g := range ch.states {
+			for _, l := range ch.states[g][:mta.GroupDataWires] {
+				if l == pam4.L3 {
+					seams++
+				}
+			}
+		}
+		send(cl)
+	}
+	if seams == 0 {
+		t.Fatal("no MTA burst left a data wire at L3: the seam case is vacuous")
+	}
+	if want := 3 * len(lengths); h.calls != 2*want || h.replays != want {
+		t.Fatalf("hook saw %d bursts and %d replays, want %d and %d", h.calls, h.replays, 2*want, want)
+	}
 }
 
 func TestHookSeesPreBurstState(t *testing.T) {
@@ -69,6 +174,7 @@ func TestReplayBurstAccounting(t *testing.T) {
 		if err := ch.ReplayBurst(data, codeLength); err != nil {
 			t.Fatal(err)
 		}
+		ch.PublishProfile()
 		after := ch.Stats()
 
 		if after.ReplayBursts != 1 {

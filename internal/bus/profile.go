@@ -1,15 +1,16 @@
 package bus
 
 // Energy attribution: the channel's accounting paths feed every
-// femtojoule they add to Stats into an obs.Profile keyed by
-// (phase × codec × wire × level × transition class).
+// femtojoule they add to Stats into a private obs.Tally keyed like the
+// obs.Profile cells (phase × codec × wire × level × transition class),
+// and PublishProfile adds the tally to the channel's Profile.
 //
 // In exact-data mode each transmitted symbol is attributed individually
 // with its real voltage-step class; in expected mode the closed-form
 // energies land in aggregate cells (wire="agg", level="mix",
 // transition="mix"). Either way the profiler's TotalEnergy reconciles
-// with Stats.TotalEnergy to float round-off — a property the
-// conservation tests enforce for every policy × scheme combination.
+// with Stats.TotalEnergy to float round-off once published — a property
+// the conservation tests enforce for every policy × scheme combination.
 //
 // Phase partition of Stats:
 //
@@ -29,7 +30,7 @@ import (
 func (ch *Channel) Profile() *obs.Profile { return ch.prof }
 
 // profileColumn attributes one transmitted column, symbol by symbol.
-// The caller guarantees ch.prof is non-nil. Rules:
+// The caller guarantees ch.tally is non-nil. Rules:
 //
 //   - The group's ninth wire is rerouted to PhaseDBIWire (MSB traffic in
 //     MTA bursts, swap metadata in sparse bursts) — except during the
@@ -49,24 +50,24 @@ func (ch *Channel) profileColumn(g int, prev *mta.GroupState, col mta.Column, ph
 		if seamPhase && prev[w] == pam4.L3 {
 			tc = obs.TransSeam
 		}
-		ch.prof.AddSymbol(wph, codec, base+w, int(l), tc, ch.levelE[l])
+		ch.tally.AddSymbol(wph, codec, base+w, int(l), tc, ch.levelE[l])
 	}
 }
 
 // profilePostamble attributes one group's L1 postamble drive in exact
 // mode: per wire, the first UI carries the entry transition from the
 // trailing level, the remaining UIs hold L1 (0ΔV). Every wire-UI costs
-// the calibrated postamble drive energy. The caller guarantees ch.prof
+// the calibrated postamble drive energy. The caller guarantees ch.tally
 // is non-nil and passes the pre-postamble trailing state.
 func (ch *Channel) profilePostamble(g int, prev *mta.GroupState) {
 	e := ch.model.PostambleWireUIEnergy()
 	base := g * mta.GroupWires
 	for w, l := range prev {
 		tc := obs.TransOfDelta(pam4.Delta(l, mta.PostambleLevel))
-		ch.prof.AddSymbol(obs.PhasePostamble, obs.ProfileCodecMTA,
+		ch.tally.AddSymbol(obs.PhasePostamble, obs.ProfileCodecMTA,
 			base+w, int(mta.PostambleLevel), tc, e)
 		for ui := 1; ui < int(PostambleUIs()); ui++ {
-			ch.prof.AddSymbol(obs.PhasePostamble, obs.ProfileCodecMTA,
+			ch.tally.AddSymbol(obs.PhasePostamble, obs.ProfileCodecMTA,
 				base+w, int(mta.PostambleLevel), obs.Trans0DV, e)
 		}
 	}

@@ -6,13 +6,14 @@ import (
 	"testing"
 
 	"smores/internal/core"
+	"smores/internal/floats"
 	"smores/internal/obs"
 )
 
-// reconcile asserts the profiler's totals match the channel's stats to
-// float round-off (summation orders differ between the two paths, so
-// exact bit equality is not achievable; the bound is a few ULPs per
-// accumulated sample).
+// reconcile asserts the published profiler's totals match the channel's
+// stats to float round-off (summation orders differ between the two
+// paths, so exact bit equality is not achievable; the bound is a few
+// ULPs per accumulated sample). Callers publish first.
 func reconcile(t *testing.T, ch *Channel, p *obs.Profile) {
 	t.Helper()
 	st := ch.Stats()
@@ -90,6 +91,7 @@ func TestProfileConservation(t *testing.T) {
 			})
 			rng := rand.New(rand.NewSource(42))
 			driveWorkload(t, ch, rng, 400)
+			ch.PublishProfile()
 			reconcile(t, ch, p)
 
 			if ch.Stats().Violations != 0 {
@@ -126,6 +128,7 @@ func TestProfileExactModeDetail(t *testing.T) {
 	ch := New(Config{ExactData: true, Profile: p})
 	rng := rand.New(rand.NewSource(7))
 	driveWorkload(t, ch, rng, 300)
+	ch.PublishProfile()
 
 	s := p.Snapshot()
 	if len(s.Cells) == 0 {
@@ -210,6 +213,7 @@ func TestProfileExpectedSparseSplit(t *testing.T) {
 		if err := ch.SendBurst(nil, cl); err != nil {
 			t.Fatal(err)
 		}
+		ch.PublishProfile()
 		idx := obs.ProfileCodecIndex(cl)
 		payload, _ := p.Cell(obs.PhaseSparsePayload, idx, obs.WireAgg, obs.LevelMix, obs.TransMix)
 		dbiE, _ := p.Cell(obs.PhaseDBIWire, idx, obs.WireAgg, obs.LevelMix, obs.TransMix)
@@ -228,7 +232,8 @@ func TestProfileExpectedSparseSplit(t *testing.T) {
 }
 
 // FuzzProfileConservation drives random burst/idle/postamble schedules
-// through both accounting modes and checks conservation each time.
+// through both accounting modes and checks conservation each time,
+// publishing midway as well as at the end.
 func FuzzProfileConservation(f *testing.F) {
 	f.Add(int64(1), uint8(8), true)
 	f.Add(int64(2), uint8(32), false)
@@ -250,6 +255,9 @@ func FuzzProfileConservation(f *testing.F) {
 				if err := ch.SendBurst(randomSector(rng), cl); err != nil {
 					t.Fatal(err)
 				}
+				if i == int(bursts)/2 {
+					ch.PublishProfile()
+				}
 				switch rng.Intn(3) {
 				case 0:
 					if ch.NeedsPostamble() {
@@ -264,7 +272,64 @@ func FuzzProfileConservation(f *testing.F) {
 				ch.Postamble()
 			}
 			ch.Idle(2)
+			ch.PublishProfile()
 			reconcile(t, ch, p)
 		}
 	})
+}
+
+// TestPublishProfileContract pins when a channel's attribution reaches
+// its profile: none of it before PublishProfile, all of it at the call,
+// nothing more on a second call, and transfers after a publish at the
+// next one. An expected-mode channel's tally has no per-symbol part.
+func TestPublishProfileContract(t *testing.T) {
+	for _, exact := range []bool{false, true} {
+		p := obs.NewProfile()
+		ch := New(Config{ExactData: exact, MTALogicPerBit: -1, SparseLogicPerBit: -1, Profile: p})
+		rng := rand.New(rand.NewSource(5))
+		driveWorkload(t, ch, rng, 60)
+		if got := ch.tally.PerSymbol(); got != exact {
+			t.Fatalf("exact=%v: tally has a per-symbol part: %v", exact, got)
+		}
+		if n := len(p.Snapshot().Cells); n != 0 {
+			t.Fatalf("exact=%v: %d cells reached the profile before any publish", exact, n)
+		}
+		ch.PublishProfile()
+		reconcile(t, ch, p)
+		first := p.Snapshot()
+		ch.PublishProfile()
+		if again := p.Snapshot(); !sameCells(first, again) {
+			t.Fatalf("exact=%v: a second publish changed the profile", exact)
+		}
+		driveWorkload(t, ch, rng, 60)
+		if later := p.Snapshot(); !sameCells(first, later) {
+			t.Fatalf("exact=%v: transfers after a publish reached the profile unpublished", exact)
+		}
+		ch.PublishProfile()
+		reconcile(t, ch, p)
+	}
+
+	// A channel that never publishes leaves its profile empty.
+	p := obs.NewProfile()
+	ch := New(Config{ExactData: true, Profile: p})
+	driveWorkload(t, ch, rand.New(rand.NewSource(6)), 20)
+	if n := len(p.Snapshot().Cells); n != 0 {
+		t.Fatalf("an unpublished channel put %d cells in its profile", n)
+	}
+}
+
+// sameCells reports whether two snapshots hold the same cells, energies
+// bit for bit.
+func sameCells(a, b obs.ProfileSnapshot) bool {
+	if len(a.Cells) != len(b.Cells) {
+		return false
+	}
+	for i, c := range a.Cells {
+		d := b.Cells[i]
+		if c.Phase != d.Phase || c.Codec != d.Codec || c.Wire != d.Wire || c.Level != d.Level ||
+			c.Trans != d.Trans || !floats.Eq(c.FJ, d.FJ) || c.Count != d.Count {
+			return false
+		}
+	}
+	return true
 }

@@ -19,10 +19,10 @@
 // installs as a bus.BurstHook (zero overhead when nil) and its verdicts
 // drive the memory controller's replay queue.
 //
-// Receiver model: the classifier re-derives the transmitted symbol
-// stream from the burst payload and the channel's pre-burst trailing
-// levels (the same encode the channel performed), applies the error
-// process, and then decodes as a receiver would. Between bursts the
+// Receiver model: the channel hands the hook the columns it transmitted
+// and the pre-burst trailing levels; the injector copies the columns,
+// applies the error process to the copy, and then decodes it as a
+// receiver would, from those trailing levels. Between bursts the
 // receiver is assumed to resynchronize its trailing-level tracking to
 // the true wire state — postambles and idle parking re-anchor the levels
 // in GDDR6X — so errors do not propagate across burst boundaries.
@@ -113,9 +113,10 @@ type Config struct {
 	// EyeSigmaMV overrides ModelEyeBiased's noise sigma (mV). Zero
 	// derives sigma from Rate against the worst-case 2ΔV aggressor eye.
 	EyeSigmaMV float64
-	// Family and MTACodec must match the channel's codecs so the
-	// injector re-derives the exact transmitted stream. Nil selects the
-	// same defaults bus.New uses.
+	// Family and MTACodec are the receiver's decoders; they must match
+	// the channel's codecs, or clean bursts fail to decode. The injector
+	// never encodes: the channel hands it the transmitted columns. Nil
+	// selects the same defaults bus.New uses.
 	Family   *core.Family
 	MTACodec *mta.Codec
 }
@@ -141,7 +142,6 @@ type Injector struct {
 	gePBG float64           // bad→good per column
 
 	// Scratch (reused across bursts; the injector owns its buffers).
-	txCols  [bus.Groups][]mta.Column
 	rxCols  [bus.Groups][]mta.Column
 	decoded [bus.BurstBytes]byte
 }
@@ -209,10 +209,10 @@ func (in *Injector) Stats() Stats { return in.stats }
 // Config returns the (default-filled) configuration.
 func (in *Injector) Config() Config { return in.cfg }
 
-// OnBurst implements bus.BurstHook: re-derive the transmitted stream,
-// apply the error process, classify. See the package comment for the
-// receiver model.
-func (in *Injector) OnBurst(data []byte, codeLength int, pre [bus.Groups]mta.GroupState, replay bool) bus.BurstVerdict {
+// OnBurst implements bus.BurstHook: copy the transmitted columns, apply
+// the error process, classify. See the package comment for the receiver
+// model.
+func (in *Injector) OnBurst(data []byte, codeLength int, pre [bus.Groups]mta.GroupState, tx [bus.Groups][]mta.Column, replay bool) bus.BurstVerdict {
 	in.stats.Bursts++
 	if replay {
 		in.stats.ReplayBursts++
@@ -222,24 +222,19 @@ func (in *Injector) OnBurst(data []byte, codeLength int, pre [bus.Groups]mta.Gro
 		return bus.BurstVerdict{}
 	}
 
-	// 1. Re-derive the transmitted columns per group.
-	if !in.transmit(data, codeLength, pre) {
-		return bus.BurstVerdict{}
-	}
-
-	// 2. Per-group CRCs ride the EDC pin when enabled.
+	// 1. Per-group CRCs ride the EDC pin when enabled.
 	var txCRC, rxCRC [bus.Groups]byte
 	if in.cfg.EDC {
 		crcs, _ := edc.BurstCRCs(data)
 		txCRC = crcs
 	}
 
-	// 3. Apply the error process in a fixed order (group, column, wire,
-	// then the group's EDC pin symbols) so a fixed seed reproduces the
-	// exact error pattern.
+	// 2. Apply the error process to a copy of the transmitted columns in
+	// a fixed order (group, column, wire, then the group's EDC pin
+	// symbols) so a fixed seed reproduces the exact error pattern.
 	injected := 0
 	for g := 0; g < bus.Groups; g++ {
-		in.rxCols[g] = append(in.rxCols[g][:0], in.txCols[g]...)
+		in.rxCols[g] = append(in.rxCols[g][:0], tx[g]...)
 		injected += in.corruptGroup(g, in.rxCols[g])
 		if in.cfg.EDC {
 			sym := edc.CRCSymbols(txCRC[g])
@@ -249,14 +244,14 @@ func (in *Injector) OnBurst(data []byte, codeLength int, pre [bus.Groups]mta.Gro
 			rxCRC[g] = edc.CRCFromSymbols(sym)
 		}
 	}
-	in.stats.Symbols += in.eligibleSymbols(codeLength)
+	in.stats.Symbols += in.eligibleSymbols(tx)
 	in.stats.Injected += int64(injected)
 	if injected == 0 {
 		return bus.BurstVerdict{}
 	}
 	in.stats.CorruptedBursts++
 
-	// 4. Layered classification, in receiver order.
+	// 3. Layered classification, in receiver order.
 	verdict := bus.BurstVerdict{Injected: injected}
 	switch {
 	case in.illegalTransitions(pre):
@@ -280,44 +275,11 @@ func (in *Injector) OnBurst(data []byte, codeLength int, pre [bus.Groups]mta.Gro
 	return verdict
 }
 
-// transmit re-encodes the burst from the pre-burst trailing levels into
-// in.txCols, exactly as the channel did.
-func (in *Injector) transmit(data []byte, codeLength int, pre [bus.Groups]mta.GroupState) bool {
-	if codeLength == 0 {
-		for g := 0; g < bus.Groups; g++ {
-			st := pre[g]
-			cols := in.txCols[g][:0]
-			for beat := 0; beat < 2; beat++ {
-				var bytes8 [mta.GroupDataWires]byte
-				copy(bytes8[:], data[g*bus.GroupBurstBytes+beat*mta.GroupDataWires:])
-				b := in.mtaCodec.EncodeGroupBeat(bytes8, &st)
-				bc := b.Columns()
-				cols = append(cols, bc[:]...)
-			}
-			in.txCols[g] = cols
-		}
-		return true
-	}
-	sc := in.family.ByLength(codeLength)
-	if sc == nil {
-		return false
-	}
-	for g := 0; g < bus.Groups; g++ {
-		st := pre[g]
-		cols, err := sc.AppendGroupBurst(in.txCols[g][:0], data[g*bus.GroupBurstBytes:(g+1)*bus.GroupBurstBytes], &st)
-		if err != nil {
-			return false
-		}
-		in.txCols[g] = cols
-	}
-	return true
-}
-
 // eligibleSymbols counts the symbols the error process saw this burst.
-func (in *Injector) eligibleSymbols(codeLength int) int64 {
+func (in *Injector) eligibleSymbols(tx [bus.Groups][]mta.Column) int64 {
 	n := int64(0)
-	for g := 0; g < bus.Groups; g++ {
-		n += int64(len(in.txCols[g])) * mta.GroupWires
+	for g := range tx {
+		n += int64(len(tx[g])) * mta.GroupWires
 	}
 	if in.cfg.EDC {
 		n += bus.Groups * edc.CRCPinSymbols

@@ -235,6 +235,11 @@ func (c *Controller) Stats() Stats { return c.st }
 // BusStats returns the channel energy/occupancy statistics.
 func (c *Controller) BusStats() bus.Stats { return c.ch.Stats() }
 
+// PublishProfile adds the channel's energy attribution since the last
+// publish to Config.Bus.Profile (see bus.Channel.PublishProfile). The
+// profile holds none of this controller's energy until it is called.
+func (c *Controller) PublishProfile() { c.ch.PublishProfile() }
+
 // BusEvents returns the recorded bus event sequence (empty unless
 // Config.Bus.Record was set).
 func (c *Controller) BusEvents() []bus.Event { return c.ch.Events() }

@@ -47,6 +47,7 @@ func TestProfileConservationAllPolicies(t *testing.T) {
 				}})
 			}
 			feed(t, c, arrivals)
+			c.PublishProfile()
 
 			want := c.BusStats().TotalEnergy()
 			got := prof.TotalEnergy()

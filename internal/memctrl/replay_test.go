@@ -20,7 +20,7 @@ type scriptHook struct {
 	calls     int
 }
 
-func (h *scriptHook) OnBurst(data []byte, codeLength int, pre [bus.Groups]mta.GroupState, replay bool) bus.BurstVerdict {
+func (h *scriptHook) OnBurst(data []byte, codeLength int, pre [bus.Groups]mta.GroupState, tx [bus.Groups][]mta.Column, replay bool) bus.BurstVerdict {
 	h.calls++
 	return bus.BurstVerdict{Detected: h.calls <= h.failFirst, Injected: 1}
 }
@@ -227,6 +227,7 @@ func TestReplayProfileConservation(t *testing.T) {
 	cfg.Fault = in
 	c := newCtrl(t, cfg)
 	feed(t, c, seqReads(300, 0, 10))
+	c.PublishProfile()
 
 	st := c.BusStats()
 	if st.ReplayEnergy <= 0 {

@@ -10,15 +10,18 @@ import (
 // Profile is the energy-attribution profiler: a dense table of atomic
 // cells keyed by (phase × codec × wire × level × transition class), each
 // accumulating femtojoules and symbol counts. The bus accounting paths
-// feed it with one sample per transmitted symbol (exact-data mode) or
-// one aggregate sample per closed-form energy addition (expected mode),
-// so the sum over all cells always reconciles with bus.Stats.TotalEnergy
-// to float round-off.
+// attribute one sample per transmitted symbol (exact-data mode) or one
+// aggregate sample per closed-form energy addition (expected mode) into
+// a channel-private Tally, and the channel's runner publishes the tally
+// into the Profile once per run, one Add per non-empty cell. The sum
+// over all cells reconciles with the published runs' summed
+// bus.Stats.TotalEnergy to float round-off.
 //
 // Like every obs instrument, a nil *Profile is fully inert: all methods
-// nil-check the receiver, adds are lock-free atomics, and the hot path
-// allocates nothing. One Profile may be shared by many channels and
-// goroutines (the fleet runner shares one per evaluation run).
+// nil-check the receiver, adds are lock-free atomics, and Add allocates
+// nothing. One Profile may be shared by many channels and goroutines
+// (the fleet runner shares one per evaluation run, publishing its runs
+// in fleet order) and scraped while they publish.
 
 // Phase classifies where on the bus an energy sample was burned.
 type Phase uint8
@@ -147,7 +150,7 @@ const (
 
 // ProfileCodecIndex maps a burst code length (0 = dense MTA, 3..8 = the
 // 4b{3..8}s sparse codes) to its codec-dimension index. Unknown lengths
-// return -1 and are dropped by Add*.
+// return -1, which Add and the Tally adds drop.
 func ProfileCodecIndex(codeLength int) int {
 	switch {
 	case codeLength == 0:
@@ -213,9 +216,6 @@ func NewProfile() *Profile {
 	}
 }
 
-// On reports whether the profile is collecting (false for nil).
-func (p *Profile) On() bool { return p != nil }
-
 // cellIndex flattens a key; returns -1 for out-of-range coordinates.
 func cellIndex(ph Phase, codec, wire, level int, tc TransClass) int {
 	if ph >= NumPhases || tc >= NumTransClasses ||
@@ -246,17 +246,6 @@ func (p *Profile) Add(ph Phase, codec, wire, level int, tc TransClass, fj float6
 	if n > 0 {
 		p.count[i].Add(n)
 	}
-}
-
-// AddSymbol records one transmitted symbol.
-func (p *Profile) AddSymbol(ph Phase, codec, wire, level int, tc TransClass, fj float64) {
-	p.Add(ph, codec, wire, level, tc, fj, 1)
-}
-
-// AddAggregate records a closed-form expected-mode energy sample with no
-// per-wire/level/transition identity (wire=agg, level=mix, trans=mix).
-func (p *Profile) AddAggregate(ph Phase, codec int, fj float64, symbols int64) {
-	p.Add(ph, codec, WireAgg, LevelMix, TransMix, fj, symbols)
 }
 
 // Cell returns one cell's accumulated energy and symbol count.

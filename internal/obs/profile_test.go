@@ -13,11 +13,7 @@ import (
 func TestProfileNilSafety(t *testing.T) {
 	var p *Profile
 	p.Add(PhaseMTAPayload, 0, 0, 0, Trans0DV, 1, 1)
-	p.AddSymbol(PhaseDBIWire, 0, 0, 0, Trans1DV, 1)
-	p.AddAggregate(PhaseLogic, 0, 1, 1)
-	if p.On() {
-		t.Fatal("nil profile reports On")
-	}
+	p.Add(PhaseLogic, 0, WireAgg, LevelMix, TransMix, 1, 1)
 	if fj, n := p.Cell(PhaseMTAPayload, 0, 0, 0, Trans0DV); fj != 0 || n != 0 {
 		t.Fatal("nil profile returned data")
 	}
@@ -73,7 +69,7 @@ func TestProfileOutOfRangeDropped(t *testing.T) {
 
 func TestProfileAggregate(t *testing.T) {
 	p := NewProfile()
-	p.AddAggregate(PhaseMTAPayload, ProfileCodecMTA, 100, 8)
+	p.Add(PhaseMTAPayload, ProfileCodecMTA, WireAgg, LevelMix, TransMix, 100, 8)
 	fj, n := p.Cell(PhaseMTAPayload, ProfileCodecMTA, WireAgg, LevelMix, TransMix)
 	if fj != 100 || n != 8 {
 		t.Fatalf("aggregate cell = (%v,%v), want (100,8)", fj, n)
@@ -122,23 +118,23 @@ func TestTransOfDelta(t *testing.T) {
 func TestProfileAddZeroAlloc(t *testing.T) {
 	p := NewProfile()
 	if n := testing.AllocsPerRun(100, func() {
-		p.AddSymbol(PhaseMTAPayload, 0, 3, 2, Trans1DV, 42.5)
+		p.Add(PhaseMTAPayload, 0, 3, 2, Trans1DV, 42.5, 1)
 	}); n != 0 {
-		t.Fatalf("AddSymbol allocates %v per call, want 0", n)
+		t.Fatalf("Add allocates %v per call, want 0", n)
 	}
 	var nilP *Profile
 	if n := testing.AllocsPerRun(100, func() {
-		nilP.AddSymbol(PhaseMTAPayload, 0, 3, 2, Trans1DV, 42.5)
+		nilP.Add(PhaseMTAPayload, 0, 3, 2, Trans1DV, 42.5, 1)
 	}); n != 0 {
-		t.Fatalf("nil AddSymbol allocates %v per call, want 0", n)
+		t.Fatalf("nil Add allocates %v per call, want 0", n)
 	}
 }
 
 func TestProfileSnapshotRollups(t *testing.T) {
 	p := NewProfile()
-	p.AddSymbol(PhaseMTAPayload, ProfileCodecMTA, 0, 3, Trans2DV, 100)
-	p.AddSymbol(PhaseDBIWire, ProfileCodecMTA, 8, 1, Trans3DV, 50)
-	p.AddSymbol(PhaseSparsePayload, 2, 4, 0, TransSeam, 25)
+	p.Add(PhaseMTAPayload, ProfileCodecMTA, 0, 3, Trans2DV, 100, 1)
+	p.Add(PhaseDBIWire, ProfileCodecMTA, 8, 1, Trans3DV, 50, 1)
+	p.Add(PhaseSparsePayload, 2, 4, 0, TransSeam, 25, 1)
 	s := p.Snapshot()
 	if s.TotalFJ != 175 || s.Symbols != 3 {
 		t.Fatalf("snapshot totals (%v,%v), want (175,3)", s.TotalFJ, s.Symbols)
@@ -161,9 +157,9 @@ func TestProfileSnapshotRollups(t *testing.T) {
 
 func TestProfileExportFormats(t *testing.T) {
 	p := NewProfile()
-	p.AddSymbol(PhaseMTAPayload, ProfileCodecMTA, 0, 3, Trans2DV, 100)
-	p.AddSymbol(PhaseDBIWire, ProfileCodecMTA, 8, 1, Trans3DV, 50)
-	p.AddAggregate(PhaseLogic, 2, 10, 0)
+	p.Add(PhaseMTAPayload, ProfileCodecMTA, 0, 3, Trans2DV, 100, 1)
+	p.Add(PhaseDBIWire, ProfileCodecMTA, 8, 1, Trans3DV, 50, 1)
+	p.Add(PhaseLogic, 2, WireAgg, LevelMix, TransMix, 10, 0)
 	s := p.Snapshot()
 
 	var prom bytes.Buffer
@@ -247,10 +243,10 @@ func TestProfileExportFormats(t *testing.T) {
 // pseudo-coordinates, its energy bit for bit, and its symbol count.
 func TestProfileJSONExactCells(t *testing.T) {
 	p := NewProfile()
-	p.AddSymbol(PhaseMTAPayload, ProfileCodecMTA, 0, 1, Trans1DV, 0.1+0.2)
-	p.AddSymbol(PhaseDBIWire, ProfileCodecPAM4DBI, 17, 3, Trans3DV, 7.5)
-	p.AddSymbol(PhaseSparsePayload, ProfileCodecIndex(5), 9, 0, TransSeam, 12)
-	p.AddAggregate(PhaseLogic, ProfileCodecPAM4, 99.25, 1024)
+	p.Add(PhaseMTAPayload, ProfileCodecMTA, 0, 1, Trans1DV, 0.1+0.2, 1)
+	p.Add(PhaseDBIWire, ProfileCodecPAM4DBI, 17, 3, Trans3DV, 7.5, 1)
+	p.Add(PhaseSparsePayload, ProfileCodecIndex(5), 9, 0, TransSeam, 12, 1)
+	p.Add(PhaseLogic, ProfileCodecPAM4, WireAgg, LevelMix, TransMix, 99.25, 1024)
 	p.Add(PhaseReplay, ProfileCodecIndex(8), 3, 2, Trans2DV, 0, 6) // count-only cell
 	snap := p.Snapshot()
 

@@ -25,7 +25,7 @@ func TestEventSkipBitIdentical(t *testing.T) {
 		t.Run(spec.Policy.String()+"/"+spec.Scheme.String(), func(t *testing.T) {
 			for _, ai := range apps {
 				p := fleet[ai]
-				want, err := runApp(p, spec, true)
+				want, _, err := runApp(p, spec, true)
 				if err != nil {
 					t.Fatalf("%s legacy: %v", p.Name, err)
 				}

@@ -6,6 +6,7 @@ package report
 import (
 	"fmt"
 	"strconv"
+	"sync"
 
 	"smores/internal/bus"
 	"smores/internal/core"
@@ -63,10 +64,12 @@ type RunSpec struct {
 	// disables tracing).
 	Tracer *obs.Tracer
 	// Profile attributes every femtojoule of bus energy into the energy
-	// profiler (phase × codec × wire × level × transition class). The
-	// profiler is lock-free and may be shared across parallel fleet
-	// workers; its total reconciles with the summed bus.Stats of every
-	// run that fed it. Nil disables attribution.
+	// profiler (phase × codec × wire × level × transition class). Each
+	// run tallies privately and publishes into Profile once, after it
+	// passes its checks; a failed run adds nothing. Fleet runners
+	// publish their runs in fleet order, so the cells are bit-identical
+	// at every worker count. The total reconciles with the summed
+	// bus.Stats of every run that published. Nil disables attribution.
 	Profile *obs.Profile
 	// Channel identifies the controller in traces and default labels.
 	Channel int
@@ -139,26 +142,34 @@ type AppResult struct {
 // RunApp simulates one application under one spec. The generator comes
 // from workload.OpenGenerator, so trace-backed fleet members replay
 // their recorded stream while synthetic apps synthesize from the seed.
-// spec.Accesses must be positive: synthetic generators never end.
+// spec.Accesses must be positive: synthetic generators never end. The
+// run's energy attribution reaches spec.Profile only if it succeeds.
 func RunApp(p workload.Profile, spec RunSpec) (AppResult, error) {
-	return runApp(p, spec, false)
+	ar, ctrl, err := runApp(p, spec, false)
+	if err != nil {
+		return AppResult{}, err
+	}
+	ctrl.PublishProfile()
+	return ar, nil
 }
 
-// runApp is RunApp; perClock pins the controller and driver to the
-// one-clock-at-a-time tick loop, the oracle TestEventSkipBitIdentical
-// compares next-event skipping against.
-func runApp(p workload.Profile, spec RunSpec, perClock bool) (AppResult, error) {
+// runApp is RunApp without the publish: it returns the controller, whose
+// attribution the caller publishes into spec.Profile (nil on error).
+// perClock pins the controller and driver to the one-clock-at-a-time
+// tick loop, the oracle TestEventSkipBitIdentical compares next-event
+// skipping against.
+func runApp(p workload.Profile, spec RunSpec, perClock bool) (AppResult, *memctrl.Controller, error) {
 	if spec.Accesses <= 0 {
-		return AppResult{}, fmt.Errorf("report: %s: run needs a positive access budget (generators are endless), got %d",
+		return AppResult{}, nil, fmt.Errorf("report: %s: run needs a positive access budget (generators are endless), got %d",
 			p.Name, spec.Accesses)
 	}
 	gen, err := workload.OpenGenerator(p, spec.Seed)
 	if err != nil {
-		return AppResult{}, err
+		return AppResult{}, nil, err
 	}
 	in, err := spec.faultInjector()
 	if err != nil {
-		return AppResult{}, err
+		return AppResult{}, nil, err
 	}
 	ccfg := spec.controllerConfig()
 	if in != nil {
@@ -166,7 +177,7 @@ func runApp(p workload.Profile, spec RunSpec, perClock bool) (AppResult, error) 
 	}
 	ctrl, err := memctrl.New(ccfg)
 	if err != nil {
-		return AppResult{}, err
+		return AppResult{}, nil, err
 	}
 	if perClock {
 		ctrl.DisableEventSkip()
@@ -183,11 +194,11 @@ func runApp(p workload.Profile, spec RunSpec, perClock bool) (AppResult, error) 
 	}
 	drv, err := gpu.NewDriver(dcfg, ctrl, gen)
 	if err != nil {
-		return AppResult{}, err
+		return AppResult{}, nil, err
 	}
 	res, err := drv.Run()
 	if err != nil {
-		return AppResult{}, fmt.Errorf("report: %s under %s: %w", p.Name, ctrl.Describe(), err)
+		return AppResult{}, nil, fmt.Errorf("report: %s under %s: %w", p.Name, ctrl.Describe(), err)
 	}
 
 	ar := AppResult{
@@ -211,7 +222,7 @@ func runApp(p workload.Profile, spec RunSpec, perClock bool) (AppResult, error) 
 	if in != nil {
 		ar.Fault = in.Stats()
 		if !ar.Fault.Conserves() {
-			return AppResult{}, fmt.Errorf("report: %s: fault detection layers do not partition corrupted bursts: %v",
+			return AppResult{}, nil, fmt.Errorf("report: %s: fault detection layers do not partition corrupted bursts: %v",
 				p.Name, ar.Fault)
 		}
 	}
@@ -220,12 +231,12 @@ func runApp(p workload.Profile, spec RunSpec, perClock bool) (AppResult, error) 
 		ar.IdleFrequency = gapped / float64(t)
 	}
 	if ar.Ctrl.DecisionMismatches != 0 {
-		return AppResult{}, fmt.Errorf("report: %s: %d DRAM/GPU decision mismatches", p.Name, ar.Ctrl.DecisionMismatches)
+		return AppResult{}, nil, fmt.Errorf("report: %s: %d DRAM/GPU decision mismatches", p.Name, ar.Ctrl.DecisionMismatches)
 	}
 	if ar.Ctrl.BusConflicts != 0 {
-		return AppResult{}, fmt.Errorf("report: %s: %d data-bus conflicts", p.Name, ar.Ctrl.BusConflicts)
+		return AppResult{}, nil, fmt.Errorf("report: %s: %d data-bus conflicts", p.Name, ar.Ctrl.BusConflicts)
 	}
-	return ar, nil
+	return ar, ctrl, nil
 }
 
 // PolicySpecs returns the standard evaluation matrix: the two baselines
@@ -301,6 +312,12 @@ func fleetAppSpec(spec RunSpec, opts FleetOptions, i int, p workload.Profile) Ru
 // same at every worker count: a pool that stopped at its first failure
 // would keep a scheduling-dependent subset.
 //
+// Successful runs publish their attribution into spec.Profile in fleet
+// order, so its cells are bit-identical at every worker count. A run
+// that finishes before its predecessors keeps its controller until they
+// have published; whichever worker completes the finished prefix then
+// publishes it, so no worker waits on another's run.
+//
 //smores:partialok documented partial-failure contract: completed app results are preserved alongside the lowest-indexed error
 func RunFleetApps(fleet []workload.Profile, spec RunSpec, opts FleetOptions) (FleetResult, error) {
 	workers := shard.Workers(opts.Workers, len(fleet))
@@ -315,9 +332,11 @@ func RunFleetApps(fleet []workload.Profile, spec RunSpec, opts FleetOptions) (Fl
 	}
 	results := make([]AppResult, len(fleet))
 	failed := make([]bool, len(fleet))
+	pub := newFleetPublisher(len(fleet))
 	err := shard.RunJobs(len(fleet), workers, func(w, i int) error {
 		p := fleet[i]
-		r, err := RunApp(p, fleetAppSpec(spec, opts, i, p))
+		r, ctrl, err := runApp(p, fleetAppSpec(spec, opts, i, p), false)
+		pub.finish(i, ctrl)
 		if done != nil {
 			done[w].Inc()
 		}
@@ -344,6 +363,34 @@ func RunFleetApps(fleet []workload.Profile, spec RunSpec, opts FleetOptions) (Fl
 		fr.Label = results[n-1].Label
 	}
 	return fr, err
+}
+
+// fleetPublisher publishes a fleet's runs into the shared profile in
+// fleet order, whatever order the runs finish in.
+type fleetPublisher struct {
+	mu       sync.Mutex
+	finished []bool
+	ctrls    []*memctrl.Controller // finished runs waiting on a predecessor
+	next     int                   // first run not yet published
+}
+
+func newFleetPublisher(n int) *fleetPublisher {
+	return &fleetPublisher{finished: make([]bool, n), ctrls: make([]*memctrl.Controller, n)}
+}
+
+// finish records run i as finished, with its controller (nil when the
+// run failed), and publishes the longest finished prefix not yet
+// published.
+func (fp *fleetPublisher) finish(i int, ctrl *memctrl.Controller) {
+	fp.mu.Lock()
+	defer fp.mu.Unlock()
+	fp.finished[i], fp.ctrls[i] = true, ctrl
+	for ; fp.next < len(fp.finished) && fp.finished[fp.next]; fp.next++ {
+		if c := fp.ctrls[fp.next]; c != nil {
+			c.PublishProfile()
+			fp.ctrls[fp.next] = nil
+		}
+	}
 }
 
 // MeanPerBit returns the fleet-average fJ/bit.

@@ -1,11 +1,14 @@
 package report
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"smores/internal/core"
+	"smores/internal/fault"
 	"smores/internal/memctrl"
+	"smores/internal/obs"
 	"smores/internal/stats"
 	"smores/internal/workload"
 )
@@ -196,7 +199,7 @@ func TestRunFleetEmptyFleet(t *testing.T) {
 // the lowest-indexed one regardless of scheduling, successfully completed
 // results are preserved in fleet order, and the label comes from the
 // last successful result — so the result does not depend on the worker
-// count.
+// count. The profile holds exactly the surviving runs' energy.
 func TestRunFleetPartialFailure(t *testing.T) {
 	good1, _ := workload.ByName("bfs")
 	good2, _ := workload.ByName("lulesh")
@@ -204,9 +207,10 @@ func TestRunFleetPartialFailure(t *testing.T) {
 	bad.Name = "broken"
 	bad.MSHRs = 0 // fails Profile.Validate inside RunApp
 	fleet := []workload.Profile{good1, bad, good2}
-	spec := RunSpec{Policy: memctrl.BaselineMTA, Accesses: 200, Seed: 3}
 	var labels []string
 	for _, workers := range []int{1, 3} {
+		prof := obs.NewProfile()
+		spec := RunSpec{Policy: memctrl.BaselineMTA, Accesses: 200, Seed: 3, Profile: prof}
 		fr, err := RunFleetApps(fleet, spec, FleetOptions{Workers: workers})
 		if err == nil {
 			t.Fatalf("workers=%d: expected error from app 1", workers)
@@ -226,10 +230,57 @@ func TestRunFleetPartialFailure(t *testing.T) {
 		if fr.Label != fr.Results[1].Label {
 			t.Errorf("workers=%d: label %q not from last successful result", workers, fr.Label)
 		}
+		if err := ReconcileProfile(prof, fr); err != nil {
+			t.Errorf("workers=%d: %v", workers, err)
+		}
 		labels = append(labels, fr.Label)
 	}
 	if labels[0] != labels[1] {
 		t.Errorf("label depends on the worker count: %q vs %q", labels[0], labels[1])
+	}
+}
+
+// TestFleetProfileDeterministic pins the fleet profile bit-identical at
+// every worker count: runs publish into the shared profile in fleet
+// order, whatever order they finish in. One spec is the expected-mode
+// variable-SMOREs fleet, the other exact data with EDC faults, whose
+// per-symbol cells and replays take the tally's other path.
+func TestFleetProfileDeterministic(t *testing.T) {
+	variable := PolicySpecs(3000, 1, false)[2]
+	faulty := PolicySpecs(1000, 1, false)[2]
+	faulty.ExactData = true
+	faulty.Fault = &fault.Config{Model: fault.ModelUniform, Rate: 1e-3, EDC: true, Seed: 1}
+	cases := []struct {
+		name  string
+		spec  RunSpec
+		fleet []workload.Profile
+	}{
+		{"expected", variable, workload.Fleet()},
+		{"exact-faults", faulty, workload.Fleet()[:6]},
+	}
+	for _, c := range cases {
+		var want []obs.ProfileCell
+		for _, workers := range []int{1, 2, 4} {
+			prof := obs.NewProfile()
+			spec := c.spec
+			spec.Profile = prof
+			fr, err := RunFleetApps(c.fleet, spec, FleetOptions{Workers: workers})
+			if err != nil {
+				t.Fatalf("%s workers %d: %v", c.name, workers, err)
+			}
+			if err := ReconcileProfile(prof, fr); err != nil {
+				t.Fatalf("%s workers %d: %v", c.name, workers, err)
+			}
+			cells := prof.Snapshot().Cells
+			if workers == 1 {
+				if len(cells) == 0 {
+					t.Fatalf("%s: empty profile — the test is vacuous", c.name)
+				}
+				want = cells
+				continue
+			}
+			requireSameCells(t, fmt.Sprintf("%s workers %d", c.name, workers), want, cells)
+		}
 	}
 }
 

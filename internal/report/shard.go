@@ -53,9 +53,10 @@ type appShards struct {
 
 // buildAppShards runs the front-end epoch for one app and wires its
 // per-channel units. When spec.Profile is set, each shard gets a
-// private profile (its cells are added later in channel order —
-// concurrent shards must not race float additions into shared cells,
-// or the totals would depend on scheduling).
+// private profile, which its controller publishes into as soon as the
+// shard has run (runUnits); the cells are added to spec.Profile later
+// in channel order — concurrent shards must not race float additions
+// into shared cells, or the totals would depend on scheduling.
 func buildAppShards(p workload.Profile, spec RunSpec, channels int, opts ShardOptions) (*appShards, error) {
 	if channels < 1 {
 		return nil, fmt.Errorf("report: channel count must be positive, got %d", channels)
@@ -126,7 +127,7 @@ func buildAppShards(p workload.Profile, spec RunSpec, channels int, opts ShardOp
 // drop the dense profiles and add the cells to spec.Profile later. On
 // any error the zero MultiResult and no cells are returned.
 func (as *appShards) run(workers int, prog *obs.Progress) (MultiResult, []obs.ProfileCell, error) {
-	if err := shard.RunUnits(as.units, workers, progressHook(prog)); err != nil {
+	if err := as.runUnits(workers, prog); err != nil {
 		return MultiResult{}, nil, err
 	}
 	mr := MultiResult{
@@ -153,6 +154,19 @@ func (as *appShards) run(workers int, prog *obs.Progress) (MultiResult, []obs.Pr
 		cells = append(cells, p.Snapshot().Cells...)
 	}
 	return mr, cells, nil
+}
+
+// runUnits runs the app's shards on a pool of the given size. Each
+// shard that succeeds publishes its attribution into its private
+// profile as soon as it finishes, so the next shard on that worker
+// reuses its tally.
+func (as *appShards) runUnits(workers int, prog *obs.Progress) error {
+	return shard.RunUnits(as.units, workers, func(u *shard.Unit) {
+		if u.Err() == nil {
+			u.Ctrl.PublishProfile()
+		}
+		prog.Step(1)
+	})
 }
 
 // addCells adds profile cells to dst in slice order. Profile.Add, like
@@ -184,15 +198,6 @@ func RunAppMultiChannel(p workload.Profile, spec RunSpec, channels int, opts Sha
 	}
 	addCells(spec.Profile, cells)
 	return mr, nil
-}
-
-// progressHook adapts an optional progress bar to the shard pool's
-// completion callback.
-func progressHook(prog *obs.Progress) func(*shard.Unit) {
-	if prog == nil {
-		return nil
-	}
-	return func(*shard.Unit) { prog.Step(1) }
 }
 
 // MultiFleetResult is the outcome of running every app of a fleet over

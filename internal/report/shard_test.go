@@ -11,7 +11,6 @@ import (
 	"smores/internal/floats"
 	"smores/internal/memctrl"
 	"smores/internal/obs"
-	"smores/internal/shard"
 	"smores/internal/workload"
 )
 
@@ -328,7 +327,7 @@ func TestAddCellsMatchesMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	merged, added := obs.NewProfile(), obs.NewProfile()
 	for _, dst := range []*obs.Profile{merged, added} {
-		dst.AddAggregate(obs.PhaseSparsePayload, 1, 0.1, 3)
+		dst.Add(obs.PhaseSparsePayload, 1, obs.WireAgg, obs.LevelMix, obs.TransMix, 0.1, 3)
 	}
 	for src := 0; src < 4; src++ {
 		p := obs.NewProfile()
@@ -384,7 +383,7 @@ func TestFleetMultiChannelProfileCells(t *testing.T) {
 			}
 			as, err := buildAppShards(p, s, c.channels, ShardOptions{})
 			if err == nil {
-				err = shard.RunUnits(as.units, 1, nil)
+				err = as.runUnits(1, nil)
 			}
 			if err != nil {
 				t.Fatalf("%s: dense reference app %d: %v", c.name, i, err)
