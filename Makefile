@@ -28,6 +28,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEDCDetect -fuzztime 10s ./internal/edc/
 	$(GO) test -run '^$$' -fuzz FuzzStoreRoundTrip -fuzztime 10s ./internal/tracestore/
 	$(GO) test -run '^$$' -fuzz FuzzImport -fuzztime 10s ./internal/tracestore/
+	$(GO) test -run '^$$' -fuzz FuzzOpen -fuzztime 10s ./internal/tracestore/
 	$(GO) test -run '^$$' -fuzz FuzzProfileConservation -fuzztime 10s ./internal/bus/
 
 bench-smoke:

@@ -336,6 +336,16 @@ func (ch *Channel) PublishProfile() {
 	ch.tally = nil
 }
 
+// AppendProfileCells is PublishProfile for a caller that adds the cells
+// to Config.Profile itself: it appends to dst the cells PublishProfile
+// would add (obs.Tally.AppendCells), adds nothing to Config.Profile,
+// and hands the tally back for reuse; a second call appends nothing.
+func (ch *Channel) AppendProfileCells(dst []obs.ProfileCell) []obs.ProfileCell {
+	dst = ch.tally.AppendCells(dst)
+	ch.tally = nil
+	return dst
+}
+
 // mirrorDeltas publishes the difference between the current stats and a
 // prior snapshot into the obs registry — the counters are driven from
 // the identical accounting as Stats, keeping one source of truth.

@@ -318,6 +318,38 @@ func TestPublishProfileContract(t *testing.T) {
 	}
 }
 
+// AppendProfileCells has PublishProfile's one-shot contract but adds
+// nothing to the configured profile: its cells, added to an empty
+// profile, equal what an identically driven channel publishes, and a
+// second call appends nothing.
+func TestAppendProfileCellsContract(t *testing.T) {
+	for _, exact := range []bool{false, true} {
+		pub, dst := obs.NewProfile(), obs.NewProfile()
+		cfg := Config{ExactData: exact, MTALogicPerBit: -1, SparseLogicPerBit: -1}
+		cfg.Profile = pub
+		publisher := New(cfg)
+		cfg.Profile = dst
+		appender := New(cfg)
+		driveWorkload(t, publisher, rand.New(rand.NewSource(5)), 60)
+		driveWorkload(t, appender, rand.New(rand.NewSource(5)), 60)
+		publisher.PublishProfile()
+		cells := appender.AppendProfileCells(nil)
+		if n := len(dst.Snapshot().Cells); n != 0 {
+			t.Fatalf("exact=%v: appending put %d cells in the configured profile", exact, n)
+		}
+		got := obs.NewProfile()
+		for _, c := range cells {
+			got.Add(c.Phase, c.Codec, c.Wire, c.Level, c.Trans, c.FJ, c.Count)
+		}
+		if len(cells) == 0 || !sameCells(pub.Snapshot(), got.Snapshot()) {
+			t.Fatalf("exact=%v: %d appended cells differ from the published profile", exact, len(cells))
+		}
+		if again := appender.AppendProfileCells(nil); len(again) != 0 {
+			t.Fatalf("exact=%v: a second append returned %d cells", exact, len(again))
+		}
+	}
+}
+
 // sameCells reports whether two snapshots hold the same cells, energies
 // bit for bit.
 func sameCells(a, b obs.ProfileSnapshot) bool {

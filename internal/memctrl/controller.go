@@ -240,6 +240,13 @@ func (c *Controller) BusStats() bus.Stats { return c.ch.Stats() }
 // profile holds none of this controller's energy until it is called.
 func (c *Controller) PublishProfile() { c.ch.PublishProfile() }
 
+// AppendProfileCells appends to dst the cells PublishProfile would add
+// and adds nothing to the profile (see bus.Channel.AppendProfileCells);
+// the caller adds them, once, in an order of its choosing.
+func (c *Controller) AppendProfileCells(dst []obs.ProfileCell) []obs.ProfileCell {
+	return c.ch.AppendProfileCells(dst)
+}
+
 // BusEvents returns the recorded bus event sequence (empty unless
 // Config.Bus.Record was set).
 func (c *Controller) BusEvents() []bus.Event { return c.ch.Events() }

@@ -7,7 +7,9 @@ package report
 // single-channel driver — on the shard worker pool. The merge walks
 // shards in channel order, so for a fixed seed the result is
 // byte-identical at every worker count: stats, histograms, and profile
-// cells (shard_test.go is the differential gate).
+// cells (shard_test.go is the differential gate). A profiled shard
+// tallies its attribution privately and hands the tally's cells to the
+// merge, which adds them to the run's profile in channel order.
 // RunFleetAppsMultiChannel is the fleet scheduler on top: it streams the
 // fleet one app per pool job — front-end epoch, shards in channel order,
 // merge — so live memory is bounded by the worker count times one app,
@@ -48,15 +50,17 @@ type appShards struct {
 	plan      *shard.Plan
 	units     []*shard.Unit
 	injectors []*fault.Injector
-	profiles  []*obs.Profile
+	// cells holds each successful shard's profile cells, by channel.
+	cells [][]obs.ProfileCell
 }
 
 // buildAppShards runs the front-end epoch for one app and wires its
-// per-channel units. When spec.Profile is set, each shard gets a
-// private profile, which its controller publishes into as soon as the
-// shard has run (runUnits); the cells are added to spec.Profile later
-// in channel order — concurrent shards must not race float additions
-// into shared cells, or the totals would depend on scheduling.
+// per-channel units. Each shard's controller is configured with
+// spec.Profile, so it tallies its attribution, but it never publishes
+// there: runUnits takes each shard's tally as cells, and the cells are
+// added to spec.Profile later in channel order — concurrent shards must
+// not race float additions into shared cells, or the totals would
+// depend on scheduling.
 func buildAppShards(p workload.Profile, spec RunSpec, channels int, opts ShardOptions) (*appShards, error) {
 	if channels < 1 {
 		return nil, fmt.Errorf("report: channel count must be positive, got %d", channels)
@@ -79,7 +83,7 @@ func buildAppShards(p workload.Profile, spec RunSpec, channels int, opts ShardOp
 		plan:      plan,
 		units:     make([]*shard.Unit, channels),
 		injectors: make([]*fault.Injector, channels),
-		profiles:  make([]*obs.Profile, channels),
+		cells:     make([][]obs.ProfileCell, channels),
 	}
 	for i := range as.units {
 		chSpec := channelSpec(spec, i)
@@ -87,10 +91,6 @@ func buildAppShards(p workload.Profile, spec RunSpec, channels int, opts ShardOp
 			chSpec.Obs = opts.Obs
 			chSpec.ObsLabels = append(append([]obs.Label(nil), spec.ObsLabels...),
 				obs.L("channel", strconv.Itoa(i)))
-		}
-		if spec.Profile != nil {
-			as.profiles[i] = obs.NewProfile()
-			chSpec.Profile = as.profiles[i]
 		}
 		in, err := chSpec.faultInjector()
 		if err != nil {
@@ -121,11 +121,10 @@ func buildAppShards(p workload.Profile, spec RunSpec, channels int, opts ShardOp
 }
 
 // run executes the app's shards on a pool of the given size and folds
-// them into a MultiResult in channel order. It also returns the
-// non-empty cells of every shard's private profile, concatenated in
-// channel order (none when the app is not profiled), so the caller can
-// drop the dense profiles and add the cells to spec.Profile later. On
-// any error the zero MultiResult and no cells are returned.
+// them into a MultiResult in channel order. It also returns every
+// shard's profile cells, concatenated in channel order (none when the
+// app is not profiled), for the caller to add to spec.Profile. On any
+// error the zero MultiResult and no cells are returned.
 func (as *appShards) run(workers int, prog *obs.Progress) (MultiResult, []obs.ProfileCell, error) {
 	if err := as.runUnits(workers, prog); err != nil {
 		return MultiResult{}, nil, err
@@ -150,20 +149,20 @@ func (as *appShards) run(workers int, prog *obs.Progress) (MultiResult, []obs.Pr
 		return MultiResult{}, nil, err
 	}
 	var cells []obs.ProfileCell
-	for _, p := range as.profiles {
-		cells = append(cells, p.Snapshot().Cells...)
+	for _, c := range as.cells {
+		cells = append(cells, c...)
 	}
 	return mr, cells, nil
 }
 
 // runUnits runs the app's shards on a pool of the given size. Each
-// shard that succeeds publishes its attribution into its private
-// profile as soon as it finishes, so the next shard on that worker
-// reuses its tally.
+// shard that succeeds takes its tally's cells into as.cells as soon as
+// it finishes, on its worker, so the next shard on that worker reuses
+// the tally; a failed shard's tally is dropped.
 func (as *appShards) runUnits(workers int, prog *obs.Progress) error {
 	return shard.RunUnits(as.units, workers, func(u *shard.Unit) {
 		if u.Err() == nil {
-			u.Ctrl.PublishProfile()
+			as.cells[u.Channel] = u.Ctrl.AppendProfileCells(nil)
 		}
 		prog.Step(1)
 	})
@@ -171,8 +170,11 @@ func (as *appShards) runUnits(workers int, prog *obs.Progress) error {
 
 // addCells adds profile cells to dst in slice order. Profile.Add, like
 // Profile.Merge, adds energy only when it is positive and a count only
-// when it is positive, so adding a shard profile's snapshot cells
-// reproduces merging the dense profile bit for bit.
+// when it is positive, so adding a profile's snapshot cells reproduces
+// merging the dense profile bit for bit. A shard's tally cells hold
+// what publishing the tally into an empty profile would, so adding them
+// in (app, channel) order adds exactly what merging per-shard profiles
+// in that order did.
 func addCells(dst *obs.Profile, cells []obs.ProfileCell) {
 	for _, c := range cells {
 		dst.Add(c.Phase, c.Codec, c.Wire, c.Level, c.Trans, c.FJ, c.Count)
@@ -234,9 +236,9 @@ func (fr MultiFleetResult) MeanClocks() float64 {
 // workload.Fleet() for all 42) over the given channel count — the fleet
 // scheduler. Each app is one job on a bounded worker pool: the worker
 // runs the app's front-end epoch and then its shards in channel order,
-// and keeps only the merged MultiResult and the shards' non-empty
-// profile cells, so live memory is bounded by opts.Workers × one app,
-// not by apps × channels. Per-app seeds follow the fleet-position
+// and keeps only the merged MultiResult and the cells each shard's
+// tally handed over, so live memory is bounded by opts.Workers × one
+// app, not by apps × channels. Per-app seeds follow the fleet-position
 // contract (appSeed), results are ordered by fleet position, and the
 // cells are added to spec.Profile in (app, channel) order once every app
 // has succeeded, so the whole result is byte-identical for every worker

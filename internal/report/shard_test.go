@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -319,8 +320,8 @@ func requireSameCells(t *testing.T, tag string, want, got []obs.ProfileCell) {
 }
 
 // Adding a profile's snapshot cells must reproduce merging the dense
-// profile bit for bit — the fleet path relies on it to drop each
-// shard's dense profile as soon as the shard's app finishes. The
+// profile bit for bit — the property that lets the engine carry each
+// shard's attribution as cells rather than as a dense profile. The
 // sources are fed energy-only, count-only and non-positive samples, and
 // the destinations start non-empty.
 func TestAddCellsMatchesMerge(t *testing.T) {
@@ -358,8 +359,9 @@ func TestAddCellsMatchesMerge(t *testing.T) {
 // after every app has finished. At every worker count the result must
 // equal, bit for bit, a reference that runs the apps one at a time
 // through RunAppMultiChannel into one profile: the (app, channel) order
-// in which shard profiles are merged. That reference must in turn equal
-// merging every shard's dense profile in (app, channel) order.
+// in which shard cells are added. That reference must in turn equal
+// merging, in (app, channel) order, one dense profile per shard built
+// from that shard's cells alone.
 func TestFleetMultiChannelProfileCells(t *testing.T) {
 	fleet := workload.Fleet()[:4]
 	faulty := PolicySpecs(500, 23, false)[3]
@@ -388,7 +390,9 @@ func TestFleetMultiChannelProfileCells(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: dense reference app %d: %v", c.name, i, err)
 			}
-			for _, sp := range as.profiles {
+			for _, cells := range as.cells {
+				sp := obs.NewProfile()
+				addCells(sp, cells)
 				dense.Merge(sp)
 			}
 		}
@@ -417,6 +421,38 @@ func TestFleetMultiChannelProfileCells(t *testing.T) {
 			}
 			requireSameCells(t, tag, want, prof.Snapshot().Cells)
 		}
+	}
+}
+
+// Profiling a sharded run must cost only the cells each shard hands
+// over, not a dense profile per shard (about 0.59 MB each): eight
+// shards' worth of cells is a few kilobytes. The profile itself is
+// built before the measurement, and a warm-up run fills the pools.
+func TestShardedProfileAllocatesOnlyCells(t *testing.T) {
+	p, _ := workload.ByName("bfs")
+	spec := PolicySpecs(2000, 1, true)[2]
+	prof := obs.NewProfile()
+	run := func(prof *obs.Profile) uint64 {
+		s := spec
+		s.Profile = prof
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := RunAppMultiChannel(p, s, 8, ShardOptions{Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	run(obs.NewProfile())
+	bare, profiled := run(nil), run(prof)
+	if len(prof.Snapshot().Cells) == 0 {
+		t.Fatal("the profiled run left the profile empty — the test is vacuous")
+	}
+	extra := int64(profiled) - int64(bare)
+	t.Logf("profiling allocated %d bytes more than the bare run", extra)
+	if extra >= 256<<10 {
+		t.Fatalf("profiling allocated %d bytes more than the bare run (%d vs %d), want under 256 KiB",
+			extra, profiled, bare)
 	}
 }
 

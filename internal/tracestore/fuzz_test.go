@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"smores/internal/gpu"
@@ -148,6 +150,77 @@ func FuzzImport(f *testing.F) {
 		}
 		if int64(len(recs)) != m.Records {
 			t.Fatalf("read %d records, manifest claims %d", len(recs), m.Records)
+		}
+	})
+}
+
+// FuzzOpen writes arbitrary manifest and index bytes beside the column
+// files of the one-record store TestOpenRejectsCraftedCounts crafts,
+// then opens and reads it. The harness rewrites the index's trailing
+// CRC, so inputs get past the checksum to the parser's own checks.
+//
+// Contract: Open fails with ErrBadStore or ErrCorrupt, or ReadAll
+// does, or ReadAll returns exactly Manifest.Records records. Either
+// way the bytes allocated across Open and ReadAll (TotalAlloc, which
+// counts garbage too) stay within
+//
+//	16 × the bytes on disk + 512 × the records ReadAll returns + 1 MiB.
+//
+// The disk term pays for parsing what Open reads. The record term is
+// ReadAll's own output — a 48-byte Record each, allocated up to five
+// times over while append grows the slice — plus the decode buffers of
+// blocks whose column bytes passed their CRCs, so no count in the
+// manifest or index can raise it without records really decoding. The
+// constant covers the most one index entry can make a reader size
+// before its block fails (MaxBlockRecords × MaxVarintLen64 = 640 KiB
+// of raw column) and one flate decompressor.
+func FuzzOpen(f *testing.F) {
+	dir := filepath.Join(f.TempDir(), "store")
+	if _, err := WriteRecords(dir, Meta{Name: "crafted"}, genRecords(5, 1, false), 1); err != nil {
+		f.Fatal(err)
+	}
+	var columns int64
+	for fld := FieldThink; fld < FieldPayload; fld++ {
+		fi, err := os.Stat(filepath.Join(dir, "shard-000000."+fld.String()))
+		if err != nil {
+			f.Fatal(err)
+		}
+		columns += fi.Size()
+	}
+	f.Fuzz(func(t *testing.T, manifest, index []byte) {
+		index = append([]byte(nil), index...)
+		if n := len(index) - 4; n >= 0 {
+			binary.LittleEndian.PutUint32(index[n:], crc32.ChecksumIEEE(index[:n]))
+		}
+		if err := os.WriteFile(filepath.Join(dir, ManifestName), manifest, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "shard-000000.index"), index, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s, err := Open(dir)
+		var recs []Record
+		if err == nil {
+			fields := AccessFields
+			if s.Manifest.Payload {
+				fields |= SetPayload
+			}
+			recs, err = ReadAll(s, fields)
+		}
+		runtime.ReadMemStats(&after)
+		switch {
+		case err == nil && int64(len(recs)) != s.Manifest.Records:
+			t.Fatalf("read %d records, manifest claims %d", len(recs), s.Manifest.Records)
+		case err != nil && !errors.Is(err, ErrBadStore) && !errors.Is(err, ErrCorrupt):
+			t.Fatalf("untyped error: %v", err)
+		}
+		disk := uint64(len(manifest)+len(index)) + uint64(columns)
+		bound := 16*disk + 512*uint64(len(recs)) + 1<<20
+		if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+			t.Fatalf("allocated %d bytes for %d on disk and %d records read (bound %d); err = %v",
+				got, disk, len(recs), bound, err)
 		}
 	})
 }

@@ -157,7 +157,63 @@ func parseOp(s string) (bool, error) {
 	case "r", "read", "ld", "load", "0", "false", "":
 		return false, nil
 	}
-	return false, fmt.Errorf("op %q (want R/W, read/write, ld/st, 0/1)", s)
+	return false, fmt.Errorf("op %s (want R/W, read/write, ld/st, 0/1)", quoteCell(s))
+}
+
+// parseUint parses a numeric cell with base auto-detection. Unlike
+// strconv's, its error quotes only a short prefix of the cell.
+func parseUint(cell string, bitSize int) (uint64, error) {
+	v, err := strconv.ParseUint(strings.TrimSpace(cell), 0, bitSize)
+	if err != nil {
+		var ne *strconv.NumError
+		if errors.As(err, &ne) {
+			err = ne.Err
+		}
+		return 0, fmt.Errorf("%s: %w", quoteCell(cell), err)
+	}
+	return v, nil
+}
+
+// cellQuoteBytes bounds how much of an offending cell an error quotes.
+const cellQuoteBytes = 32
+
+// quoteCell quotes a cell for an error message, cut to its first
+// cellQuoteBytes bytes.
+func quoteCell(s string) string {
+	if len(s) <= cellQuoteBytes {
+		return strconv.Quote(s)
+	}
+	return strconv.Quote(s[:cellQuoteBytes]) + "..."
+}
+
+// MaxCSVRecordBytes caps the input one CSV record may span: its line
+// break and any blank lines before it count. encoding/csv reads a
+// record whole, so without the cap a single unterminated row or quoted
+// field would be buffered, however long, before it failed.
+const MaxCSVRecordBytes = 64 << 10
+
+// ErrCSVRecordTooLong reports a CSV record spanning more than
+// MaxCSVRecordBytes of input; the error names the row.
+var ErrCSVRecordTooLong = errors.New("tracestore: csv record too long")
+
+// capReader feeds a csv.Reader its input up to limit, which ImportCSV
+// moves before every record, and fails with ErrCSVRecordTooLong past
+// it.
+type capReader struct {
+	r          io.Reader
+	off, limit int64
+}
+
+func (c *capReader) Read(p []byte) (int, error) {
+	if c.off >= c.limit {
+		return 0, ErrCSVRecordTooLong
+	}
+	if rest := c.limit - c.off; int64(len(p)) > rest {
+		p = p[:rest]
+	}
+	n, err := c.r.Read(p)
+	c.off += int64(n)
+	return n, err
 }
 
 // ImportCSV converts a CSV memory trace into a store at dir. The first
@@ -166,14 +222,31 @@ func parseOp(s string) (bool, error) {
 // think defaults to 0 and op to read when absent. A payload column
 // (hex, PayloadBytes wide) is captured only when meta.Payload is set.
 func ImportCSV(r io.Reader, dir string, meta Meta, opts ImportOptions) (Manifest, error) {
-	cr := csv.NewReader(r)
+	in := &capReader{r: r}
+	cr := csv.NewReader(in)
 	cr.ReuseRecord = true
 	cr.TrimLeadingSpace = true
-	header, err := cr.Read()
-	if errors.Is(err, io.EOF) {
-		return Manifest{}, fmt.Errorf("tracestore: csv: empty input (a header row is required)")
+	row := 1
+	// read returns the next record. The csv.Reader may be handed one
+	// byte past the cap, so that a record of exactly MaxCSVRecordBytes
+	// still finds its end; a record that reaches that byte fails, even
+	// when the csv.Reader reports a parse error for it first.
+	read := func() ([]string, error) {
+		start := cr.InputOffset()
+		in.limit = start + MaxCSVRecordBytes + 1
+		cells, err := cr.Read()
+		if errors.Is(err, ErrCSVRecordTooLong) || cr.InputOffset()-start > MaxCSVRecordBytes {
+			return nil, fmt.Errorf("%w: row %d spans more than %d bytes", ErrCSVRecordTooLong, row, MaxCSVRecordBytes)
+		}
+		return cells, err
 	}
-	if err != nil {
+	header, err := read()
+	switch {
+	case errors.Is(err, io.EOF):
+		return Manifest{}, fmt.Errorf("tracestore: csv: empty input (a header row is required)")
+	case errors.Is(err, ErrCSVRecordTooLong):
+		return Manifest{}, err
+	case err != nil:
 		return Manifest{}, fmt.Errorf("tracestore: csv: %w", err)
 	}
 	m, err := mapColumns(header, opts)
@@ -186,32 +259,34 @@ func ImportCSV(r io.Reader, dir string, meta Meta, opts ImportOptions) (Manifest
 	if meta.Source == "" {
 		meta.Source = "csv"
 	}
-	row := 1
 	fail := func(err error) (Record, error) {
 		return Record{}, fmt.Errorf("tracestore: csv row %d: %w", row, err)
 	}
 	return writeStore(dir, meta, func() (Record, error) {
 		row++
-		cells, err := cr.Read()
+		cells, err := read()
 		if errors.Is(err, io.EOF) {
 			return Record{}, io.EOF
+		}
+		if errors.Is(err, ErrCSVRecordTooLong) {
+			return Record{}, err
 		}
 		if err != nil {
 			return fail(err)
 		}
 		var rec Record
-		addr, err := strconv.ParseUint(strings.TrimSpace(cells[m.addr]), 0, 64)
+		addr, err := parseUint(cells[m.addr], 64)
 		if err != nil {
-			return fail(fmt.Errorf("address: %w", err))
+			return fail(fmt.Errorf("address %w", err))
 		}
 		rec.Sector = addr
 		if !m.addrIsSector {
 			rec.Sector = addr / m.sectorBytes
 		}
 		if m.think >= 0 {
-			think, err := strconv.ParseUint(strings.TrimSpace(cells[m.think]), 0, 63)
+			think, err := parseUint(cells[m.think], 63)
 			if err != nil {
-				return fail(fmt.Errorf("think: %w", err))
+				return fail(fmt.Errorf("think %w", err))
 			}
 			rec.Think = int64(think)
 		}

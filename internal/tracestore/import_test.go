@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -112,7 +114,10 @@ func TestImportCSVPayload(t *testing.T) {
 	}
 }
 
+// Every bad input fails, and its error stays short: parse errors quote
+// at most a prefix of the offending cell.
 func TestImportCSVErrors(t *testing.T) {
+	long := strings.Repeat("9", 60000)
 	for name, tc := range map[string]struct {
 		csv  string
 		meta Meta
@@ -127,12 +132,101 @@ func TestImportCSVErrors(t *testing.T) {
 		"payload-missing":  {"addr\n0\n", Meta{Name: "x", Payload: true}, ImportOptions{}},
 		"payload-short":    {"addr,data\n0,abcd\n", Meta{Name: "x", Payload: true}, ImportOptions{}},
 		"negative-sector":  {"addr\n0x100\n", Meta{Name: "x"}, ImportOptions{SectorBytes: -1}},
+		"long-addr":        {"addr\n" + long + "\n", Meta{Name: "x"}, ImportOptions{}},
+		"long-think":       {"addr,think\n0," + long + "z\n", Meta{Name: "x"}, ImportOptions{}},
+		"long-op":          {"addr,op\n0,q" + long + "\n", Meta{Name: "x"}, ImportOptions{}},
 	} {
 		t.Run(name, func(t *testing.T) {
-			if _, err := ImportCSV(strings.NewReader(tc.csv), importDir(t), tc.meta, tc.opts); err == nil {
+			_, err := ImportCSV(strings.NewReader(tc.csv), importDir(t), tc.meta, tc.opts)
+			if err == nil {
 				t.Fatal("import succeeded")
 			}
+			if msg := err.Error(); len(msg) >= 256 {
+				t.Errorf("error is %d bytes, want under 256: %.300q", len(msg), msg)
+			}
 		})
+	}
+}
+
+// patternReader yields pat over and over until n bytes have been read,
+// without ever holding them.
+type patternReader struct {
+	pat string
+	n   int64
+	off int
+}
+
+func (r *patternReader) Read(p []byte) (int, error) {
+	if r.n <= 0 {
+		return 0, io.EOF
+	}
+	if int64(len(p)) > r.n {
+		p = p[:r.n]
+	}
+	for i := range p {
+		p[i] = r.pat[r.off]
+		r.off = (r.off + 1) % len(r.pat)
+	}
+	r.n -= int64(len(p))
+	return len(p), nil
+}
+
+// A record spanning more than MaxCSVRecordBytes fails with
+// ErrCSVRecordTooLong, naming its row, once the importer has read
+// little more than the cap: a 64 MiB row with no line break, and a
+// quoted field over 16,777,216 short lines (32 MiB). Without the cap
+// the first allocated about 1 GiB and quoted the whole row in its
+// error, the second about 224 MiB.
+func TestImportCSVRecordCap(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		body func() io.Reader
+	}{
+		{"unterminated-row", func() io.Reader { return &patternReader{pat: "1", n: 64 << 20} }},
+		{"quoted-lines", func() io.Reader {
+			return io.MultiReader(strings.NewReader(`"`), &patternReader{pat: "1\n", n: 32 << 20})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := importDir(t)
+			in := io.MultiReader(strings.NewReader("addr\n"), tc.body())
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := ImportCSV(in, dir, Meta{Name: "x"}, ImportOptions{})
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrCSVRecordTooLong) {
+				t.Fatalf("err = %.200v, want ErrCSVRecordTooLong", err)
+			}
+			if msg := err.Error(); len(msg) >= 256 || !strings.Contains(msg, "row 2 ") {
+				t.Errorf("error is %d bytes and must name row 2 in under 256: %.300q", len(msg), msg)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got >= 4<<20 {
+				t.Errorf("rejecting the record allocated %d bytes, want under 4 MiB", got)
+			}
+		})
+	}
+}
+
+// The cap is inclusive: a row spanning exactly MaxCSVRecordBytes,
+// line break included, imports, and one byte more fails. Unmapped
+// columns pad the row.
+func TestImportCSVRecordAtCap(t *testing.T) {
+	row := func(span int) string {
+		const lead = "64,"
+		return lead + strings.Repeat("x", span-len(lead)-1) + "\n"
+	}
+	m, err := ImportCSV(strings.NewReader("addr,note\n"+row(MaxCSVRecordBytes)+"96,y\n"),
+		importDir(t), Meta{Name: "x"}, ImportOptions{})
+	if err != nil {
+		t.Fatalf("a row of exactly the cap: %v", err)
+	}
+	if m.Records != 2 {
+		t.Fatalf("imported %d records, want 2", m.Records)
+	}
+	_, err = ImportCSV(strings.NewReader("addr,note\n"+row(MaxCSVRecordBytes+1)),
+		importDir(t), Meta{Name: "x"}, ImportOptions{})
+	if !errors.Is(err, ErrCSVRecordTooLong) {
+		t.Fatalf("a row one byte over the cap: err = %v, want ErrCSVRecordTooLong", err)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"smores/internal/gpu"
 )
@@ -313,11 +314,22 @@ func (r *Reader) readColumn(si *shardIndex, f Field, loc colLoc) ([]byte, error)
 	return raw, nil
 }
 
+// inflaters pools flate decompressors across readers, so a block costs
+// its buffers and not a fresh decompressor's ~40 KB of tables and
+// window, and no idle reader holds one.
+var inflaters sync.Pool
+
 // inflate decompresses a flate block expecting exactly want raw bytes.
 func inflate(comp []byte, want int) ([]byte, error) {
-	zr := flate.NewReader(bytes.NewReader(comp))
-	defer zr.Close()
+	src := bytes.NewReader(comp)
+	zr, ok := inflaters.Get().(io.ReadCloser)
+	if !ok {
+		zr = flate.NewReader(src)
+	} else if err := zr.(flate.Resetter).Reset(src, nil); err != nil {
+		return nil, fmt.Errorf("inflate: %w", err)
+	}
 	raw, err := readFull(zr, want)
+	inflaters.Put(zr)
 	if err != nil {
 		return nil, fmt.Errorf("inflate: %w", err)
 	}
