@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint fuzz-smoke bench-smoke bench-regress fault-smoke trace-smoke
+.PHONY: build test race lint fuzz-smoke bench-smoke bench-selftest bench-regress fault-smoke trace-smoke
 
 build:
 	$(GO) build ./...
@@ -33,6 +33,14 @@ fuzz-smoke:
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
+
+# bench-selftest vets and tests the benchmark module. bench/ is a module
+# of its own, so `make test` never reaches it; its self-tests replay
+# every workload at tiny sizes against the golden digests in
+# bench/testdata/.
+bench-selftest:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 
 bench-regress:
 	$(GO) run ./cmd/smores-bench -compare BENCH_baseline.json

@@ -1,8 +1,9 @@
 package smoke
 
-// Black-box check of smores-eval's multi-channel path: the fleet
-// scheduler streams apps over the -j pool, and neither the summary nor
-// the -json export may depend on the pool size.
+// Black-box check of smores-eval's two evaluation paths. The
+// single-channel fleets and the multi-channel fleet scheduler both run
+// apps on the -j pool, and neither the printed tables nor the -json
+// export may depend on the pool size.
 
 import (
 	"bytes"
@@ -12,20 +13,22 @@ import (
 	"testing"
 )
 
-func TestEvalMultiChannelSmoke(t *testing.T) {
+func TestEvalWorkerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
 	dir := buildMains(t)
 	eval := bin(dir, "smores-eval")
 
-	run := func(j string) (stdout, export []byte) {
+	// run returns smores-eval's stdout and its -json export at -j j.
+	run := func(t *testing.T, j string, args ...string) (stdout, export []byte) {
+		t.Helper()
 		var out, stderr bytes.Buffer
 		jsonPath := filepath.Join(t.TempDir(), "eval.json")
-		cmd := exec.Command(eval, "-channels", "4", "-accesses", "1000", "-json", jsonPath, "-j", j)
+		cmd := exec.Command(eval, append(args, "-json", jsonPath, "-j", j)...)
 		cmd.Stdout, cmd.Stderr = &out, &stderr
 		if err := cmd.Run(); err != nil {
-			t.Fatalf("smores-eval -j %s: %v\n%s", j, err, stderr.String())
+			t.Fatalf("smores-eval %v -j %s: %v\n%s", args, j, err, stderr.String())
 		}
 		export, err := os.ReadFile(jsonPath)
 		if err != nil {
@@ -33,18 +36,33 @@ func TestEvalMultiChannelSmoke(t *testing.T) {
 		}
 		return out.Bytes(), export
 	}
-	seqOut, seqJSON := run("1")
-	parOut, parJSON := run("3")
-	if !bytes.Contains(seqOut, []byte("4 channels × 42 apps")) {
-		t.Errorf("unexpected multi-channel summary:\n%s", seqOut)
+	cases := []struct {
+		name     string
+		args     []string
+		wantOut  string
+		wantJSON string
+	}{
+		{"single-channel", []string{"-table5", "-accesses", "300"},
+			"Table V — energy saving", `"fleets": [`},
+		{"multi-channel", []string{"-channels", "4", "-accesses", "1000"},
+			"4 channels × 42 apps", `"channels": 4`},
 	}
-	if !bytes.Contains(seqJSON, []byte(`"channels": 4`)) {
-		t.Errorf("unexpected multi-channel JSON:\n%s", seqJSON)
-	}
-	if !bytes.Equal(seqOut, parOut) {
-		t.Errorf("stdout depends on -j:\n-j 1:\n%s\n-j 3:\n%s", seqOut, parOut)
-	}
-	if !bytes.Equal(seqJSON, parJSON) {
-		t.Errorf("-json export depends on -j:\n-j 1:\n%s\n-j 3:\n%s", seqJSON, parJSON)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			seqOut, seqJSON := run(t, "1", c.args...)
+			parOut, parJSON := run(t, "3", c.args...)
+			if !bytes.Contains(seqOut, []byte(c.wantOut)) {
+				t.Errorf("unexpected stdout:\n%s", seqOut)
+			}
+			if !bytes.Contains(seqJSON, []byte(c.wantJSON)) {
+				t.Errorf("unexpected JSON:\n%s", seqJSON)
+			}
+			if !bytes.Equal(seqOut, parOut) {
+				t.Errorf("stdout depends on -j:\n-j 1:\n%s\n-j 3:\n%s", seqOut, parOut)
+			}
+			if !bytes.Equal(seqJSON, parJSON) {
+				t.Errorf("-json export depends on -j:\n-j 1:\n%s\n-j 3:\n%s", seqJSON, parJSON)
+			}
+		})
 	}
 }

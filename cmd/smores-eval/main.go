@@ -31,12 +31,11 @@ func main() {
 		all      = flag.Bool("all", false, "print everything")
 		sweeps   = flag.Bool("sweep", false, "run the window/latency sensitivity sweeps instead")
 		csvDir   = flag.String("csv", "", "also write machine-readable CSV/JSON artifacts to this directory")
-		jsonOut  = flag.String("json", "", "write the full machine-readable evaluation (per-app rows, per-worker counters) to this file ('-' for stdout)")
+		jsonOut  = flag.String("json", "", "write the full machine-readable evaluation (per-app rows) to this file ('-' for stdout)")
 		accesses = flag.Int64("accesses", report.DefaultAccesses, "per-app workload length")
 		seed     = flag.Uint64("seed", 1, "deterministic seed")
 		workers  = flag.Int("j", 0, "concurrent app simulations per fleet (0 = GOMAXPROCS, 1 = sequential)")
 		channels = flag.Int("channels", 1, "interleaved GDDR6X channels per app; >1 switches to the sharded multi-channel evaluation")
-		listen   = flag.String("listen", "", "serve live telemetry (/metrics, /healthz, /progress with ETA, pprof) on this address for the duration of the run")
 		traces   = flag.String("trace", "", "comma-separated trace-store directories (smores-trace -record/-import) evaluated as additional fleet members")
 	)
 	flag.Parse()
@@ -63,7 +62,7 @@ func main() {
 		return
 	}
 	if *channels > 1 {
-		runMultiChannel(fleet, *channels, *accesses, *seed, *workers, *listen, *jsonOut)
+		runMultiChannel(fleet, *channels, *accesses, *seed, *workers, *jsonOut)
 		return
 	}
 	if !(*fig5 || *fig8a || *fig8b || *table5 || *perf || *power || *wfall) {
@@ -79,28 +78,10 @@ func main() {
 	prof := obs.NewProfile()
 	specs[2].Profile = prof
 
-	// Live telemetry: per-app counters for the whole stack plus a
-	// /progress endpoint whose ETA covers all fleets. A registry is also
-	// needed (without the server) for -json's per-worker counters.
 	opts := report.FleetOptions{Workers: *workers}
-	var srv *obs.Server
-	if *listen != "" {
-		opts.Obs = obs.NewRegistry()
-		opts.Progress = obs.NewProgress(int64(len(specs) * len(fleet)))
-		srv = obs.NewServer(opts.Obs, opts.Progress)
-		srv.AttachProfile(prof)
-		addr, err := srv.Start(*listen)
-		fail(err)
-		fmt.Fprintf(os.Stderr, "smores-eval: telemetry on http://%s/metrics (energy attribution at /profile)\n", addr)
-		defer srv.Close()
-	} else if *jsonOut != "" {
-		opts.Obs = obs.NewRegistry()
-	}
-
 	frs := make([]report.FleetResult, len(specs))
 	for i, s := range specs {
 		fmt.Fprintf(os.Stderr, "running fleet under %s...\n", labels[i])
-		opts.Progress.SetPhase("fleet: " + labels[i])
 		fr, err := report.RunFleetApps(fleet, s, opts)
 		fail(err)
 		frs[i] = fr
@@ -144,7 +125,7 @@ func main() {
 			defer f.Close()
 			out = f
 		}
-		fail(report.ExportEvalJSON(out, frs, opts.Obs))
+		fail(report.ExportEvalJSON(out, frs))
 		if *jsonOut != "-" {
 			fmt.Fprintf(os.Stderr, "wrote evaluation JSON to %s\n", *jsonOut)
 		}
@@ -176,7 +157,7 @@ func main() {
 // bounded by -j rather than by apps × channels. For a fixed seed the
 // summary and the -json export are byte-identical at every -j (the
 // report package's differential tests and cmd/smoke enforce it).
-func runMultiChannel(fleet []workload.Profile, channels int, accesses int64, seed uint64, workers int, listen, jsonOut string) {
+func runMultiChannel(fleet []workload.Profile, channels int, accesses int64, seed uint64, workers int, jsonOut string) {
 	specs := report.PolicySpecs(accesses, seed, false)
 	labels := []string{"baseline", "optimized", "variable", "static", "conservative"}
 
@@ -187,22 +168,9 @@ func runMultiChannel(fleet []workload.Profile, channels int, accesses int64, see
 	specs[2].Profile = prof
 
 	opts := report.ShardOptions{Workers: workers}
-	var srv *obs.Server
-	if listen != "" {
-		opts.Obs = obs.NewRegistry()
-		opts.Progress = obs.NewProgress(int64(len(specs) * len(fleet) * channels))
-		srv = obs.NewServer(opts.Obs, opts.Progress)
-		srv.AttachProfile(prof)
-		addr, err := srv.Start(listen)
-		fail(err)
-		fmt.Fprintf(os.Stderr, "smores-eval: telemetry on http://%s/metrics (energy attribution at /profile)\n", addr)
-		defer srv.Close()
-	}
-
 	mfrs := make([]report.MultiFleetResult, len(specs))
 	for i, s := range specs {
 		fmt.Fprintf(os.Stderr, "running %d-channel fleet under %s...\n", channels, labels[i])
-		opts.Progress.SetPhase("fleet: " + labels[i])
 		fr, err := report.RunFleetAppsMultiChannel(fleet, s, channels, opts)
 		fail(err)
 		mfrs[i] = fr

@@ -8,9 +8,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 
 	"smores/internal/bus"
 	"smores/internal/core"
@@ -39,7 +37,6 @@ func main() {
 		eye       = flag.Bool("eye", false, "run the signal-integrity (crosstalk/eye) analysis instead")
 		channels  = flag.Int("channels", 1, "number of interleaved GDDR6X channels")
 		shardJ    = flag.Int("j", 0, "with -channels >1: concurrent channel simulations (0 = GOMAXPROCS, 1 = sequential)")
-		listen    = flag.String("listen", "", "serve live telemetry (/metrics, /healthz, /progress, pprof) on this address; keeps serving after the run until interrupted")
 		traceOut  = flag.String("trace", "", "write a Chrome trace-event JSON (load in Perfetto) to this file")
 		traceCap  = flag.Int("trace-depth", obs.DefaultTraceCapacity, "ring-buffer capacity of the tracer (most recent events kept)")
 		foldedOut = flag.String("folded", "", "write the energy-attribution profile as folded stacks (flamegraph.pl input) to this file")
@@ -68,32 +65,13 @@ func main() {
 	}
 	rs := report.RunSpec{Accesses: *accesses, Seed: *seed, UseLLC: *useLLC}
 
-	// Observability: a live registry + progress when -listen is set, a
-	// cycle tracer when -trace is set. Both are nil otherwise, which keeps
-	// the simulator's hot path on its uninstrumented branch.
-	var (
-		reg  *obs.Registry
-		prog *obs.Progress
-		srv  *obs.Server
-		prof *obs.Profile
-	)
-	if *listen != "" || *foldedOut != "" {
-		// The energy-attribution profiler feeds the /profile endpoint and
-		// the folded-stack flamegraph export.
+	// Observability: the energy-attribution profiler when -folded is set,
+	// a cycle tracer when -trace is set. Both are nil otherwise, which
+	// keeps the simulator's hot path on its uninstrumented branch.
+	var prof *obs.Profile
+	if *foldedOut != "" {
 		prof = obs.NewProfile()
 		rs.Profile = prof
-	}
-	if *listen != "" {
-		reg = obs.NewRegistry()
-		prog = obs.NewProgress(1)
-		prog.SetPhase("run: " + p.Name)
-		srv = obs.NewServer(reg, prog)
-		srv.AttachProfile(prof)
-		addr, err := srv.Start(*listen)
-		fail(err)
-		fmt.Fprintf(os.Stderr, "smores-sim: telemetry on http://%s/metrics (energy attribution at http://%s/profile)\n", addr, addr)
-		rs.Obs = reg
-		rs.ObsLabels = []obs.Label{obs.L("app", p.Name)}
 	}
 	var tracer *obs.Tracer
 	if *traceOut != "" {
@@ -128,15 +106,14 @@ func main() {
 	}
 
 	if *channels > 1 {
-		mr, err := report.RunAppMultiChannel(p, rs, *channels,
-			report.ShardOptions{Workers: *shardJ, Obs: reg, Progress: prog})
+		mr, err := report.RunAppMultiChannel(p, rs, *channels, report.ShardOptions{Workers: *shardJ})
 		fail(err)
 		fmt.Printf("%s under %s over %d channels\n", p.Name, mr.Label, mr.Channels)
 		fmt.Printf("  DRAM traffic:    %d reads, %d writes over %d clocks (%.2f B/clock)\n",
 			mr.Reads, mr.Writes, mr.Clocks, float64(mr.Reads+mr.Writes)*32/float64(mr.Clocks))
 		fmt.Printf("  energy:          %.1f fJ/bit aggregate\n", mr.PerBit)
 		fmt.Printf("  channel balance: %.3f (max/min bits)\n", mr.ChannelBalance())
-		finishTelemetry(tracer, *traceOut, prof, *foldedOut, prog, srv)
+		writeExports(tracer, *traceOut, prof, *foldedOut)
 		return
 	}
 
@@ -156,14 +133,12 @@ func main() {
 	fmt.Printf("  write gaps:      %v\n", r.WriteGaps)
 	fmt.Printf("  read latency:    %.1f clocks average\n", r.AvgReadLatency)
 	fmt.Printf("  idle frequency:  %.2f\n", r.IdleFrequency)
-	finishTelemetry(tracer, *traceOut, prof, *foldedOut, prog, srv)
+	writeExports(tracer, *traceOut, prof, *foldedOut)
 }
 
-// finishTelemetry writes the Chrome trace (when tracing) and the folded
-// energy-attribution stacks (when profiling), marks progress complete,
-// and — when a telemetry server is up — keeps serving /metrics until
-// interrupted so the final counters stay scrapeable.
-func finishTelemetry(tracer *obs.Tracer, traceOut string, prof *obs.Profile, foldedOut string, prog *obs.Progress, srv *obs.Server) {
+// writeExports writes the Chrome trace (when tracing) and the folded
+// energy-attribution stacks (when profiling).
+func writeExports(tracer *obs.Tracer, traceOut string, prof *obs.Profile, foldedOut string) {
 	if tracer != nil {
 		f, err := os.Create(traceOut)
 		fail(err)
@@ -172,7 +147,7 @@ func finishTelemetry(tracer *obs.Tracer, traceOut string, prof *obs.Profile, fol
 		fmt.Fprintf(os.Stderr, "smores-sim: wrote %d trace events to %s (%d dropped by ring)\n",
 			tracer.Len(), traceOut, tracer.Dropped())
 	}
-	if prof != nil && foldedOut != "" {
+	if prof != nil {
 		f, err := os.Create(foldedOut)
 		fail(err)
 		fail(obs.WriteProfileFolded(f, prof.Snapshot()))
@@ -180,16 +155,6 @@ func finishTelemetry(tracer *obs.Tracer, traceOut string, prof *obs.Profile, fol
 		fmt.Fprintf(os.Stderr, "smores-sim: wrote folded energy stacks to %s (flamegraph.pl %s > energy.svg)\n",
 			foldedOut, foldedOut)
 	}
-	if srv == nil {
-		return
-	}
-	prog.Step(1)
-	prog.SetPhase("done")
-	fmt.Fprintf(os.Stderr, "smores-sim: run complete; serving telemetry on http://%s/metrics until interrupted\n", srv.Addr())
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	fail(srv.Close())
 }
 
 // playScenarios drives the channel model through the paper's Figure 4

@@ -1,9 +1,9 @@
 // Package atomicmix defines an Analyzer that forbids mixing sync/atomic
 // operations with plain loads and stores on the same memory. The obs
-// registry and the shard engine's counters rely on lock-free atomics; a
-// single plain read of an atomically updated field is a data race the
-// race detector only catches when the interleaving happens to occur in
-// a test run. The rule is mechanical: once any code passes &x to a
+// profile cells and the shard engine's counters rely on lock-free
+// atomics; a single plain read of an atomically updated field is a data
+// race the race detector only catches when the interleaving happens to
+// occur in a test run. The rule is mechanical: once any code passes &x to a
 // sync/atomic function, every access to x must be atomic.
 //
 // A field or package variable becomes "atomic" the moment its address

@@ -1,10 +1,10 @@
 // Package nilsafeobs defines an Analyzer enforcing the observability
-// layer's core contract: every obs handle is optional, a nil *Registry /
-// *Profile / *Tracer must behave as a disabled no-op, and the
-// uninstrumented hot path pays only a predictable nil check. That only
-// holds if every exported pointer-receiver method starts by guarding the
-// receiver — one missing guard turns "observability off" into a panic in
-// the middle of a fleet run.
+// layer's core contract: every obs handle is optional, a nil *Profile /
+// *Tally / *Tracer / *FloatCounter must behave as a disabled no-op, and
+// the uninstrumented hot path pays only a predictable nil check. That
+// only holds if every exported pointer-receiver method starts by
+// guarding the receiver — one missing guard turns "observability off"
+// into a panic in the middle of a fleet run.
 //
 // Scope: all exported pointer-receiver methods on exported types in
 // packages named "obs", plus any type annotated //smores:nilsafe in any

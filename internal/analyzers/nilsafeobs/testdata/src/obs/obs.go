@@ -3,7 +3,7 @@
 // nil-receiver guard.
 package obs
 
-// Registry mimics the real metrics registry.
+// Registry stands in for an obs handle type such as Profile or Tracer.
 type Registry struct {
 	n int64
 }

@@ -70,12 +70,6 @@ type Config struct {
 	// burst transitions to idle through a single level-shifted symbol on
 	// the wires that ended at L3 — far cheaper than the postamble.
 	LevelShiftedIdle bool
-	// Obs registers the channel's live counters (energy, bits, bursts
-	// by codec, occupancy) into the given registry; nil disables
-	// telemetry at zero hot-path cost beyond a nil check.
-	Obs *obs.Registry
-	// ObsLabels scope this channel's metric series (e.g. channel="3").
-	ObsLabels []obs.Label
 	// Profile attributes every femtojoule the channel accounts into the
 	// energy profiler, keyed by (phase × codec × wire × level ×
 	// transition class). In exact-data mode each transmitted symbol is
@@ -196,7 +190,6 @@ type Channel struct {
 	recording bool
 	events    []Event
 	stats     Stats
-	m         *busMetrics
 	prof      *obs.Profile
 	// tally collects prof's samples until PublishProfile adds them (nil
 	// without a profile, and between a publish and the next transfer).
@@ -265,7 +258,6 @@ func New(cfg Config) *Channel {
 		sparseLogic: cfg.SparseLogicPerBit,
 		shiftIdle:   cfg.LevelShiftedIdle,
 		recording:   cfg.Record,
-		m:           newBusMetrics(cfg.Obs, cfg.ObsLabels),
 		prof:        cfg.Profile,
 		fault:       cfg.Fault,
 		levelE:      cfg.Model.LevelEnergies(),
@@ -294,10 +286,6 @@ func (ch *Channel) SendBurst(data []byte, codeLength int) error {
 		ch.record(Event{Kind: EventBurst, CodeLength: codeLength, Data: append([]byte(nil), data...)})
 	}
 	ch.takeTally()
-	var before Stats
-	if ch.m.on {
-		before = ch.stats
-	}
 	pre := ch.states
 	var err error
 	if codeLength == 0 {
@@ -307,10 +295,6 @@ func (ch *Channel) SendBurst(data []byte, codeLength int) error {
 	}
 	if ch.exact && err == nil {
 		ch.accountPayload(&pre, codeLength)
-	}
-	if ch.m.on && err == nil {
-		ch.mirrorDeltas(before)
-		ch.m.burst(codeLength)
 	}
 	if ch.faultActive() && err == nil {
 		ch.dispatchFault(data, codeLength, pre, false)
@@ -344,23 +328,6 @@ func (ch *Channel) AppendProfileCells(dst []obs.ProfileCell) []obs.ProfileCell {
 	dst = ch.tally.AppendCells(dst)
 	ch.tally = nil
 	return dst
-}
-
-// mirrorDeltas publishes the difference between the current stats and a
-// prior snapshot into the obs registry — the counters are driven from
-// the identical accounting as Stats, keeping one source of truth.
-func (ch *Channel) mirrorDeltas(before Stats) {
-	d := ch.stats
-	ch.m.dataBits.Add(int64(d.DataBits - before.DataBits))
-	ch.m.busyUIs.Add(d.BusyUIs - before.BusyUIs)
-	ch.m.idleUIs.Add(d.IdleUIs - before.IdleUIs)
-	ch.m.wireEnergy.Add(d.WireEnergy - before.WireEnergy)
-	ch.m.postambleJ.Add(d.PostambleEnergy - before.PostambleEnergy)
-	ch.m.logicEnergy.Add(d.LogicEnergy - before.LogicEnergy)
-	ch.m.replayEnergy.Add(d.ReplayEnergy - before.ReplayEnergy)
-	ch.m.replays.Add(d.ReplayBursts - before.ReplayBursts)
-	ch.m.postambles.Add(d.Postambles - before.Postambles)
-	ch.m.violations.Add(d.Violations - before.Violations)
 }
 
 // sendMTA accounts a dense burst in expected mode; in exact mode it
@@ -517,9 +484,6 @@ func (ch *Channel) expectedSparse(sc *core.SparseGroupCodec, codeLength int) exp
 func (ch *Channel) Postamble() {
 	ch.record(Event{Kind: EventPostamble})
 	ch.takeTally()
-	if ch.m.on {
-		defer ch.mirrorDeltas(ch.stats)
-	}
 	ch.stats.Postambles++
 	ch.mtaChain = 0
 	ch.lastMTA = false
@@ -562,12 +526,6 @@ func (ch *Channel) Idle(uis int64) {
 	}
 	ch.record(Event{Kind: EventIdle, IdleUIs: uis})
 	ch.takeTally()
-	if ch.m.on {
-		if ch.shiftIdle && ch.lastMTA {
-			ch.m.seams.Inc()
-		}
-		defer ch.mirrorDeltas(ch.stats)
-	}
 	// Expected-mode level-shifted idle energy: one L1 symbol per wire
 	// expected to have ended at L3.
 	if ch.shiftIdle && ch.lastMTA && !ch.exact && ch.mtaChain > 0 {

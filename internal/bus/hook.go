@@ -96,10 +96,6 @@ func (ch *Channel) ReplayBurst(data []byte, codeLength int) error {
 		ch.record(Event{Kind: EventReplay, CodeLength: codeLength, Data: append([]byte(nil), data...)})
 	}
 	ch.takeTally()
-	var before Stats
-	if ch.m.on {
-		before = ch.stats
-	}
 	pre := ch.states
 	var err error
 	if codeLength == 0 {
@@ -112,9 +108,6 @@ func (ch *Channel) ReplayBurst(data []byte, codeLength int) error {
 	}
 	ch.accountReplay(&pre, obs.ProfileCodecIndex(codeLength))
 	ch.stats.ReplayBursts++
-	if ch.m.on {
-		ch.mirrorDeltas(before)
-	}
 	if ch.faultActive() {
 		ch.dispatchFault(data, codeLength, pre, true)
 	}

@@ -129,18 +129,6 @@ func SlotClocks(codeLength int) int {
 	return codeLength
 }
 
-// CodecLabel returns the canonical short label of an encoding choice for
-// metrics and trace output: "mta" for the dense encoding (code length 0)
-// and "4bNs" for the sparse code of output length N. The observability
-// layer keys its per-codec counters on these strings, so they must stay
-// stable across releases.
-func CodecLabel(codeLength int) string {
-	if codeLength == 0 {
-		return "mta"
-	}
-	return fmt.Sprintf("4b%ds", codeLength)
-}
-
 // ExtraLatencyClocks returns the added arrival latency of a sparse
 // transfer relative to the dense slot: the decoder must wait for the full
 // code before it can produce data (§IV-C).

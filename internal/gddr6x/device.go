@@ -22,10 +22,6 @@ type Device struct {
 
 	// Counters for reporting.
 	acts, reads, writes, pres, refs int64
-
-	// m mirrors the counters into the obs registry when attached (nil
-	// otherwise; all methods on it are nil-safe).
-	m *deviceMetrics
 }
 
 type bank struct {
@@ -94,9 +90,6 @@ func (d *Device) Activate(b int, row uint32, now int64) error {
 	bk.preReady = now + d.t.TRAS
 	d.lastACT = now
 	d.acts++
-	if d.m != nil {
-		d.m.acts.Inc()
-	}
 	return nil
 }
 
@@ -143,10 +136,6 @@ func (d *Device) Read(addr Address, now int64) error {
 	d.lastColBG = d.t.BankGroup(addr.Bank)
 	d.anyCol = true
 	d.reads++
-	if d.m != nil {
-		d.m.reads.Inc()
-		d.m.column(d.lastColBG)
-	}
 	return nil
 }
 
@@ -171,10 +160,6 @@ func (d *Device) Write(addr Address, now int64) error {
 	d.lastColBG = d.t.BankGroup(addr.Bank)
 	d.anyCol = true
 	d.writes++
-	if d.m != nil {
-		d.m.writes.Inc()
-		d.m.column(d.lastColBG)
-	}
 	return nil
 }
 
@@ -193,9 +178,6 @@ func (d *Device) Precharge(b int, now int64) error {
 	bk.open = false
 	bk.actReady = now + d.t.TRP
 	d.pres++
-	if d.m != nil {
-		d.m.pres.Inc()
-	}
 	return nil
 }
 
@@ -230,9 +212,6 @@ func (d *Device) RefreshBank(b int, now int64) error {
 	d.refBankIdx = (d.refBankIdx + 1) % d.t.Banks
 	d.refDuePB += d.t.TREFI / int64(d.t.Banks)
 	d.refs++
-	if d.m != nil {
-		d.m.refs.Inc()
-	}
 	return nil
 }
 
@@ -262,16 +241,33 @@ func (d *Device) Refresh(now int64) error {
 	d.refBusyTill = end
 	d.refDue += d.t.TREFI
 	d.refs++
-	if d.m != nil {
-		d.m.refs.Inc()
-		d.m.refreshShadow.Add(d.t.TRFC)
-	}
 	return nil
 }
 
 // Counters reports cumulative command counts (ACT, RD, WR, PRE, REF).
 func (d *Device) Counters() (acts, reads, writes, pres, refs int64) {
 	return d.acts, d.reads, d.writes, d.pres, d.refs
+}
+
+// Stats is a typed snapshot of the device's cumulative command counts —
+// the structured replacement for the positional Counters() tuple.
+type Stats struct {
+	Activates  int64
+	Reads      int64
+	Writes     int64
+	Precharges int64
+	Refreshes  int64
+}
+
+// Stats returns a snapshot of the device's command counts.
+func (d *Device) Stats() Stats {
+	return Stats{
+		Activates:  d.acts,
+		Reads:      d.reads,
+		Writes:     d.writes,
+		Precharges: d.pres,
+		Refreshes:  d.refs,
+	}
 }
 
 // Next-event queries for the controller's event-skipping tick loop.

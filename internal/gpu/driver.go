@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"smores/internal/memctrl"
-	"smores/internal/obs"
 )
 
 // Access is one memory operation offered by a workload: a 32-byte sector
@@ -35,11 +34,6 @@ type DriverConfig struct {
 	MaxAccesses int64
 	// MaxClocks aborts a wedged run.
 	MaxClocks int64
-	// Obs registers the driver's (and, when present, the LLC's) live
-	// counters into the given registry; nil disables telemetry.
-	Obs *obs.Registry
-	// ObsLabels scope the metric series (e.g. app="bfs").
-	ObsLabels []obs.Label
 }
 
 // RunResult summarizes a driver run.
@@ -84,7 +78,6 @@ type Driver struct {
 	thinkLeft    int64
 	reqID        uint64
 	res          RunResult
-	m            *driverMetrics // optional live telemetry (nil when unattached)
 }
 
 // NewDriver builds a driver. ctrl must be freshly constructed; the driver
@@ -97,13 +90,11 @@ func NewDriver(cfg DriverConfig, ctrl *memctrl.Controller, gen Generator) (*Driv
 		cfg.MaxClocks = 1 << 32
 	}
 	d := &Driver{cfg: cfg, ctrl: ctrl, gen: gen}
-	d.m = attachDriverMetrics(cfg.Obs, cfg.ObsLabels)
 	if cfg.LLC != nil {
 		llc, err := NewLLC(*cfg.LLC)
 		if err != nil {
 			return nil, err
 		}
-		llc.AttachMetrics(cfg.Obs, cfg.ObsLabels...)
 		d.llc = llc
 	}
 	ctrl.OnReadDone(func(r *memctrl.Request) {
@@ -146,16 +137,9 @@ func (d *Driver) cycle(skip bool) bool {
 	if skip {
 		d.fastForward()
 	}
-	var before RunResult
-	if d.m != nil {
-		before = d.res
-	}
 	progressed := d.step()
 	d.ctrl.Tick()
 	d.res.Clocks++
-	if d.m != nil {
-		d.mirror(before)
-	}
 	return progressed
 }
 
@@ -163,10 +147,9 @@ func (d *Driver) cycle(skip bool) bool {
 // clocks that are provably inert on both sides: the driver is stalled
 // (backpressure or exhausted MSHRs), burning think time, or waiting for
 // in-flight reads to drain, and the controller reports no event before
-// the skip target. Per-clock accounting (StallClocks, the live clock
-// gauge) is applied for the skipped span exactly as the skipped
-// iterations would have, so results are bit-identical to the legacy
-// one-clock loop.
+// the skip target. Per-clock accounting (StallClocks) is applied for the
+// skipped span exactly as the skipped iterations would have, so results
+// are bit-identical to the legacy one-clock loop.
 func (d *Driver) fastForward() {
 	horizon, stall, think := d.idleHorizon()
 	if horizon <= 0 {
@@ -196,14 +179,6 @@ func (d *Driver) fastForward() {
 	}
 	if think {
 		d.thinkLeft -= n // horizon ≤ thinkLeft in the think case
-	}
-	if d.m != nil {
-		// The per-iteration mirror snapshots d.res after this call, so the
-		// skipped span's deltas must be published here.
-		if stall {
-			d.m.stallClocks.Add(n)
-		}
-		d.m.clock.Set(d.res.Clocks)
 	}
 }
 
@@ -238,18 +213,6 @@ func (d *Driver) idleHorizon() (n int64, stall, think bool) {
 		return unbounded, false, false
 	}
 	return 0, false, false
-}
-
-// mirror publishes per-clock deltas of the run counters into the obs
-// registry — identical accounting to RunResult, one source of truth.
-func (d *Driver) mirror(before RunResult) {
-	r := d.res
-	d.m.accesses.Add(r.Accesses - before.Accesses)
-	d.m.dramReads.Add(r.DRAMReads - before.DRAMReads)
-	d.m.dramWrites.Add(r.DRAMWrites - before.DRAMWrites)
-	d.m.stallClocks.Add(r.StallClocks - before.StallClocks)
-	d.m.clock.Set(r.Clocks)
-	d.m.inflight.Set(int64(d.inflight))
 }
 
 func (d *Driver) drained() bool {

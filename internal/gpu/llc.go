@@ -82,7 +82,6 @@ type LLC struct {
 	tick    uint64
 	perLine int
 	stats   LLCStats
-	m       *llcMetrics // optional live telemetry (nil when unattached)
 }
 
 // NewLLC builds the cache.
@@ -101,25 +100,10 @@ func NewLLC(cfg LLCConfig) (*LLC, error) {
 // Stats returns a snapshot of cache statistics.
 func (l *LLC) Stats() LLCStats { return l.stats }
 
-// mirror publishes the delta between the current stats and a prior
-// snapshot into the obs registry — same accounting, one source of truth.
-func (l *LLC) mirror(before LLCStats) {
-	d := l.stats
-	l.m.reads.Add(d.Reads - before.Reads)
-	l.m.writes.Add(d.Writes - before.Writes)
-	l.m.readHits.Add(d.ReadHits - before.ReadHits)
-	l.m.writeHits.Add(d.WriteHits - before.WriteHits)
-	l.m.evictions.Add(d.Evictions - before.Evictions)
-	l.m.writebacks.Add(d.Writebacks - before.Writebacks)
-}
-
 // Access performs one sector access. It returns whether the access missed
 // (needs a DRAM read — only for read misses) and any dirty sectors
 // written back by an eviction.
 func (l *LLC) Access(sector uint64, write bool) (dramRead bool, writebacks []uint64) {
-	if l.m != nil {
-		defer l.mirror(l.stats) // argument snapshots the pre-access stats
-	}
 	l.tick++
 	if write {
 		l.stats.Writes++

@@ -2,7 +2,6 @@ package memctrl
 
 import (
 	"fmt"
-	"strconv"
 
 	"smores/internal/bus"
 	"smores/internal/core"
@@ -128,19 +127,11 @@ type Config struct {
 	// consulted when Fault is installed. Zero value selects defaults.
 	Replay ReplayConfig
 
-	// Obs registers the controller's, device's, and channel's live
-	// counters into the given registry. Nil disables telemetry; the hot
-	// path then pays only predictable nil checks.
-	Obs *obs.Registry
-	// ObsLabels scope every metric series this controller produces
-	// (e.g. channel="0"). A channel label derived from Channel is added
-	// automatically when none is supplied.
-	ObsLabels []obs.Label
 	// Tracer records cycle-level command/bus/codec events into a ring
 	// buffer for Chrome-trace export. Nil disables tracing entirely.
 	Tracer *obs.Tracer
-	// Channel identifies this controller in trace output and default
-	// metric labels (multi-channel runs use 0..N-1).
+	// Channel identifies this controller in trace output (multi-channel
+	// runs use 0..N-1).
 	Channel int
 }
 
@@ -163,9 +154,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.GapHistBuckets == 0 {
 		c.GapHistBuckets = 17
-	}
-	if c.Obs != nil && len(c.ObsLabels) == 0 {
-		c.ObsLabels = []obs.Label{obs.L("channel", strconv.Itoa(c.Channel))}
 	}
 	// Exhaustive gap detection relies on WRITE commands being staged early
 	// in the DRAM (§V-A) so a stretched read response never collides with

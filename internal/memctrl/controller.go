@@ -140,11 +140,8 @@ type Controller struct {
 	writeGaps *stats.Histogram
 	st        Stats
 
-	// m holds live obs instrument handles (all nil when Config.Obs is
-	// unset; every method is nil-safe). tr is the cycle-level tracer (nil
-	// disables emission; call sites guard so the disabled path never
-	// constructs an event).
-	m      ctrlMetrics
+	// tr is the cycle-level tracer (nil disables emission; call sites
+	// guard so the disabled path never constructs an event).
 	tr     *obs.Tracer
 	chanID int32
 	// lastCodeLen/haveBurst track the codec class of the previous burst
@@ -189,21 +186,12 @@ func New(cfg Config) (*Controller, error) {
 	if cfg.Fault != nil {
 		cfg.Bus.Fault = cfg.Fault
 	}
-	// Propagate observability into the owned submodules: the channel
-	// registers its energy counters and the device its command counters
-	// under the same label set as the controller's own series.
-	if cfg.Obs != nil {
-		cfg.Bus.Obs = cfg.Obs
-		cfg.Bus.ObsLabels = cfg.ObsLabels
-		dev.AttachMetrics(cfg.Obs, cfg.ObsLabels...)
-	}
 	c := &Controller{
 		cfg:       cfg,
 		dev:       dev,
 		ch:        bus.New(cfg.Bus),
 		readGaps:  stats.NewHistogram(cfg.GapHistBuckets),
 		writeGaps: stats.NewHistogram(cfg.GapHistBuckets),
-		m:         newCtrlMetrics(cfg.Obs, cfg.ObsLabels, cfg.GapHistBuckets),
 		tr:        cfg.Tracer,
 		chanID:    int32(cfg.Channel),
 	}
@@ -321,15 +309,12 @@ func (c *Controller) Tick() {
 	c.clock++
 }
 
-// beginTick runs the part of a tick before FR-FCFS scheduling: gauges,
+// beginTick runs the part of a tick before FR-FCFS scheduling:
 // completions, the pending decision deadline, refresh, and the
 // read/write mode switch. It reports whether the scheduler may issue a
 // column, ACTIVATE or PRECHARGE command this clock.
 func (c *Controller) beginTick() bool {
 	c.st.Clock = c.clock
-	c.m.clock.Set(c.clock)
-	c.m.readQ.Set(int64(len(c.readQ.reqs)))
-	c.m.writeQ.Set(int64(len(c.writeQ.reqs)))
 	c.deliverCompletions()
 
 	// Encoding decision deadline for the pending transfer: no follow-up
@@ -697,7 +682,6 @@ func (c *Controller) decidePending(gap, gpuGap int, known bool, nextKind Kind) {
 			// exposure) until the rate recovers. Count the burst that
 			// would otherwise have been sparse-eligible.
 			c.st.DegradedBursts++
-			c.m.degradedBursts.Inc()
 		} else {
 			codeLen = c.cfg.Scheme.SelectLength(gap, known)
 		}
@@ -707,7 +691,6 @@ func (c *Controller) decidePending(gap, gpuGap int, known bool, nextKind Kind) {
 	// verify the mechanism's central invariant.
 	if mirror := c.mirrorDecision(gpuGap, known, nextKind, p.kind); mirror != codeLen {
 		c.st.DecisionMismatches++
-		c.m.mismatches.Inc()
 	}
 
 	p.decided = true
@@ -744,10 +727,8 @@ func (c *Controller) decidePending(gap, gpuGap int, known bool, nextKind Kind) {
 	if codeLen != 0 {
 		if p.kind == Read {
 			c.st.SparseReads++
-			c.m.sparseReads.Inc()
 		} else {
 			c.st.SparseWrites++
-			c.m.sparseWrites.Inc()
 		}
 	}
 
@@ -778,7 +759,6 @@ func (c *Controller) decidePending(gap, gpuGap int, known bool, nextKind Kind) {
 		c.scheduleCompletion(&p.req)
 	} else {
 		c.st.WritesServed++
-		c.m.writesServed.Inc()
 	}
 }
 
@@ -806,7 +786,6 @@ func (c *Controller) accountIdle(prev *xfer, nextStart int64, nextKind Kind) {
 	span := nextStart - denseEnd
 	if span < 0 {
 		c.st.BusConflicts++
-		c.m.conflicts.Inc()
 		return
 	}
 	used := int64(0)
@@ -818,7 +797,6 @@ func (c *Controller) accountIdle(prev *xfer, nextStart int64, nextKind Kind) {
 	if span > c.st.MaxGapClocks {
 		c.st.MaxGapClocks = span
 	}
-	c.m.maxGap.SetMax(span)
 	// Replay traffic occupied part of the trailing span; only the
 	// remainder is genuinely idle. A negative remainder from replay alone
 	// is latency (the stretched reservation held the next command back at
@@ -827,7 +805,6 @@ func (c *Controller) accountIdle(prev *xfer, nextStart int64, nextKind Kind) {
 	if idle < 0 {
 		if span-used < 0 {
 			c.st.BusConflicts++
-			c.m.conflicts.Inc()
 		}
 		idle = 0
 	}
@@ -846,10 +823,8 @@ func (c *Controller) accountIdle(prev *xfer, nextStart int64, nextKind Kind) {
 	if prev.kind == nextKind {
 		if prev.kind == Read {
 			c.readGaps.Add(int(span))
-			c.m.readGaps.Observe(float64(span))
 		} else {
 			c.writeGaps.Add(int(span))
-			c.m.writeGaps.Observe(float64(span))
 		}
 	}
 }
@@ -875,8 +850,6 @@ func (c *Controller) deliverCompletions() {
 		r := &c.completions[n]
 		c.st.ReadsServed++
 		c.st.ReadLatencySum += r.Done - r.Arrive
-		c.m.readsServed.Inc()
-		c.m.readLatency.Add(r.Done - r.Arrive)
 		if c.onReadDone != nil {
 			c.onReadDone(r)
 		}

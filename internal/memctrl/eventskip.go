@@ -177,9 +177,6 @@ func (c *Controller) SkipTo(target int64) {
 	c.clock = target
 	// Preserve the post-Tick invariant st.Clock == clock-1.
 	c.st.Clock = target - 1
-	c.m.clock.Set(target - 1)
-	c.m.readQ.Set(int64(len(c.readQ.reqs)))
-	c.m.writeQ.Set(int64(len(c.writeQ.reqs)))
 }
 
 // ReadQueueFull and WriteQueueFull report request-queue backpressure;

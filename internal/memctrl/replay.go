@@ -94,19 +94,15 @@ func (c *Controller) runReplay(p *xfer, data []byte) int64 {
 	for attempt := 1; attempt <= c.replay.RetryBudget; attempt++ {
 		clocks += c.replay.BackoffClocks<<uint(attempt-1) + int64(core.SlotClocks(p.codeLen))
 		c.st.Replays++
-		c.m.replays.Inc()
 		if err := c.ch.ReplayBurst(data, p.codeLen); err != nil {
 			panic("memctrl: " + err.Error())
 		}
 		p.req.Replayed++
 		if v = c.ch.LastBurstVerdict(); !v.Detected {
-			c.m.replayClocks.Add(clocks)
 			return clocks
 		}
 	}
 	c.st.ReplayFailures++
-	c.m.replayFailures.Inc()
-	c.m.replayClocks.Add(clocks)
 	return clocks
 }
 

@@ -1,21 +1,6 @@
 package obs
 
-import (
-	"math"
-	"testing"
-
-	"smores/internal/stats"
-)
-
-func TestCounterIgnoresNonPositive(t *testing.T) {
-	var c Counter
-	c.Add(-3)
-	c.Add(0)
-	c.Inc()
-	if c.Value() != 1 {
-		t.Fatalf("counter = %d, want 1", c.Value())
-	}
-}
+import "testing"
 
 func TestFloatCounterIgnoresNonPositive(t *testing.T) {
 	var f FloatCounter
@@ -28,82 +13,10 @@ func TestFloatCounterIgnoresNonPositive(t *testing.T) {
 	}
 }
 
-func TestGaugeSetMax(t *testing.T) {
-	var g Gauge
-	g.SetMax(5)
-	g.SetMax(3)
-	g.SetMax(9)
-	if g.Value() != 9 {
-		t.Fatalf("gauge = %d, want 9", g.Value())
-	}
-}
-
-func TestLinearBounds(t *testing.T) {
-	b := LinearBounds(0, 1, 4)
-	want := []float64{0, 1, 2, 3}
-	if len(b) != len(want) {
-		t.Fatalf("bounds = %v, want %v", b, want)
-	}
-	for i := range want {
-		if b[i] != want[i] {
-			t.Fatalf("bounds = %v, want %v", b, want)
-		}
-	}
-}
-
-func TestHistogramBucketPlacement(t *testing.T) {
-	h := newHistogram(LinearBounds(0, 1, 3)) // edges 0,1,2 + inf
-	for _, v := range []float64{0, 0, 1, 2, 5} {
-		h.Observe(v)
-	}
-	wants := []int64{2, 1, 1}
-	for i, w := range wants {
-		if got := h.BucketCount(i); got != w {
-			t.Fatalf("bucket %d = %d, want %d", i, got, w)
-		}
-	}
-	if got := h.BucketCount(3); got != 1 {
-		t.Fatalf("inf bucket = %d, want 1", got)
-	}
-	if h.Count() != 5 || h.Sum() != 8 {
-		t.Fatalf("count=%d sum=%v, want 5 and 8", h.Count(), h.Sum())
-	}
-}
-
-// TestHistogramQuantileVsStats cross-checks obs quantiles against the
-// stats package's nearest-rank percentile: with unit-width buckets the
-// two must agree within one bucket width.
-func TestHistogramQuantileVsStats(t *testing.T) {
-	h := newHistogram(LinearBounds(0, 1, 17))
-	var xs []float64
-	// A bimodal integer distribution like a gap histogram.
-	for i := 0; i < 200; i++ {
-		v := float64(i % 3) // 0,1,2
-		if i%17 == 0 {
-			v = float64(4 + i%9) // tail 4..12
-		}
-		h.Observe(v)
-		xs = append(xs, v)
-	}
-	for _, q := range []float64{0.1, 0.5, 0.9, 0.99} {
-		got := h.Quantile(q)
-		want := stats.Percentile(xs, q*100)
-		if math.Abs(got-want) > 1.0 {
-			t.Fatalf("quantile(%v) = %v, stats.Percentile = %v (tolerance 1 bucket)", q, got, want)
-		}
-	}
-}
-
-func TestHistogramSnapshotIsDeep(t *testing.T) {
-	h := newHistogram(LinearBounds(0, 1, 3))
-	h.Observe(1)
-	snap := h.Snapshot()
-	h.Observe(1)
-	if snap.Counts[1] != 1 {
-		t.Fatalf("snapshot must not alias live counts")
-	}
-	snap.Counts[1] = 99
-	if h.Snapshot().Counts[1] != 2 {
-		t.Fatalf("mutating a snapshot must not write back")
+func TestFloatCounterNilSafe(t *testing.T) {
+	var f *FloatCounter
+	f.Add(1.5)
+	if f.Value() != 0 {
+		t.Fatalf("nil float counter must read 0")
 	}
 }

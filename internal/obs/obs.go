@@ -1,62 +1,22 @@
-// Package obs is the simulator's unified observability layer: a
-// dependency-free metrics registry (typed atomic counters, gauges, and
-// histograms), a cycle-level event tracer with Chrome trace-event JSON
-// export, and a live telemetry HTTP server (Prometheus text format,
-// health, progress/ETA, pprof).
+// Package obs is the simulator's observability layer: the energy
+// profiler and the cycle-level event tracer.
+//
+//   - Profile attributes every femtojoule of bus energy to a (phase ×
+//     codec × wire × level × transition class) cell. Bus channels tally
+//     their samples privately (Tally) and publish them once per accepted
+//     run; the profile exports as JSON or folded stacks
+//     (flamegraph.pl, speedscope).
+//   - Tracer keeps the most recent cycle-level events (DRAM commands,
+//     bursts by codec, gaps, seams, queue depths) in a ring buffer and
+//     renders them as Chrome trace-event JSON for Perfetto.
 //
 // Design rules:
 //
-//   - Hot-path friendly. Every instrument method is safe on a nil
-//     receiver and does nothing, so modules instrument unconditionally
-//     and pay only a predictable nil-check when observability is off.
-//     When on, updates are single atomic operations (no locks, no
-//     allocation).
-//   - Concurrency-safe. Instruments may be shared across goroutines
-//     (the fleet runner's workers all feed the same registry); exports
-//     read atomically.
-//   - One source of truth. Modules drive obs instruments from the same
-//     code paths that feed their report-facing Stats snapshots; the
-//     integration tests in the report package assert the two views are
-//     numerically identical.
+//   - Hot-path friendly. Every method is safe on a nil receiver and does
+//     nothing, so modules instrument unconditionally and pay only a
+//     predictable nil check when observability is off. Profile adds are
+//     single atomic operations with no locks and no allocation.
+//   - One source of truth. The modules' Stats structs are the accounting
+//     of record; the profile's published cells reconcile with the summed
+//     bus.Stats of the runs that published them (test-enforced).
 package obs
-
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
-
-// Label is one key=value metric dimension (e.g. channel="0",
-// codec="4b3s", cmd="act").
-type Label struct {
-	Key   string
-	Value string
-}
-
-// L is shorthand for constructing a Label.
-func L(key, value string) Label { return Label{Key: key, Value: value} }
-
-// labelSignature renders a deterministic series key from labels, sorting
-// by key so {a,b} and {b,a} are the same series.
-func labelSignature(labels []Label) string {
-	if len(labels) == 0 {
-		return ""
-	}
-	ls := append([]Label(nil), labels...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
-	var b strings.Builder
-	for i, l := range ls {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%s=%q", l.Key, l.Value)
-	}
-	return b.String()
-}
-
-// sortedLabels returns a sorted copy of labels.
-func sortedLabels(labels []Label) []Label {
-	ls := append([]Label(nil), labels...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
-	return ls
-}

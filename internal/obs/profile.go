@@ -17,11 +17,11 @@ import (
 // over all cells reconciles with the published runs' summed
 // bus.Stats.TotalEnergy to float round-off.
 //
-// Like every obs instrument, a nil *Profile is fully inert: all methods
+// Like every obs handle, a nil *Profile is fully inert: all methods
 // nil-check the receiver, adds are lock-free atomics, and Add allocates
 // nothing. One Profile may be shared by many channels and goroutines
 // (the fleet runner shares one per evaluation run, publishing its runs
-// in fleet order) and scraped while they publish.
+// in fleet order) and snapshotted while they publish.
 
 // Phase classifies where on the bus an energy sample was burned.
 type Phase uint8
@@ -364,8 +364,8 @@ type ProfileSnapshot struct {
 	CodecCounts [NumProfileCodecs]int64
 }
 
-// Snapshot captures every non-empty cell. A scrape racing with
-// observations may miss in-flight samples but never reads torn values.
+// Snapshot captures every non-empty cell. A snapshot racing with
+// publishers may miss in-flight samples but never reads torn values.
 func (p *Profile) Snapshot() ProfileSnapshot {
 	if p == nil {
 		return ProfileSnapshot{}

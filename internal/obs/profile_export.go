@@ -4,61 +4,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
-	"strings"
 
 	"smores/internal/floats"
 )
 
 // Profile export formats:
 //
-//	WriteProfilePrometheus  per-cell counter series for scraping
 //	WriteProfileJSON        the snapshot as a structured document
 //	WriteProfileFolded      folded-stack text (flamegraph.pl / speedscope)
-//	WriteProfileChrome      Chrome trace-event counter tracks (Perfetto)
-//	RenderProfile           human-readable phase/codec roll-up table
-
-// WriteProfilePrometheus renders the snapshot as two counter families,
-// smores_profile_energy_femtojoules_total and
-// smores_profile_symbols_total, labeled by phase/codec/wire/level/
-// transition plus any extra labels (e.g. channel or app scope).
-func WriteProfilePrometheus(w io.Writer, s ProfileSnapshot, extra ...Label) error {
-	if _, err := fmt.Fprintf(w, "# HELP smores_profile_energy_femtojoules_total Attributed bus energy by (phase,codec,wire,level,transition).\n# TYPE smores_profile_energy_femtojoules_total counter\n"); err != nil {
-		return err
-	}
-	lbl := func(c ProfileCell) string {
-		ls := append([]Label{
-			L("phase", c.Phase.String()),
-			L("codec", ProfileCodecName(c.Codec)),
-			L("wire", c.WireName()),
-			L("level", c.LevelName()),
-			L("transition", c.Trans.String()),
-		}, extra...)
-		return promLabels(sortedLabels(ls), "", "")
-	}
-	for _, c := range s.Cells {
-		if floats.Eq(c.FJ, 0) {
-			continue
-		}
-		if _, err := fmt.Fprintf(w, "smores_profile_energy_femtojoules_total%s %s\n",
-			lbl(c), formatValue(c.FJ)); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w, "# HELP smores_profile_symbols_total Attributed transmitted symbols by (phase,codec,wire,level,transition).\n# TYPE smores_profile_symbols_total counter\n"); err != nil {
-		return err
-	}
-	for _, c := range s.Cells {
-		if c.Count == 0 {
-			continue
-		}
-		if _, err := fmt.Fprintf(w, "smores_profile_symbols_total%s %d\n",
-			lbl(c), c.Count); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // profileJSONCell mirrors ProfileCell with string keys for JSON export.
 type profileJSONCell struct {
@@ -127,115 +80,4 @@ func WriteProfileFolded(w io.Writer, s ProfileSnapshot) error {
 		}
 	}
 	return nil
-}
-
-// WriteProfileChrome renders the snapshot as Chrome trace-event counter
-// tracks loadable in Perfetto / chrome://tracing: one counter event per
-// phase with per-codec stacked values, plus a total-energy counter.
-// (A snapshot has no time axis; events are placed at ts=0.)
-func WriteProfileChrome(w io.Writer, s ProfileSnapshot) error {
-	type ev struct {
-		Name string         `json:"name"`
-		Cat  string         `json:"cat"`
-		Ph   string         `json:"ph"`
-		TS   float64        `json:"ts"`
-		PID  int            `json:"pid"`
-		TID  int            `json:"tid"`
-		Args map[string]any `json:"args,omitempty"`
-	}
-	out := struct {
-		TraceEvents     []ev           `json:"traceEvents"`
-		DisplayTimeUnit string         `json:"displayTimeUnit"`
-		Metadata        map[string]any `json:"otherData,omitempty"`
-	}{
-		DisplayTimeUnit: "ms",
-		Metadata: map[string]any{
-			"source":   "smores internal/obs profile",
-			"total_fj": s.TotalFJ,
-		},
-	}
-	out.TraceEvents = append(out.TraceEvents, ev{
-		Name: "process_name", Ph: "M", Cat: "__metadata",
-		Args: map[string]any{"name": "energy profile"},
-	})
-	for ph := Phase(0); ph < NumPhases; ph++ {
-		args := map[string]any{}
-		for _, c := range s.Cells {
-			if c.Phase != ph || floats.Eq(c.FJ, 0) {
-				continue
-			}
-			name := ProfileCodecName(c.Codec)
-			if prev, ok := args[name].(float64); ok {
-				args[name] = prev + c.FJ
-			} else {
-				args[name] = c.FJ
-			}
-		}
-		if len(args) == 0 {
-			continue
-		}
-		out.TraceEvents = append(out.TraceEvents, ev{
-			Name: "energy " + ph.String() + " (fJ)", Cat: "profile",
-			Ph: "C", TID: int(ph), Args: args,
-		})
-	}
-	out.TraceEvents = append(out.TraceEvents, ev{
-		Name: "energy total (fJ)", Cat: "profile", Ph: "C",
-		TID: NumPhases, Args: map[string]any{"total": s.TotalFJ},
-	})
-	enc := json.NewEncoder(w)
-	return enc.Encode(out)
-}
-
-// RenderProfile renders a human-readable roll-up: per-phase and
-// per-codec energy shares with fJ/bit when dataBits > 0.
-func RenderProfile(s ProfileSnapshot, dataBits float64) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Energy attribution (%.4g fJ total, %d symbols)\n", s.TotalFJ, s.Symbols)
-	row := func(name string, fj float64, n int64) {
-		if floats.Eq(fj, 0) && n == 0 {
-			return
-		}
-		fmt.Fprintf(&b, "  %-16s %14.4g fJ %6.1f%%", name, fj, share(fj, s.TotalFJ))
-		if dataBits > 0 {
-			fmt.Fprintf(&b, " %10.1f fJ/bit", fj/dataBits)
-		}
-		if n > 0 {
-			fmt.Fprintf(&b, " %12d sym", n)
-		}
-		b.WriteByte('\n')
-	}
-	b.WriteString("by phase:\n")
-	for ph := Phase(0); ph < NumPhases; ph++ {
-		var n int64
-		for _, c := range s.Cells {
-			if c.Phase == ph {
-				n += c.Count
-			}
-		}
-		row(ph.String(), s.PhaseFJ[ph], n)
-	}
-	b.WriteString("by codec:\n")
-	type kv struct {
-		idx int
-		fj  float64
-	}
-	var codecs []kv
-	for c := 0; c < NumProfileCodecs; c++ {
-		if !floats.Eq(s.CodecFJ[c], 0) || s.CodecCounts[c] != 0 {
-			codecs = append(codecs, kv{c, s.CodecFJ[c]})
-		}
-	}
-	sort.Slice(codecs, func(i, j int) bool { return codecs[i].fj > codecs[j].fj })
-	for _, c := range codecs {
-		row(ProfileCodecName(c.idx), c.fj, s.CodecCounts[c.idx])
-	}
-	return b.String()
-}
-
-func share(part, whole float64) float64 {
-	if floats.Eq(whole, 0) {
-		return 0
-	}
-	return part / whole * 100
 }

@@ -32,6 +32,14 @@ func TestTracerRingWraparound(t *testing.T) {
 	}
 }
 
+func TestTracerNilSafe(t *testing.T) {
+	var tr *Tracer
+	tr.Emit(TraceEvent{})
+	if tr.Enabled() || tr.Len() != 0 {
+		t.Fatalf("nil tracer must be inert")
+	}
+}
+
 func TestTracerEventsIsCopy(t *testing.T) {
 	tr := NewTracer(4)
 	tr.Emit(TraceEvent{Cycle: 1, Type: EvACT})

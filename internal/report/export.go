@@ -8,7 +8,6 @@ import (
 	"math"
 	"strconv"
 
-	"smores/internal/obs"
 	"smores/internal/pam4"
 )
 
@@ -132,19 +131,13 @@ type EvalFleetJSON struct {
 	Apps         []EvalAppJSON `json:"apps"`
 }
 
-// EvalWorkerJSON reports one fleet worker's completed-app counter
-// (series smores_fleet_worker_apps_total).
-type EvalWorkerJSON struct {
-	Worker string `json:"worker"`
-	Apps   int64  `json:"apps_completed"`
-}
-
-// EvalJSON is the machine-readable smores-eval output.
+// EvalJSON is the machine-readable smores-eval output. It holds no
+// timestamps, host or scheduling data, so a fixed seed yields
+// byte-identical bytes at every worker count (cmd/smoke pins this).
 type EvalJSON struct {
-	Accesses int64            `json:"accesses"`
-	Seed     uint64           `json:"seed"`
-	Fleets   []EvalFleetJSON  `json:"fleets"`
-	Workers  []EvalWorkerJSON `json:"workers,omitempty"`
+	Accesses int64           `json:"accesses"`
+	Seed     uint64          `json:"seed"`
+	Fleets   []EvalFleetJSON `json:"fleets"`
 }
 
 // MultiEvalAppJSON is one application row in the machine-readable
@@ -218,9 +211,8 @@ func ExportMultiEvalJSON(w io.Writer, mfrs []MultiFleetResult) error {
 }
 
 // ExportEvalJSON writes the full evaluation — every fleet's per-app
-// results plus, when a registry observed the run, the per-worker
-// completion counters — as indented JSON.
-func ExportEvalJSON(w io.Writer, frs []FleetResult, reg *obs.Registry) error {
+// results — as indented JSON.
+func ExportEvalJSON(w io.Writer, frs []FleetResult) error {
 	var out EvalJSON
 	if len(frs) > 0 {
 		out.Accesses = frs[0].Spec.Accesses
@@ -239,20 +231,6 @@ func ExportEvalJSON(w io.Writer, frs []FleetResult, reg *obs.Registry) error {
 			})
 		}
 		out.Fleets = append(out.Fleets, fj)
-	}
-	for _, fam := range reg.Gather() {
-		if fam.Name != "smores_fleet_worker_apps_total" {
-			continue
-		}
-		for _, s := range fam.Series {
-			wj := EvalWorkerJSON{Apps: int64(s.Value)}
-			for _, l := range s.Labels {
-				if l.Key == "worker" {
-					wj.Worker = l.Value
-				}
-			}
-			out.Workers = append(out.Workers, wj)
-		}
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

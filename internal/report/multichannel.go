@@ -42,10 +42,9 @@ type MultiResult struct {
 }
 
 // channelSpec derives channel i's spec from the run spec: the channel
-// id keeps telemetry series and trace tracks distinguishable
-// (channel="0"..N-1), and a configured fault injector gets a
-// channel-decorrelated seed so the channels see independent error
-// processes.
+// id keeps trace tracks distinguishable (0..N-1), and a configured fault
+// injector gets a channel-decorrelated seed so the channels see
+// independent error processes.
 func channelSpec(spec RunSpec, i int) RunSpec {
 	chSpec := spec
 	chSpec.Channel = i

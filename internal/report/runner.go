@@ -5,7 +5,6 @@ package report
 
 import (
 	"fmt"
-	"strconv"
 	"sync"
 
 	"smores/internal/bus"
@@ -55,11 +54,6 @@ type RunSpec struct {
 	// memctrl.ReplayConfig); only consulted when Fault is set.
 	Replay memctrl.ReplayConfig
 
-	// Obs, when non-nil, registers live counters for the whole stack
-	// (controller, device, channel, LLC, driver) into the registry; the
-	// series are scoped by ObsLabels. Nil disables telemetry.
-	Obs       *obs.Registry
-	ObsLabels []obs.Label
 	// Tracer records cycle-level events for Chrome-trace export (nil
 	// disables tracing).
 	Tracer *obs.Tracer
@@ -71,7 +65,7 @@ type RunSpec struct {
 	// at every worker count. The total reconciles with the summed
 	// bus.Stats of every run that published. Nil disables attribution.
 	Profile *obs.Profile
-	// Channel identifies the controller in traces and default labels.
+	// Channel identifies the controller in traces.
 	Channel int
 }
 
@@ -86,8 +80,6 @@ func (s RunSpec) controllerConfig() memctrl.Config {
 		Scheme:            scheme,
 		Pages:             s.Pages,
 		ExtraCodecLatency: s.ExtraCodecLatency,
-		Obs:               s.Obs,
-		ObsLabels:         s.ObsLabels,
 		Tracer:            s.Tracer,
 		Channel:           s.Channel,
 	}
@@ -185,8 +177,6 @@ func runApp(p workload.Profile, spec RunSpec, perClock bool) (AppResult, *memctr
 	dcfg := gpu.DriverConfig{
 		MSHRs:       p.MSHRs,
 		MaxAccesses: spec.Accesses,
-		Obs:         spec.Obs,
-		ObsLabels:   spec.ObsLabels,
 	}
 	if spec.UseLLC {
 		llc := gpu.DefaultLLCConfig()
@@ -274,32 +264,12 @@ type FleetOptions struct {
 	// Workers bounds concurrent app simulations. 0 selects GOMAXPROCS;
 	// 1 runs sequentially with no goroutines (the benchmarked path).
 	Workers int
-	// Obs, when non-nil, registers per-worker fleet counters and scopes
-	// every app's stack metrics with an app=<name> label (in addition to
-	// any labels already on the spec).
-	Obs *obs.Registry
-	// Progress, when non-nil, is stepped once per completed app —
-	// feeding the /progress telemetry endpoint's ETA.
-	Progress *obs.Progress
 }
 
 // appSeed derives the per-app seed: it depends only on the spec seed and
 // the app's fleet position, never on worker count or completion order,
 // so parallel runs replay exactly the sequential traffic.
 func appSeed(seed uint64, i int) uint64 { return DecorrelateSeed(seed, i) }
-
-// fleetAppSpec builds the per-app spec: deterministic seed plus
-// app-scoped observability labels when a registry is attached.
-func fleetAppSpec(spec RunSpec, opts FleetOptions, i int, p workload.Profile) RunSpec {
-	appSpec := spec
-	appSpec.Seed = appSeed(spec.Seed, i)
-	if opts.Obs != nil {
-		appSpec.Obs = opts.Obs
-		appSpec.ObsLabels = append(append([]obs.Label(nil), spec.ObsLabels...),
-			obs.L("app", p.Name))
-	}
-	return appSpec
-}
 
 // RunFleetApps simulates every application of fleet (pass
 // workload.Fleet() for all 42) under one spec on the shard worker pool.
@@ -320,27 +290,14 @@ func fleetAppSpec(spec RunSpec, opts FleetOptions, i int, p workload.Profile) Ru
 //
 //smores:partialok documented partial-failure contract: completed app results are preserved alongside the lowest-indexed error
 func RunFleetApps(fleet []workload.Profile, spec RunSpec, opts FleetOptions) (FleetResult, error) {
-	workers := shard.Workers(opts.Workers, len(fleet))
-	// One completion counter per pool worker; none on the sequential path.
-	var done []*obs.Counter
-	if workers > 1 && opts.Obs != nil {
-		done = make([]*obs.Counter, workers)
-		for w := range done {
-			done[w] = opts.Obs.Counter("smores_fleet_worker_apps_total",
-				"Apps completed, by fleet worker.", obs.L("worker", strconv.Itoa(w)))
-		}
-	}
 	results := make([]AppResult, len(fleet))
 	failed := make([]bool, len(fleet))
 	pub := newFleetPublisher(len(fleet))
-	err := shard.RunJobs(len(fleet), workers, func(w, i int) error {
-		p := fleet[i]
-		r, ctrl, err := runApp(p, fleetAppSpec(spec, opts, i, p), false)
+	err := shard.RunJobs(len(fleet), opts.Workers, func(_, i int) error {
+		appSpec := spec
+		appSpec.Seed = appSeed(spec.Seed, i)
+		r, ctrl, err := runApp(fleet[i], appSpec, false)
 		pub.finish(i, ctrl)
-		if done != nil {
-			done[w].Inc()
-		}
-		opts.Progress.Step(1)
 		if err != nil {
 			failed[i] = true
 			return fmt.Errorf("report: fleet app %d: %w", i, err)

@@ -355,3 +355,38 @@ func TestRunFleetApps(t *testing.T) {
 		}
 	}
 }
+
+// TestFleetWorkerCountDeterministic proves worker count cannot change
+// results: a 4-worker run must reproduce the sequential run bit-for-bit,
+// app by app, in fleet order.
+func TestFleetWorkerCountDeterministic(t *testing.T) {
+	spec := RunSpec{
+		Policy:   memctrl.SMOREs,
+		Scheme:   core.Scheme{Specification: core.StaticCode, Detection: core.Conservative},
+		Accesses: 400, Seed: 3,
+	}
+	seq, err := RunFleet(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := RunFleetApps(workload.Fleet(), spec, FleetOptions{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seq.Results) != len(par.Results) {
+		t.Fatalf("result counts differ: %d vs %d", len(seq.Results), len(par.Results))
+	}
+	for i := range seq.Results {
+		s, p := seq.Results[i], par.Results[i]
+		if s.App.Name != p.App.Name {
+			t.Fatalf("app %d ordering differs: %s vs %s", i, s.App.Name, p.App.Name)
+		}
+		if s.PerBit != p.PerBit || s.Clocks != p.Clocks || s.Reads != p.Reads ||
+			s.Writes != p.Writes || s.Ctrl != p.Ctrl || s.Bus != p.Bus {
+			t.Errorf("app %s diverged between sequential and parallel runs", s.App.Name)
+		}
+	}
+	if seq.MeanPerBit() != par.MeanPerBit() {
+		t.Errorf("fleet mean diverged: %v vs %v", seq.MeanPerBit(), par.MeanPerBit())
+	}
+}

@@ -17,7 +17,6 @@ package report
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"smores/internal/fault"
@@ -37,11 +36,6 @@ type ShardOptions struct {
 	// sequentially with no goroutines. Results are identical for every
 	// value (test-enforced).
 	Workers int
-	// Obs, when non-nil, registers each shard's stack counters scoped by
-	// a channel=<id> label (plus app=<name> on the fleet path).
-	Obs *obs.Registry
-	// Progress, when non-nil, is stepped once per completed shard.
-	Progress *obs.Progress
 }
 
 // appShards holds one application's planned shard units.
@@ -61,7 +55,7 @@ type appShards struct {
 // added to spec.Profile later in channel order — concurrent shards must
 // not race float additions into shared cells, or the totals would
 // depend on scheduling.
-func buildAppShards(p workload.Profile, spec RunSpec, channels int, opts ShardOptions) (*appShards, error) {
+func buildAppShards(p workload.Profile, spec RunSpec, channels int) (*appShards, error) {
 	if channels < 1 {
 		return nil, fmt.Errorf("report: channel count must be positive, got %d", channels)
 	}
@@ -87,11 +81,6 @@ func buildAppShards(p workload.Profile, spec RunSpec, channels int, opts ShardOp
 	}
 	for i := range as.units {
 		chSpec := channelSpec(spec, i)
-		if opts.Obs != nil {
-			chSpec.Obs = opts.Obs
-			chSpec.ObsLabels = append(append([]obs.Label(nil), spec.ObsLabels...),
-				obs.L("channel", strconv.Itoa(i)))
-		}
 		in, err := chSpec.faultInjector()
 		if err != nil {
 			return nil, err
@@ -107,11 +96,7 @@ func buildAppShards(p workload.Profile, spec RunSpec, channels int, opts ShardOp
 		as.injectors[i] = in
 		// Each shard gets the app's MSHR count as its per-channel share,
 		// so the app holds p.MSHRs × channels in total.
-		dcfg := gpu.DriverConfig{
-			MSHRs:     p.MSHRs,
-			Obs:       chSpec.Obs,
-			ObsLabels: chSpec.ObsLabels,
-		}
+		dcfg := gpu.DriverConfig{MSHRs: p.MSHRs}
 		as.units[i], err = shard.NewUnit(i, ctrl, dcfg, plan.Streams[i])
 		if err != nil {
 			return nil, err
@@ -125,8 +110,8 @@ func buildAppShards(p workload.Profile, spec RunSpec, channels int, opts ShardOp
 // shard's profile cells, concatenated in channel order (none when the
 // app is not profiled), for the caller to add to spec.Profile. On any
 // error the zero MultiResult and no cells are returned.
-func (as *appShards) run(workers int, prog *obs.Progress) (MultiResult, []obs.ProfileCell, error) {
-	if err := as.runUnits(workers, prog); err != nil {
+func (as *appShards) run(workers int) (MultiResult, []obs.ProfileCell, error) {
+	if err := as.runUnits(workers); err != nil {
 		return MultiResult{}, nil, err
 	}
 	mr := MultiResult{
@@ -159,12 +144,11 @@ func (as *appShards) run(workers int, prog *obs.Progress) (MultiResult, []obs.Pr
 // shard that succeeds takes its tally's cells into as.cells as soon as
 // it finishes, on its worker, so the next shard on that worker reuses
 // the tally; a failed shard's tally is dropped.
-func (as *appShards) runUnits(workers int, prog *obs.Progress) error {
+func (as *appShards) runUnits(workers int) error {
 	return shard.RunUnits(as.units, workers, func(u *shard.Unit) {
 		if u.Err() == nil {
 			as.cells[u.Channel] = u.Ctrl.AppendProfileCells(nil)
 		}
-		prog.Step(1)
 	})
 }
 
@@ -190,11 +174,11 @@ func addCells(dst *obs.Profile, cells []obs.ProfileCell) {
 // violation, label disagreement — the zero MultiResult is returned: a
 // populated result never rides alongside an error.
 func RunAppMultiChannel(p workload.Profile, spec RunSpec, channels int, opts ShardOptions) (MultiResult, error) {
-	as, err := buildAppShards(p, spec, channels, opts)
+	as, err := buildAppShards(p, spec, channels)
 	if err != nil {
 		return MultiResult{}, err
 	}
-	mr, cells, err := as.run(opts.Workers, opts.Progress)
+	mr, cells, err := as.run(opts.Workers)
 	if err != nil {
 		return MultiResult{}, err
 	}
@@ -250,16 +234,11 @@ func RunFleetAppsMultiChannel(fleet []workload.Profile, spec RunSpec, channels i
 	results := make([]MultiResult, len(fleet))
 	cells := make([][]obs.ProfileCell, len(fleet))
 	err := shard.RunJobs(len(fleet), opts.Workers, func(_, i int) error {
-		p := fleet[i]
 		appSpec := spec
 		appSpec.Seed = appSeed(spec.Seed, i)
-		if opts.Obs != nil {
-			appSpec.ObsLabels = append(append([]obs.Label(nil), spec.ObsLabels...),
-				obs.L("app", p.Name))
-		}
-		as, err := buildAppShards(p, appSpec, channels, opts)
+		as, err := buildAppShards(fleet[i], appSpec, channels)
 		if err == nil {
-			results[i], cells[i], err = as.run(1, opts.Progress)
+			results[i], cells[i], err = as.run(1)
 		}
 		if err != nil {
 			return fmt.Errorf("report: fleet app %d: %w", i, err)

@@ -383,9 +383,9 @@ func TestFleetMultiChannelProfileCells(t *testing.T) {
 			if _, err := RunAppMultiChannel(p, s, c.channels, ShardOptions{Workers: 1}); err != nil {
 				t.Fatalf("%s: reference app %d: %v", c.name, i, err)
 			}
-			as, err := buildAppShards(p, s, c.channels, ShardOptions{})
+			as, err := buildAppShards(p, s, c.channels)
 			if err == nil {
-				err = as.runUnits(1, nil)
+				err = as.runUnits(1)
 			}
 			if err != nil {
 				t.Fatalf("%s: dense reference app %d: %v", c.name, i, err)

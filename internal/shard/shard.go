@@ -207,7 +207,8 @@ func (u *Unit) Err() error { return u.err }
 // returned error is the lowest-indexed unit's — the same error every
 // worker count reports. onDone, when non-nil, is invoked after each
 // unit finishes (possibly concurrently), on the worker that ran it and
-// before that worker takes its next unit — the progress-bar hook.
+// before that worker takes its next unit; the multi-channel engine takes
+// each shard's profile cells there.
 func RunUnits(units []*Unit, workers int, onDone func(*Unit)) error {
 	return RunJobs(len(units), workers, func(_, i int) error {
 		err := units[i].Run()

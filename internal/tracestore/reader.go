@@ -10,6 +10,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 
 	"smores/internal/gpu"
@@ -47,7 +48,15 @@ func Open(dir string) (*Store, error) {
 	}
 	s := &Store{Dir: dir, Manifest: m}
 	var total int64
+	seen := make(map[string]bool, len(m.Shards))
 	for _, info := range m.Shards {
+		if !validShardName(info.Name) {
+			return nil, fmt.Errorf("%w: manifest shard name %q is not a file name inside the store", ErrBadStore, info.Name)
+		}
+		if seen[info.Name] {
+			return nil, fmt.Errorf("%w: manifest lists shard %s twice", ErrBadStore, info.Name)
+		}
+		seen[info.Name] = true
 		si, err := loadIndex(filepath.Join(dir, info.Name+".index"), info.Name)
 		if err != nil {
 			return nil, err
@@ -66,6 +75,14 @@ func Open(dir string) (*Store, error) {
 		return nil, fmt.Errorf("%w: shards hold %d records, manifest claims %d", ErrBadStore, total, m.Records)
 	}
 	return s, nil
+}
+
+// validShardName reports whether a manifest shard name is a plain file
+// name prefix inside the store directory. Writers only produce
+// shard-%06d: a name with a path separator could reach outside the
+// store, and an empty or dot name is no writer's.
+func validShardName(name string) bool {
+	return name != "" && name != "." && name != ".." && !strings.ContainsAny(name, `/\`)
 }
 
 // Records returns the store's total record count.

@@ -479,6 +479,58 @@ func TestOpenRejectsCraftedCounts(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsCraftedShardNames: a manifest may name only files
+// inside the store, each shard once. A repeated shard would replay its
+// records twice, and a path-bearing name would read files outside the
+// store; both fail at Open with ErrBadStore.
+func TestOpenRejectsCraftedShardNames(t *testing.T) {
+	reject := func(t *testing.T, dir string) {
+		t.Helper()
+		s, err := Open(dir)
+		if err == nil {
+			recs, rerr := ReadAll(s, AccessFields)
+			t.Fatalf("Open accepted the manifest; ReadAll returned %d records, err %v", len(recs), rerr)
+		}
+		if !errors.Is(err, ErrBadStore) {
+			t.Errorf("Open err = %v, want ErrBadStore", err)
+		}
+	}
+	t.Run("duplicate", func(t *testing.T) {
+		_, dir := mustWrite(t, genRecords(7, 100, false), Meta{Name: "crafted"}, 1)
+		rewriteManifest(t, dir, func(m *Manifest) {
+			m.Shards = append(m.Shards, m.Shards[0])
+			m.Records *= 2
+		})
+		reject(t, dir)
+	})
+	for _, tc := range []struct{ label, name string }{
+		{"parent-dir", "../x"},
+		{"backslash", `..\x`},
+		{"empty", ""},
+		{"dot", "."},
+		{"dot-dot", ".."},
+	} {
+		t.Run(tc.label, func(t *testing.T) {
+			_, dir := mustWrite(t, genRecords(7, 100, false), Meta{Name: "crafted"}, 1)
+			// Move the shard's files to where joining the name to the
+			// store directory finds them, so only the name check rejects
+			// the store.
+			files, err := filepath.Glob(filepath.Join(dir, "shard-000000.*"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, old := range files {
+				ext := strings.TrimPrefix(filepath.Base(old), "shard-000000")
+				if err := os.Rename(old, filepath.Join(dir, tc.name+ext)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rewriteManifest(t, dir, func(m *Manifest) { m.Shards[0].Name = tc.name })
+			reject(t, dir)
+		})
+	}
+}
+
 // rewriteManifest applies edit to a store's manifest on disk.
 func rewriteManifest(t *testing.T, dir string, edit func(*Manifest)) {
 	t.Helper()
