@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint fuzz-smoke bench-smoke bench-selftest bench-regress fault-smoke trace-smoke
+.PHONY: build test race lint fuzz-smoke bench-smoke bench-selftest bench-golden bench-regress fault-smoke trace-smoke
 
 build:
 	$(GO) build ./...
@@ -41,6 +41,15 @@ bench-smoke:
 bench-selftest:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
+
+# bench-golden runs every workload once at full size and seed 1 and
+# holds it to its golden digest in bench/testdata/, as CI's bench-golden
+# job does; bench-selftest replays tiny sizes only. It gates `correct`,
+# never wall time.
+bench-golden:
+	for w in table5-sweep exact-link multichannel-llc store-replay; do \
+		bash -o pipefail -c "bash bench/run.sh -workload $$w -seed 1 -seconds 1 -trace 0 | tail -n 1 | jq -e .correct" || exit 1; \
+	done
 
 bench-regress:
 	$(GO) run ./cmd/smores-bench -compare BENCH_baseline.json

@@ -144,6 +144,21 @@ func TestBenchJSONShapeAndRegressionGate(t *testing.T) {
 		t.Errorf("self-comparison regressed: %v", err)
 	}
 
+	// Without -out, a compare writes no report: it leaves no
+	// BENCH_<date>.json in its working directory, whatever the verdict
+	// of its noisy same-host wall gate.
+	wd := t.TempDir()
+	gate := exec.Command(bin(dir, "smores-bench"), "-accesses", "60", "-q", "-compare", self)
+	gate.Dir = wd
+	if out, err := gate.CombinedOutput(); err != nil {
+		if _, ok := err.(*exec.ExitError); !ok {
+			t.Fatalf("smores-bench did not run: %v\n%s", err, out)
+		}
+	}
+	if stray, err := filepath.Glob(filepath.Join(wd, "BENCH_*.json")); err != nil || len(stray) != 0 {
+		t.Errorf("a compare without -out left %v in its working directory (glob err %v)", stray, err)
+	}
+
 	// A baseline one ulp away from the current run, in either direction,
 	// is an energy regression: energies must match bit for bit — exit 1.
 	for _, toward := range []float64{math.Inf(1), math.Inf(-1)} {

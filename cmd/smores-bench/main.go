@@ -4,10 +4,11 @@
 // BENCH_<date>.json report with, per scheme, the reproduced energy
 // (pJ/bit — deterministic), the wall-clock throughput, and the
 // allocation profile. With -compare it gates the run against a
-// committed baseline: energy must match bit for bit, on the same
-// accesses and seed; throughput and allocations are checked only when
-// the host fingerprint matches the baseline's (so CI runners still get
-// the energy gate against a baseline generated elsewhere).
+// committed baseline instead, and writes a report only where -out names
+// one: energy must match bit for bit, on the same accesses and seed;
+// throughput and allocations are checked only when the host fingerprint
+// matches the baseline's (so CI runners still get the energy gate
+// against a baseline generated elsewhere).
 //
 //	smores-bench -out BENCH_baseline.json          # seed a baseline
 //	smores-bench -compare BENCH_baseline.json      # gate (exit 1 on regression)
@@ -27,7 +28,7 @@ func main() {
 		accesses = flag.Int64("accesses", report.DefaultBenchAccesses, "per-app workload length")
 		seed     = flag.Uint64("seed", 1, "deterministic traffic seed")
 		workers  = flag.Int("j", 1, "concurrent app simulations (1 = sequential, most reproducible allocs)")
-		out      = flag.String("out", "", "report path (default BENCH_<date>.json; '-' for stdout only)")
+		out      = flag.String("out", "", "report path ('-' for stdout only; default BENCH_<date>.json, or no report with -compare)")
 		compare  = flag.String("compare", "", "baseline report to gate against")
 		perfTol  = flag.String("perf-tolerance", "30%", "relative wall-time/alloc tolerance (same-host only)")
 		quiet    = flag.Bool("q", false, "suppress the report table")
@@ -46,12 +47,15 @@ func main() {
 	}
 
 	path := *out
-	if path == "" {
+	if path == "" && *compare == "" {
 		path = "BENCH_" + time.Now().UTC().Format("2006-01-02") + ".json"
 	}
-	if path == "-" {
+	switch path {
+	case "":
+		// A gate run without -out leaves no file named like a trajectory point.
+	case "-":
 		fail(report.WriteBench(os.Stdout, rep))
-	} else {
+	default:
 		f, err := os.Create(path)
 		fail(err)
 		fail(report.WriteBench(f, rep))

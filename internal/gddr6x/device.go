@@ -249,27 +249,6 @@ func (d *Device) Counters() (acts, reads, writes, pres, refs int64) {
 	return d.acts, d.reads, d.writes, d.pres, d.refs
 }
 
-// Stats is a typed snapshot of the device's cumulative command counts —
-// the structured replacement for the positional Counters() tuple.
-type Stats struct {
-	Activates  int64
-	Reads      int64
-	Writes     int64
-	Precharges int64
-	Refreshes  int64
-}
-
-// Stats returns a snapshot of the device's command counts.
-func (d *Device) Stats() Stats {
-	return Stats{
-		Activates:  d.acts,
-		Reads:      d.reads,
-		Writes:     d.writes,
-		Precharges: d.pres,
-		Refreshes:  d.refs,
-	}
-}
-
 // Next-event queries for the controller's event-skipping tick loop.
 //
 // Between commands the device's state is static: every Can* predicate is

@@ -97,6 +97,15 @@ func NewLLC(cfg LLCConfig) (*LLC, error) {
 	}, nil
 }
 
+// Reset empties the cache for reuse: every line invalid, the LRU clock
+// and the statistics zeroed. A reset cache makes the same hit, victim
+// and writeback decisions as a fresh one from NewLLC with its config.
+func (l *LLC) Reset() {
+	clear(l.lines)
+	l.tick = 0
+	l.stats = LLCStats{}
+}
+
 // Stats returns a snapshot of cache statistics.
 func (l *LLC) Stats() LLCStats { return l.stats }
 

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"slices"
 	"testing"
 
 	"smores/internal/rng"
@@ -157,5 +158,43 @@ func TestHitRateTracksReuse(t *testing.T) {
 func TestEmptyStats(t *testing.T) {
 	if (LLCStats{}).HitRate() != 0 {
 		t.Error("empty hit rate should be 0")
+	}
+}
+
+// A reset cache must be indistinguishable from a fresh one: after
+// random traffic that leaves dirty lines and a running LRU clock, Reset
+// and NewLLC must agree on every later access's fetch decision and
+// writeback list, and on the statistics.
+func TestLLCResetMatchesFresh(t *testing.T) {
+	cfg := smallLLC()
+	reused := mustLLC(t, cfg)
+	// Traffic over 16 times the cache's 64 lines: evictions are frequent.
+	span := 16 * cfg.Sets() * cfg.Ways * cfg.SectorsPerLine()
+	r := rng.New(11)
+	for i := 0; i < 5000; i++ {
+		reused.Access(uint64(r.Intn(span)), r.Bool(0.4))
+	}
+	if st := reused.Stats(); st.Writebacks == 0 {
+		t.Fatalf("warm-up wrote nothing back — the test is vacuous: %+v", st)
+	}
+	reused.Reset()
+	fresh := mustLLC(t, cfg)
+	if reused.Stats() != fresh.Stats() {
+		t.Fatalf("reset stats %+v, want a fresh cache's %+v", reused.Stats(), fresh.Stats())
+	}
+	for i := 0; i < 5000; i++ {
+		sector, write := uint64(r.Intn(span)), r.Bool(0.4)
+		gotRead, gotWB := reused.Access(sector, write)
+		wantRead, wantWB := fresh.Access(sector, write)
+		if gotRead != wantRead || !slices.Equal(gotWB, wantWB) {
+			t.Fatalf("access %d (sector %d write %v): reset cache gave read=%v writebacks=%v, fresh read=%v writebacks=%v",
+				i, sector, write, gotRead, gotWB, wantRead, wantWB)
+		}
+	}
+	if reused.Stats() != fresh.Stats() {
+		t.Fatalf("stats diverged: reset %+v, fresh %+v", reused.Stats(), fresh.Stats())
+	}
+	if fresh.Stats().Writebacks == 0 {
+		t.Fatal("the compared stream wrote nothing back — the test is vacuous")
 	}
 }

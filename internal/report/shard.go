@@ -13,7 +13,9 @@ package report
 // RunFleetAppsMultiChannel is the fleet scheduler on top: it streams the
 // fleet one app per pool job — front-end epoch, shards in channel order,
 // merge — so live memory is bounded by the worker count times one app,
-// not by apps × channels.
+// not by apps × channels. Each worker keeps one front end (a
+// shard.Planner) for every app it takes: about 1.2 MB of LLC plus the
+// streams of the largest app it has run.
 
 import (
 	"fmt"
@@ -48,14 +50,15 @@ type appShards struct {
 	cells [][]obs.ProfileCell
 }
 
-// buildAppShards runs the front-end epoch for one app and wires its
-// per-channel units. Each shard's controller is configured with
-// spec.Profile, so it tallies its attribution, but it never publishes
-// there: runUnits takes each shard's tally as cells, and the cells are
-// added to spec.Profile later in channel order — concurrent shards must
-// not race float additions into shared cells, or the totals would
-// depend on scheduling.
-func buildAppShards(p workload.Profile, spec RunSpec, channels int) (*appShards, error) {
+// buildAppShards runs the front-end epoch for one app on pl and wires
+// its per-channel units. The units replay pl's streams, so pl must not
+// build again until they have run. Each shard's controller is
+// configured with spec.Profile, so it tallies its attribution, but it
+// never publishes there: runUnits takes each shard's tally as cells, and
+// the cells are added to spec.Profile later in channel order —
+// concurrent shards must not race float additions into shared cells, or
+// the totals would depend on scheduling.
+func buildAppShards(pl *shard.Planner, p workload.Profile, spec RunSpec, channels int) (*appShards, error) {
 	if channels < 1 {
 		return nil, fmt.Errorf("report: channel count must be positive, got %d", channels)
 	}
@@ -68,7 +71,7 @@ func buildAppShards(p workload.Profile, spec RunSpec, channels int) (*appShards,
 		c := gpu.DefaultLLCConfig()
 		llcCfg = &c
 	}
-	plan, err := shard.BuildPlan(gen, channels, spec.Accesses, llcCfg)
+	plan, err := pl.Build(gen, channels, spec.Accesses, llcCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -174,7 +177,7 @@ func addCells(dst *obs.Profile, cells []obs.ProfileCell) {
 // violation, label disagreement — the zero MultiResult is returned: a
 // populated result never rides alongside an error.
 func RunAppMultiChannel(p workload.Profile, spec RunSpec, channels int, opts ShardOptions) (MultiResult, error) {
-	as, err := buildAppShards(p, spec, channels)
+	as, err := buildAppShards(new(shard.Planner), p, spec, channels)
 	if err != nil {
 		return MultiResult{}, err
 	}
@@ -219,24 +222,27 @@ func (fr MultiFleetResult) MeanClocks() float64 {
 // RunFleetAppsMultiChannel runs every application of fleet (pass
 // workload.Fleet() for all 42) over the given channel count — the fleet
 // scheduler. Each app is one job on a bounded worker pool: the worker
-// runs the app's front-end epoch and then its shards in channel order,
-// and keeps only the merged MultiResult and the cells each shard's
-// tally handed over, so live memory is bounded by opts.Workers × one
-// app, not by apps × channels. Per-app seeds follow the fleet-position
-// contract (appSeed), results are ordered by fleet position, and the
-// cells are added to spec.Profile in (app, channel) order once every app
-// has succeeded, so the whole result is byte-identical for every worker
-// count. Every app runs, whatever the others do. On any error —
-// including a shard invariant violation — the zero-value result is
-// returned with the lowest-indexed app's failure, and nothing is added
-// to spec.Profile.
+// runs the app's front-end epoch on its own planner and then the app's
+// shards in channel order, and keeps only the merged MultiResult and the
+// cells each shard's tally handed over, so live memory is bounded by
+// opts.Workers × (one app + one front end), not by apps × channels. The
+// worker finishes an app before it takes the next, and nothing it keeps
+// points into the plan, so the next app's Build may overwrite it.
+// Per-app seeds follow the fleet-position contract (appSeed), results
+// are ordered by fleet position, and the cells are added to spec.Profile
+// in (app, channel) order once every app has succeeded, so the whole
+// result is byte-identical for every worker count. Every app runs,
+// whatever the others do. On any error — including a shard invariant
+// violation — the zero-value result is returned with the lowest-indexed
+// app's failure, and nothing is added to spec.Profile.
 func RunFleetAppsMultiChannel(fleet []workload.Profile, spec RunSpec, channels int, opts ShardOptions) (MultiFleetResult, error) {
 	results := make([]MultiResult, len(fleet))
 	cells := make([][]obs.ProfileCell, len(fleet))
-	err := shard.RunJobs(len(fleet), opts.Workers, func(_, i int) error {
+	planners := make([]shard.Planner, shard.Workers(opts.Workers, len(fleet)))
+	err := shard.RunJobs(len(fleet), opts.Workers, func(w, i int) error {
 		appSpec := spec
 		appSpec.Seed = appSeed(spec.Seed, i)
-		as, err := buildAppShards(fleet[i], appSpec, channels)
+		as, err := buildAppShards(&planners[w], fleet[i], appSpec, channels)
 		if err == nil {
 			results[i], cells[i], err = as.run(1)
 		}

@@ -10,8 +10,10 @@ import (
 
 	"smores/internal/fault"
 	"smores/internal/floats"
+	"smores/internal/gpu"
 	"smores/internal/memctrl"
 	"smores/internal/obs"
+	"smores/internal/shard"
 	"smores/internal/workload"
 )
 
@@ -300,6 +302,71 @@ func TestFleetMultiChannelDeterministic(t *testing.T) {
 	}
 }
 
+// Each fleet worker keeps one front end — LLC and plan streams — for
+// every app it takes. Nothing may leak from one app into the next: at
+// every worker count, each app's result must equal RunAppMultiChannel of
+// that app alone, seeded as the fleet seeds it. The apps' working sets
+// are shrunk so that they share lines: a line left in the cache by one
+// app would turn some of the next app's misses into hits.
+func TestFleetMultiChannelMatchesSingleApps(t *testing.T) {
+	fleet := append([]workload.Profile(nil), workload.Fleet()[:6]...)
+	for i := range fleet {
+		fleet[i].WorkingSetSectors = 1 << 14
+	}
+	spec := PolicySpecs(1000, 29, true)[3]
+	const channels = 4
+	want := make([]MultiResult, len(fleet))
+	for i, p := range fleet {
+		s := spec
+		s.Seed = DecorrelateSeed(spec.Seed, i)
+		mr, err := RunAppMultiChannel(p, s, channels, ShardOptions{Workers: 1})
+		if err != nil {
+			t.Fatalf("app %d alone: %v", i, err)
+		}
+		want[i] = mr
+	}
+	for _, workers := range []int{1, 3} {
+		fr, err := RunFleetAppsMultiChannel(fleet, spec, channels, ShardOptions{Workers: workers})
+		if err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		for i := range fleet {
+			requireIdentical(t, fmt.Sprintf("workers %d app %d", workers, i), want[i], fr.Results[i])
+		}
+	}
+}
+
+// A fleet worker allocates its front end once, not once per app: six
+// apps on one worker allocate less than two LLC backing arrays in all,
+// where a cache per app would take six.
+func TestFleetMultiChannelReusesFrontEnd(t *testing.T) {
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	var err error
+	llcBytes := allocated(func() { _, err = gpu.NewLLC(gpu.DefaultLLCConfig()) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet := workload.Fleet()[:6]
+	spec := PolicySpecs(2000, 1, true)[2]
+	fleetBytes := allocated(func() {
+		_, err = RunFleetAppsMultiChannel(fleet, spec, 4, ShardOptions{Workers: 1})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("the fleet allocated %d bytes; one LLC is %d", fleetBytes, llcBytes)
+	if fleetBytes >= 2*llcBytes {
+		t.Fatalf("a %d-app fleet on one worker allocated %d bytes, want under two LLCs (%d)",
+			len(fleet), fleetBytes, 2*llcBytes)
+	}
+}
+
 // requireSameCells asserts two profile snapshots hold the same cells,
 // energies bit for bit.
 func requireSameCells(t *testing.T, tag string, want, got []obs.ProfileCell) {
@@ -383,7 +450,7 @@ func TestFleetMultiChannelProfileCells(t *testing.T) {
 			if _, err := RunAppMultiChannel(p, s, c.channels, ShardOptions{Workers: 1}); err != nil {
 				t.Fatalf("%s: reference app %d: %v", c.name, i, err)
 			}
-			as, err := buildAppShards(p, s, c.channels)
+			as, err := buildAppShards(new(shard.Planner), p, s, c.channels)
 			if err == nil {
 				err = as.runUnits(1)
 			}

@@ -3,7 +3,7 @@
 // parallel runner shares (RunJobs). A multi-channel run splits into two
 // epochs separated by the MSHR/LLC boundary:
 //
-//  1. Front-end epoch (BuildPlan): the workload generator and the
+//  1. Front-end epoch (Planner.Build): the workload generator and the
 //     shared LLC run once, sequentially, producing one deterministic
 //     DRAM-operation stream per channel behind the sector-striping
 //     address interleaver (sector % channels picks the channel,
@@ -64,16 +64,39 @@ type Plan struct {
 	LLC gpu.LLCStats
 }
 
-// BuildPlan runs the front-end epoch: it consumes maxAccesses accesses
-// from gen, filters them through an optional shared LLC, and routes the
+// BuildPlan runs the front-end epoch into fresh storage: it is
+// new(Planner).Build, so the plan stays valid for as long as the caller
+// keeps it.
+func BuildPlan(gen gpu.Generator, channels int, maxAccesses int64, llcCfg *gpu.LLCConfig) (*Plan, error) {
+	return new(Planner).Build(gen, channels, maxAccesses, llcCfg)
+}
+
+// Planner runs front-end epochs into one front end that it keeps
+// between builds: an LLC, emptied by Reset before each plan, and the
+// per-channel stream buffers, truncated and refilled by each plan. A
+// caller that builds many plans one after another (a fleet worker, one
+// app at a time) thus allocates the cache and the streams once, not per
+// plan. The zero value is ready to use; a Planner is not safe for
+// concurrent use.
+type Planner struct {
+	plan   Plan
+	llc    *gpu.LLC
+	llcCfg gpu.LLCConfig // the configuration llc was built with
+}
+
+// Build runs the front-end epoch: it consumes maxAccesses accesses from
+// gen, filters them through an optional shared LLC, and routes the
 // resulting DRAM operations across channels by sector striping. The
 // plan is a pure function of (generator stream, channels, llcCfg):
-// building it twice yields identical streams.
+// building it twice, on one planner or two, yields identical streams.
+//
+// The returned plan, streams included, is the planner's own storage: it
+// stays valid only until the planner's next Build, which overwrites it.
 //
 // Think (compute) clocks attach to the first DRAM operation emitted at
 // or after the access that carried them, so no think time is lost even
 // when LLC hits elide the operation itself.
-func BuildPlan(gen gpu.Generator, channels int, maxAccesses int64, llcCfg *gpu.LLCConfig) (*Plan, error) {
+func (pl *Planner) Build(gen gpu.Generator, channels int, maxAccesses int64, llcCfg *gpu.LLCConfig) (*Plan, error) {
 	if gen == nil {
 		return nil, fmt.Errorf("shard: plan needs a generator")
 	}
@@ -85,13 +108,29 @@ func BuildPlan(gen gpu.Generator, channels int, maxAccesses int64, llcCfg *gpu.L
 	}
 	var llc *gpu.LLC
 	if llcCfg != nil {
-		l, err := gpu.NewLLC(*llcCfg)
-		if err != nil {
-			return nil, err
+		if pl.llc == nil || pl.llcCfg != *llcCfg {
+			l, err := gpu.NewLLC(*llcCfg)
+			if err != nil {
+				return nil, err
+			}
+			pl.llc, pl.llcCfg = l, *llcCfg
+		} else {
+			pl.llc.Reset()
 		}
-		llc = l
+		llc = pl.llc
 	}
-	p := &Plan{Channels: channels, Streams: make([][]gpu.Access, channels)}
+	// Reslicing up to capacity reaches buffers an earlier, wider plan
+	// grew, so a plan with fewer channels keeps them for the next one.
+	streams := pl.plan.Streams
+	if cap(streams) < channels {
+		streams = append(streams[:cap(streams)], make([][]gpu.Access, channels-cap(streams))...)
+	}
+	streams = streams[:channels]
+	for i := range streams {
+		streams[i] = streams[i][:0]
+	}
+	pl.plan = Plan{Channels: channels, Streams: streams}
+	p := &pl.plan
 	var pendingThink int64
 	emit := func(sector uint64, write bool) {
 		ch := int(sector % uint64(channels))
@@ -138,8 +177,9 @@ type StreamGen struct {
 	i   int
 }
 
-// NewStreamGen builds a generator over ops (not copied — the plan owns
-// the slice and shards never share streams).
+// NewStreamGen builds a generator over ops. The slice is not copied, so
+// it must not change until the replay ends: a plan's streams belong to
+// the Planner that built them, and its next Build overwrites them.
 func NewStreamGen(ops []gpu.Access) *StreamGen { return &StreamGen{ops: ops} }
 
 // Next implements gpu.Generator.

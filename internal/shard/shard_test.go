@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"smores/internal/gpu"
@@ -44,20 +45,87 @@ func record(t *testing.T, name string, seed uint64, n int64) []gpu.Access {
 	return ops
 }
 
+// Both entry points reject bad arguments: BuildPlan and a Planner that
+// already holds a cache and streams from an earlier build.
 func TestBuildPlanValidation(t *testing.T) {
 	ops := record(t, "bfs", 1, 10)
-	if _, err := BuildPlan(nil, 2, 10, nil); err == nil {
-		t.Error("nil generator must error")
+	llc := gpu.DefaultLLCConfig()
+	var pl Planner
+	if _, err := pl.Build(&reGen{ops: ops}, 2, 10, &llc); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := BuildPlan(&reGen{ops: ops}, 0, 10, nil); err == nil {
-		t.Error("zero channels must error")
+	for name, build := range map[string]func(gpu.Generator, int, int64, *gpu.LLCConfig) (*Plan, error){
+		"BuildPlan": BuildPlan,
+		"Planner":   pl.Build,
+	} {
+		if _, err := build(nil, 2, 10, nil); err == nil {
+			t.Errorf("%s: nil generator must error", name)
+		}
+		if _, err := build(&reGen{ops: ops}, 0, 10, nil); err == nil {
+			t.Errorf("%s: zero channels must error", name)
+		}
+		if _, err := build(&reGen{ops: ops}, 2, 0, nil); err == nil {
+			t.Errorf("%s: zero access budget must error", name)
+		}
+		bad := gpu.LLCConfig{SizeBytes: 3}
+		if _, err := build(&reGen{ops: ops}, 2, 10, &bad); err == nil {
+			t.Errorf("%s: invalid LLC config must error", name)
+		}
 	}
-	if _, err := BuildPlan(&reGen{ops: ops}, 2, 0, nil); err == nil {
-		t.Error("zero access budget must error")
-	}
+}
+
+// A planner reused across builds must produce, build after build, the
+// plan a fresh BuildPlan does — whether the channel count shrinks or
+// grows, the LLC comes and goes, or its configuration changes — and a
+// failed build must not disturb the next one. Steps that reuse a cache
+// replay traffic it has already seen, so a line that survived the reset
+// would turn misses into hits.
+func TestPlannerReuseMatchesFresh(t *testing.T) {
+	def := gpu.DefaultLLCConfig()
+	small := gpu.LLCConfig{SizeBytes: 64 << 10, LineBytes: 128, SectorBytes: 32, Ways: 8}
 	bad := gpu.LLCConfig{SizeBytes: 3}
-	if _, err := BuildPlan(&reGen{ops: ops}, 2, 10, &bad); err == nil {
-		t.Error("invalid LLC config must error")
+	steps := []struct {
+		app      string
+		seed     uint64
+		channels int
+		n        int64
+		llc      *gpu.LLCConfig
+	}{
+		{"resnet50", 1, 5, 6000, &def},
+		{"bfs", 2, 3, 2500, nil},
+		{"resnet50", 1, 8, 6000, &def},
+		{"bert", 3, 8, 4000, &small},
+		{"bfs", 4, 4, 3000, &bad},
+		{"bert", 3, 2, 4000, &small},
+		{"srad", 5, 6, 3000, &def},
+	}
+	var pl Planner
+	for k, st := range steps {
+		ops := record(t, st.app, st.seed, st.n)
+		got, gotErr := pl.Build(&reGen{ops: ops}, st.channels, st.n, st.llc)
+		want, wantErr := BuildPlan(&reGen{ops: ops}, st.channels, st.n, st.llc)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("step %d: planner err %v, BuildPlan err %v", k, gotErr, wantErr)
+		}
+		if wantErr != nil {
+			continue
+		}
+		if got.Channels != want.Channels || len(got.Streams) != len(want.Streams) {
+			t.Fatalf("step %d: planner built %d channels (%d streams), want %d (%d)",
+				k, got.Channels, len(got.Streams), want.Channels, len(want.Streams))
+		}
+		if got.Accesses != want.Accesses || got.Reads != want.Reads || got.Writes != want.Writes {
+			t.Fatalf("step %d: planner counted %d accesses, %d reads, %d writes; fresh %d, %d, %d",
+				k, got.Accesses, got.Reads, got.Writes, want.Accesses, want.Reads, want.Writes)
+		}
+		if got.LLC != want.LLC {
+			t.Fatalf("step %d: LLC stats %+v, fresh %+v", k, got.LLC, want.LLC)
+		}
+		for ch := range want.Streams {
+			if !slices.Equal(got.Streams[ch], want.Streams[ch]) {
+				t.Fatalf("step %d: channel %d stream differs from a fresh plan's", k, ch)
+			}
+		}
 	}
 }
 

@@ -100,26 +100,3 @@ func TestMeanAndGeomean(t *testing.T) {
 		t.Error("non-positive inputs must yield 0")
 	}
 }
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{5, 1, 3, 2, 4}
-	if Percentile(nil, 50) != 0 {
-		t.Error("empty percentile")
-	}
-	if got := Percentile(xs, 0); got != 1 {
-		t.Errorf("P0 = %g", got)
-	}
-	if got := Percentile(xs, 100); got != 5 {
-		t.Errorf("P100 = %g", got)
-	}
-	if got := Percentile(xs, 50); got != 3 {
-		t.Errorf("P50 = %g", got)
-	}
-	if got := Percentile(xs, 90); got != 5 {
-		t.Errorf("P90 = %g", got)
-	}
-	// Input must not be mutated.
-	if xs[0] != 5 {
-		t.Error("Percentile mutated input")
-	}
-}

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // Magic identifies a shard index file.
@@ -158,11 +159,20 @@ func encodeThinks(dst []byte, thinks []int64) []byte {
 	return dst
 }
 
-// decodeThinks parses n think values, rejecting values above MaxInt64
-// (they could not have been written by a valid writer — the same guard
-// the row-oriented trace reader enforces).
-func decodeThinks(raw []byte, n int) ([]int64, error) {
-	out := make([]int64, n)
+// resize returns n elements of buf's storage when it can hold them, else
+// of a fresh slice grown as append grows one, so that blocks a little
+// larger than the last rarely allocate again. Callers overwrite every
+// element.
+func resize[T any](buf []T, n int) []T {
+	return slices.Grow(buf[:0], n)[:n]
+}
+
+// decodeThinks parses n think values into dst's storage (see resize),
+// rejecting values above MaxInt64 (they could not have been written by
+// a valid writer — the same guard the row-oriented trace reader
+// enforces).
+func decodeThinks(dst []int64, raw []byte, n int) ([]int64, error) {
+	out := resize(dst, n)
 	r := bytes.NewReader(raw)
 	for i := 0; i < n; i++ {
 		v, err := binary.ReadUvarint(r)
@@ -199,9 +209,9 @@ func encodeSectors(dst []byte, sectors []uint64) []byte {
 	return dst
 }
 
-// decodeSectors parses n sector values.
-func decodeSectors(raw []byte, n int) ([]uint64, error) {
-	out := make([]uint64, n)
+// decodeSectors parses n sector values into dst's storage.
+func decodeSectors(dst []uint64, raw []byte, n int) ([]uint64, error) {
+	out := resize(dst, n)
 	r := bytes.NewReader(raw)
 	for i := 0; i < n; i++ {
 		if i == 0 {
@@ -239,12 +249,12 @@ func encodeFlags(dst []byte, writes []bool) []byte {
 	return dst
 }
 
-// decodeFlags parses n write flags.
-func decodeFlags(raw []byte, n int) ([]bool, error) {
+// decodeFlags parses n write flags into dst's storage.
+func decodeFlags(dst []bool, raw []byte, n int) ([]bool, error) {
 	if want := (n + 7) / 8; len(raw) != want {
 		return nil, fmt.Errorf("flags column: %d bytes for %d records (want %d)", len(raw), n, want)
 	}
-	out := make([]bool, n)
+	out := resize(dst, n)
 	for i := range out {
 		out[i] = raw[i/8]&(1<<(i%8)) != 0
 	}
@@ -260,9 +270,9 @@ func decodePayloads(raw []byte, n int) ([]byte, error) {
 	return raw, nil
 }
 
-// readFull drains r expecting exactly want bytes.
-func readFull(r io.Reader, want int) ([]byte, error) {
-	out := make([]byte, want)
+// readFull drains r expecting exactly want bytes, into dst's storage.
+func readFull(r io.Reader, dst []byte, want int) ([]byte, error) {
+	out := resize(dst, want)
 	if _, err := io.ReadFull(r, out); err != nil {
 		return nil, err
 	}

@@ -113,11 +113,18 @@ type Reader struct {
 	sizes [numFields]int64 // byte length of each open column file
 	bi    int
 
+	// The decoded columns of the current block. The think, sector and
+	// flag slices are decoded into again by every block that fits them;
+	// payloads is fresh per block, because Record.Payload aliases it.
 	thinks   []int64
 	sectors  []uint64
 	writeFl  []bool
 	payloads []byte
 	n, pos   int
+	// comp and raw hold one column block's compressed and inflated
+	// bytes, reused across columns and blocks (a payload block inflates
+	// into its own buffer).
+	comp, raw []byte
 
 	bytesRead  [numFields]int64
 	blocksRead int64
@@ -210,6 +217,9 @@ func (r *Reader) Next() (Record, error) {
 func (r *Reader) nextBlock() error {
 	for {
 		if r.si >= len(r.s.shards) {
+			// The scan is over: a reader kept past its end holds no
+			// block buffers.
+			r.thinks, r.sectors, r.writeFl, r.payloads, r.comp, r.raw = nil, nil, nil, nil, nil, nil
 			if err := r.Close(); err != nil {
 				return err
 			}
@@ -241,50 +251,41 @@ func (r *Reader) nextBlock() error {
 // loadBlock reads, checks, and decodes the requested columns of blk.
 func (r *Reader) loadBlock(si *shardIndex, blk blockIndex) error {
 	n := blk.Records
-	decode := func(f Field) ([]byte, error) {
-		raw, err := r.readColumn(si, f, blk.Cols[f])
-		if err != nil {
-			return nil, err
-		}
-		return raw, nil
-	}
-	fail := func(f Field, err error) error {
+	fail := func(err error) error {
 		return fmt.Errorf("%w: shard %s block %d: %s", ErrCorrupt, si.Name, r.bi-1, err)
 	}
+	var err error
 	if r.fields.Has(FieldThink) {
-		raw, err := decode(FieldThink)
-		if err != nil {
-			return fail(FieldThink, err)
+		if r.raw, err = r.readColumn(si, FieldThink, blk.Cols[FieldThink], r.raw); err != nil {
+			return fail(err)
 		}
-		if r.thinks, err = decodeThinks(raw, n); err != nil {
-			return fail(FieldThink, err)
+		if r.thinks, err = decodeThinks(r.thinks, r.raw, n); err != nil {
+			return fail(err)
 		}
 	}
 	if r.fields.Has(FieldSector) {
-		raw, err := decode(FieldSector)
-		if err != nil {
-			return fail(FieldSector, err)
+		if r.raw, err = r.readColumn(si, FieldSector, blk.Cols[FieldSector], r.raw); err != nil {
+			return fail(err)
 		}
-		if r.sectors, err = decodeSectors(raw, n); err != nil {
-			return fail(FieldSector, err)
+		if r.sectors, err = decodeSectors(r.sectors, r.raw, n); err != nil {
+			return fail(err)
 		}
 	}
 	if r.fields.Has(FieldFlags) {
-		raw, err := decode(FieldFlags)
-		if err != nil {
-			return fail(FieldFlags, err)
+		if r.raw, err = r.readColumn(si, FieldFlags, blk.Cols[FieldFlags], r.raw); err != nil {
+			return fail(err)
 		}
-		if r.writeFl, err = decodeFlags(raw, n); err != nil {
-			return fail(FieldFlags, err)
+		if r.writeFl, err = decodeFlags(r.writeFl, r.raw, n); err != nil {
+			return fail(err)
 		}
 	}
 	if r.fields.Has(FieldPayload) {
-		raw, err := decode(FieldPayload)
+		raw, err := r.readColumn(si, FieldPayload, blk.Cols[FieldPayload], nil)
 		if err != nil {
-			return fail(FieldPayload, err)
+			return fail(err)
 		}
 		if r.payloads, err = decodePayloads(raw, n); err != nil {
-			return fail(FieldPayload, err)
+			return fail(err)
 		}
 	}
 	r.n, r.pos = n, 0
@@ -292,10 +293,11 @@ func (r *Reader) loadBlock(si *shardIndex, blk blockIndex) error {
 }
 
 // readColumn reads one column block's compressed bytes (opening the
-// column file lazily), verifies the CRC, and inflates it. A block that
-// the index places past the end of its file is rejected before any
-// buffer is sized from the index.
-func (r *Reader) readColumn(si *shardIndex, f Field, loc colLoc) ([]byte, error) {
+// column file lazily), verifies the CRC, and inflates it into dst when
+// dst can hold the block, else into a fresh buffer. A block that the
+// index places past the end of its file is rejected before any buffer
+// is sized from the index.
+func (r *Reader) readColumn(si *shardIndex, f Field, loc colLoc, dst []byte) ([]byte, error) {
 	file := r.files[f]
 	if file == nil {
 		var err error
@@ -316,7 +318,8 @@ func (r *Reader) readColumn(si *shardIndex, f Field, loc colLoc) ([]byte, error)
 		return nil, fmt.Errorf("%s column: block [%d, +%d) runs past the %d-byte file",
 			f, loc.Offset, loc.CompLen, r.sizes[f])
 	}
-	comp := make([]byte, loc.CompLen)
+	r.comp = resize(r.comp, int(loc.CompLen))
+	comp := r.comp
 	if _, err := file.ReadAt(comp, loc.Offset); err != nil {
 		return nil, fmt.Errorf("%s column: %w", f, err)
 	}
@@ -324,7 +327,7 @@ func (r *Reader) readColumn(si *shardIndex, f Field, loc colLoc) ([]byte, error)
 	if got := crc32.ChecksumIEEE(comp); got != loc.CRC {
 		return nil, fmt.Errorf("%s column: checksum %08x, want %08x", f, got, loc.CRC)
 	}
-	raw, err := inflate(comp, int(loc.RawLen))
+	raw, err := inflate(dst, comp, int(loc.RawLen))
 	if err != nil {
 		return nil, fmt.Errorf("%s column: %w", f, err)
 	}
@@ -336,8 +339,9 @@ func (r *Reader) readColumn(si *shardIndex, f Field, loc colLoc) ([]byte, error)
 // window, and no idle reader holds one.
 var inflaters sync.Pool
 
-// inflate decompresses a flate block expecting exactly want raw bytes.
-func inflate(comp []byte, want int) ([]byte, error) {
+// inflate decompresses a flate block expecting exactly want raw bytes,
+// into dst when it can hold them.
+func inflate(dst, comp []byte, want int) ([]byte, error) {
 	src := bytes.NewReader(comp)
 	zr, ok := inflaters.Get().(io.ReadCloser)
 	if !ok {
@@ -345,7 +349,7 @@ func inflate(comp []byte, want int) ([]byte, error) {
 	} else if err := zr.(flate.Resetter).Reset(src, nil); err != nil {
 		return nil, fmt.Errorf("inflate: %w", err)
 	}
-	raw, err := readFull(zr, want)
+	raw, err := readFull(zr, dst, want)
 	inflaters.Put(zr)
 	if err != nil {
 		return nil, fmt.Errorf("inflate: %w", err)

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -610,5 +611,57 @@ func TestReplayerMatchesRecords(t *testing.T) {
 	}
 	if p.Err() != nil {
 		t.Fatalf("Err() = %v", p.Err())
+	}
+}
+
+// A scan decodes each block into the buffers its reader already holds:
+// a full access-field scan of a 16-block store allocates less than three
+// blocks' worth of decoded columns, where fresh columns per block would
+// take sixteen. A warm-up scan fills the decompressor pool first. Until
+// the measurement ends the collector stays off, because a collection
+// empties the pool, and one P runs the test, because a pool's per-P
+// slot is invisible to a goroutine that moved to another P.
+func TestScanReusesBlockBuffers(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops decompressors at random under the race detector")
+	}
+	const block, blocks = 4096, 16
+	recs := genRecords(31, block*blocks, false)
+	s, _ := mustWrite(t, recs, Meta{Name: "reuse", BlockRecords: block}, 1)
+	scan := func() (records, blocksRead int64) {
+		r, err := s.NewReader(ReadOptions{Fields: AccessFields})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		for {
+			rec, err := r.Next()
+			if errors.Is(err, io.EOF) {
+				return records, r.BlocksRead()
+			}
+			if err != nil {
+				t.Fatalf("record %d: %v", records, err)
+			}
+			if rec.Access != recs[records].Access {
+				t.Fatalf("record %d: got %+v, want %+v", records, rec.Access, recs[records].Access)
+			}
+			records++
+		}
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	scan()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	n, read := scan()
+	runtime.ReadMemStats(&after)
+	if n != int64(len(recs)) || read != blocks {
+		t.Fatalf("scanned %d records in %d blocks, want %d in %d", n, read, len(recs), blocks)
+	}
+	decoded := uint64(block * (8 + 8 + 1)) // a block's think, sector and flag columns
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("the scan allocated %d bytes; one block decodes to %d", got, decoded)
+	if got >= 3*decoded {
+		t.Fatalf("a %d-block scan allocated %d bytes, want under three blocks' columns (%d)", blocks, got, 3*decoded)
 	}
 }
