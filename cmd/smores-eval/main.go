@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"smores/internal/cpuprof"
 	"smores/internal/obs"
 	"smores/internal/pam4"
 	"smores/internal/report"
@@ -37,8 +38,11 @@ func main() {
 		workers  = flag.Int("j", 0, "concurrent app simulations per fleet (0 = GOMAXPROCS, 1 = sequential)")
 		channels = flag.Int("channels", 1, "interleaved GDDR6X channels per app; >1 switches to the sharded multi-channel evaluation")
 		traces   = flag.String("trace", "", "comma-separated trace-store directories (smores-trace -record/-import) evaluated as additional fleet members")
+		cpuProf  = cpuprof.Flag()
 	)
 	flag.Parse()
+	fail(cpuprof.Start(*cpuProf))
+	defer cpuprof.Stop()
 	fleet := workload.Fleet()
 	if *traces != "" {
 		for _, dir := range strings.Split(*traces, ",") {
@@ -195,6 +199,6 @@ func runMultiChannel(fleet []workload.Profile, channels int, accesses int64, see
 func fail(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "smores-eval:", err)
-		os.Exit(1)
+		cpuprof.Exit(1)
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"strings"
 
 	"smores/internal/core"
+	"smores/internal/cpuprof"
 	"smores/internal/fault"
 	"smores/internal/memctrl"
 	"smores/internal/report"
@@ -38,8 +39,11 @@ func main() {
 		degrade  = flag.Float64("degrade", 0, "detected-rate threshold for graceful degradation to MTA-only (0 disables)")
 		jsonOut  = flag.String("json", "", "write the machine-readable campaign to this file ('-' for stdout)")
 		gate     = flag.Bool("gate-silent", false, "exit 1 if any EDC-enabled point recorded silent corruption")
+		cpuProf  = cpuprof.Flag()
 	)
 	flag.Parse()
+	fail(cpuprof.Start(*cpuProf))
+	defer cpuprof.Stop()
 
 	spec := report.CampaignSpec{
 		Accesses: *accesses,
@@ -119,7 +123,7 @@ func main() {
 			}
 		}
 		if bad > 0 {
-			os.Exit(1)
+			cpuprof.Exit(1)
 		}
 		fmt.Fprintln(os.Stderr, "smores-fault: gate passed: zero silent corruptions on every EDC-enabled point")
 	}
@@ -128,6 +132,6 @@ func main() {
 func fail(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		cpuprof.Exit(1)
 	}
 }

@@ -12,6 +12,7 @@ import (
 
 	"smores/internal/bus"
 	"smores/internal/core"
+	"smores/internal/cpuprof"
 	"smores/internal/dbi"
 	"smores/internal/eyesim"
 	"smores/internal/memctrl"
@@ -40,8 +41,11 @@ func main() {
 		traceOut  = flag.String("trace", "", "write a Chrome trace-event JSON (load in Perfetto) to this file")
 		traceCap  = flag.Int("trace-depth", obs.DefaultTraceCapacity, "ring-buffer capacity of the tracer (most recent events kept)")
 		foldedOut = flag.String("folded", "", "write the energy-attribution profile as folded stacks (flamegraph.pl input) to this file")
+		cpuProf   = cpuprof.Flag()
 	)
 	flag.Parse()
+	fail(cpuprof.Start(*cpuProf))
+	defer cpuprof.Stop()
 
 	if *list {
 		for _, p := range workload.Fleet() {
@@ -253,6 +257,6 @@ func must(err error) {
 func fail(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "smores-sim:", err)
-		os.Exit(1)
+		cpuprof.Exit(1)
 	}
 }

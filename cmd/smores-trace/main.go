@@ -16,6 +16,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"smores/internal/cpuprof"
 	"smores/internal/gpu"
 	"smores/internal/memctrl"
 	"smores/internal/obs"
@@ -55,8 +56,12 @@ func main() {
 		payloadCol  = flag.String("payload-col", "", "CSV import: explicit payload column header")
 		sectorBytes = flag.Int("sector-bytes", 0, "import: bytes per sector when dividing byte addresses (default 32)")
 		payload     = flag.Bool("payload", false, "CSV import: capture the payload column (exact-data replay)")
+
+		cpuProf = cpuprof.Flag()
 	)
 	flag.Parse()
+	fail(cpuprof.Start(*cpuProf))
+	defer cpuprof.Stop()
 
 	importOpts := tracestore.ImportOptions{
 		SectorBytes: *sectorBytes,
@@ -80,7 +85,7 @@ func main() {
 		fail(doReplay(*replay, *chrome, *folded, *profJSON))
 	default:
 		flag.Usage()
-		os.Exit(2)
+		cpuprof.Exit(2)
 	}
 }
 
@@ -338,6 +343,6 @@ func doReplay(dir, chrome, folded, profJSON string) error {
 func fail(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "smores-trace:", err)
-		os.Exit(1)
+		cpuprof.Exit(1)
 	}
 }

@@ -294,7 +294,11 @@ func (ch *Channel) SendBurst(data []byte, codeLength int) error {
 		err = ch.sendSparse(data, codeLength)
 	}
 	if ch.exact && err == nil {
-		ch.accountPayload(&pre, codeLength)
+		ph := obs.PhaseSparsePayload
+		if codeLength == 0 {
+			ph = obs.PhaseMTAPayload
+		}
+		ch.account(&pre, ch.burstWalk(codeLength, ph, obs.PhaseDBIWire), &ch.stats.WireEnergy)
 	}
 	if ch.faultActive() && err == nil {
 		ch.dispatchFault(data, codeLength, pre, false)
@@ -427,22 +431,6 @@ func (ch *Channel) sendSparse(data []byte, codeLength int) error {
 	return ch.encodeSparse(sc, data)
 }
 
-// accountPayload integrates the payload burst's columns in txCols from
-// the pre-burst trailing levels pre.
-func (ch *Channel) accountPayload(pre *[Groups]mta.GroupState, codeLength int) {
-	ph := obs.PhaseSparsePayload
-	if codeLength == 0 {
-		ph = obs.PhaseMTAPayload
-	}
-	codec := obs.ProfileCodecIndex(codeLength)
-	for g := range ch.txCols {
-		prev := pre[g]
-		for _, col := range ch.txCols[g] {
-			ch.accountColumn(g, &prev, col, ph, codec)
-		}
-	}
-}
-
 // expShared memoizes closed-form group-burst energies across channels,
 // keyed by codec identity. Fleet runs construct one channel per app per
 // policy over the same (memoized) family, so the codec pointers are
@@ -491,26 +479,26 @@ func (ch *Channel) Postamble() {
 	postE := float64(Groups*mta.GroupWires) * float64(PostambleUIs()) *
 		ch.model.PostambleWireUIEnergy()
 	ch.stats.PostambleEnergy += postE
-	if !ch.exact {
+	if ch.exact {
+		// postE already charges the drive: the walk attributes each
+		// symbol at the drive energy per wire-UI, checks it, and drops
+		// its sum.
+		e := ch.model.PostambleWireUIEnergy()
+		driveE := [pam4.NumLevels]float64{e, e, e, e}
+		post := walkSpec{ph: obs.PhasePostamble, dbiPh: obs.PhasePostamble,
+			codec: obs.ProfileCodecMTA, steps: &plainSteps, energy: &driveE}
+		for g := range ch.states {
+			prev, sum := ch.states[g], 0.0
+			ch.walk(g, &prev, postambleCols[:], post, &sum)
+		}
+	} else {
 		// Expected mode carries no trailing wire state, so the drive is
-		// attributed in aggregate; exact mode attributes per wire below.
+		// attributed in aggregate.
 		ch.tally.AddAggregate(obs.PhasePostamble, obs.ProfileCodecMTA,
 			postE, Groups*mta.GroupWires*PostambleUIs())
 	}
-	for g := 0; g < Groups; g++ {
-		if ch.exact {
-			if ch.tally != nil {
-				ch.profilePostamble(g, &ch.states[g])
-			}
-			prev := ch.states[g]
-			col := mta.PostambleColumn()
-			for ui := 0; ui < int(PostambleUIs()); ui++ {
-				ch.checkColumn(g, &prev, col)
-			}
-		}
-		for w := range ch.states[g] {
-			ch.states[g][w] = mta.PostambleLevel
-		}
+	for g := range ch.states {
+		ch.states[g] = mta.GroupState(mta.PostambleColumn())
 	}
 }
 
@@ -542,20 +530,27 @@ func (ch *Channel) Idle(uis int64) {
 			prev := ch.states[g]
 			if ch.shiftIdle {
 				// Step L3 wires through a shifted L1 on the way down.
-				var step mta.Column
+				var step [1]mta.Column
 				needed := false
-				for w := range step {
-					step[w] = pam4.L0
+				for w := range step[0] {
+					step[0][w] = pam4.L0
 					if prev[w] == pam4.L3 {
-						step[w] = pam4.L1
+						step[0][w] = pam4.L1
 						needed = true
 					}
 				}
 				if needed {
-					ch.accountColumn(g, &prev, step, obs.PhaseIdleShift, obs.ProfileCodecMTA)
+					shift := walkSpec{ph: obs.PhaseIdleShift, dbiPh: obs.PhaseIdleShift,
+						codec: obs.ProfileCodecMTA, steps: &seamSteps, energy: &ch.levelE}
+					ch.walk(g, &prev, step[:], shift, &ch.stats.WireEnergy)
 				}
 			}
-			ch.checkColumn(g, &prev, mta.IdleColumn())
+			// Parking at L0 is a 3ΔV step for a data wire still at L3.
+			for w := 0; w < mta.GroupDataWires; w++ {
+				if pam4.Delta(prev[w], mta.IdleLevel) > pam4.MaxTransition {
+					ch.stats.Violations++
+				}
+			}
 		}
 		ch.states[g] = mta.IdleGroupState()
 	}
@@ -566,30 +561,3 @@ func (ch *Channel) Idle(uis int64) {
 // requires a postamble: only dense MTA bursts do (a sequence may end at
 // L3, and L3→L0 would be a 3ΔV swing); sparse bursts end at ≤L2.
 func (ch *Channel) NeedsPostamble() bool { return ch.lastMTA }
-
-// accountColumn integrates one transmitted column's energy, attributes
-// it to the profiler, and validates transitions. prev tracks the
-// previous column (seeded with the pre-burst trailing state); ph and
-// codec give the profiler the attribution context of the burst.
-//
-//smores:hotpath
-func (ch *Channel) accountColumn(g int, prev *mta.GroupState, col mta.Column, ph obs.Phase, codec int) {
-	if ch.tally != nil {
-		ch.profileColumn(g, prev, col, ph, codec)
-	}
-	for _, l := range col {
-		ch.stats.WireEnergy += ch.levelE[l]
-	}
-	ch.checkColumn(g, prev, col)
-}
-
-// checkColumn validates max-transition safety on the encoded wires (the
-// DBI wire is exempt, as in GDDR6X) and advances prev.
-func (ch *Channel) checkColumn(_ int, prev *mta.GroupState, col mta.Column) {
-	for w := 0; w < mta.GroupDataWires; w++ {
-		if pam4.Delta(prev[w], col[w]) > pam4.MaxTransition {
-			ch.stats.Violations++
-		}
-	}
-	*prev = mta.GroupState(col)
-}

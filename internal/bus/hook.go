@@ -24,7 +24,6 @@ import (
 
 	"smores/internal/mta"
 	"smores/internal/obs"
-	"smores/internal/pam4"
 )
 
 // BurstVerdict is a hook's judgement of one transferred burst.
@@ -106,7 +105,9 @@ func (ch *Channel) ReplayBurst(data []byte, codeLength int) error {
 	if err != nil {
 		return err
 	}
-	ch.accountReplay(&pre, obs.ProfileCodecIndex(codeLength))
+	// Replays keep the payload-phase partition of WireEnergy intact: their
+	// wire energy goes to ReplayEnergy, every wire's symbols to PhaseReplay.
+	ch.account(&pre, ch.burstWalk(codeLength, obs.PhaseReplay, obs.PhaseReplay), &ch.stats.ReplayEnergy)
 	ch.stats.ReplayBursts++
 	if ch.faultActive() {
 		ch.dispatchFault(data, codeLength, pre, true)
@@ -139,35 +140,4 @@ func (ch *Channel) replaySparse(data []byte, codeLength int) error {
 	ch.lastMTA = false
 	ch.mtaChain = 0
 	return ch.encodeSparse(sc, data)
-}
-
-// accountReplay is accountPayload for retransmissions.
-func (ch *Channel) accountReplay(pre *[Groups]mta.GroupState, codec int) {
-	for g := range ch.txCols {
-		prev := pre[g]
-		for _, col := range ch.txCols[g] {
-			ch.accountReplayColumn(g, &prev, col, codec)
-		}
-	}
-}
-
-// accountReplayColumn is accountColumn for retransmissions: same energy
-// integration and transition validation, but the joules land in
-// Stats.ReplayEnergy and the profiler's PhaseReplay (keeping the
-// payload-phase partition of WireEnergy intact).
-func (ch *Channel) accountReplayColumn(g int, prev *mta.GroupState, col mta.Column, codec int) {
-	if ch.tally != nil {
-		base := g * mta.GroupWires
-		for w, l := range col {
-			tc := obs.TransOfDelta(pam4.Delta(prev[w], l))
-			if codec != obs.ProfileCodecMTA && prev[w] == pam4.L3 {
-				tc = obs.TransSeam
-			}
-			ch.tally.AddSymbol(obs.PhaseReplay, codec, base+w, int(l), tc, ch.levelE[l])
-		}
-	}
-	for _, l := range col {
-		ch.stats.ReplayEnergy += ch.levelE[l]
-	}
-	ch.checkColumn(g, prev, col)
 }

@@ -95,6 +95,10 @@ func ParseModel(s string) (Model, error) {
 // group is in its bad state.
 const badSlip = 0.5
 
+// slipT and upT are the bursty model's draw thresholds for badSlip and
+// for an adjacent slip's direction (up with probability 0.5).
+var slipT, upT = rng.BoolThreshold(badSlip), rng.BoolThreshold(0.5)
+
 // Config builds an injector.
 type Config struct {
 	// Model selects the error process.
@@ -138,8 +142,12 @@ type Injector struct {
 	// Model state.
 	slip  eyesim.SlipMatrix // ModelEyeBiased
 	geBad [bus.Groups]bool  // ModelBursty: per-group Gilbert-Elliott state
-	gePGB float64           // good→bad per column
-	gePBG float64           // bad→good per column
+
+	// Bernoulli draws against the model's fixed probabilities, as
+	// rng.BoolThreshold thresholds: one integer compare per draw.
+	rateT uint64 // Rate, per symbol (ModelUniform)
+	pgbT  uint64 // good→bad per column (ModelBursty)
+	pbgT  uint64 // bad→good per column (ModelBursty)
 
 	// Scratch (reused across bursts; the injector owns its buffers).
 	rxCols  [bus.Groups][]mta.Column
@@ -168,7 +176,7 @@ func New(cfg Config) (*Injector, error) {
 	}
 	switch cfg.Model {
 	case ModelUniform:
-		// No precomputation.
+		in.rateT = rng.BoolThreshold(cfg.Rate)
 	case ModelEyeBiased:
 		sigma := cfg.EyeSigmaMV
 		a, err := eyesim.New(eyesim.DefaultConfig())
@@ -193,10 +201,11 @@ func New(cfg Config) (*Injector, error) {
 		if cfg.Rate >= badSlip {
 			return nil, fmt.Errorf("fault: bursty rate %g must stay below the bad-state slip %g", cfg.Rate, badSlip)
 		}
-		in.gePBG = 1 / cfg.BurstLen
+		pBG := 1 / cfg.BurstLen
 		// Stationary bad fraction πB = rate/badSlip; πB = pGB/(pGB+pBG).
 		piB := cfg.Rate / badSlip
-		in.gePGB = in.gePBG * piB / (1 - piB)
+		in.pbgT = rng.BoolThreshold(pBG)
+		in.pgbT = rng.BoolThreshold(pBG * piB / (1 - piB))
 	default:
 		return nil, fmt.Errorf("fault: unknown model %d", cfg.Model)
 	}

@@ -29,7 +29,7 @@ func (in *Injector) corruptUniform(cols []mta.Column) int {
 	n := 0
 	for ui := range cols {
 		for w := 0; w < mta.GroupWires; w++ {
-			if !in.rng.Bool(in.cfg.Rate) {
+			if !in.rng.Below(in.rateT) {
 				continue
 			}
 			cols[ui][w] = otherLevel(cols[ui][w], in.rng.Intn(int(pam4.NumLevels)-1))
@@ -77,20 +77,20 @@ func (in *Injector) corruptBursty(g int, cols []mta.Column) int {
 	n := 0
 	for ui := range cols {
 		if in.geBad[g] {
-			if in.rng.Bool(in.gePBG) {
+			if in.rng.Below(in.pbgT) {
 				in.geBad[g] = false
 			}
-		} else if in.rng.Bool(in.gePGB) {
+		} else if in.rng.Below(in.pgbT) {
 			in.geBad[g] = true
 		}
 		if !in.geBad[g] {
 			continue
 		}
 		for w := 0; w < mta.GroupWires; w++ {
-			if !in.rng.Bool(badSlip) {
+			if !in.rng.Below(slipT) {
 				continue
 			}
-			cols[ui][w] = adjacentSlip(cols[ui][w], in.rng.Bool(0.5))
+			cols[ui][w] = adjacentSlip(cols[ui][w], in.rng.Below(upT))
 			n++
 		}
 	}
@@ -105,7 +105,7 @@ func (in *Injector) corruptPin(g int, sym []pam4.Level) int {
 	switch in.cfg.Model {
 	case ModelUniform:
 		for i := range sym {
-			if in.rng.Bool(in.cfg.Rate) {
+			if in.rng.Below(in.rateT) {
 				sym[i] = otherLevel(sym[i], in.rng.Intn(int(pam4.NumLevels)-1))
 				n++
 			}
@@ -122,8 +122,8 @@ func (in *Injector) corruptPin(g int, sym []pam4.Level) int {
 			return 0
 		}
 		for i := range sym {
-			if in.rng.Bool(badSlip) {
-				sym[i] = adjacentSlip(sym[i], in.rng.Bool(0.5))
+			if in.rng.Below(slipT) {
+				sym[i] = adjacentSlip(sym[i], in.rng.Below(upT))
 				n++
 			}
 		}

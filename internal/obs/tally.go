@@ -73,23 +73,64 @@ func NewTally(perSymbol bool) *Tally {
 // PerSymbol reports whether the tally has per-symbol cells.
 func (t *Tally) PerSymbol() bool { return t != nil && t.sym != nil }
 
-// AddSymbol records one transmitted symbol of fj ≥ 0 femtojoules.
-// Samples whose key lies outside the per-symbol cells, and every sample
-// on a tally without them, are dropped.
+// SymbolCells is the number of per-symbol cells each wire has in a
+// TallyRow: one per level and per-symbol class, addressed by SymbolCell.
+const SymbolCells = ProfileLevels * tallySymClasses
+
+// SymbolCell returns the offset within a wire's SymbolCells cells of
+// the symbols at level with transition class tc, or -1 when the pair
+// has no per-symbol cell (TransMix, or a level outside L0..L3), which
+// TallyRow.Add drops. Callers resolve it once per (level, class) pair,
+// e.g. into a transition table, rather than once per symbol.
+func SymbolCell(level int, tc TransClass) int {
+	if uint(level) >= ProfileLevels || int(tc) >= tallySymClasses {
+		return -1
+	}
+	return level*tallySymClasses + int(tc)
+}
+
+// TallyRow is a window onto a tally's per-symbol cells: the cells of
+// consecutive wires under one phase and codec. A channel resolves the
+// row of a group's wires once per burst and then adds each symbol with
+// one multiply-add and one bounds check; the key checks are done by
+// Row. The zero TallyRow drops every sample.
+type TallyRow struct {
+	cells []tallyCell
+}
+
+// Row returns the per-symbol cells of wires [wire, wire+wires) under
+// (ph, codec). It returns the zero row, which drops every sample, when
+// t is nil or has no per-symbol part, or when the key lies outside the
+// per-symbol cells.
 //
 //smores:hotpath
-func (t *Tally) AddSymbol(ph Phase, codec, wire, level int, tc TransClass, fj float64) {
-	if t == nil || ph >= NumPhases || int(tc) >= tallySymClasses ||
-		uint(codec) >= NumProfileCodecs || uint(wire) >= ProfileWires || uint(level) >= ProfileLevels {
+func (t *Tally) Row(ph Phase, codec, wire, wires int) TallyRow {
+	if t == nil || ph >= NumPhases || uint(codec) >= NumProfileCodecs ||
+		uint(wire) > ProfileWires || uint(wires) > uint(ProfileWires-wire) {
+		return TallyRow{}
+	}
+	i := ((int(ph)*NumProfileCodecs+codec)*ProfileWires + wire) * SymbolCells
+	if i+wires*SymbolCells > len(t.sym) {
+		return TallyRow{}
+	}
+	return TallyRow{cells: t.sym[i : i+wires*SymbolCells]}
+}
+
+// Add records one transmitted symbol of fj ≥ 0 femtojoules on the
+// row's w-th wire in the cell SymbolCell gave. Samples whose wire lies
+// outside the row, or whose cell is not a SymbolCell offset, are
+// dropped.
+//
+//smores:hotpath
+func (r TallyRow) Add(w, cell int, fj float64) {
+	if uint(cell) >= uint(SymbolCells) {
 		return
 	}
-	i := (((int(ph)*NumProfileCodecs+codec)*ProfileWires+wire)*ProfileLevels+level)*tallySymClasses + int(tc)
-	if i >= len(t.sym) {
-		return
+	if i := w*SymbolCells + cell; uint(i) < uint(len(r.cells)) {
+		c := &r.cells[i]
+		c.fj += fj
+		c.n++
 	}
-	c := &t.sym[i]
-	c.fj += fj
-	c.n++
 }
 
 // AddAggregate records a closed-form sample with no per-wire, level or

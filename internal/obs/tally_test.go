@@ -9,11 +9,17 @@ import (
 
 func TestTallyNilSafety(t *testing.T) {
 	var tl *Tally
-	tl.AddSymbol(PhaseMTAPayload, 0, 0, 0, Trans0DV, 1)
+	tl.Row(PhaseMTAPayload, 0, 0, ProfileWires).Add(0, SymbolCell(0, Trans0DV), 1)
 	tl.AddAggregate(PhaseLogic, 0, 1, 1)
 	if tl.PerSymbol() {
 		t.Fatal("nil tally reports a per-symbol part")
 	}
+	// So is a tally without per-symbol cells.
+	agg := NewTally(false)
+	if row := agg.Row(PhaseMTAPayload, 0, 0, ProfileWires); row.cells != nil {
+		t.Fatal("an aggregate-only tally handed out a per-symbol row")
+	}
+	agg.Publish(nil)
 	p := NewProfile()
 	tl.Publish(p)
 	if n := len(p.Snapshot().Cells); n != 0 {
@@ -25,8 +31,9 @@ func TestTallyNilSafety(t *testing.T) {
 // cells of feeding the profile the same samples directly: the tally
 // sums each cell in arrival order, as a single writer's Profile does.
 // Aggregate samples include zero and negative energies and zero
-// counts, which Profile.Add drops; per-symbol samples include keys
-// outside the per-symbol cells, which the tally drops.
+// counts, which Profile.Add drops; per-symbol samples go through rows
+// of random position and width and include keys outside the per-symbol
+// cells and wires outside their row, which the tally drops.
 func TestTallyPublishMatchesProfile(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	direct, published := NewProfile(), NewProfile()
@@ -50,12 +57,14 @@ func TestTallyPublishMatchesProfile(t *testing.T) {
 			direct.Add(ph, codec, WireAgg, LevelMix, TransMix, fj, n)
 			continue
 		}
-		wire, level := rng.Intn(ProfileWires+1), rng.Intn(ProfileLevels)
+		first := rng.Intn(ProfileWires + 2)
+		wires := rng.Intn(ProfileWires + 1)
+		w, level := rng.Intn(wires+2)-1, rng.Intn(ProfileLevels+1)
 		tc := TransClass(rng.Intn(int(TransSeam) + 2))
 		fj := float64(rng.Intn(8)) * 31.7 // includes zero-energy symbols
-		tl.AddSymbol(ph, codec, wire, level, tc, fj)
-		if wire < ProfileWires && tc <= TransSeam {
-			direct.Add(ph, codec, wire, level, tc, fj, 1)
+		tl.Row(ph, codec, first, wires).Add(w, SymbolCell(level, tc), fj)
+		if first+wires <= ProfileWires && w >= 0 && w < wires && level < ProfileLevels && tc <= TransSeam {
+			direct.Add(ph, codec, first+w, level, tc, fj, 1)
 		}
 	}
 	tl.Publish(published)
@@ -81,7 +90,7 @@ func TestTallyPublishZeroes(t *testing.T) {
 	for _, perSymbol := range []bool{false, true} {
 		tl := NewTally(perSymbol)
 		tl.AddAggregate(PhaseLogic, 2, 10, 4)
-		tl.AddSymbol(PhaseMTAPayload, 0, 3, 2, Trans1DV, 42.5)
+		addSymbol(tl, PhaseMTAPayload, 0, 3, 2, Trans1DV, 42.5)
 		tl.Publish(NewProfile())
 		for i := 0; i < 4; i++ {
 			p := NewProfile()
@@ -99,11 +108,41 @@ func TestTallyPublishZeroes(t *testing.T) {
 
 func TestTallyAddZeroAlloc(t *testing.T) {
 	tl := NewTally(true)
+	cell := SymbolCell(2, Trans1DV)
 	if n := testing.AllocsPerRun(100, func() {
-		tl.AddSymbol(PhaseMTAPayload, 0, 3, 2, Trans1DV, 42.5)
+		row := tl.Row(PhaseMTAPayload, 0, 9, 9)
+		row.Add(3, cell, 42.5)
+		row.Add(8, cell, 42.5)
 		tl.AddAggregate(PhaseLogic, 1, 7, 0)
 	}); n != 0 {
 		t.Fatalf("tally adds allocate %v per call, want 0", n)
+	}
+}
+
+// addSymbol records one symbol through a one-wire row.
+func addSymbol(tl *Tally, ph Phase, codec, wire, level int, tc TransClass, fj float64) {
+	tl.Row(ph, codec, wire, 1).Add(0, SymbolCell(level, tc), fj)
+}
+
+// SymbolCell numbers each (level, per-symbol class) pair once within
+// a wire's cells and refuses every other pair.
+func TestSymbolCell(t *testing.T) {
+	seen := make([]bool, SymbolCells)
+	for level := -1; level <= ProfileLevels; level++ {
+		for tc := TransClass(0); tc < NumTransClasses; tc++ {
+			c := SymbolCell(level, tc)
+			valid := level >= 0 && level < ProfileLevels && tc <= TransSeam
+			if !valid {
+				if c != -1 {
+					t.Errorf("SymbolCell(%d, %v) = %d, want -1", level, tc, c)
+				}
+				continue
+			}
+			if c < 0 || c >= SymbolCells || seen[c] {
+				t.Fatalf("SymbolCell(%d, %v) = %d: out of range or taken", level, tc, c)
+			}
+			seen[c] = true
+		}
 	}
 }
 
@@ -144,8 +183,8 @@ func TestTallyAppendCellsMatchesPublish(t *testing.T) {
 			wire, level := rng.Intn(ProfileWires+1), rng.Intn(ProfileLevels)
 			tc := TransClass(rng.Intn(int(TransSeam) + 2))
 			fj := float64(rng.Intn(8)) * 31.7 // includes zero-energy symbols
-			published.AddSymbol(ph, codec, wire, level, tc, fj)
-			appended.AddSymbol(ph, codec, wire, level, tc, fj)
+			addSymbol(published, ph, codec, wire, level, tc, fj)
+			addSymbol(appended, ph, codec, wire, level, tc, fj)
 		}
 		p := NewProfile()
 		published.Publish(p)
@@ -192,7 +231,7 @@ func TestTallyAppendCellsKeepsDst(t *testing.T) {
 	prefix := ProfileCell{Phase: PhaseLogic, Codec: 3, Wire: WireAgg, Level: LevelMix, Trans: TransMix, FJ: 1.5, Count: 2}
 	tl := NewTally(true)
 	tl.AddAggregate(PhaseLogic, 2, 10, 4)
-	tl.AddSymbol(PhaseMTAPayload, 0, 3, 2, Trans1DV, 42.5)
+	addSymbol(tl, PhaseMTAPayload, 0, 3, 2, Trans1DV, 42.5)
 	got := tl.AppendCells([]ProfileCell{prefix})
 	if len(got) != 3 || got[0] != prefix {
 		t.Fatalf("appended onto one cell: got %+v, want the prefix then 2 cells", got)

@@ -64,6 +64,26 @@ func (r *RNG) Float64() float64 {
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool { return r.Float64() < p }
 
+// BoolThreshold returns the threshold t for which Below(t) returns what
+// Bool(p) would from the same generator state: 0 for p ≤ 0 or NaN, 2^53
+// for p ≥ 1, and ⌈p·2^53⌉ otherwise. Bool compares a 53-bit draw k,
+// scaled by 2^-53, with p; both scalings by a power of two are exact,
+// so k·2^-53 < p exactly when k < ⌈p·2^53⌉. Callers that draw against a
+// fixed p compute t once and compare integers per draw.
+func BoolThreshold(p float64) uint64 {
+	switch {
+	case !(p > 0):
+		return 0
+	case p >= 1:
+		return 1 << 53
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
+}
+
+// Below draws the next 53-bit value and reports whether it is below t.
+// It consumes one Uint64, as Bool does.
+func (r *RNG) Below(t uint64) bool { return r.Uint64()>>11 < t }
+
 // Geometric returns a sample from a geometric distribution with the given
 // mean ≥ 1 (number of trials until first success, support {1, 2, ...}).
 func (r *RNG) Geometric(mean float64) int {

@@ -176,3 +176,83 @@ func TestFill(t *testing.T) {
 		t.Errorf("bit density = %g", frac)
 	}
 }
+
+// unit53 is 2^53: Bool's draw k = Uint64()>>11 lies in [0, 2^53).
+const unit53 = 1 << 53
+
+// boolFromDraw is Bool(p)'s predicate on a 53-bit draw k.
+func boolFromDraw(k uint64, p float64) bool { return float64(k)/unit53 < p }
+
+// Below(BoolThreshold(p)) must decide every 53-bit draw as Bool(p)
+// does. The edges sit at the threshold, so each p is checked at the
+// draws just below, at and just above it (those inside the draw range).
+func TestBoolThreshold(t *testing.T) {
+	cases := []struct {
+		p    float64
+		want uint64
+	}{
+		{0, 0},
+		{5e-324, 1},
+		{1e-4, uint64(math.Ceil(1e-4 * unit53))},
+		{0.5, unit53 / 2},
+		{math.Nextafter(1, 0), unit53 - 1},
+		{1, unit53},
+		{2, unit53},
+		{math.Copysign(0, -1), 0},
+		{-1, 0},
+		{math.NaN(), 0},
+		{math.Inf(1), unit53},
+	}
+	for _, c := range cases {
+		th := BoolThreshold(c.p)
+		if th != c.want {
+			t.Errorf("BoolThreshold(%g) = %d, want %d", c.p, th, c.want)
+		}
+		for _, k := range []uint64{th - 1, th, th + 1} {
+			if k >= unit53 { // also skips th-1 wrapping below zero
+				continue
+			}
+			if got, want := k < th, boolFromDraw(k, c.p); got != want {
+				t.Errorf("p=%g k=%d: integer draw says %v, float draw %v", c.p, k, got, want)
+			}
+		}
+	}
+}
+
+// Two clones of one generator draw Bool(p) and Below(BoolThreshold(p))
+// identically, draw for draw, and stay in step.
+func TestBelowMatchesBool(t *testing.T) {
+	for _, p := range []float64{0, 1e-4, 0.25, 0.5, 0.999, 1} {
+		a := New(99)
+		b := *a
+		th := BoolThreshold(p)
+		for i := 0; i < 20000; i++ {
+			if x, y := a.Bool(p), b.Below(th); x != y {
+				t.Fatalf("p=%g draw %d: Bool %v, Below %v", p, i, x, y)
+			}
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("p=%g: the clones fell out of step", p)
+		}
+	}
+}
+
+// FuzzBoolThreshold holds the integer predicate to the float one for
+// arbitrary p (any float64 bit pattern) and 53-bit draws.
+func FuzzBoolThreshold(f *testing.F) {
+	f.Add(math.Float64bits(1e-4), uint64(900719925474))
+	f.Add(math.Float64bits(0.5), uint64(unit53/2))
+	f.Add(math.Float64bits(5e-324), uint64(0))
+	f.Add(math.Float64bits(math.Nextafter(1, 0)), uint64(unit53-1))
+	f.Fuzz(func(t *testing.T, pBits, k uint64) {
+		p := math.Float64frombits(pBits)
+		k &= unit53 - 1
+		th := BoolThreshold(p)
+		if th > unit53 {
+			t.Fatalf("BoolThreshold(%g) = %d, above 2^53", p, th)
+		}
+		if got, want := k < th, boolFromDraw(k, p); got != want {
+			t.Fatalf("p=%g k=%d: integer draw says %v, float draw %v", p, k, got, want)
+		}
+	})
+}
