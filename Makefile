@@ -31,6 +31,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzOpen -fuzztime 10s ./internal/tracestore/
 	$(GO) test -run '^$$' -fuzz FuzzProfileConservation -fuzztime 10s ./internal/bus/
 	$(GO) test -run '^$$' -fuzz FuzzBoolThreshold -fuzztime 10s ./internal/rng/
+	$(GO) test -run '^$$' -fuzz FuzzFirstBelow -fuzztime 10s ./internal/rng/
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .

@@ -482,7 +482,7 @@ func BenchmarkEyeAnalysis(b *testing.B) {
 	for i := 0; i < 500; i++ {
 		var data [mta.GroupDataWires]byte
 		r.Fill(data[:])
-		bc := c.EncodeGroupBeat(data, &st).Columns()
+		bc := c.EncodeGroupColumns(data, &st)
 		cols = append(cols, bc[:]...)
 	}
 	b.ResetTimer()

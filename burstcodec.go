@@ -27,8 +27,7 @@ type BurstCodec struct {
 // NewBurstCodec builds a codec with the default energy model, MTA table,
 // and paper-faithful sparse family.
 func NewBurstCodec() *BurstCodec {
-	m := pam4.DefaultEnergyModel()
-	c := &BurstCodec{model: m, mtaC: mta.New(m), family: core.DefaultFamily()}
+	c := &BurstCodec{model: pam4.DefaultEnergyModel(), mtaC: mta.Default(), family: core.DefaultFamily()}
 	for g := range c.states {
 		c.states[g] = mta.IdleGroupState()
 	}
@@ -76,8 +75,7 @@ func (c *BurstCodec) Encode(data []byte, codeLength int) (EncodedBurst, error) {
 			for beat := 0; beat < 2; beat++ {
 				var bytes8 [mta.GroupDataWires]byte
 				copy(bytes8[:], chunk[beat*8:])
-				b := c.mtaC.EncodeGroupBeat(bytes8, &c.states[g])
-				cols := b.Columns()
+				cols := c.mtaC.EncodeGroupColumns(bytes8, &c.states[g])
 				out.Groups[g] = append(out.Groups[g], cols[:]...)
 			}
 			continue

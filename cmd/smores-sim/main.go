@@ -226,7 +226,7 @@ func analyzeEye() {
 	for i := 0; i < 1000; i++ {
 		var beatData [mta.GroupDataWires]byte
 		r.Fill(beatData[:])
-		cols := mc.EncodeGroupBeat(beatData, &st).Columns()
+		cols := mc.EncodeGroupColumns(beatData, &st)
 		mtaCols = append(mtaCols, cols[:]...)
 	}
 	mk("MTA", mtaCols)

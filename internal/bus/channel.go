@@ -219,15 +219,6 @@ type expSparseEnergy struct {
 	dbi   float64 // ExpectedBurstDBIEnergy(GroupBurstBytes)
 }
 
-// defaultMTACodec memoizes the standard MTA codec under the default
-// energy model: the codec is immutable and its construction (sequence
-// enumeration plus an energy sort) dominates channel setup, so fleet runs
-// share one instance. pam4.DefaultEnergyModel returns a stable pointer,
-// making the nil-fill check in New exact.
-var defaultMTACodec = sync.OnceValue(func() *mta.Codec {
-	return mta.New(pam4.DefaultEnergyModel())
-})
-
 // New builds a channel, filling defaults for nil config fields.
 func New(cfg Config) *Channel {
 	if cfg.Model == nil {
@@ -235,7 +226,7 @@ func New(cfg Config) *Channel {
 	}
 	if cfg.MTACodec == nil {
 		if cfg.Model == pam4.DefaultEnergyModel() {
-			cfg.MTACodec = defaultMTACodec()
+			cfg.MTACodec = mta.Default()
 		} else {
 			cfg.MTACodec = mta.New(cfg.Model)
 		}
@@ -375,7 +366,7 @@ func (ch *Channel) encodeMTA(data []byte) {
 		for beat := 0; beat < 2; beat++ {
 			var bytes8 [mta.GroupDataWires]byte
 			copy(bytes8[:], data[g*GroupBurstBytes+beat*mta.GroupDataWires:])
-			bc := ch.mtaCodec.EncodeGroupBeat(bytes8, &ch.states[g]).Columns()
+			bc := ch.mtaCodec.EncodeGroupColumns(bytes8, &ch.states[g])
 			cols = append(cols, bc[:]...)
 		}
 		ch.txCols[g] = cols

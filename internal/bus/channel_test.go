@@ -278,7 +278,8 @@ func TestPostambleEnergyValue(t *testing.T) {
 // exact-data hot path: after warm-up (column buffers grown, caches
 // filled, tally taken), sending and replaying bursts, postambles and
 // idling must not allocate — on a bare channel, with a profile attached,
-// and with a fault hook attached. This is what keeps exact-mode fleet
+// with a fault hook attached, and with a hook that draws per symbol as
+// the uniform fault model does. This is what keeps exact-mode fleet
 // runs off the garbage collector.
 func TestExactSteadyStateAllocFree(t *testing.T) {
 	for _, c := range []struct {
@@ -288,6 +289,7 @@ func TestExactSteadyStateAllocFree(t *testing.T) {
 		{"bare", Config{ExactData: true}},
 		{"profiled", Config{ExactData: true, Profile: obs.NewProfile()}},
 		{"hooked", Config{ExactData: true, Fault: &recordingHook{}}},
+		{"drawing", Config{ExactData: true, Fault: newDrawingHook(1e-2)}},
 	} {
 		ch := New(c.cfg)
 		rng := rand.New(rand.NewSource(7))

@@ -10,6 +10,7 @@ import (
 	"smores/internal/mta"
 	"smores/internal/obs"
 	"smores/internal/pam4"
+	"smores/internal/rng"
 )
 
 // recordingHook captures every dispatch for inspection. It copies the
@@ -37,6 +38,30 @@ func (h *recordingHook) OnBurst(data []byte, codeLength int, pre [Groups]mta.Gro
 	return h.verdict
 }
 
+// drawingHook draws once per transmitted symbol, as the uniform fault
+// model does: it walks each group's columns from one draw below its
+// threshold to the next with rng.FirstBelow, counting the hits, and
+// corrupts nothing.
+type drawingHook struct {
+	r    *rng.RNG
+	t    uint64
+	hits int
+}
+
+func newDrawingHook(rate float64) *drawingHook {
+	return &drawingHook{r: rng.New(1), t: rng.BoolThreshold(rate)}
+}
+
+func (h *drawingHook) OnBurst(_ []byte, _ int, _ [Groups]mta.GroupState, tx [Groups][]mta.Column, _ bool) BurstVerdict {
+	for g := range tx {
+		n := len(tx[g]) * mta.GroupWires
+		for i := h.r.FirstBelow(h.t, n); i < n; i += 1 + h.r.FirstBelow(h.t, n-i-1) {
+			h.hits++
+		}
+	}
+	return BurstVerdict{}
+}
+
 // encodeOracle re-encodes a burst from the pre-burst trailing levels
 // with the channel's codecs, independently of the channel's own encode.
 func encodeOracle(t *testing.T, ch *Channel, data []byte, codeLength int, pre [Groups]mta.GroupState) [Groups][]mta.Column {
@@ -48,8 +73,14 @@ func encodeOracle(t *testing.T, ch *Channel, data []byte, codeLength int, pre [G
 			for beat := 0; beat < 2; beat++ {
 				var bytes8 [mta.GroupDataWires]byte
 				copy(bytes8[:], data[g*GroupBurstBytes+beat*mta.GroupDataWires:])
-				bc := ch.MTACodec().EncodeGroupBeat(bytes8, &st).Columns()
-				tx[g] = append(tx[g], bc[:]...)
+				b := ch.MTACodec().EncodeGroupBeat(bytes8, &st)
+				for ui := 0; ui < mta.SeqSymbols; ui++ {
+					var col mta.Column
+					for w := range col {
+						col[w] = b[w].At(ui)
+					}
+					tx[g] = append(tx[g], col)
+				}
 			}
 			continue
 		}

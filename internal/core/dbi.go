@@ -24,6 +24,11 @@ var (
 	swap02 = [pam4.NumLevels]pam4.Level{pam4.L2, pam4.L1, pam4.L0, pam4.L3}
 )
 
+// dbiCount is the level-indexed count table: summing dbiCount[l] over
+// the data wires counts the L1s in the low nibble and the L2s in the
+// high one (eight wires fit a nibble), one add per wire and no branch.
+var dbiCount = [pam4.NumLevels]uint8{pam4.L1: 1, pam4.L2: 1 << 4}
+
 // ApplyDBISwap implements the paper's rule on a pre-shift column:
 //
 //	swap L0↔L1 and set DBI=L1 if N_L1 > 4
@@ -34,26 +39,27 @@ var (
 // simultaneously (they sum to at most eight), so the order only matters
 // for documentation.
 func ApplyDBISwap(col mta.Column) mta.Column {
-	n1, n2 := 0, 0
+	applyDBISwap(&col)
+	return col
+}
+
+// applyDBISwap is ApplyDBISwap on a column in place, for the encoder's
+// hot path.
+func applyDBISwap(col *mta.Column) {
+	var n uint8
 	for w := 0; w < mta.GroupDataWires; w++ {
-		switch col[w] {
-		case pam4.L1:
-			n1++
-		case pam4.L2:
-			n2++
-		}
+		n += dbiCount[col[w]]
 	}
 	switch {
-	case n1 > dbiThreshold:
-		col = permuteLevels(col, &swap01)
+	case n&0xf > dbiThreshold:
+		permuteLevels(col, &swap01)
 		col[mta.DBIWire] = pam4.L1
-	case n2 > dbiThreshold:
-		col = permuteLevels(col, &swap02)
+	case n>>4 > dbiThreshold:
+		permuteLevels(col, &swap02)
 		col[mta.DBIWire] = pam4.L2
 	default:
 		col[mta.DBIWire] = pam4.L0
 	}
-	return col
 }
 
 // UndoDBISwap reverses ApplyDBISwap using the DBI wire's (unshifted)
@@ -63,19 +69,20 @@ func UndoDBISwap(col mta.Column) (mta.Column, bool) {
 	case pam4.L0:
 		return col, true
 	case pam4.L1:
-		return permuteLevels(col, &swap01), true
+		permuteLevels(&col, &swap01)
+		return col, true
 	case pam4.L2:
-		return permuteLevels(col, &swap02), true
+		permuteLevels(&col, &swap02)
+		return col, true
 	default:
 		return col, false
 	}
 }
 
 // permuteLevels remaps the data wires through a level-permutation table
-// (the DBI wire is left alone).
-func permuteLevels(col mta.Column, m *[pam4.NumLevels]pam4.Level) mta.Column {
+// in place (the DBI wire is left alone).
+func permuteLevels(col *mta.Column, m *[pam4.NumLevels]pam4.Level) {
 	for w := 0; w < mta.GroupDataWires; w++ {
 		col[w] = m[col[w]]
 	}
-	return col
 }

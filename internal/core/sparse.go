@@ -32,11 +32,11 @@ type SparseGroupCodec struct {
 	book  *codec.Codebook
 	dbi   bool
 	model *pam4.EnergyModel
-	// lut flattens the codebook into direct level loads for the encode hot
-	// path: lut[nibble][ui] is code symbol ui of that nibble's code word.
-	// It replaces a Codebook.Encode call plus a Seq.At shift/mask per
-	// transmitted symbol in exact-data mode.
-	lut [1 << NibbleBits][MaxSparseSymbols]pam4.Level
+	// lut flattens the codebook for the encode hot path: lut[nibble]
+	// holds that nibble's code word with symbol ui in byte ui (at most
+	// MaxSparseSymbols = 8 bytes), so a wire's whole code word is one
+	// load and each symbol a shift.
+	lut [1 << NibbleBits]uint64
 }
 
 // NewSparseGroupCodec wraps a 4-bit codebook. withDBI enables the
@@ -54,7 +54,7 @@ func NewSparseGroupCodec(book *codec.Codebook, withDBI bool, m *pam4.EnergyModel
 	for nib := 0; nib < 1<<NibbleBits; nib++ {
 		s := book.Encode(uint8(nib))
 		for ui := 0; ui < n; ui++ {
-			c.lut[nib][ui] = s.At(ui)
+			c.lut[nib] |= uint64(s.At(ui)) << (8 * ui)
 		}
 	}
 	return c, nil
@@ -107,43 +107,60 @@ func (c *SparseGroupCodec) AppendGroupBurst(dst []mta.Column, data []byte, state
 	}
 	n := c.book.Spec().OutputSymbols
 	codesPerWire := len(data) / BytesPerSlot * 2
-	if need := len(dst) + codesPerWire*n; cap(dst) < need {
-		grown := make([]mta.Column, len(dst), need)
+	start, end := len(dst), len(dst)+codesPerWire*n
+	if cap(dst) < end {
+		grown := make([]mta.Column, start, end)
 		copy(grown, dst)
 		dst = grown
 	}
+	dst = dst[:end]
+	out := dst[start:]
 
 	// Expand each wire's nibble stream into its code sequence, one code
-	// slot at a time so DBI sees aligned columns.
+	// slot at a time so DBI sees aligned columns. Each wire's code word
+	// gives up its next symbol from the low byte.
+	st := *state
 	for slot := 0; slot < codesPerWire; slot++ {
 		byteIdx := slot / 2 * BytesPerSlot
 		shift := uint(slot % 2 * NibbleBits) // low nibble first
-		var wireCodes [mta.GroupDataWires]*[MaxSparseSymbols]pam4.Level
-		for w := 0; w < mta.GroupDataWires; w++ {
-			wireCodes[w] = &c.lut[data[byteIdx+w]>>shift&0x0f]
+		var codes [mta.GroupDataWires]uint64
+		for w := range codes {
+			codes[w] = c.lut[data[byteIdx+w]>>shift&0x0f]
 		}
 		for ui := 0; ui < n; ui++ {
-			var col mta.Column
+			col := &out[slot*n+ui]
 			for w := 0; w < mta.GroupDataWires; w++ {
-				col[w] = wireCodes[w][ui]
+				col[w] = pam4.Level(codes[w])
+				codes[w] >>= 8
 			}
 			col[mta.DBIWire] = pam4.L0
 			if c.dbi {
-				col = ApplyDBISwap(col)
+				applyDBISwap(col)
 			}
 			// Level shifting runs last, on transmitted values.
 			for w := range col {
-				if state[w] == pam4.L3 {
-					col[w] = col[w].ShiftUp()
-				}
-				state[w] = col[w]
+				l := shiftSteps[st[w]][col[w]]
+				col[w], st[w] = l, l
 			}
-			//smores:prealloc dst capacity reserved by the grow block above
-			dst = append(dst, col)
 		}
 	}
+	*state = st
 	return dst, nil
 }
+
+// shiftSteps is the level-shifting rule as a (previous level, level)
+// table: a symbol after an L3 goes out one level up, any other as is.
+var shiftSteps = func() (t [pam4.NumLevels][pam4.NumLevels]pam4.Level) {
+	for prev := range t {
+		for l := range t[prev] {
+			t[prev][l] = pam4.Level(l)
+			if pam4.Level(prev) == pam4.L3 {
+				t[prev][l] = pam4.Level(l).ShiftUp()
+			}
+		}
+	}
+	return t
+}()
 
 // DecodeGroupBurst reverses EncodeGroupBurst. state must hold the same
 // trailing levels the encoder saw; it is advanced on success and left

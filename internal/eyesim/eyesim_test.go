@@ -53,8 +53,7 @@ func mtaStream(t *testing.T, bursts int) (mta.GroupState, []mta.Column) {
 	for i := 0; i < bursts; i++ {
 		var data [mta.GroupDataWires]byte
 		r.Fill(data[:])
-		beat := c.EncodeGroupBeat(data, &st)
-		bc := beat.Columns()
+		bc := c.EncodeGroupColumns(data, &st)
 		cols = append(cols, bc[:]...)
 	}
 	return mta.IdleGroupState(), cols

@@ -30,7 +30,6 @@ package fault
 
 import (
 	"fmt"
-	"sync"
 
 	"smores/internal/bus"
 	"smores/internal/core"
@@ -125,11 +124,6 @@ type Config struct {
 	MTACodec *mta.Codec
 }
 
-// defaultMTACodec mirrors the channel's memoized default codec.
-var defaultMTACodec = sync.OnceValue(func() *mta.Codec {
-	return mta.New(pam4.DefaultEnergyModel())
-})
-
 // Injector implements bus.BurstHook. Not safe for concurrent use: build
 // one per channel (the campaign runner builds one per app × point).
 type Injector struct {
@@ -163,7 +157,7 @@ func New(cfg Config) (*Injector, error) {
 		cfg.Family = core.DefaultFamily()
 	}
 	if cfg.MTACodec == nil {
-		cfg.MTACodec = defaultMTACodec()
+		cfg.MTACodec = mta.Default()
 	}
 	if cfg.BurstLen <= 0 {
 		cfg.BurstLen = 4

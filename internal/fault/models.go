@@ -24,19 +24,25 @@ func (in *Injector) corruptGroup(g int, cols []mta.Column) int {
 }
 
 // corruptUniform flips each symbol with probability Rate to one of the
-// three other levels, uniformly.
+// three other levels, uniformly, walking the symbols in column, wire
+// order from one hit to the next.
 func (in *Injector) corruptUniform(cols []mta.Column) int {
 	n := 0
-	for ui := range cols {
-		for w := 0; w < mta.GroupWires; w++ {
-			if !in.rng.Below(in.rateT) {
-				continue
-			}
-			cols[ui][w] = otherLevel(cols[ui][w], in.rng.Intn(int(pam4.NumLevels)-1))
-			n++
-		}
+	total := len(cols) * mta.GroupWires
+	for i := in.nextUniformHit(-1, total); i < total; i = in.nextUniformHit(i, total) {
+		ui, w := i/mta.GroupWires, i%mta.GroupWires
+		cols[ui][w] = otherLevel(cols[ui][w], in.rng.Intn(int(pam4.NumLevels)-1))
+		n++
 	}
 	return n
+}
+
+// nextUniformHit returns the index of the next symbol after i, of total,
+// that the uniform model corrupts, or total when none is. It makes the
+// per-symbol Rate draws a Below loop would, but in one FirstBelow run,
+// so the generator leaves registers only at a hit.
+func (in *Injector) nextUniformHit(i, total int) int {
+	return i + 1 + in.rng.FirstBelow(in.rateT, total-i-1)
 }
 
 // corruptEye samples each symbol's received level from the slip matrix
@@ -104,11 +110,9 @@ func (in *Injector) corruptPin(g int, sym []pam4.Level) int {
 	n := 0
 	switch in.cfg.Model {
 	case ModelUniform:
-		for i := range sym {
-			if in.rng.Below(in.rateT) {
-				sym[i] = otherLevel(sym[i], in.rng.Intn(int(pam4.NumLevels)-1))
-				n++
-			}
+		for i := in.nextUniformHit(-1, len(sym)); i < len(sym); i = in.nextUniformHit(i, len(sym)) {
+			sym[i] = otherLevel(sym[i], in.rng.Intn(int(pam4.NumLevels)-1))
+			n++
 		}
 	case ModelEyeBiased:
 		for i := range sym {

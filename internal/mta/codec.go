@@ -8,6 +8,7 @@ package mta
 
 import (
 	"fmt"
+	"sync"
 
 	"smores/internal/codec"
 	"smores/internal/pam4"
@@ -64,7 +65,14 @@ type Codec struct {
 	variant Variant
 	model   *pam4.EnergyModel
 	table   [TableSize]pam4.Seq
-	decode  map[uint32]uint8
+	// tx[prev][v] is the sequence a wire trailing at level prev sends for
+	// the 7-bit value v: table[v], inverted when prev is L3. Every encoder
+	// reads it, so the inversion rule is applied only here, at
+	// construction, and encoding a wire is one table load.
+	tx [pam4.NumLevels][TableSize]pam4.Seq
+	// rx reverses tx: rx[prev][p] is 1 + the value whose sequence after
+	// prev packs to p, and 0 for a sequence outside the table.
+	rx [pam4.NumLevels][1 << (2 * SeqSymbols)]uint8
 	// Steady-state statistics on uniform random data.
 	uprightAvg    float64 // mean fJ of an upright sequence
 	invertedAvg   float64 // mean fJ of an inverted sequence
@@ -82,6 +90,15 @@ func New(m *pam4.EnergyModel) *Codec {
 	return c
 }
 
+// Default returns the standard codec under the default energy model.
+// Codecs are immutable, and construction (sequence enumeration, an
+// energy sort and the transmit tables) dominates a channel's setup, so
+// every caller shares one instance. pam4.DefaultEnergyModel returns a
+// stable pointer, so callers can tell when a model calls for it.
+func Default() *Codec { return defaultCodec() }
+
+var defaultCodec = sync.OnceValue(func() *Codec { return New(pam4.DefaultEnergyModel()) })
+
 // NewVariant builds an MTA codec with an explicit discard policy.
 func NewVariant(m *pam4.EnergyModel, v Variant) (*Codec, error) {
 	space, err := codec.Enumerate(codec.EnumConstraint{
@@ -98,7 +115,7 @@ func NewVariant(m *pam4.EnergyModel, v Variant) (*Codec, error) {
 	}
 	codec.SortByEnergy(space, m)
 
-	c := &Codec{variant: v, model: m, decode: make(map[uint32]uint8, TableSize)}
+	c := &Codec{variant: v, model: m}
 	var kept []pam4.Seq
 	switch v {
 	case DropHighest11:
@@ -109,8 +126,14 @@ func NewVariant(m *pam4.EnergyModel, v Variant) (*Codec, error) {
 		return nil, fmt.Errorf("mta: unknown variant %v", v)
 	}
 	copy(c.table[:], kept)
-	for val, s := range c.table {
-		c.decode[s.Packed()] = uint8(val)
+	for prev := range c.tx {
+		for val, s := range c.table {
+			if inverted(pam4.Level(prev)) {
+				s = s.Invert()
+			}
+			c.tx[prev][val] = s
+			c.rx[prev][s.Packed()] = uint8(val) + 1
+		}
 	}
 
 	// Steady-state inversion statistics. A transmitted sequence is
@@ -154,17 +177,14 @@ func inverted(prev pam4.Level) bool { return prev == pam4.L3 }
 
 // EncodeWire encodes 7 data bits for one wire. prev is the last level
 // physically present on the wire (idle level, postamble level, or the
-// final symbol of the preceding sequence). It returns the transmitted
-// sequence and the wire's new trailing level.
+// final symbol of the preceding sequence), a valid level. It returns the
+// transmitted sequence and the wire's new trailing level.
 func (c *Codec) EncodeWire(data7 uint8, prev pam4.Level) (pam4.Seq, pam4.Level) {
 	if data7 >= TableSize {
 		//smores:allowalloc panic message on out-of-range input, unreachable from the simulator
 		panic(fmt.Sprintf("mta: data value %d exceeds 7 bits", data7))
 	}
-	s := c.table[data7]
-	if inverted(prev) {
-		s = s.Invert()
-	}
+	s := c.tx[prev][data7]
 	return s, s.Last()
 }
 
@@ -174,11 +194,10 @@ func (c *Codec) DecodeWire(s pam4.Seq, prev pam4.Level) (uint8, bool) {
 	if s.Len() != SeqSymbols {
 		return 0, false
 	}
-	if inverted(prev) {
-		s = s.Invert()
+	if v := c.rx[prev][uint8(s.Packed())]; v != 0 {
+		return v - 1, true
 	}
-	v, ok := c.decode[s.Packed()]
-	return v, ok
+	return 0, false
 }
 
 // ExpectedSeqEnergy returns the steady-state mean fJ of one transmitted

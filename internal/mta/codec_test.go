@@ -50,6 +50,24 @@ func TestTableProperties(t *testing.T) {
 	}
 }
 
+// Default is one shared codec, the standard table under the default
+// energy model.
+func TestDefaultIsShared(t *testing.T) {
+	c := Default()
+	if Default() != c {
+		t.Fatal("Default built a second codec")
+	}
+	if c.Model() != pam4.DefaultEnergyModel() || c.Variant() != DropHighest11 {
+		t.Fatalf("Default has model %p and variant %v", c.Model(), c.Variant())
+	}
+	want := New(pam4.DefaultEnergyModel()).Table()
+	for v, s := range c.Table() {
+		if s != want[v] {
+			t.Fatalf("entry %d: Default sends %v, New %v", v, s, want[v])
+		}
+	}
+}
+
 // TestDropHighestBeatsDropLowest pins the paper's §II-B claim: discarding
 // the lowest-energy 11 sequences instead of the highest-energy 11 costs
 // about 2% more energy.
@@ -270,10 +288,12 @@ func TestDecodeGroupBeatFailureLeavesStateUntouched(t *testing.T) {
 func TestMSBPackRoundTrip(t *testing.T) {
 	for pattern := 0; pattern < 256; pattern++ {
 		var msbs [GroupDataWires]uint8
+		var data [GroupDataWires]byte
 		for i := range msbs {
 			msbs[i] = uint8(pattern>>uint(i)) & 1
+			data[i] = msbs[i]<<7 | byte(pattern*(i+1))&0x7f
 		}
-		got, ok := unpackMSBs(packMSBs(msbs))
+		got, ok := unpackMSBs(packMSBs(&data))
 		if !ok || got != msbs {
 			t.Fatalf("pattern %08b: got %v", pattern, got)
 		}

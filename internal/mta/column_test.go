@@ -1,12 +1,13 @@
 package mta
 
 import (
+	"math/rand"
 	"testing"
 
 	"smores/internal/pam4"
 )
 
-// atColumns is the symbol-by-symbol transposition Columns must equal.
+// atColumns transposes a beat into its four columns symbol by symbol.
 func atColumns(b Beat) [SeqSymbols]Column {
 	var cols [SeqSymbols]Column
 	for ui := 0; ui < SeqSymbols; ui++ {
@@ -17,52 +18,67 @@ func atColumns(b Beat) [SeqSymbols]Column {
 	return cols
 }
 
-// Columns equals the transposition for every table entry, sent upright
-// (after L0) and inverted (after L3), beside a DBI wire carrying every
-// MSB pair on each of its symbols.
-func TestBeatColumnsMatchesTransposition(t *testing.T) {
+// refBeat is the MTA rule spelled out: each data wire sends its table
+// entry, inverted after an L3, and the DBI wire sends the MSB pairs.
+// It returns the beat and the advanced state.
+func refBeat(table []pam4.Seq, data [GroupDataWires]byte, st GroupState) (Beat, GroupState) {
+	var b Beat
+	for w := 0; w < GroupDataWires; w++ {
+		s := table[data[w]&0x7f]
+		if st[w] == pam4.L3 {
+			s = s.Invert()
+		}
+		b[w], st[w] = s, s.Last()
+	}
+	for i := 0; i < SeqSymbols; i++ {
+		b[DBIWire] = b[DBIWire].Append(pam4.LevelFromBits(data[2*i]>>7, data[2*i+1]>>7))
+	}
+	st[DBIWire] = b[DBIWire].Last()
+	return b, st
+}
+
+// EncodeGroupBeat equals the MTA rule, and EncodeGroupColumns equals
+// its beat transposed, advancing the state the same way: for every
+// table entry from every trailing level on every wire (wire w trails at
+// level (k+w) mod 4 in pass k, so each wire meets all four), beside a
+// DBI wire carrying every MSB pair, and on random beats from random
+// states.
+func TestEncodeGroupColumnsMatchesBeat(t *testing.T) {
 	c := New(pam4.DefaultEnergyModel())
 	table := c.Table()
-	for _, trail := range []pam4.Level{pam4.L0, pam4.L3} {
+	check := func(data [GroupDataWires]byte, st GroupState) {
+		t.Helper()
+		want, wantSt := refBeat(table, data, st)
+		beatSt, colSt := st, st
+		if got := c.EncodeGroupBeat(data, &beatSt); got != want || beatSt != wantSt {
+			t.Fatalf("data %x from %v: EncodeGroupBeat %v → %v, rule %v → %v", data, st, got, beatSt, want, wantSt)
+		}
+		if got := c.EncodeGroupColumns(data, &colSt); got != atColumns(want) || colSt != wantSt {
+			t.Fatalf("data %x from %v: EncodeGroupColumns %v → %v, transposed beat %v → %v",
+				data, st, got, colSt, atColumns(want), wantSt)
+		}
+	}
+	for k := 0; k < int(pam4.NumLevels); k++ {
+		var st GroupState
+		for w := range st {
+			st[w] = pam4.Level((k + w) % int(pam4.NumLevels))
+		}
 		for v := 0; v < TableSize; v++ {
 			var data [GroupDataWires]byte
 			for w := range data {
 				data[w] = byte(v) | byte(v>>(w%7)&1)<<7
 			}
-			var st GroupState
-			for w := range st {
-				st[w] = trail
-			}
-			b := c.EncodeGroupBeat(data, &st)
-			want := table[v]
-			if trail == pam4.L3 {
-				want = want.Invert()
-			}
-			if b[0] != want {
-				t.Fatalf("after %v, entry %d went out as %v, want %v", trail, v, b[0], want)
-			}
-			if got := b.Columns(); got != atColumns(b) {
-				t.Fatalf("after %v, entry %d: Columns %v, transposition %v", trail, v, got, atColumns(b))
-			}
+			check(data, st)
 		}
 	}
-}
-
-// A beat whose wire does not carry exactly SeqSymbols symbols panics.
-func TestBeatColumnsPanicsOnLength(t *testing.T) {
-	for _, n := range []int{0, SeqSymbols - 1, SeqSymbols + 1} {
-		var b Beat
-		for w := range b {
-			b[w] = pam4.SeqFromPacked(0, SeqSymbols)
+	rng := rand.New(rand.NewSource(20261018))
+	for i := 0; i < 2000; i++ {
+		var data [GroupDataWires]byte
+		rng.Read(data[:])
+		var st GroupState
+		for w := range st {
+			st[w] = pam4.Level(rng.Intn(int(pam4.NumLevels)))
 		}
-		b[DBIWire] = pam4.SeqFromPacked(0, n)
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("a %d-symbol DBI wire did not panic", n)
-				}
-			}()
-			b.Columns()
-		}()
+		check(data, st)
 	}
 }

@@ -41,14 +41,35 @@ type Beat [GroupWires]pam4.Seq
 //smores:hotpath
 func (c *Codec) EncodeGroupBeat(data [GroupDataWires]byte, state *GroupState) Beat {
 	var beat Beat
-	var msbs [GroupDataWires]uint8
 	for w := 0; w < GroupDataWires; w++ {
-		msbs[w] = data[w] >> 7
-		beat[w], state[w] = c.EncodeWire(data[w]&0x7f, state[w])
+		beat[w] = c.tx[state[w]][data[w]&0x7f]
+		state[w] = beat[w].Last()
 	}
-	beat[DBIWire] = packMSBs(msbs)
+	beat[DBIWire] = packMSBs(&data)
 	state[DBIWire] = beat[DBIWire].Last()
 	return beat
+}
+
+// EncodeGroupColumns is EncodeGroupBeat returning the beat as the four
+// columns it puts on the wires: each data wire's sequence is one load
+// from the codec's transmit table, unpacked straight into the columns.
+//
+//smores:hotpath
+func (c *Codec) EncodeGroupColumns(data [GroupDataWires]byte, state *GroupState) [SeqSymbols]Column {
+	var cols [SeqSymbols]Column
+	for w := 0; w < GroupDataWires; w++ {
+		p := c.tx[state[w]][data[w]&0x7f].Packed()
+		cols[0][w] = pam4.Level(p & 3)
+		cols[1][w] = pam4.Level(p >> 2 & 3)
+		cols[2][w] = pam4.Level(p >> 4 & 3)
+		cols[3][w] = pam4.Level(p >> 6 & 3)
+		state[w] = cols[3][w]
+	}
+	for i := range cols {
+		cols[i][DBIWire] = msbLevel(&data, i)
+	}
+	state[DBIWire] = cols[SeqSymbols-1][DBIWire]
+	return cols
 }
 
 // DecodeGroupBeat reverses EncodeGroupBeat. state must hold the same
@@ -76,12 +97,18 @@ func (c *Codec) DecodeGroupBeat(beat Beat, state *GroupState) (data [GroupDataWi
 	return data, true
 }
 
-// packMSBs maps the eight per-wire MSBs onto the DBI wire's four PAM4
-// symbols: symbol i carries the MSBs of wires 2i (high bit) and 2i+1.
-func packMSBs(msbs [GroupDataWires]uint8) pam4.Seq {
+// msbLevel is the DBI wire's symbol i, which carries the MSBs of wires
+// 2i (high bit) and 2i+1.
+func msbLevel(data *[GroupDataWires]byte, i int) pam4.Level {
+	return pam4.LevelFromBits(data[2*i]>>7, data[2*i+1]>>7)
+}
+
+// packMSBs is the DBI wire's sequence: the eight per-wire MSBs on its
+// four PAM4 symbols.
+func packMSBs(data *[GroupDataWires]byte) pam4.Seq {
 	var s pam4.Seq
 	for i := 0; i < SeqSymbols; i++ {
-		s = s.Append(pam4.LevelFromBits(msbs[2*i], msbs[2*i+1]))
+		s = s.Append(msbLevel(data, i))
 	}
 	return s
 }

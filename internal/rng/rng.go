@@ -32,17 +32,25 @@ func (r *RNG) Fork() *RNG { return New(r.Uint64()) }
 
 func rotl(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }
 
+// step is one xoshiro256★★ step on a state held in four values: it
+// returns the output and the next state. Uint64 steps the generator's
+// own state; FirstBelow steps a local copy for a whole run of draws.
+func step(s0, s1, s2, s3 uint64) (uint64, uint64, uint64, uint64, uint64) {
+	out := rotl(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	return out, s0, s1, s2, rotl(s3, 45)
+}
+
 // Uint64 returns the next 64 uniformly random bits.
 func (r *RNG) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return result
+	var out uint64
+	out, r.s[0], r.s[1], r.s[2], r.s[3] = step(r.s[0], r.s[1], r.s[2], r.s[3])
+	return out
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
@@ -83,6 +91,27 @@ func BoolThreshold(p float64) uint64 {
 // Below draws the next 53-bit value and reports whether it is below t.
 // It consumes one Uint64, as Bool does.
 func (r *RNG) Below(t uint64) bool { return r.Uint64()>>11 < t }
+
+// FirstBelow makes the draws a loop of up to n Below(t) calls would and
+// stops after the first that is below t, returning its index; it
+// returns n when none is. The state stays in locals for the whole run,
+// so a sparse event process (one draw per symbol, rarely a hit) pays
+// one xoshiro step per draw and no call.
+//
+//smores:hotpath
+func (r *RNG) FirstBelow(t uint64, n int) int {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	i := 0
+	for ; i < n; i++ {
+		var out uint64
+		out, s0, s1, s2, s3 = step(s0, s1, s2, s3)
+		if out>>11 < t {
+			break
+		}
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+	return i
+}
 
 // Geometric returns a sample from a geometric distribution with the given
 // mean ≥ 1 (number of trials until first success, support {1, 2, ...}).

@@ -256,3 +256,69 @@ func FuzzBoolThreshold(f *testing.F) {
 		}
 	})
 }
+
+// belowLoop is FirstBelow written with Below: the index of the first of
+// up to n draws below t, or n when none is.
+func belowLoop(r *RNG, t uint64, n int) int {
+	for i := 0; i < n; i++ {
+		if r.Below(t) {
+			return i
+		}
+	}
+	return n
+}
+
+// FirstBelow returns what a Below loop returns and leaves the generator
+// where the loop leaves it, for thresholds that never, rarely, half the
+// time and always draw below, and for empty, single, column-sized and
+// long runs, call after call from one stream.
+func TestFirstBelowMatchesBelow(t *testing.T) {
+	for _, th := range []uint64{0, 1, BoolThreshold(1e-4), 1 << 52, unit53} {
+		for _, n := range []int{0, 1, 9, 4096} {
+			a := New(th ^ uint64(n))
+			b := *a
+			for call := 0; call < 40; call++ {
+				got, want := a.FirstBelow(th, n), belowLoop(&b, th, n)
+				if got != want {
+					t.Fatalf("t=%d n=%d call %d: FirstBelow %d, Below loop %d", th, n, call, got, want)
+				}
+				if *a != b {
+					t.Fatalf("t=%d n=%d call %d: generator states differ", th, n, call)
+				}
+			}
+		}
+	}
+	// At the edge: a draw equal to t is not below it, and below t+1.
+	r := New(5)
+	for i := 0; i < 100; i++ {
+		peek := *r
+		k := peek.Uint64() >> 11
+		for _, th := range []uint64{k, k + 1} {
+			a, b := *r, *r
+			if got, want := a.FirstBelow(th, 9), belowLoop(&b, th, 9); got != want || a != b {
+				t.Fatalf("draw %d, t=%d: FirstBelow %d, Below loop %d", k, th, got, want)
+			}
+		}
+		r.Uint64()
+	}
+}
+
+// FuzzFirstBelow holds FirstBelow to the Below loop, result and final
+// state, for any seed, any threshold and run lengths up to 4095.
+func FuzzFirstBelow(f *testing.F) {
+	f.Add(uint64(1), BoolThreshold(1e-4), uint16(4095))
+	f.Add(uint64(7), uint64(1<<52), uint16(9))
+	f.Add(uint64(0), uint64(0), uint16(0))
+	f.Add(uint64(3), uint64(unit53), uint16(1))
+	f.Fuzz(func(t *testing.T, seed, th uint64, n uint16) {
+		a := New(seed)
+		b := *a
+		m := int(n & 0xfff)
+		if got, want := a.FirstBelow(th, m), belowLoop(&b, th, m); got != want {
+			t.Fatalf("seed %d t=%d n=%d: FirstBelow %d, Below loop %d", seed, th, m, got, want)
+		}
+		if *a != b {
+			t.Fatalf("seed %d t=%d n=%d: generator states differ", seed, th, m)
+		}
+	})
+}
