@@ -164,13 +164,6 @@ func main() {
 func runMultiChannel(fleet []workload.Profile, channels int, accesses int64, seed uint64, workers int, jsonOut string) {
 	specs := report.PolicySpecs(accesses, seed, false)
 	labels := []string{"baseline", "optimized", "variable", "static", "conservative"}
-
-	// Energy attribution rides the variable-SMOREs fleet (specs[2]),
-	// mirroring the single-channel evaluation: each shard profiles
-	// privately and the fleet adds the cells in (app, channel) order.
-	prof := obs.NewProfile()
-	specs[2].Profile = prof
-
 	opts := report.ShardOptions{Workers: workers}
 	mfrs := make([]report.MultiFleetResult, len(specs))
 	for i, s := range specs {

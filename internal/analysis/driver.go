@@ -113,8 +113,6 @@ func (s *Session) RunPackage(fset *token.FileSet, pkg *load.Package, analyzers [
 	for _, a := range analyzers {
 		requested[a] = true
 	}
-	s.store.hashes[pkg.ImportPath] = pkg.Hash
-
 	var out []Finding
 	for _, a := range order {
 		key := resultKey{a, pkg.ImportPath}
@@ -206,21 +204,6 @@ func (s *Session) installFactHooks(pass *Pass) {
 	}
 	pass.allObjectFacts = func() []ObjectFact { return s.store.allObjectFacts(a) }
 	pass.allPackageFacts = func() []PackageFact { return s.store.allPackageFacts(a) }
-}
-
-// SealPackage serializes every analyzer's facts for one analyzed
-// package into a single blob, keyed to the loader's source hash. The
-// blob round-trips through RestorePackage in a later session, so fact
-// computation for stable dependencies can be skipped.
-func (s *Session) SealPackage(pkgPath string) ([]byte, error) {
-	return s.store.seal(pkgPath, s.store.hashes[pkgPath])
-}
-
-// RestorePackage installs a previously sealed fact blob for pkg. It
-// fails with ErrStaleFacts when pkg's current source hash differs from
-// the one the blob was sealed against: stale facts are never reused.
-func (s *Session) RestorePackage(pkg *load.Package, blob []byte) error {
-	return s.store.restore(pkg.Types, pkg.Hash, blob)
 }
 
 // RunPackage applies analyzers to one loaded package in a fresh

@@ -5,29 +5,19 @@ package analysis
 // gob-encoded at export time under a stable object key, and imports
 // decode from those blobs. Serializing eagerly — even though a single
 // smores-lint process could have passed pointers around in memory —
-// buys three properties the tentpole needs: fact types are proven
-// gob-round-trippable the moment an analyzer first exports one, the
-// per-package blob sets can be cached between runs keyed on the
-// loader's source hash (see SealPackage/RestorePackage and the stale
-// test), and the analyzers cannot accidentally communicate through
-// shared mutable state.
+// buys two properties: fact types are proven gob-round-trippable the
+// moment an analyzer first exports one, and the analyzers cannot
+// accidentally communicate through shared mutable state.
 
 import (
 	"bytes"
 	"encoding/gob"
-	"errors"
 	"fmt"
 	"go/types"
 	"reflect"
 	"sort"
 	"strings"
 )
-
-// ErrStaleFacts is returned by Session.RestorePackage when a cached
-// fact blob was sealed against a different source hash than the one the
-// loader reports now: the dependency changed, so its facts must be
-// recomputed, never reused.
-var ErrStaleFacts = errors.New("analysis: cached facts are stale (source hash mismatch)")
 
 // objKey returns a stable, serialization-friendly key for an object a
 // fact may attach to: package-scope declarations ("o/Name"), methods
@@ -168,16 +158,12 @@ type factStore struct {
 	// pkgs maps package paths to their type-checker packages, for
 	// decoding object keys on import.
 	pkgs map[string]*types.Package
-	// hashes records the loader source hash each package's facts were
-	// computed against (empty when the loader had none).
-	hashes map[string]string
 }
 
 func newFactStore() *factStore {
 	return &factStore{
-		blobs:  make(map[string]map[string]map[string][]byte),
-		pkgs:   make(map[string]*types.Package),
-		hashes: make(map[string]string),
+		blobs: make(map[string]map[string]map[string][]byte),
+		pkgs:  make(map[string]*types.Package),
 	}
 }
 
@@ -252,58 +238,6 @@ func (s *factStore) lookup(a *Analyzer, pkgPath, key string, fact Fact) bool {
 		return false
 	}
 	return decodeFact(blob, fact) == nil
-}
-
-// sealedPackage is the serialized form of one package's entire fact set
-// across analyzers, exchanged by Session.SealPackage/RestorePackage.
-type sealedPackage struct {
-	Path string
-	Hash string
-	// Facts: analyzer name → object key → gob blob.
-	Facts map[string]map[string][]byte
-}
-
-// seal collects every analyzer's blobs for one package.
-func (s *factStore) seal(pkgPath, hash string) ([]byte, error) {
-	sp := sealedPackage{Path: pkgPath, Hash: hash, Facts: make(map[string]map[string][]byte)}
-	for an, byPkg := range s.blobs {
-		if b, ok := byPkg[pkgPath]; ok && len(b) > 0 {
-			cp := make(map[string][]byte, len(b))
-			for k, v := range b {
-				cp[k] = v
-			}
-			sp.Facts[an] = cp
-		}
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(sp); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// restore installs a sealed blob set for pkg, verifying hash freshness.
-func (s *factStore) restore(pkg *types.Package, hash string, blob []byte) error {
-	var sp sealedPackage
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&sp); err != nil {
-		return fmt.Errorf("analysis: decoding sealed facts: %v", err)
-	}
-	if sp.Path != pkg.Path() {
-		return fmt.Errorf("analysis: sealed facts are for %q, not %q", sp.Path, pkg.Path())
-	}
-	if sp.Hash != hash {
-		return fmt.Errorf("%w: package %s sealed against %.12q, loader reports %.12q",
-			ErrStaleFacts, sp.Path, sp.Hash, hash)
-	}
-	s.pkgs[pkg.Path()] = pkg
-	for an, b := range sp.Facts {
-		dst := s.bucket(an, pkg.Path())
-		for k, v := range b {
-			dst[k] = v
-		}
-	}
-	s.hashes[pkg.Path()] = hash
-	return nil
 }
 
 // allObjectFacts enumerates decoded object facts for one analyzer

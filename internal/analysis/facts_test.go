@@ -2,13 +2,10 @@ package analysis_test
 
 // Tests for the fact plumbing itself: a two-package fixture proving an
 // annotation discovered in package a propagates to a caller in package
-// b, a serialization round-trip that installs a's sealed facts into a
-// fresh session without re-running the analyzer, and the stale-fact
-// invalidation contract (a changed dependency's cached facts are
-// rejected, never reused).
+// b, analyzer dependencies through Requires/ResultOf, and rejection of
+// undeclared fact types.
 
 import (
-	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -110,17 +107,17 @@ import "a"
 func Use() int { return a.Marked() + a.Plain() }
 `
 
-func newFixture(t *testing.T, aSrc string) (*load.Program, string) {
+func newFixture(t *testing.T) *load.Program {
 	t.Helper()
 	root := t.TempDir()
 	srcRoot := filepath.Join(root, "src")
 	writeTree(t, srcRoot, map[string]string{
-		"a/a.go": aSrc,
+		"a/a.go": pkgASrc,
 		"b/b.go": pkgBSrc,
 	})
 	prog := load.NewProgram(srcRoot)
 	prog.SrcRoot = srcRoot
-	return prog, srcRoot
+	return prog
 }
 
 // TestObjectFactCrossPackage is the canonical propagation proof: the
@@ -128,7 +125,7 @@ func newFixture(t *testing.T, aSrc string) (*load.Program, string) {
 // appears at the call site in package b. Removing the fact plumbing
 // (or running b in a fresh session) silences the b finding.
 func TestObjectFactCrossPackage(t *testing.T) {
-	prog, _ := newFixture(t, pkgASrc)
+	prog := newFixture(t)
 	an := newMarkAnalyzer()
 	session := analysis.NewSession()
 
@@ -179,74 +176,11 @@ func TestObjectFactCrossPackage(t *testing.T) {
 	}
 }
 
-// TestSealedFactsRestore proves the serialized path end to end: facts
-// sealed in one session are restored into a brand-new session (no
-// analyzer run on package a at all) and still drive the b finding.
-func TestSealedFactsRestore(t *testing.T) {
-	prog, _ := newFixture(t, pkgASrc)
-	an := newMarkAnalyzer()
-
-	s1 := analysis.NewSession()
-	pa := checkPkg(t, prog, "a")
-	if _, err := s1.RunPackage(prog.Fset, pa, []*analysis.Analyzer{an}); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := s1.SealPackage("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(blob) == 0 {
-		t.Fatal("sealed blob is empty")
-	}
-
-	// Fresh world: reload the identical sources, restore the blob, run
-	// only package b.
-	prog2, _ := newFixture(t, pkgASrc)
-	pa2 := checkPkg(t, prog2, "a")
-	pb2 := checkPkg(t, prog2, "b")
-	s2 := analysis.NewSession()
-	if err := s2.RestorePackage(pa2, blob); err != nil {
-		t.Fatalf("restoring sealed facts: %v", err)
-	}
-	findings, err := s2.RunPackage(prog2.Fset, pb2, []*analysis.Analyzer{newMarkAnalyzer()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hasFinding(findings, "call of marked function Marked") {
-		t.Errorf("restored facts did not drive the cross-package finding; findings: %v", findings)
-	}
-}
-
-// TestStaleFactsRejected: a sealed blob for one version of package a
-// must not install against a modified version.
-func TestStaleFactsRejected(t *testing.T) {
-	prog, _ := newFixture(t, pkgASrc)
-	an := newMarkAnalyzer()
-	s1 := analysis.NewSession()
-	pa := checkPkg(t, prog, "a")
-	if _, err := s1.RunPackage(prog.Fset, pa, []*analysis.Analyzer{an}); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := s1.SealPackage("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Same package path, changed source: Marked gained a new body.
-	prog2, _ := newFixture(t, strings.Replace(pkgASrc, "return 1", "return 3", 1))
-	pa2 := checkPkg(t, prog2, "a")
-	s2 := analysis.NewSession()
-	err = s2.RestorePackage(pa2, blob)
-	if !errors.Is(err, analysis.ErrStaleFacts) {
-		t.Fatalf("restoring against modified source: err = %v, want ErrStaleFacts", err)
-	}
-}
-
 // TestRequiresResultOf exercises the dependency plumbing: a required
 // analyzer's result is visible in ResultOf, required analyzers stay
 // silent unless requested, and cycles are rejected.
 func TestRequiresResultOf(t *testing.T) {
-	prog, _ := newFixture(t, pkgASrc)
+	prog := newFixture(t)
 	pa := checkPkg(t, prog, "a")
 
 	base := &analysis.Analyzer{
@@ -302,7 +236,7 @@ func TestRequiresResultOf(t *testing.T) {
 // TestUndeclaredFactRejected: exporting a fact type missing from
 // FactTypes is an analyzer bug and must fail loudly.
 func TestUndeclaredFactRejected(t *testing.T) {
-	prog, _ := newFixture(t, pkgASrc)
+	prog := newFixture(t)
 	pa := checkPkg(t, prog, "a")
 	bad := &analysis.Analyzer{Name: "bad", Doc: "exports an undeclared fact"}
 	bad.Run = func(pass *analysis.Pass) (interface{}, error) {

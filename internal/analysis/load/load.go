@@ -13,7 +13,6 @@ package load
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"go/ast"
@@ -42,10 +41,6 @@ type Package struct {
 	// requested patterns; they are type-checked without function bodies
 	// and carry no syntax or info maps.
 	DepOnly bool
-	// Hash fingerprints the package's source (file names and contents).
-	// The analysis fact cache keys sealed fact blobs on it: a blob
-	// sealed against one hash is stale for any other.
-	Hash string
 
 	Syntax []*ast.File
 	Types  *types.Package
@@ -222,31 +217,9 @@ func (p *Program) check(lp *listedPackage) error {
 	if !lp.DepOnly {
 		pkg.Syntax = files
 		pkg.Info = info
-		pkg.Hash = sourceHash(lp.Dir, lp.GoFiles)
 		p.Packages = append(p.Packages, pkg)
 	}
 	return nil
-}
-
-// sourceHash fingerprints a package's source files: names and contents
-// in sorted order. An unreadable file contributes its error string, so
-// the hash still changes when a file vanishes mid-run.
-func sourceHash(dir string, goFiles []string) string {
-	names := append([]string(nil), goFiles...)
-	sort.Strings(names)
-	h := sha256.New()
-	for _, name := range names {
-		io.WriteString(h, name)
-		h.Write([]byte{0})
-		data, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			io.WriteString(h, err.Error())
-		} else {
-			h.Write(data)
-		}
-		h.Write([]byte{0})
-	}
-	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
 func (p *Program) typeCheck(path string, files []*ast.File, depOnly bool) (*types.Package, *types.Info, error) {
@@ -334,7 +307,6 @@ func (p *Program) CheckAdHoc(importPath, dir string, filenames []string) (*Packa
 		Syntax:     files,
 		Types:      tpkg,
 		Info:       info,
-		Hash:       sourceHash(dir, filenames),
 	}, nil
 }
 

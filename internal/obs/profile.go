@@ -307,25 +307,6 @@ func (p *Profile) PhaseEnergy(ph Phase) float64 {
 	return sum
 }
 
-// CodecEnergy sums the cells of one codec index across phases.
-func (p *Profile) CodecEnergy(codec int) float64 {
-	if p == nil || codec < 0 || codec >= NumProfileCodecs {
-		return 0
-	}
-	var sum float64
-	for ph := Phase(0); ph < NumPhases; ph++ {
-		for wire := 0; wire < profileWireDim; wire++ {
-			for level := 0; level < profileLevelDim; level++ {
-				for tc := TransClass(0); tc < NumTransClasses; tc++ {
-					fj, _ := p.Cell(ph, codec, wire, level, tc)
-					sum += fj
-				}
-			}
-		}
-	}
-	return sum
-}
-
 // ProfileCell is one non-empty attribution cell in a snapshot.
 type ProfileCell struct {
 	Phase Phase

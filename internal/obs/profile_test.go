@@ -49,9 +49,6 @@ func TestProfileCellRoundTrip(t *testing.T) {
 	if got := p.PhaseEnergy(PhaseMTAPayload); got != 0 {
 		t.Fatalf("PhaseEnergy(other) = %v, want 0", got)
 	}
-	if got := p.CodecEnergy(2); got != 12 {
-		t.Fatalf("CodecEnergy = %v, want 12", got)
-	}
 }
 
 func TestProfileOutOfRangeDropped(t *testing.T) {

@@ -357,36 +357,47 @@ func TestRunFleetApps(t *testing.T) {
 }
 
 // TestFleetWorkerCountDeterministic proves worker count cannot change
-// results: a 4-worker run must reproduce the sequential run bit-for-bit,
-// app by app, in fleet order.
+// results: for every policy of the evaluation matrix, a 4-worker run
+// must reproduce the sequential run bit-for-bit, app by app, in fleet
+// order. The paper's ladder must hold even at this small scale: every
+// SMOREs point (specs 2-4) spends less energy per bit than the
+// baseline MTA fleet (spec 0).
 func TestFleetWorkerCountDeterministic(t *testing.T) {
-	spec := RunSpec{
-		Policy:   memctrl.SMOREs,
-		Scheme:   core.Scheme{Specification: core.StaticCode, Detection: core.Conservative},
-		Accesses: 400, Seed: 3,
-	}
-	seq, err := RunFleet(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := RunFleetApps(workload.Fleet(), spec, FleetOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq.Results) != len(par.Results) {
-		t.Fatalf("result counts differ: %d vs %d", len(seq.Results), len(par.Results))
-	}
-	for i := range seq.Results {
-		s, p := seq.Results[i], par.Results[i]
-		if s.App.Name != p.App.Name {
-			t.Fatalf("app %d ordering differs: %s vs %s", i, s.App.Name, p.App.Name)
+	specs := PolicySpecs(400, 3, false)
+	means := make([]float64, len(specs))
+	for si, spec := range specs {
+		seq, err := RunFleet(spec)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if s.PerBit != p.PerBit || s.Clocks != p.Clocks || s.Reads != p.Reads ||
-			s.Writes != p.Writes || s.Ctrl != p.Ctrl || s.Bus != p.Bus {
-			t.Errorf("app %s diverged between sequential and parallel runs", s.App.Name)
+		par, err := RunFleetApps(workload.Fleet(), spec, FleetOptions{Workers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(seq.Results) != len(par.Results) {
+			t.Fatalf("%s: result counts differ: %d vs %d", seq.Label, len(seq.Results), len(par.Results))
+		}
+		for i := range seq.Results {
+			s, p := seq.Results[i], par.Results[i]
+			if s.App.Name != p.App.Name {
+				t.Fatalf("%s: app %d ordering differs: %s vs %s", seq.Label, i, s.App.Name, p.App.Name)
+			}
+			if s.PerBit != p.PerBit || s.Clocks != p.Clocks || s.Reads != p.Reads ||
+				s.Writes != p.Writes || s.Ctrl != p.Ctrl || s.Bus != p.Bus {
+				t.Errorf("%s: app %s diverged between sequential and parallel runs", seq.Label, s.App.Name)
+			}
+		}
+		means[si] = seq.MeanPerBit()
+		if means[si] != par.MeanPerBit() {
+			t.Errorf("%s: fleet mean diverged: %v vs %v", seq.Label, means[si], par.MeanPerBit())
+		}
+		if means[si] <= 0 {
+			t.Errorf("%s: no energy recorded", seq.Label)
 		}
 	}
-	if seq.MeanPerBit() != par.MeanPerBit() {
-		t.Errorf("fleet mean diverged: %v vs %v", seq.MeanPerBit(), par.MeanPerBit())
+	for si := 2; si < len(specs); si++ {
+		if means[si] >= means[0] {
+			t.Errorf("spec %d: %v fJ/bit does not beat the baseline's %v", si, means[si], means[0])
+		}
 	}
 }
