@@ -35,6 +35,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzProfileConservation -fuzztime 10s ./internal/bus/
 	$(GO) test -run '^$$' -fuzz FuzzBoolThreshold -fuzztime 10s ./internal/rng/
 	$(GO) test -run '^$$' -fuzz FuzzFirstBelow -fuzztime 10s ./internal/rng/
+	$(GO) test -run '^$$' -fuzz FuzzSchedulerMatchesLinearScan -fuzztime 10s ./internal/memctrl/
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .

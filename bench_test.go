@@ -577,7 +577,8 @@ func BenchmarkSweepConservativeWindow(b *testing.B) {
 	var pts []sweep.Point
 	for i := 0; i < b.N; i++ {
 		var err error
-		pts, err = sweep.ConservativeWindow(sweep.Config{Accesses: 800, Seed: 1}, []int{4, 8})
+		pts, err = sweep.ConservativeWindow(workload.Fleet(), sweep.Config{Accesses: 800, Seed: 1},
+			report.FleetOptions{Workers: 1}, []int{4, 8})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -20,21 +20,28 @@ func TestEvalWorkerInvariance(t *testing.T) {
 	dir := buildMains(t)
 	eval := bin(dir, "smores-eval")
 
-	// run returns smores-eval's stdout and its -json export at -j j.
-	run := func(t *testing.T, j string, args ...string) (stdout, export []byte) {
+	// run returns smores-eval's stdout and, when export is set, its -json
+	// export at -j j.
+	run := func(t *testing.T, j string, export bool, args ...string) (stdout, exported []byte) {
 		t.Helper()
 		var out, stderr bytes.Buffer
 		jsonPath := filepath.Join(t.TempDir(), "eval.json")
-		cmd := exec.Command(eval, append(args, "-json", jsonPath, "-j", j)...)
+		if export {
+			args = append(args, "-json", jsonPath)
+		}
+		cmd := exec.Command(eval, append(args, "-j", j)...)
 		cmd.Stdout, cmd.Stderr = &out, &stderr
 		if err := cmd.Run(); err != nil {
 			t.Fatalf("smores-eval %v -j %s: %v\n%s", args, j, err, stderr.String())
 		}
-		export, err := os.ReadFile(jsonPath)
+		if !export {
+			return out.Bytes(), nil
+		}
+		exported, err := os.ReadFile(jsonPath)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return out.Bytes(), export
+		return out.Bytes(), exported
 	}
 	cases := []struct {
 		name     string
@@ -46,11 +53,15 @@ func TestEvalWorkerInvariance(t *testing.T) {
 			"Table V — energy saving", `"fleets": [`},
 		{"multi-channel", []string{"-channels", "4", "-accesses", "1000"},
 			"4 channels × 42 apps", `"channels": 4`},
+		// The sweeps write no JSON export.
+		{"sweep", []string{"-sweep", "-accesses", "2000"},
+			"Conservative detection-window sweep", ""},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			seqOut, seqJSON := run(t, "1", c.args...)
-			parOut, parJSON := run(t, "3", c.args...)
+			export := c.wantJSON != ""
+			seqOut, seqJSON := run(t, "1", export, c.args...)
+			parOut, parJSON := run(t, "3", export, c.args...)
 			if !bytes.Contains(seqOut, []byte(c.wantOut)) {
 				t.Errorf("unexpected stdout:\n%s", seqOut)
 			}

@@ -57,10 +57,11 @@ func main() {
 		if cfg.Accesses < 500 {
 			cfg.Accesses = 500
 		}
-		pts, err := sweep.ConservativeWindow(cfg, []int{2, 3, 4, 6, 8, 12, 16})
+		opts := report.FleetOptions{Workers: *workers}
+		pts, err := sweep.ConservativeWindow(fleet, cfg, opts, []int{2, 3, 4, 6, 8, 12, 16})
 		fail(err)
 		fmt.Println(sweep.Render("Conservative detection-window sweep (paper fixes 8 clocks)", "clocks", pts))
-		pts, err = sweep.ReadLatency(cfg, []int64{20, 25, 30, 35, 40})
+		pts, err = sweep.ReadLatency(fleet, cfg, opts, []int64{20, 25, 30, 35, 40})
 		fail(err)
 		fmt.Println(sweep.Render("Read-latency sensitivity (exhaustive/static)", "RL clocks", pts))
 		return

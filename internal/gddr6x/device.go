@@ -1,6 +1,10 @@
 package gddr6x
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"math/bits"
+)
 
 // Device tracks per-bank state and enforces command legality. The memory
 // controller asks Can* before issuing and then commits with the matching
@@ -9,11 +13,16 @@ import "fmt"
 type Device struct {
 	t     Timing
 	banks []bank
+	// open holds bit b while bank b has an open row; group0 holds the
+	// banks of bank group 0, so group g's banks are group0 << g
+	// (BankGroup is bank % BankGroups).
+	open   uint64
+	group0 uint64
 
 	lastACT     int64 // for tRRD
 	lastCol     int64 // for tCCD and turnaround
 	lastColWr   bool
-	lastColBG   int // bank group of the last column command (tCCD_L)
+	lastColBG   uint8 // bank group of the last column command (tCCD_L)
 	anyCol      bool
 	refDue      int64
 	refDuePB    int64
@@ -25,7 +34,7 @@ type Device struct {
 }
 
 type bank struct {
-	open     bool
+	group    uint8 // BankGroup of the bank, so queries never divide
 	row      uint32
 	actReady int64 // earliest ACTIVATE
 	colReady int64 // earliest READ/WRITE after ACTIVATE (tRCD)
@@ -45,6 +54,12 @@ func NewDevice(t Timing) (*Device, error) {
 		refDue:   t.TREFI,
 		refDuePB: t.TREFI / int64(t.Banks),
 	}
+	for b := range d.banks {
+		d.banks[b].group = uint8(t.BankGroup(b))
+		if d.banks[b].group == 0 {
+			d.group0 |= 1 << uint(b)
+		}
+	}
 	return d, nil
 }
 
@@ -54,28 +69,30 @@ func (d *Device) Timing() Timing { return d.t }
 // Busy reports whether the device is inside a refresh cycle at now.
 func (d *Device) Busy(now int64) bool { return now < d.refBusyTill }
 
+// isOpen reports whether bank b holds an open row.
+func (d *Device) isOpen(b int) bool { return d.open>>uint(b)&1 != 0 }
+
 // OpenRow returns the open row of a bank, if any.
 func (d *Device) OpenRow(b int) (uint32, bool) {
-	bk := &d.banks[b]
-	return bk.row, bk.open
+	return d.banks[b].row, d.isOpen(b)
 }
+
+// OpenMask returns the banks holding an open row, bank b as bit b.
+func (d *Device) OpenMask() uint64 { return d.open }
 
 // RowHit reports whether addr's row is open in its bank.
 func (d *Device) RowHit(addr Address) bool {
-	bk := &d.banks[addr.Bank]
-	return bk.open && bk.row == addr.Row
+	return d.isOpen(int(addr.Bank)) && d.banks[addr.Bank].row == addr.Row
 }
 
 // NeedsPrecharge reports whether addr's bank holds a different open row.
 func (d *Device) NeedsPrecharge(addr Address) bool {
-	bk := &d.banks[addr.Bank]
-	return bk.open && bk.row != addr.Row
+	return d.isOpen(int(addr.Bank)) && d.banks[addr.Bank].row != addr.Row
 }
 
 // CanActivate reports whether ACT(b,row) may issue at now.
 func (d *Device) CanActivate(b int, now int64) bool {
-	bk := &d.banks[b]
-	return !d.Busy(now) && !bk.open && now >= bk.actReady && now >= d.lastACT+d.t.TRRD
+	return !d.Busy(now) && !d.isOpen(b) && now >= d.banks[b].actReady && now >= d.lastACT+d.t.TRRD
 }
 
 // Activate opens a row.
@@ -84,7 +101,7 @@ func (d *Device) Activate(b int, row uint32, now int64) error {
 		return fmt.Errorf("gddr6x: illegal ACT bank %d at %d", b, now)
 	}
 	bk := &d.banks[b]
-	bk.open = true
+	d.open |= 1 << uint(b)
 	bk.row = row
 	bk.colReady = now + d.t.TRCD
 	bk.preReady = now + d.t.TRAS
@@ -95,7 +112,7 @@ func (d *Device) Activate(b int, row uint32, now int64) error {
 
 // colSpacingOK enforces tCCD_S/tCCD_L and bus-turnaround spacing between
 // column commands.
-func (d *Device) colSpacingOK(now int64, write bool, bankGroup int) bool {
+func (d *Device) colSpacingOK(now int64, write bool, bankGroup uint8) bool {
 	if !d.anyCol {
 		return true
 	}
@@ -118,8 +135,8 @@ func (d *Device) colSpacingOK(now int64, write bool, bankGroup int) bool {
 // CanRead reports whether READ(addr) may issue at now.
 func (d *Device) CanRead(addr Address, now int64) bool {
 	bk := &d.banks[addr.Bank]
-	return !d.Busy(now) && bk.open && bk.row == addr.Row &&
-		now >= bk.colReady && d.colSpacingOK(now, false, d.t.BankGroup(addr.Bank))
+	return !d.Busy(now) && d.RowHit(addr) &&
+		now >= bk.colReady && d.colSpacingOK(now, false, bk.group)
 }
 
 // Read issues a column read.
@@ -133,7 +150,7 @@ func (d *Device) Read(addr Address, now int64) error {
 	}
 	d.lastCol = now
 	d.lastColWr = false
-	d.lastColBG = d.t.BankGroup(addr.Bank)
+	d.lastColBG = bk.group
 	d.anyCol = true
 	d.reads++
 	return nil
@@ -142,8 +159,8 @@ func (d *Device) Read(addr Address, now int64) error {
 // CanWrite reports whether WRITE(addr) may issue at now.
 func (d *Device) CanWrite(addr Address, now int64) bool {
 	bk := &d.banks[addr.Bank]
-	return !d.Busy(now) && bk.open && bk.row == addr.Row &&
-		now >= bk.colReady && d.colSpacingOK(now, true, d.t.BankGroup(addr.Bank))
+	return !d.Busy(now) && d.RowHit(addr) &&
+		now >= bk.colReady && d.colSpacingOK(now, true, bk.group)
 }
 
 // Write issues a column write.
@@ -157,7 +174,7 @@ func (d *Device) Write(addr Address, now int64) error {
 	}
 	d.lastCol = now
 	d.lastColWr = true
-	d.lastColBG = d.t.BankGroup(addr.Bank)
+	d.lastColBG = bk.group
 	d.anyCol = true
 	d.writes++
 	return nil
@@ -165,8 +182,7 @@ func (d *Device) Write(addr Address, now int64) error {
 
 // CanPrecharge reports whether PRE(b) may issue at now.
 func (d *Device) CanPrecharge(b int, now int64) bool {
-	bk := &d.banks[b]
-	return !d.Busy(now) && bk.open && now >= bk.preReady
+	return !d.Busy(now) && d.isOpen(b) && now >= d.banks[b].preReady
 }
 
 // Precharge closes a bank.
@@ -174,9 +190,8 @@ func (d *Device) Precharge(b int, now int64) error {
 	if !d.CanPrecharge(b, now) {
 		return fmt.Errorf("gddr6x: illegal PRE bank %d at %d", b, now)
 	}
-	bk := &d.banks[b]
-	bk.open = false
-	bk.actReady = now + d.t.TRP
+	d.open &^= 1 << uint(b)
+	d.banks[b].actReady = now + d.t.TRP
 	d.pres++
 	return nil
 }
@@ -195,8 +210,7 @@ func (d *Device) NextRefreshBank() int { return d.refBankIdx }
 
 // CanRefreshBank reports whether REFpb may issue for bank b at now.
 func (d *Device) CanRefreshBank(b int, now int64) bool {
-	bk := &d.banks[b]
-	return !d.Busy(now) && !bk.open && now >= bk.actReady
+	return !d.Busy(now) && !d.isOpen(b) && now >= d.banks[b].actReady
 }
 
 // RefreshBank performs a per-bank refresh of bank b, blocking only that
@@ -218,11 +232,11 @@ func (d *Device) RefreshBank(b int, now int64) error {
 // CanRefresh reports whether REFab may issue: all banks precharged and no
 // refresh in flight.
 func (d *Device) CanRefresh(now int64) bool {
-	if d.Busy(now) {
+	if d.Busy(now) || d.open != 0 {
 		return false
 	}
 	for i := range d.banks {
-		if d.banks[i].open || now < d.banks[i].actReady {
+		if now < d.banks[i].actReady {
 			return false
 		}
 	}
@@ -262,6 +276,12 @@ func (d *Device) Counters() (acts, reads, writes, pres, refs int64) {
 // matching Can* predicate holds at t given no intervening state change,
 // or -1 when the predicate cannot become true by time alone (e.g. an
 // ACTIVATE to an already-open bank needs a PRECHARGE first).
+//
+// A command only pushes these clocks later, with three exceptions: an
+// ACTIVATE makes its bank column-ready and precharge-ready, a PRECHARGE
+// makes its bank activate-ready, and a column command releases the
+// previous command's bank group from tCCD_L. The controller's issue
+// horizons rely on this.
 
 // BusyUntil returns the clock through which the device is inside an
 // all-bank refresh cycle (commands resume at the returned clock).
@@ -290,16 +310,22 @@ func (d *Device) PerBankRefreshDueAt() int64 { return d.refDuePB }
 // could issue, or -1 when the bank is closed or holds a different row
 // (an ACT/PRE must happen first — itself an event).
 func (d *Device) ColumnReadyAt(addr Address, write bool) int64 {
-	bk := &d.banks[addr.Bank]
-	if !bk.open || bk.row != addr.Row {
+	if !d.RowHit(addr) {
 		return -1
 	}
-	t := d.ColumnGateAt(write)
+	return d.columnReadyAt(int(addr.Bank), d.ColumnGateAt(write))
+}
+
+// columnReadyAt returns open bank b's column ready clock given the
+// device-wide gate. tCCD_L ≥ tCCD_S (validated), so a same-group command
+// only waits longer.
+func (d *Device) columnReadyAt(b int, gate int64) int64 {
+	t := gate
+	bk := &d.banks[b]
 	if bk.colReady > t {
 		t = bk.colReady
 	}
-	// tCCD_L ≥ tCCD_S (validated), so a same-group command only waits longer.
-	if d.anyCol && d.t.BankGroup(addr.Bank) == d.lastColBG {
+	if d.anyCol && bk.group == d.lastColBG {
 		if s := d.lastCol + d.t.TCCDL; s > t {
 			t = s
 		}
@@ -336,11 +362,10 @@ func (d *Device) ColumnGateAt(write bool) int64 {
 // ActivateReadyAt returns the first clock at which ACT(b) could issue, or
 // -1 when the bank is open (it needs a precharge first).
 func (d *Device) ActivateReadyAt(b int) int64 {
-	bk := &d.banks[b]
-	if bk.open {
+	if d.isOpen(b) {
 		return -1
 	}
-	t := bk.actReady
+	t := d.banks[b].actReady
 	if s := d.lastACT + d.t.TRRD; s > t {
 		t = s
 	}
@@ -353,11 +378,10 @@ func (d *Device) ActivateReadyAt(b int) int64 {
 // PrechargeReadyAt returns the first clock at which PRE(b) could issue,
 // or -1 when the bank is already closed.
 func (d *Device) PrechargeReadyAt(b int) int64 {
-	bk := &d.banks[b]
-	if !bk.open {
+	if !d.isOpen(b) {
 		return -1
 	}
-	t := bk.preReady
+	t := d.banks[b].preReady
 	if d.refBusyTill > t {
 		t = d.refBusyTill
 	}
@@ -368,11 +392,11 @@ func (d *Device) PrechargeReadyAt(b int) int64 {
 // -1 while any bank is open (precharges must land first; those are events
 // of their own).
 func (d *Device) RefreshReadyAt() int64 {
+	if d.open != 0 {
+		return -1
+	}
 	t := d.refBusyTill
 	for i := range d.banks {
-		if d.banks[i].open {
-			return -1
-		}
 		if d.banks[i].actReady > t {
 			t = d.banks[i].actReady
 		}
@@ -383,11 +407,115 @@ func (d *Device) RefreshReadyAt() int64 {
 // RefreshBankReadyAt returns the first clock at which REFpb could issue
 // for bank b, or -1 while the bank is open.
 func (d *Device) RefreshBankReadyAt(b int) int64 {
-	bk := &d.banks[b]
-	if bk.open {
+	if d.isOpen(b) {
 		return -1
 	}
-	t := bk.actReady
+	t := d.banks[b].actReady
+	if d.refBusyTill > t {
+		t = d.refBusyTill
+	}
+	return t
+}
+
+// Mask queries answer a readiness question for a set of banks at once,
+// bank b as bit b, so a scheduler that tracks its banks in machine words
+// asks once per set instead of once per bank. Each equals the per-bank
+// query reduced over the set (TestColumnReadinessQueriesAreExact).
+
+// CanColumnMask returns the banks of m whose open row could take a column
+// command of the given direction at now: bank b is set exactly when b is
+// open and CanRead (write false) or CanWrite (write true) holds at now for
+// its open row.
+func (d *Device) CanColumnMask(m uint64, write bool, now int64) uint64 {
+	m &= d.open
+	if m == 0 || now < d.ColumnGateAt(write) {
+		return 0
+	}
+	if d.anyCol && now < d.lastCol+d.t.TCCDL {
+		m &^= d.group0 << d.lastColBG
+	}
+	ready := m
+	for ; m != 0; m &= m - 1 {
+		b := bits.TrailingZeros64(m)
+		if now < d.banks[b].colReady {
+			ready &^= 1 << uint(b)
+		}
+	}
+	return ready
+}
+
+// ColumnReadyAtMask returns the first clock at which a column command of
+// the given direction could issue to the open row of some bank of m — the
+// minimum of ColumnReadyAt over m's open banks — or -1 when none is open.
+func (d *Device) ColumnReadyAtMask(m uint64, write bool) int64 {
+	m &= d.open
+	if m == 0 {
+		return -1
+	}
+	gate := d.ColumnGateAt(write)
+	t := int64(math.MaxInt64)
+	for ; m != 0; m &= m - 1 {
+		if r := d.columnReadyAt(bits.TrailingZeros64(m), gate); r < t {
+			t = r
+		}
+	}
+	return t
+}
+
+// CanPrepMask returns the banks of m that could take, at now, the command
+// that readies them for another row: bank b is set exactly when
+// CanPrecharge(b, now) holds for an open bank, or CanActivate(b, now) for
+// a closed one.
+func (d *Device) CanPrepMask(m uint64, now int64) uint64 {
+	if d.Busy(now) {
+		return 0
+	}
+	var ready uint64
+	for o := m & d.open; o != 0; o &= o - 1 {
+		b := bits.TrailingZeros64(o)
+		if now >= d.banks[b].preReady {
+			ready |= 1 << uint(b)
+		}
+	}
+	if now < d.lastACT+d.t.TRRD {
+		return ready
+	}
+	for c := m &^ d.open; c != 0; c &= c - 1 {
+		b := bits.TrailingZeros64(c)
+		if now >= d.banks[b].actReady {
+			ready |= 1 << uint(b)
+		}
+	}
+	return ready
+}
+
+// PrepReadyAtMask returns the first clock at which some bank of m could
+// take that command — the minimum of PrechargeReadyAt over m's open banks
+// and ActivateReadyAt over its closed ones — or -1 for an empty mask.
+func (d *Device) PrepReadyAtMask(m uint64) int64 {
+	if m == 0 {
+		return -1
+	}
+	t := int64(math.MaxInt64)
+	for o := m & d.open; o != 0; o &= o - 1 {
+		if r := d.banks[bits.TrailingZeros64(o)].preReady; r < t {
+			t = r
+		}
+	}
+	if c := m &^ d.open; c != 0 {
+		act := int64(math.MaxInt64)
+		for ; c != 0; c &= c - 1 {
+			if r := d.banks[bits.TrailingZeros64(c)].actReady; r < act {
+				act = r
+			}
+		}
+		if s := d.lastACT + d.t.TRRD; s > act {
+			act = s
+		}
+		if act < t {
+			t = act
+		}
+	}
 	if d.refBusyTill > t {
 		t = d.refBusyTill
 	}

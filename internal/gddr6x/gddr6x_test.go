@@ -1,6 +1,7 @@
 package gddr6x
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -42,7 +43,7 @@ func TestMapSectorBijective(t *testing.T) {
 	seen := make(map[Address]uint64)
 	for s := uint64(0); s < 1<<14; s++ {
 		a := cfg.MapSector(s)
-		if a.Bank < 0 || a.Bank >= cfg.Banks {
+		if int(a.Bank) >= cfg.Banks {
 			t.Fatalf("sector %d: bank %d out of range", s, a.Bank)
 		}
 		if int(a.Col) >= cfg.RowSectors {
@@ -66,7 +67,7 @@ func TestMapSectorInterleaving(t *testing.T) {
 	}
 	// The next chunk lands on the next bank.
 	aNext := cfg.MapSector(chunk)
-	if aNext.Bank != (a0.Bank+1)%cfg.Banks {
+	if int(aNext.Bank) != (int(a0.Bank)+1)%cfg.Banks {
 		t.Errorf("chunk interleave broken: %v", aNext)
 	}
 	// After one full round of banks we return to bank 0, same row,
@@ -88,7 +89,7 @@ func TestMapSectorQuick(t *testing.T) {
 	f := func(s uint64) bool {
 		s %= 1 << 40
 		a := cfg.MapSector(s)
-		return a.Bank >= 0 && a.Bank < cfg.Banks && int(a.Col) < cfg.RowSectors
+		return int(a.Bank) < cfg.Banks && int(a.Col) < cfg.RowSectors
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -300,7 +301,8 @@ func TestCounters(t *testing.T) {
 // TestColumnReadinessQueriesAreExact drives random legal command
 // sequences (refreshes included) and checks the column readiness queries
 // against the predicates they summarize: CanRead/CanWrite first hold at
-// ColumnReadyAt, and ColumnGateAt never exceeds any bank's ready clock.
+// ColumnReadyAt, ColumnGateAt never exceeds any bank's ready clock, and
+// each mask query equals its per-bank query reduced over a random bank set.
 func TestColumnReadinessQueriesAreExact(t *testing.T) {
 	d := mustDevice(t)
 	cfg := d.Timing()
@@ -311,7 +313,7 @@ func TestColumnReadinessQueriesAreExact(t *testing.T) {
 		for b := 0; b < cfg.Banks; b++ {
 			row, open := d.OpenRow(b)
 			for _, write := range []bool{false, true} {
-				a := Address{Bank: b, Row: row}
+				a := Address{Bank: uint8(b), Row: row}
 				ready := d.ColumnReadyAt(a, write)
 				if !open {
 					if ready != -1 {
@@ -331,9 +333,15 @@ func TestColumnReadinessQueriesAreExact(t *testing.T) {
 				}
 			}
 		}
+		m := r.Uint64() & (1<<uint(cfg.Banks) - 1)
+		for _, at := range []int64{now, now + int64(r.Intn(48))} {
+			if err := checkMaskQueries(d, m, at); err != nil {
+				t.Fatalf("step %d, mask %#x, clock %d: %v", step, m, at, err)
+			}
+		}
 		b := r.Intn(cfg.Banks)
 		row, open := d.OpenRow(b)
-		a := Address{Bank: b, Row: row}
+		a := Address{Bank: uint8(b), Row: row}
 		var err error
 		switch {
 		case d.RefreshDue(now):
@@ -358,4 +366,67 @@ func TestColumnReadinessQueriesAreExact(t *testing.T) {
 	if _, _, _, _, refs := d.Counters(); refs == 0 {
 		t.Fatal("no refresh exercised")
 	}
+}
+
+// checkMaskQueries compares every mask query over bank set m, asked at
+// clock now, with the per-bank queries it reduces.
+func checkMaskQueries(d *Device, m uint64, now int64) error {
+	minReady := func(t, r int64) int64 {
+		if r >= 0 && (t < 0 || r < t) {
+			return r
+		}
+		return t
+	}
+	var open, prepNow uint64
+	prepAt := int64(-1)
+	for b := 0; b < d.Timing().Banks; b++ {
+		bit := uint64(1) << uint(b)
+		_, isOpen := d.OpenRow(b)
+		if isOpen {
+			open |= bit
+		}
+		if m&bit == 0 {
+			continue
+		}
+		if isOpen && d.CanPrecharge(b, now) || !isOpen && d.CanActivate(b, now) {
+			prepNow |= bit
+		}
+		prepAt = minReady(prepAt, d.PrechargeReadyAt(b))
+		prepAt = minReady(prepAt, d.ActivateReadyAt(b))
+	}
+	if got := d.OpenMask(); got != open {
+		return fmt.Errorf("OpenMask %#x, per-bank %#x", got, open)
+	}
+	if got := d.CanPrepMask(m, now); got != prepNow {
+		return fmt.Errorf("CanPrepMask %#x, per-bank %#x", got, prepNow)
+	}
+	if got := d.PrepReadyAtMask(m); got != prepAt {
+		return fmt.Errorf("PrepReadyAtMask %d, per-bank %d", got, prepAt)
+	}
+	for _, write := range []bool{false, true} {
+		can := d.CanRead
+		if write {
+			can = d.CanWrite
+		}
+		var colNow uint64
+		colAt := int64(-1)
+		for b := 0; b < d.Timing().Banks; b++ {
+			row, isOpen := d.OpenRow(b)
+			if m&(1<<uint(b)) == 0 || !isOpen {
+				continue
+			}
+			a := Address{Bank: uint8(b), Row: row}
+			if can(a, now) {
+				colNow |= 1 << uint(b)
+			}
+			colAt = minReady(colAt, d.ColumnReadyAt(a, write))
+		}
+		if got := d.CanColumnMask(m, write, now); got != colNow {
+			return fmt.Errorf("CanColumnMask(write=%v) %#x, per-bank %#x", write, got, colNow)
+		}
+		if got := d.ColumnReadyAtMask(m, write); got != colAt {
+			return fmt.Errorf("ColumnReadyAtMask(write=%v) %d, per-bank %d", write, got, colAt)
+		}
+	}
+	return nil
 }

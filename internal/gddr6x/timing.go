@@ -108,7 +108,7 @@ func (t Timing) Validate() error {
 
 // Address locates a 32-byte sector inside one channel's DRAM.
 type Address struct {
-	Bank int
+	Bank uint8 // Validate caps Banks at 64
 	Row  uint32
 	Col  uint32 // sector offset within the row
 }
@@ -132,7 +132,7 @@ func (t *Timing) MapSector(sector uint64) Address {
 	chunksPerRow := uint64(t.RowSectors / t.ChunkSectors)
 	col := uint32(chunkRound%chunksPerRow)*uint32(t.ChunkSectors) + within
 	row := uint32(chunkRound / chunksPerRow)
-	return Address{Bank: bank, Row: row, Col: col}
+	return Address{Bank: uint8(bank), Row: row, Col: col}
 }
 
 // BankGroup returns the bank-group index of a bank. Pointer receiver:

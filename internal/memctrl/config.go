@@ -172,7 +172,12 @@ func (c Config) validate() error {
 	if c.ReadQueueCap < 1 || c.WriteQueueCap < 1 {
 		return fmt.Errorf("memctrl: queue capacities must be positive")
 	}
-	if c.WriteLo >= c.WriteHi || c.WriteHi > c.WriteQueueCap {
+	if c.ReadQueueCap > maxQueueCap || c.WriteQueueCap > maxQueueCap {
+		return fmt.Errorf("memctrl: queue capacities %d/%d exceed %d", c.ReadQueueCap, c.WriteQueueCap, maxQueueCap)
+	}
+	// A high watermark below 1 would enter write mode with no write to
+	// drain, so the read/write mode would flip every tick.
+	if c.WriteHi < 1 || c.WriteLo >= c.WriteHi || c.WriteHi > c.WriteQueueCap {
 		return fmt.Errorf("memctrl: write watermarks lo=%d hi=%d cap=%d inconsistent",
 			c.WriteLo, c.WriteHi, c.WriteQueueCap)
 	}

@@ -2,6 +2,7 @@ package memctrl
 
 import (
 	"fmt"
+	"math/bits"
 
 	"smores/internal/bus"
 	"smores/internal/core"
@@ -155,13 +156,11 @@ type Controller struct {
 }
 
 // xfer tracks one data transfer through decision and idle accounting.
+// req carries its column command clock (IssuedAt), data slot (DataStart)
+// and, once decided, its code length.
 type xfer struct {
 	req       Request
-	cmdAt     int64
-	dataStart int64
-	kind      Kind
 	decided   bool
-	codeLen   int
 	postamble bool
 	accounted bool // trailing idle accounted
 	// replayClocks is the bus time EDC replay traffic consumed right
@@ -195,7 +194,8 @@ func New(cfg Config) (*Controller, error) {
 		tr:        cfg.Tracer,
 		chanID:    int32(cfg.Channel),
 	}
-	c.readQ.kind, c.writeQ.kind = Read, Write
+	c.readQ.init(Read)
+	c.writeQ.init(Write)
 	if cfg.Bus.ExactData {
 		c.payload = rng.New(0x5310_4E5)
 	}
@@ -250,7 +250,7 @@ func (c *Controller) WriteGapHistogram() *stats.Histogram { return c.writeGaps.C
 
 // QueueLens returns the current read and write queue depths.
 func (c *Controller) QueueLens() (reads, writes int) {
-	return len(c.readQ.reqs), len(c.writeQ.reqs)
+	return c.readQ.n, c.writeQ.n
 }
 
 // Enqueue offers a request; it reports false when the target queue is
@@ -266,13 +266,13 @@ func (c *Controller) Enqueue(r *Request) bool {
 	default:
 		panic("memctrl: unknown request kind")
 	}
-	if len(q.reqs) >= capacity {
+	if q.n >= capacity {
 		return false
 	}
-	in := *r
-	in.Addr = c.cfg.Timing.MapSector(in.Sector)
-	in.Arrive = c.clock
-	q.push(&in, c.dev.RowHit(in.Addr))
+	addr := c.cfg.Timing.MapSector(r.Sector)
+	hits, oldMiss := q.hits, q.oldMiss
+	q.push(r, addr, c.clock, c.dev.RowHit(addr))
+	c.lowerHorizons(q, q.hits&^hits|q.oldMiss&^oldMiss)
 	return true
 }
 
@@ -287,18 +287,19 @@ func (c *Controller) latency(k Kind) int64 {
 }
 
 // decisionDeadline returns how long after a column command the encoding
-// decision may wait for the next command before it must commit.
+// decision may wait for the next command before it must commit. It is at
+// least BurstSlotClocks: the decision commits one clock past the
+// deadline, and only from BurstSlotClocks+1 on is an idle clock after
+// the dense slot certain, so a shorter deadline would commit as if no gap
+// followed and skip the postamble.
 func (c *Controller) decisionDeadline() int64 {
-	if c.cfg.Policy == SMOREs && c.cfg.Scheme.Detection == core.Conservative {
-		return int64(c.cfg.Scheme.Window())
-	}
 	// Exhaustive (and the baselines): the data must be encoded just
 	// before it leaves at RL; leave a small encode margin.
 	d := c.cfg.Timing.RL - 4
-	if d < 1 {
-		d = 1
+	if c.cfg.Policy == SMOREs && c.cfg.Scheme.Detection == core.Conservative {
+		d = int64(c.cfg.Scheme.Window())
 	}
-	return d
+	return max(d, core.BurstSlotClocks)
 }
 
 // Tick advances one command clock.
@@ -321,9 +322,11 @@ func (c *Controller) beginTick() bool {
 	// command has arrived, so both sides know the gap is at least the
 	// deadline and commit on that basis (conservative detection instead
 	// falls back to MTA here).
-	if c.hasPending && !c.pending.decided && c.clock-c.pending.cmdAt > c.decisionDeadline() {
-		proxy := int(c.decisionDeadline()) - core.BurstSlotClocks
-		c.decidePending(proxy, proxy, false, c.pending.kind)
+	if c.hasPending && !c.pending.decided && c.clock-c.pending.req.IssuedAt > c.decisionDeadline() {
+		// The deadline fires one clock past it, so a follow-up command
+		// would come at least deadline+1 clocks after this one.
+		proxy := int(c.decisionDeadline()) + 1 - core.BurstSlotClocks
+		c.decidePending(proxy, proxy, false, c.pending.req.Kind)
 	}
 
 	if c.dev.Busy(c.clock) {
@@ -367,7 +370,7 @@ func (c *Controller) schedule() bool {
 // skipped (unless DisableEventSkip pinned the per-clock loop).
 func (c *Controller) Drain(maxClocks int64) bool {
 	deadline := c.clock + maxClocks
-	for (len(c.readQ.reqs) > 0 || len(c.writeQ.reqs) > 0 || len(c.completions) > 0) && c.clock < deadline {
+	for (c.readQ.n > 0 || c.writeQ.n > 0 || len(c.completions) > 0) && c.clock < deadline {
 		if !c.skipThenTick(deadline) {
 			break
 		}
@@ -384,7 +387,7 @@ func (c *Controller) Drain(maxClocks int64) bool {
 			break
 		}
 	}
-	return len(c.readQ.reqs) == 0 && len(c.writeQ.reqs) == 0 && len(c.completions) == 0
+	return c.readQ.n == 0 && c.writeQ.n == 0 && len(c.completions) == 0
 }
 
 // skipThenTick advances to the next event (when skipping is enabled) and
@@ -420,17 +423,18 @@ func (c *Controller) inactiveQueue() *queue {
 	return &c.writeQ
 }
 
-func (c *Controller) updateMode() {
-	reads, writes := len(c.readQ.reqs), len(c.writeQ.reqs)
+func (c *Controller) updateMode() { c.writeMode = c.nextWriteMode() }
+
+// nextWriteMode returns the read/write mode updateMode sets for the
+// current queue depths. Applied twice it changes nothing (WriteHi ≥ 1 >
+// WriteLo is validated), so until a queue changes every tick that reaches
+// the scheduler runs in this mode.
+func (c *Controller) nextWriteMode() bool {
+	reads, writes := c.readQ.n, c.writeQ.n
 	if c.writeMode {
-		if writes == 0 || (writes <= c.cfg.WriteLo && reads > 0) {
-			c.writeMode = false
-		}
-		return
+		return !(writes == 0 || (writes <= c.cfg.WriteLo && reads > 0))
 	}
-	if writes >= c.cfg.WriteHi || (reads == 0 && writes > 0) {
-		c.writeMode = true
-	}
+	return writes >= c.cfg.WriteHi || (reads == 0 && writes > 0)
 }
 
 // issueForRefresh closes banks and fires REFab. Returns true if it issued
@@ -447,30 +451,31 @@ func (c *Controller) issueForRefresh() bool {
 		}
 		return true
 	}
-	for b := 0; b < c.cfg.Timing.Banks; b++ {
-		if c.dev.CanPrecharge(b, c.clock) {
-			c.precharge(b)
-			return true
-		}
+	if m := c.dev.CanPrepMask(c.dev.OpenMask(), c.clock); m != 0 {
+		c.precharge(bits.TrailingZeros64(m))
+		return true
 	}
 	return false
 }
 
-// precharge closes bank b and keeps both queues' bank indexes exact.
-// Every PRECHARGE the controller issues goes through here.
+// precharge closes bank b and keeps both queues' bank indexes and issue
+// horizons exact. Every PRECHARGE the controller issues goes through here.
 func (c *Controller) precharge(b int) {
 	if err := c.dev.Precharge(b, c.clock); err != nil {
 		panic("memctrl: " + err.Error())
 	}
+	bit := uint64(1) << uint(b)
 	c.readQ.rowClosed(b)
+	c.lowerHorizons(&c.readQ, bit)
 	c.writeQ.rowClosed(b)
+	c.lowerHorizons(&c.writeQ, bit)
 	if c.tr != nil {
 		c.tr.Emit(obs.TraceEvent{Cycle: c.clock, Dur: 1, Type: obs.EvPRE,
 			Channel: c.chanID, Bank: int32(b)})
 	}
 }
 
-// activate opens row in bank b and recounts the bank in both queues'
+// activate opens row in bank b and re-walks the bank in both queues'
 // indexes. ACT is a two-clock command: it holds the command bus through
 // the next clock.
 func (c *Controller) activate(b int, row uint32) {
@@ -478,109 +483,136 @@ func (c *Controller) activate(b int, row uint32) {
 		panic("memctrl: " + err.Error())
 	}
 	c.cmdBusyTill = c.clock + 2
+	bit := uint64(1) << uint(b)
 	c.readQ.rowOpened(b, row)
+	c.lowerHorizons(&c.readQ, bit)
 	c.writeQ.rowOpened(b, row)
+	c.lowerHorizons(&c.writeQ, bit)
 	if c.tr != nil {
 		c.tr.Emit(obs.TraceEvent{Cycle: c.clock, Dur: 2, Type: obs.EvACT,
 			Channel: c.chanID, Bank: int32(b), Arg: int64(row)})
 	}
 }
 
-// issueColumn issues the first legal READ/WRITE from the active queue
-// (FR-FCFS: the queue scan naturally prefers older requests; row hits are
-// the only issuable ones). The bank index and the device-wide gates
-// settle most clocks without touching a request.
+// issueColumn issues the oldest legal READ/WRITE of the active queue
+// (FR-FCFS: row hits are the only issuable requests, oldest first). Each
+// bank's oldest hit is indexed, so the candidate is the oldest of those
+// over the banks the device can serve now; below the queue's column
+// horizon nothing can issue and no bank is asked.
 func (c *Controller) issueColumn() bool {
 	q := c.activeQueue()
-	if q.hits == 0 {
+	if c.clock < q.colAt {
 		return false
 	}
 	write := q.kind == Write
-	// Device-wide holds apply to every bank alike: the column gate, and a
-	// booked data slot the command's data would start inside (e.g. a read
-	// stretched across a gap; write data is buffered).
-	if c.clock < c.dev.ColumnGateAt(write) || c.clock+c.latency(q.kind) < c.busReservedUntil {
-		return false
-	}
-	for i := range q.reqs {
-		r := &q.reqs[i]
-		if q.hits&(1<<uint(r.Addr.Bank)) == 0 {
-			continue
-		}
-		var err error
-		if write {
-			if !c.dev.CanWrite(r.Addr, c.clock) {
-				continue
-			}
-			err = c.dev.Write(r.Addr, c.clock)
-		} else {
-			if !c.dev.CanRead(r.Addr, c.clock) {
-				continue
-			}
-			err = c.dev.Read(r.Addr, c.clock)
-		}
-		if err != nil {
-			panic("memctrl: " + err.Error())
-		}
-		if c.tr != nil {
-			ev := obs.EvRD
-			if write {
-				ev = obs.EvWR
-			}
-			c.tr.Emit(obs.TraceEvent{Cycle: c.clock, Dur: 1, Type: ev,
-				Channel: c.chanID, Bank: int32(r.Addr.Bank), Arg: int64(r.Addr.Row)})
-		}
-		req := *r
-		q.remove(i)
-		c.placeTransfer(&req)
-		return true
-	}
-	return false
-}
-
-// issuePrep issues one PRECHARGE or ACTIVATE needed by the queue, oldest
-// request first. Activates get command-bus priority over column commands
-// at the call site ordering in Tick — per the paper, GPU controllers
-// prioritize activates to sustain bank-level parallelism, and those stolen
-// command slots are the dominant source of one-clock data-bus gaps.
-func (c *Controller) issuePrep(q *queue) bool {
-	// Banks holding a row miss that can take their command now: PRE for an
-	// open bank (its row is the wrong one), ACT for a closed one.
+	// A command whose data would start inside a booked slot is held (e.g.
+	// a read stretched across a gap; write data is buffered).
 	var ready uint64
-	for m := q.miss; m != 0; {
-		b := lowBank(&m)
-		if _, open := c.dev.OpenRow(b); open {
-			if c.dev.CanPrecharge(b, c.clock) {
-				ready |= 1 << uint(b)
-			}
-		} else if c.dev.CanActivate(b, c.clock) {
-			ready |= 1 << uint(b)
-		}
+	if c.clock+c.latency(q.kind) >= c.busReservedUntil {
+		ready = c.dev.CanColumnMask(q.hits, write, c.clock)
 	}
 	if ready == 0 {
+		q.colAt = c.columnReadyAt(q, q.hits)
 		return false
 	}
-	// The oldest request of each bank decides its prep: a bank whose oldest
-	// request hits the open row is left alone.
-	var seen uint64
-	for i := range q.reqs {
-		a := q.reqs[i].Addr
-		bit := uint64(1) << uint(a.Bank)
-		if ready&bit == 0 || seen&bit != 0 {
-			continue
-		}
-		seen |= bit
-		if c.dev.RowHit(a) {
-			continue
-		}
-		if c.dev.NeedsPrecharge(a) {
-			c.precharge(a.Bank)
-		} else {
-			c.activate(a.Bank, a.Row)
-		}
-		return true
+	s := q.oldest(&q.first, ready)
+	r := &q.slots[s].req
+	var err error
+	if write {
+		err = c.dev.Write(r.Addr, c.clock)
+	} else {
+		err = c.dev.Read(r.Addr, c.clock)
 	}
-	return false
+	if err != nil {
+		panic("memctrl: " + err.Error())
+	}
+	if c.tr != nil {
+		ev := obs.EvRD
+		if write {
+			ev = obs.EvWR
+		}
+		c.tr.Emit(obs.TraceEvent{Cycle: c.clock, Dur: 1, Type: ev,
+			Channel: c.chanID, Bank: int32(r.Addr.Bank), Arg: int64(r.Addr.Row)})
+	}
+	bank := r.Addr.Bank
+	q.take(s)
+	c.placeTransfer(r) // take leaves the freed slot intact until the next Enqueue
+	// The served bank's next request may now be its oldest miss, and the
+	// command moved the device's column gate: once tCCD_L no longer holds
+	// the previous command's bank group, a bank there can be ready before
+	// either queue's horizon. The gate bounds every bank from below.
+	c.lowerHorizons(q, 1<<bank)
+	for _, o := range [2]*queue{&c.readQ, &c.writeQ} {
+		if g := c.dev.ColumnGateAt(o.kind == Write); g < o.colAt {
+			o.colAt = g
+		}
+	}
+	return true
+}
+
+// issuePrep issues one PRECHARGE or ACTIVATE needed by the queue, for the
+// bank with the oldest request among the banks whose oldest request
+// misses the open row and that the device can prepare now. Activates get
+// command-bus priority over column commands at the call site ordering in
+// Tick — per the paper, GPU controllers prioritize activates to sustain
+// bank-level parallelism, and those stolen command slots are the dominant
+// source of one-clock data-bus gaps.
+func (c *Controller) issuePrep(q *queue) bool {
+	if c.clock < q.prepAt {
+		return false
+	}
+	ready := c.dev.CanPrepMask(q.oldMiss, c.clock)
+	if ready == 0 {
+		q.prepAt = orFar(c.dev.PrepReadyAtMask(q.oldMiss))
+		return false
+	}
+	a := q.slots[q.oldest(&q.head, ready)].req.Addr
+	if c.dev.NeedsPrecharge(a) {
+		c.precharge(int(a.Bank))
+	} else {
+		c.activate(int(a.Bank), a.Row)
+	}
+	return true
+}
+
+// columnReadyAt returns the first clock at which a column command could
+// issue to a bank of m (a subset of q.hits) for q, or farFuture when m is
+// empty: the device's bound, held back while the command's data would
+// start inside a booked slot.
+func (c *Controller) columnReadyAt(q *queue, m uint64) int64 {
+	t := c.dev.ColumnReadyAtMask(m, q.kind == Write)
+	if t < 0 {
+		return farFuture
+	}
+	if hold := c.busReservedUntil - c.latency(q.kind); hold > t {
+		t = hold
+	}
+	return t
+}
+
+// lowerHorizons lowers q's issue horizons to the exact ready clocks of
+// banks m after an event — an enqueue, ACTIVATE, PRECHARGE or column
+// command touching them — that may have made one of them issuable before
+// the horizons allow.
+func (c *Controller) lowerHorizons(q *queue, m uint64) {
+	if h := m & q.hits; h != 0 {
+		if t := c.columnReadyAt(q, h); t < q.colAt {
+			q.colAt = t
+		}
+	}
+	if p := m & q.oldMiss; p != 0 {
+		if t := c.dev.PrepReadyAtMask(p); t < q.prepAt {
+			q.prepAt = t
+		}
+	}
+}
+
+// orFar maps a device query's "never by time alone" (-1) to farFuture.
+func orFar(t int64) int64 {
+	if t < 0 {
+		return farFuture
+	}
+	return t
 }
 
 // issuePerBankRefresh services round-robin REFpb when due: close the
@@ -618,22 +650,19 @@ func (c *Controller) issueClosePage() bool {
 		return false
 	}
 	wanted := c.readQ.hits | c.writeQ.hits
-	for b := 0; b < c.cfg.Timing.Banks; b++ {
-		if wanted&(1<<uint(b)) == 0 && c.dev.CanPrecharge(b, c.clock) {
-			c.precharge(b)
-			return true
-		}
+	if m := c.dev.CanPrepMask(c.dev.OpenMask()&^wanted, c.clock); m != 0 {
+		c.precharge(bits.TrailingZeros64(m))
+		return true
 	}
 	return false
 }
 
 // placeTransfer books the data slot for a just-issued column command,
-// decides the previous pending transfer's encoding, and accounts the idle
-// span between them.
+// decides the previous pending transfer's encoding, accounts the idle
+// span between them, and copies r into the pending transfer (the only
+// copy of the request a column command makes).
 func (c *Controller) placeTransfer(r *Request) {
-	x := xfer{req: *r, cmdAt: c.clock, dataStart: c.clock + c.latency(r.Kind), kind: r.Kind}
-	x.req.IssuedAt = c.clock
-	x.req.DataStart = x.dataStart
+	dataStart := c.clock + c.latency(r.Kind)
 
 	// Both ends of the link observe every column command; the DRAM-side
 	// and GPU-side trackers must always agree (verified in decidePending).
@@ -642,7 +671,7 @@ func (c *Controller) placeTransfer(r *Request) {
 
 	if c.hasPending {
 		if !c.pending.decided {
-			delta := c.clock - c.pending.cmdAt
+			delta := c.clock - c.pending.req.IssuedAt
 			known := true
 			if c.cfg.Policy == SMOREs && c.cfg.Scheme.Detection == core.Conservative {
 				known = delta <= int64(c.cfg.Scheme.Window())
@@ -650,18 +679,21 @@ func (c *Controller) placeTransfer(r *Request) {
 			c.decidePending(gapDRAM, gapGPU, known, r.Kind)
 		}
 		if !c.pending.accounted {
-			c.accountIdle(&c.pending, x.dataStart, x.kind)
+			c.accountIdle(&c.pending, dataStart, r.Kind)
 		}
 	}
-	c.pending = x
+	p := &c.pending
+	p.req = *r
+	p.req.IssuedAt, p.req.DataStart = c.clock, dataStart
+	p.decided, p.postamble, p.accounted, p.replayClocks = false, false, false, 0
 	c.hasPending = true
-	if end := x.dataStart + core.BurstSlotClocks; end > c.busReservedUntil {
+	if end := dataStart + core.BurstSlotClocks; end > c.busReservedUntil {
 		c.busReservedUntil = end
 	}
 	if c.tr != nil {
 		c.tr.Emit(obs.TraceEvent{Cycle: c.clock, Type: obs.EvQueueDepth,
 			Channel: c.chanID, Bank: -1,
-			Arg: int64(len(c.readQ.reqs)), Arg2: int64(len(c.writeQ.reqs))})
+			Arg: int64(c.readQ.n), Arg2: int64(c.writeQ.n)})
 	}
 }
 
@@ -675,7 +707,7 @@ func (c *Controller) placeTransfer(r *Request) {
 func (c *Controller) decidePending(gap, gpuGap int, known bool, nextKind Kind) {
 	p := &c.pending
 	codeLen := 0
-	if c.cfg.Policy == SMOREs && nextKind == p.kind {
+	if c.cfg.Policy == SMOREs && nextKind == p.req.Kind {
 		if c.degraded {
 			// Graceful degradation: the detected-error rate crossed the
 			// threshold, so stay on the dense MTA code (shorter wire
@@ -689,15 +721,14 @@ func (c *Controller) decidePending(gap, gpuGap int, known bool, nextKind Kind) {
 	// The other end of the link (GPU for reads, DRAM for writes) mirrors
 	// the decision from its own tracker over the same command stream;
 	// verify the mechanism's central invariant.
-	if mirror := c.mirrorDecision(gpuGap, known, nextKind, p.kind); mirror != codeLen {
+	if mirror := c.mirrorDecision(gpuGap, known, nextKind, p.req.Kind); mirror != codeLen {
 		c.st.DecisionMismatches++
 	}
 
 	p.decided = true
-	p.codeLen = codeLen
 	p.postamble = codeLen == 0 && gap > 0 && c.cfg.Policy != OptimizedMTA
-	p.req.CodeLength = codeLen
-	if end := p.dataStart + int64(core.SlotClocks(codeLen)); end > c.busReservedUntil {
+	p.req.CodeLength = uint8(codeLen)
+	if end := p.req.DataStart + int64(core.SlotClocks(codeLen)); end > c.busReservedUntil {
 		c.busReservedUntil = end
 	}
 
@@ -716,7 +747,7 @@ func (c *Controller) decidePending(gap, gpuGap int, known bool, nextKind Kind) {
 	p.replayClocks = c.runReplay(p, data)
 	if p.replayClocks > 0 {
 		c.st.ReplayClocks += p.replayClocks
-		if end := p.dataStart + int64(core.SlotClocks(codeLen)) + p.replayClocks; end > c.busReservedUntil {
+		if end := p.req.DataStart + int64(core.SlotClocks(codeLen)) + p.replayClocks; end > c.busReservedUntil {
 			c.busReservedUntil = end
 		}
 	}
@@ -725,7 +756,7 @@ func (c *Controller) decidePending(gap, gpuGap int, known bool, nextKind Kind) {
 	}
 
 	if codeLen != 0 {
-		if p.kind == Read {
+		if p.req.Kind == Read {
 			c.st.SparseReads++
 		} else {
 			c.st.SparseWrites++
@@ -737,16 +768,16 @@ func (c *Controller) decidePending(gap, gpuGap int, known bool, nextKind Kind) {
 		if codeLen != 0 {
 			ev = obs.EvBurstSparse
 		}
-		c.tr.Emit(obs.TraceEvent{Cycle: p.dataStart,
+		c.tr.Emit(obs.TraceEvent{Cycle: p.req.DataStart,
 			Dur: int64(core.SlotClocks(codeLen)), Type: ev,
 			Channel: c.chanID, Bank: int32(p.req.Addr.Bank), Arg: int64(codeLen)})
 		if p.postamble {
 			c.tr.Emit(obs.TraceEvent{
-				Cycle: p.dataStart + core.BurstSlotClocks, Dur: 1,
+				Cycle: p.req.DataStart + core.BurstSlotClocks, Dur: 1,
 				Type: obs.EvPostamble, Channel: c.chanID, Bank: -1})
 		}
 		if c.haveBurst && (codeLen == 0) != (c.lastCodeLen == 0) {
-			c.tr.Emit(obs.TraceEvent{Cycle: p.dataStart, Type: obs.EvCodecSwitch,
+			c.tr.Emit(obs.TraceEvent{Cycle: p.req.DataStart, Type: obs.EvCodecSwitch,
 				Channel: c.chanID, Bank: -1,
 				Arg: int64(c.lastCodeLen), Arg2: int64(codeLen)})
 		}
@@ -754,8 +785,8 @@ func (c *Controller) decidePending(gap, gpuGap int, known bool, nextKind Kind) {
 	c.lastCodeLen = codeLen
 	c.haveBurst = true
 
-	if p.kind == Read {
-		p.req.Done = p.dataStart + int64(core.SlotClocks(codeLen)) + p.replayClocks
+	if p.req.Kind == Read {
+		p.req.Done = p.req.DataStart + int64(core.SlotClocks(codeLen)) + p.replayClocks
 		c.scheduleCompletion(&p.req)
 	} else {
 		c.st.WritesServed++
@@ -782,15 +813,15 @@ func (c *Controller) mirrorDecision(gap int, known bool, nextKind, kind Kind) in
 // the next transfer's data start, and records the gap histograms.
 func (c *Controller) accountIdle(prev *xfer, nextStart int64, nextKind Kind) {
 	prev.accounted = true
-	denseEnd := prev.dataStart + core.BurstSlotClocks
+	denseEnd := prev.req.DataStart + core.BurstSlotClocks
 	span := nextStart - denseEnd
 	if span < 0 {
 		c.st.BusConflicts++
 		return
 	}
 	used := int64(0)
-	if prev.codeLen > 0 {
-		used = int64(prev.codeLen - core.BurstSlotClocks)
+	if prev.req.CodeLength > 0 {
+		used = int64(prev.req.CodeLength) - core.BurstSlotClocks
 	} else if prev.postamble {
 		used = 1
 	}
@@ -812,7 +843,7 @@ func (c *Controller) accountIdle(prev *xfer, nextStart int64, nextKind Kind) {
 	if c.tr != nil && idle > 0 {
 		c.tr.Emit(obs.TraceEvent{Cycle: denseEnd + used, Dur: idle,
 			Type: obs.EvGap, Channel: c.chanID, Bank: -1, Arg: span})
-		if c.cfg.Bus.LevelShiftedIdle || prev.codeLen > 0 {
+		if c.cfg.Bus.LevelShiftedIdle || prev.req.CodeLength > 0 {
 			// The line parks via a level-shifting seam instead of a driven
 			// postamble (optimized-MTA idle or a sparse code's built-in
 			// return to mid-level).
@@ -820,8 +851,8 @@ func (c *Controller) accountIdle(prev *xfer, nextStart int64, nextKind Kind) {
 				Channel: c.chanID, Bank: -1})
 		}
 	}
-	if prev.kind == nextKind {
-		if prev.kind == Read {
+	if prev.req.Kind == nextKind {
+		if prev.req.Kind == Read {
 			c.readGaps.Add(int(span))
 		} else {
 			c.writeGaps.Add(int(span))
@@ -870,7 +901,7 @@ func (c *Controller) Finish() {
 			gap = 1
 		}
 		known := c.cfg.Policy != SMOREs || c.cfg.Scheme.Detection != core.Conservative
-		c.decidePending(gap, gap, known, c.pending.kind)
+		c.decidePending(gap, gap, known, c.pending.req.Kind)
 	}
 	if len(c.completions) > 0 {
 		c.clock = c.completions[len(c.completions)-1].Done + 1

@@ -125,7 +125,7 @@ func TestStaticSchemeUsesSparseOnGaps(t *testing.T) {
 		Scheme: core.Scheme{Specification: core.StaticCode, Detection: core.Exhaustive},
 	})
 	codeLens := map[int]int{}
-	c.OnReadDone(func(r *Request) { codeLens[r.CodeLength]++ })
+	c.OnReadDone(func(r *Request) { codeLens[int(r.CodeLength)]++ })
 	// Requests spaced 3 clocks apart: in steady state each pair leaves a
 	// one-clock gap (the startup tRCD stall briefly builds a back-to-back
 	// backlog).
@@ -155,7 +155,7 @@ func TestVariableSchemeSizesCodeToGap(t *testing.T) {
 		Scheme: core.Scheme{Specification: core.VariableCode, Detection: core.Exhaustive},
 	})
 	codeLens := map[int]int{}
-	c.OnReadDone(func(r *Request) { codeLens[r.CodeLength]++ })
+	c.OnReadDone(func(r *Request) { codeLens[int(r.CodeLength)]++ })
 	// Stride the sectors across alternating bank groups (two chunks
 	// apart) so rows stay open and tCCD_S applies: command spacing 6 then
 	// yields a steady 4-clock gap → 4b6s.
@@ -179,7 +179,7 @@ func TestVariableSchemeCapsAtEight(t *testing.T) {
 		Scheme: core.Scheme{Specification: core.VariableCode, Detection: core.Exhaustive},
 	})
 	codeLens := map[int]int{}
-	c.OnReadDone(func(r *Request) { codeLens[r.CodeLength]++ })
+	c.OnReadDone(func(r *Request) { codeLens[int(r.CodeLength)]++ })
 	feed(t, c, seqReads(20, 0, 60)) // giant gaps
 	if codeLens[8] == 0 {
 		t.Fatalf("expected capped 4b8s codes, got %v", codeLens)
@@ -197,7 +197,7 @@ func TestConservativeFallsBackOnLongGaps(t *testing.T) {
 		Scheme: core.Scheme{Specification: core.StaticCode, Detection: core.Conservative},
 	})
 	codeLens := map[int]int{}
-	c.OnReadDone(func(r *Request) { codeLens[r.CodeLength]++ })
+	c.OnReadDone(func(r *Request) { codeLens[int(r.CodeLength)]++ })
 	feed(t, c, seqReads(20, 0, 60)) // gaps beyond the 8-clock window
 	if codeLens[0] == 0 {
 		t.Fatalf("conservative scheme should fall back to MTA: %v", codeLens)
@@ -211,7 +211,7 @@ func TestConservativeFallsBackOnLongGaps(t *testing.T) {
 		Scheme: core.Scheme{Specification: core.StaticCode, Detection: core.Conservative},
 	})
 	lens2 := map[int]int{}
-	c2.OnReadDone(func(r *Request) { lens2[r.CodeLength]++ })
+	c2.OnReadDone(func(r *Request) { lens2[int(r.CodeLength)]++ })
 	feed(t, c2, seqReads(40, 0, 3))
 	if lens2[3] == 0 {
 		t.Errorf("conservative scheme should use sparse inside the window: %v", lens2)

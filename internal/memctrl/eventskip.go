@@ -4,19 +4,29 @@ package memctrl
 // static, so Tick is inert (clock advance plus idempotent gauge writes)
 // until the earliest of: a read completion delivering, the pending
 // encoding decision reaching its deadline, an all-bank refresh shadow
-// ending, a refresh becoming due, or a queued request's column/ACT/PRE
-// timing expiring. NextEventClock computes a conservative lower bound on
-// that clock and SkipTo advances straight to it.
+// ending, a refresh becoming due, or a command the scheduler would issue
+// becoming legal. NextEventClock computes a lower bound on that clock and
+// SkipTo advances straight to it.
 //
-// Conservatism is the safety argument: waking too early just runs an
-// inert Tick and re-arms (the per-clock loop is the degenerate case);
-// waking too late would diverge, so every bound below is the exact
-// ready-clock of the device's Can* predicates or earlier. Bit-identity
-// with the per-clock loop (DisableEventSkip) is enforced by
-// TestEventSkipBitIdentical in the report package across all five
-// evaluation policies.
-
-import "smores/internal/gddr6x"
+// The contract: no tick before the bound issues a command, delivers a
+// completion or commits an encoding decision, provided no request is
+// enqueued in between (callers bound a skip by their next arrival). With
+// queue depths fixed, the read/write mode every scheduling tick runs in
+// is fixed too, so only two kinds of command can become issuable by time
+// alone: column commands of the queue that mode makes active, and the
+// PRECHARGE or ACTIVATE of a bank whose oldest request in either queue
+// misses its open row (plus idle precharges under ClosedPage). Row hits
+// in the other queue, and banks whose oldest request hits, wait for a
+// command or an enqueue — events that end the skip — whatever their
+// device timing says.
+//
+// Waking too early just runs an inert Tick and re-arms (the per-clock
+// loop is the degenerate case); waking too late would diverge.
+// TestBankIndexMatchesLinearScan and FuzzSchedulerMatchesLinearScan check
+// after every tick that no tick before the bound does anything, and
+// TestEventSkipBitIdentical in the report package checks bit-identity
+// with the per-clock loop (DisableEventSkip) across all five evaluation
+// policies.
 
 const farFuture = int64(1) << 62
 
@@ -31,7 +41,7 @@ func (c *Controller) NextEventClock() int64 {
 	}
 	if c.hasPending && !c.pending.decided {
 		// Deadline fires at the first clock where clock-cmdAt > deadline.
-		if t := c.pending.cmdAt + c.decisionDeadline() + 1; t < next {
+		if t := c.pending.req.IssuedAt + c.decisionDeadline() + 1; t < next {
 			next = t
 		}
 	}
@@ -69,16 +79,12 @@ func (c *Controller) NextEventClock() int64 {
 			// Refresh drain: column/prep issue is suppressed until REFab
 			// lands, so the only events are the refresh itself or the
 			// precharges clearing the way for it.
-			if t := c.dev.RefreshReadyAt(); t >= 0 {
-				if t < next {
-					next = t
-				}
-			} else {
-				for b := 0; b < c.cfg.Timing.Banks; b++ {
-					if t := c.dev.PrechargeReadyAt(b); t >= 0 && t < next {
-						next = t
-					}
-				}
+			t := c.dev.RefreshReadyAt()
+			if t < 0 {
+				t = c.dev.PrepReadyAtMask(c.dev.OpenMask())
+			}
+			if t < next {
+				next = t
 			}
 			return clampNow(next, now)
 		}
@@ -87,7 +93,7 @@ func (c *Controller) NextEventClock() int64 {
 		}
 	}
 
-	if len(c.readQ.reqs)+len(c.writeQ.reqs) > 0 {
+	if c.readQ.n+c.writeQ.n > 0 {
 		// Streaming bail-out: if a column command landed within the last
 		// tCCD_L clocks, the next issue slot is at most that far away and
 		// the per-bank scan below would cost more than the skip saves.
@@ -96,7 +102,7 @@ func (c *Controller) NextEventClock() int64 {
 			return now
 		}
 	}
-	if t := c.nextIssueReady(); t >= 0 {
+	if t := c.nextIssueReady(); t < next {
 		// Column and prep commands share the command bus; nothing issues
 		// before a two-clock ACTIVATE releases it.
 		if t < c.cmdBusyTill {
@@ -116,51 +122,26 @@ func clampNow(next, now int64) int64 {
 	return next
 }
 
-// nextIssueReady returns the earliest clock at which any queued request
-// could receive a command (column, precharge, or activate) — or, under
-// ClosedPage, an idle precharge could fire. -1 means no issue event can
-// occur by time alone (empty queues). The bound is conservative: it
-// ignores FR-FCFS ordering, per-bank prep dedup, and the active/inactive
-// queue split, all of which can only delay the real issue past the bound.
-// A request's ready clock depends only on its bank, its direction and
-// whether it hits the open row, so one query per indexed bank covers
-// every request.
+// nextIssueReady returns the earliest clock at which the scheduler could
+// issue a command by time alone, or farFuture when it cannot: the exact
+// first clock at which a column command of the queue nextWriteMode makes
+// active, the PRECHARGE or ACTIVATE of a bank whose oldest request in
+// either queue misses its open row, or (under ClosedPage) the precharge
+// of an open bank no queued request hits would pass the device's and the
+// data bus's checks. It ignores FR-FCFS ordering among those candidates,
+// which only picks which of them issues.
 func (c *Controller) nextIssueReady() int64 {
-	next := int64(-1)
-	better := func(t int64) {
-		if t >= 0 && (next < 0 || t < next) {
-			next = t
-		}
+	q := &c.readQ
+	if c.nextWriteMode() {
+		q = &c.writeQ
 	}
+	next := c.columnReadyAt(q, q.hits)
 	for _, q := range [2]*queue{&c.readQ, &c.writeQ} {
-		write := q.kind == Write
-		// issueColumn holds commands whose data would start inside a
-		// booked slot.
-		hold := c.busReservedUntil - c.latency(q.kind)
-		for m := q.hits; m != 0; {
-			b := lowBank(&m)
-			row, _ := c.dev.OpenRow(b)
-			t := c.dev.ColumnReadyAt(gddr6x.Address{Bank: b, Row: row}, write)
-			if hold > t {
-				t = hold
-			}
-			better(t)
-		}
-		// A miss in an open bank needs a PRECHARGE, in a closed one an
-		// ACTIVATE.
-		for m := q.miss; m != 0; {
-			b := lowBank(&m)
-			if t := c.dev.PrechargeReadyAt(b); t >= 0 {
-				better(t)
-			} else {
-				better(c.dev.ActivateReadyAt(b))
-			}
-		}
+		next = min(next, orFar(c.dev.PrepReadyAtMask(q.oldMiss)))
 	}
 	if c.cfg.Pages == ClosedPage {
-		for b := 0; b < c.cfg.Timing.Banks; b++ {
-			better(c.dev.PrechargeReadyAt(b))
-		}
+		idle := c.dev.OpenMask() &^ (c.readQ.hits | c.writeQ.hits)
+		next = min(next, orFar(c.dev.PrepReadyAtMask(idle)))
 	}
 	return next
 }
@@ -181,10 +162,10 @@ func (c *Controller) SkipTo(target int64) {
 
 // ReadQueueFull and WriteQueueFull report request-queue backpressure;
 // the GPU driver uses them to recognize stall windows it can skip.
-func (c *Controller) ReadQueueFull() bool { return len(c.readQ.reqs) >= c.cfg.ReadQueueCap }
+func (c *Controller) ReadQueueFull() bool { return c.readQ.n >= c.cfg.ReadQueueCap }
 
 // WriteQueueFull reports whether the write queue is at capacity.
-func (c *Controller) WriteQueueFull() bool { return len(c.writeQ.reqs) >= c.cfg.WriteQueueCap }
+func (c *Controller) WriteQueueFull() bool { return c.writeQ.n >= c.cfg.WriteQueueCap }
 
 // EventSkipEnabled reports whether this controller may be advanced with
 // next-event skipping (DisableEventSkip not called).

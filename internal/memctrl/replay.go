@@ -15,6 +15,7 @@ package memctrl
 
 import (
 	"fmt"
+	"math"
 
 	"smores/internal/core"
 )
@@ -59,6 +60,9 @@ func (r ReplayConfig) validate() error {
 	if r.RetryBudget < 0 {
 		return fmt.Errorf("memctrl: negative replay retry budget")
 	}
+	if r.RetryBudget > math.MaxUint16 {
+		return fmt.Errorf("memctrl: replay retry budget %d exceeds %d (Request.Replayed counts retries in 16 bits)", r.RetryBudget, math.MaxUint16)
+	}
 	if r.BackoffClocks < 0 {
 		return fmt.Errorf("memctrl: negative replay backoff")
 	}
@@ -80,7 +84,7 @@ func (c *Controller) Degraded() bool { return c.degraded }
 // spent. It returns the total bus clocks the replay traffic consumed
 // (backoff + retransmission slots); the caller folds them into the
 // transfer's completion time, the bus reservation, and the idle
-// accounting. p.codeLen must be committed before the call.
+// accounting. p.req.CodeLength must be committed before the call.
 func (c *Controller) runReplay(p *xfer, data []byte) int64 {
 	if c.cfg.Fault == nil {
 		return 0
@@ -91,10 +95,11 @@ func (c *Controller) runReplay(p *xfer, data []byte) int64 {
 		return 0
 	}
 	var clocks int64
+	codeLen := int(p.req.CodeLength)
 	for attempt := 1; attempt <= c.replay.RetryBudget; attempt++ {
-		clocks += c.replay.BackoffClocks<<uint(attempt-1) + int64(core.SlotClocks(p.codeLen))
+		clocks += c.replay.BackoffClocks<<uint(attempt-1) + int64(core.SlotClocks(codeLen))
 		c.st.Replays++
-		if err := c.ch.ReplayBurst(data, p.codeLen); err != nil {
+		if err := c.ch.ReplayBurst(data, codeLen); err != nil {
 			panic("memctrl: " + err.Error())
 		}
 		p.req.Replayed++

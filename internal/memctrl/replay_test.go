@@ -124,7 +124,7 @@ func TestReplayPerRequestAccounting(t *testing.T) {
 	cfg.Fault = in
 	c := newCtrl(t, cfg)
 	total := 0
-	c.OnReadDone(func(r *Request) { total += r.Replayed })
+	c.OnReadDone(func(r *Request) { total += int(r.Replayed) })
 	feed(t, c, seqReads(300, 0, 10))
 	st := c.Stats()
 	if st.Replays == 0 {

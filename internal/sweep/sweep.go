@@ -14,6 +14,7 @@ import (
 	"smores/internal/gddr6x"
 	"smores/internal/memctrl"
 	"smores/internal/report"
+	"smores/internal/workload"
 )
 
 // Point is one sweep sample.
@@ -37,26 +38,34 @@ type Config struct {
 // DefaultConfig keeps sweeps to a few seconds per point.
 func DefaultConfig() Config { return Config{Accesses: 4000, Seed: 1} }
 
-// baselineMean runs the fleet baseline once for a given timing.
-func baselineMean(cfg Config, timing *gddr6x.Timing) (float64, error) {
-	fr, err := report.RunFleet(report.RunSpec{
-		Policy:   memctrl.BaselineMTA,
-		Accesses: cfg.Accesses,
-		Seed:     cfg.Seed,
-		Timing:   timing,
-	})
+// spec is the run spec of one sweep point.
+func (cfg Config) spec(policy memctrl.EncodingPolicy, scheme core.Scheme, timing *gddr6x.Timing) report.RunSpec {
+	return report.RunSpec{Policy: policy, Scheme: scheme, Accesses: cfg.Accesses, Seed: cfg.Seed, Timing: timing}
+}
+
+// windowSpec is the conservative-window sweep's spec for a w-clock window.
+func windowSpec(cfg Config, w int) report.RunSpec {
+	s := cfg.spec(memctrl.SMOREs, core.Scheme{Specification: core.StaticCode, Detection: core.Conservative}, nil)
+	s.WindowClocks = w
+	return s
+}
+
+// fleetMean runs spec over fleet and returns the fleet-mean fJ/bit.
+func fleetMean(fleet []workload.Profile, opts report.FleetOptions, spec report.RunSpec) (float64, error) {
+	fr, err := report.RunFleetApps(fleet, spec, opts)
 	if err != nil {
 		return 0, err
 	}
 	return fr.MeanPerBit(), nil
 }
 
-// ConservativeWindow sweeps the conservative detection window: small
-// windows miss gaps (the next command hasn't arrived yet), large windows
-// approach exhaustive detection. The paper's 8-clock choice sits at the
-// knee.
-func ConservativeWindow(cfg Config, windows []int) ([]Point, error) {
-	base, err := baselineMean(cfg, nil)
+// ConservativeWindow sweeps the conservative detection window over fleet:
+// small windows miss gaps (the next command hasn't arrived yet), large
+// windows approach exhaustive detection. The paper's 8-clock choice sits
+// at the knee. Each point's fleet runs on opts.Workers workers; the
+// points are the same at every worker count.
+func ConservativeWindow(fleet []workload.Profile, cfg Config, opts report.FleetOptions, windows []int) ([]Point, error) {
+	base, err := fleetMean(fleet, opts, cfg.spec(memctrl.BaselineMTA, core.Scheme{}, nil))
 	if err != nil {
 		return nil, err
 	}
@@ -65,25 +74,20 @@ func ConservativeWindow(cfg Config, windows []int) ([]Point, error) {
 		if w < 1 {
 			return nil, fmt.Errorf("sweep: window %d must be positive", w)
 		}
-		fr, err := report.RunFleet(report.RunSpec{
-			Policy:       memctrl.SMOREs,
-			Scheme:       core.Scheme{Specification: core.StaticCode, Detection: core.Conservative},
-			WindowClocks: w,
-			Accesses:     cfg.Accesses,
-			Seed:         cfg.Seed,
-		})
+		mean, err := fleetMean(fleet, opts, windowSpec(cfg, w))
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, Point{Param: float64(w), Saving: 1 - fr.MeanPerBit()/base, PerBit: fr.MeanPerBit()})
+		out = append(out, Point{Param: float64(w), Saving: 1 - mean/base, PerBit: mean})
 	}
 	return out, nil
 }
 
-// ReadLatency sweeps RL: the mechanism requires the gap decision to be
-// made before data leaves at RL, so savings should be flat across
-// realistic latencies — the decision deadline scales with RL.
-func ReadLatency(cfg Config, rls []int64) ([]Point, error) {
+// ReadLatency sweeps RL over fleet: the mechanism requires the gap
+// decision to be made before data leaves at RL, so savings should be flat
+// across realistic latencies — the decision deadline scales with RL.
+// Workers are as for ConservativeWindow.
+func ReadLatency(fleet []workload.Profile, cfg Config, opts report.FleetOptions, rls []int64) ([]Point, error) {
 	var out []Point
 	for _, rl := range rls {
 		timing := gddr6x.DefaultTiming()
@@ -94,21 +98,16 @@ func ReadLatency(cfg Config, rls []int64) ([]Point, error) {
 		if err := timing.Validate(); err != nil {
 			return nil, fmt.Errorf("sweep: RL=%d: %w", rl, err)
 		}
-		base, err := baselineMean(cfg, &timing)
+		base, err := fleetMean(fleet, opts, cfg.spec(memctrl.BaselineMTA, core.Scheme{}, &timing))
 		if err != nil {
 			return nil, err
 		}
-		fr, err := report.RunFleet(report.RunSpec{
-			Policy:   memctrl.SMOREs,
-			Scheme:   core.Scheme{Specification: core.StaticCode, Detection: core.Exhaustive},
-			Accesses: cfg.Accesses,
-			Seed:     cfg.Seed,
-			Timing:   &timing,
-		})
+		mean, err := fleetMean(fleet, opts, cfg.spec(memctrl.SMOREs,
+			core.Scheme{Specification: core.StaticCode, Detection: core.Exhaustive}, &timing))
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, Point{Param: float64(rl), Saving: 1 - fr.MeanPerBit()/base, PerBit: fr.MeanPerBit()})
+		out = append(out, Point{Param: float64(rl), Saving: 1 - mean/base, PerBit: mean})
 	}
 	return out, nil
 }
