@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint fuzz-smoke bench-smoke bench-selftest bench-golden fault-smoke trace-smoke
+.PHONY: build test race lint golden fuzz-smoke bench-smoke bench-selftest bench-golden fault-smoke trace-smoke
 
 build:
 	$(GO) build ./...
@@ -23,6 +23,12 @@ lint:
 	$(GO) vet ./...
 	test -z "$$(gofmt -l $$(git ls-files '*.go') | tee /dev/stderr)"
 	$(GO) run ./cmd/smores-lint ./...
+
+# golden rewrites the committed smores-eval outputs under
+# cmd/smoke/testdata/ from the current tree; review the diff before
+# committing it. `make test` diffs against them without rewriting.
+golden:
+	$(GO) test ./cmd/smoke -run TestEvalGolden -update
 
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSparseRoundTrip -fuzztime 10s ./internal/core/
