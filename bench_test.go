@@ -502,23 +502,23 @@ func BenchmarkErrorDetectionStudy(b *testing.B) {
 	b.ReportMetric(rate*100, "%detected(4b3s)")
 }
 
-// BenchmarkMultiChannel runs one app over four channels with a
-// saturated shard pool.
+// BenchmarkMultiChannel runs one app over four channels, its shards
+// spread over a saturated pool.
 func BenchmarkMultiChannel(b *testing.B) {
 	p, _ := workload.ByName("bert")
-	var mr report.MultiResult
+	var fr report.FleetResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		mr, err = report.RunAppMultiChannel(p, report.RunSpec{
+		fr, err = report.RunFleetApps([]workload.Profile{p}, report.RunSpec{
 			Policy:   memctrl.SMOREs,
 			Scheme:   core.Scheme{Specification: core.StaticCode, Detection: core.Exhaustive},
-			Accesses: 4000, Seed: 3,
-		}, 4, report.ShardOptions{})
+			Accesses: 4000, Seed: 3, Channels: 4,
+		}, report.FleetOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(mr.PerBit, "fJ/bit")
+	b.ReportMetric(fr.Results[0].PerBit, "fJ/bit")
 }
 
 func BenchmarkAblationClosedPage(b *testing.B) {

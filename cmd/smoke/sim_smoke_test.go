@@ -30,8 +30,11 @@ func TestSimMultiChannelSmoke(t *testing.T) {
 		return stdout.Bytes()
 	}
 	seq, par := run("1"), run("4")
-	if !bytes.Contains(seq, []byte("over 4 channels")) {
-		t.Errorf("unexpected multi-channel output:\n%s", seq)
+	for _, want := range []string{"over 4 channels", "bursts:", "read gaps:", "write gaps:",
+		"read latency:", "channel balance:"} {
+		if !bytes.Contains(seq, []byte(want)) {
+			t.Errorf("multi-channel output lacks %q:\n%s", want, seq)
+		}
 	}
 	if !bytes.Equal(seq, par) {
 		t.Errorf("stdout depends on -j:\n-j 1:\n%s\n-j 4:\n%s", seq, par)

@@ -1,6 +1,7 @@
 // Package smoke black-box tests the command-line entry points: every
-// main must parse its flags (-h exits 0, an unknown flag exits 2). The
-// mains are built once per test run with the local toolchain.
+// main must parse its flags (-h exits 0, an unknown flag or a value it
+// cannot honour exits 2). The mains are built once per test run with
+// the local toolchain.
 package smoke
 
 import (
@@ -42,6 +43,25 @@ func bin(dir, name string) string {
 	return filepath.Join(dir, name)
 }
 
+// usageErrors lists, per main, flag values it must reject as usage
+// errors (exit code 2) before doing any work, and the flag the message
+// must name.
+var usageErrors = map[string][]struct {
+	args []string
+	flag string
+}{
+	// Channel counts the commands cannot honour.
+	"smores-eval": {
+		{[]string{"-channels", "0"}, "-channels"},
+		{[]string{"-channels", "-2"}, "-channels"},
+		{[]string{"-sweep", "-channels", "4"}, "-channels"},
+	},
+	"smores-sim": {
+		{[]string{"-channels", "0"}, "-channels"},
+		{[]string{"-channels", "-3"}, "-channels"},
+	},
+}
+
 func TestMainsParseFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
@@ -63,6 +83,15 @@ func TestMainsParseFlags(t *testing.T) {
 			ee, ok := err.(*exec.ExitError)
 			if !ok || ee.ExitCode() != 2 {
 				t.Errorf("%s with bad flag: err=%v, want exit code 2", name, err)
+			}
+			for _, c := range usageErrors[name] {
+				out, err := exec.Command(bin(dir, name), append(c.args, "-accesses", "100")...).CombinedOutput()
+				if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+					t.Errorf("%s %v: err=%v, want exit code 2\n%s", name, c.args, err, out)
+				}
+				if !bytes.Contains(out, []byte(c.flag)) {
+					t.Errorf("%s %v did not name %s:\n%s", name, c.args, c.flag, out)
+				}
 			}
 		})
 	}

@@ -36,11 +36,17 @@ func main() {
 		accesses = flag.Int64("accesses", report.DefaultAccesses, "per-app workload length")
 		seed     = flag.Uint64("seed", 1, "deterministic seed")
 		workers  = flag.Int("j", 0, "concurrent app simulations per fleet (0 = GOMAXPROCS, 1 = sequential)")
-		channels = flag.Int("channels", 1, "interleaved GDDR6X channels per app; >1 switches to the sharded multi-channel evaluation")
+		channels = flag.Int("channels", 1, "interleaved GDDR6X channels per app; >1 runs the multi-channel engine and adds its summary")
 		traces   = flag.String("trace", "", "comma-separated trace-store directories (smores-trace -record/-import) evaluated as additional fleet members")
 		cpuProf  = cpuprof.Flag()
 	)
 	flag.Parse()
+	if *channels < 1 {
+		usage("-channels must be at least 1, got %d", *channels)
+	}
+	if *sweeps && *channels > 1 {
+		usage("-sweep runs one channel; drop -channels %d", *channels)
+	}
 	fail(cpuprof.Start(*cpuProf))
 	defer cpuprof.Stop()
 	fleet := workload.Fleet()
@@ -66,15 +72,14 @@ func main() {
 		fmt.Println(sweep.Render("Read-latency sensitivity (exhaustive/static)", "RL clocks", pts))
 		return
 	}
-	if *channels > 1 {
-		runMultiChannel(fleet, *channels, *accesses, *seed, *workers, *jsonOut)
-		return
-	}
 	if !(*fig5 || *fig8a || *fig8b || *table5 || *perf || *power || *wfall) {
 		*all = true
 	}
 
 	specs := report.PolicySpecs(*accesses, *seed, false)
+	for i := range specs {
+		specs[i].Channels = *channels
+	}
 	labels := []string{"baseline", "optimized", "variable", "static", "conservative"}
 
 	// Energy attribution for the waterfall's phase decomposition: the
@@ -86,12 +91,16 @@ func main() {
 	opts := report.FleetOptions{Workers: *workers}
 	frs := make([]report.FleetResult, len(specs))
 	for i, s := range specs {
-		fmt.Fprintf(os.Stderr, "running fleet under %s...\n", labels[i])
+		fmt.Fprintf(os.Stderr, "running %d-channel fleet under %s...\n", *channels, labels[i])
 		fr, err := report.RunFleetApps(fleet, s, opts)
 		fail(err)
 		frs[i] = fr
 	}
 	base, opt, variable, static, cons := frs[0], frs[1], frs[2], frs[3], frs[4]
+
+	if *channels > 1 {
+		fmt.Println(report.RenderMultiChannelSummary(frs))
+	}
 
 	if *all || *fig5 {
 		fmt.Println(report.Fig5Gaps(base))
@@ -155,39 +164,12 @@ func main() {
 	}
 }
 
-// runMultiChannel is the `-channels N` evaluation: every policy's fleet
-// runs through the shard-per-goroutine engine, where -j bounds how many
-// apps run at once — each worker takes one app, runs its front end and
-// its channel shards, and keeps only the merged result, so memory is
-// bounded by -j rather than by apps × channels. For a fixed seed the
-// summary and the -json export are byte-identical at every -j (the
-// report package's differential tests and cmd/smoke enforce it).
-func runMultiChannel(fleet []workload.Profile, channels int, accesses int64, seed uint64, workers int, jsonOut string) {
-	specs := report.PolicySpecs(accesses, seed, false)
-	labels := []string{"baseline", "optimized", "variable", "static", "conservative"}
-	opts := report.ShardOptions{Workers: workers}
-	mfrs := make([]report.MultiFleetResult, len(specs))
-	for i, s := range specs {
-		fmt.Fprintf(os.Stderr, "running %d-channel fleet under %s...\n", channels, labels[i])
-		fr, err := report.RunFleetAppsMultiChannel(fleet, s, channels, opts)
-		fail(err)
-		mfrs[i] = fr
-	}
-	fmt.Println(report.RenderMultiChannelSummary(mfrs))
-
-	if jsonOut != "" {
-		out := os.Stdout
-		if jsonOut != "-" {
-			f, err := os.Create(jsonOut)
-			fail(err)
-			defer f.Close()
-			out = f
-		}
-		fail(report.ExportMultiEvalJSON(out, mfrs))
-		if jsonOut != "-" {
-			fmt.Fprintf(os.Stderr, "wrote multi-channel evaluation JSON to %s\n", jsonOut)
-		}
-	}
+// usage reports a bad flag combination and exits with the flag
+// package's parse-error code.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "smores-eval: "+format+"\n", args...)
+	flag.Usage()
+	os.Exit(2)
 }
 
 func fail(err error) {

@@ -44,6 +44,11 @@ func main() {
 		cpuProf   = cpuprof.Flag()
 	)
 	flag.Parse()
+	if *channels < 1 {
+		fmt.Fprintf(os.Stderr, "smores-sim: -channels must be at least 1, got %d\n", *channels)
+		flag.Usage()
+		os.Exit(2)
+	}
 	fail(cpuprof.Start(*cpuProf))
 	defer cpuprof.Stop()
 
@@ -67,7 +72,7 @@ func main() {
 	if !ok {
 		fail(fmt.Errorf("unknown app %q (try -list)", *app))
 	}
-	rs := report.RunSpec{Accesses: *accesses, Seed: *seed, UseLLC: *useLLC}
+	rs := report.RunSpec{Accesses: *accesses, Seed: *seed, Channels: *channels, UseLLC: *useLLC}
 
 	// Observability: the energy-attribution profiler when -folded is set,
 	// a cycle tracer when -trace is set. Both are nil otherwise, which
@@ -109,21 +114,16 @@ func main() {
 		fail(fmt.Errorf("unknown -policy %q", *policy))
 	}
 
-	if *channels > 1 {
-		mr, err := report.RunAppMultiChannel(p, rs, *channels, report.ShardOptions{Workers: *shardJ})
-		fail(err)
-		fmt.Printf("%s under %s over %d channels\n", p.Name, mr.Label, mr.Channels)
-		fmt.Printf("  DRAM traffic:    %d reads, %d writes over %d clocks (%.2f B/clock)\n",
-			mr.Reads, mr.Writes, mr.Clocks, float64(mr.Reads+mr.Writes)*32/float64(mr.Clocks))
-		fmt.Printf("  energy:          %.1f fJ/bit aggregate\n", mr.PerBit)
-		fmt.Printf("  channel balance: %.3f (max/min bits)\n", mr.ChannelBalance())
-		writeExports(tracer, *traceOut, prof, *foldedOut)
-		return
-	}
-
-	r, err := report.RunApp(p, rs)
+	// A one-app fleet runs the app with spec's seed and spreads its
+	// channels over the -j pool.
+	fr, err := report.RunFleetApps([]workload.Profile{p}, rs, report.FleetOptions{Workers: *shardJ})
 	fail(err)
-	fmt.Printf("%s under %s\n", p.Name, r.Label)
+	r := fr.Results[0]
+	if r.Channels > 1 {
+		fmt.Printf("%s under %s over %d channels\n", p.Name, r.Label, r.Channels)
+	} else {
+		fmt.Printf("%s under %s\n", p.Name, r.Label)
+	}
 	fmt.Printf("  DRAM traffic:    %d reads, %d writes over %d clocks (%.2f B/clock)\n",
 		r.Reads, r.Writes, r.Clocks, float64(r.Reads+r.Writes)*32/float64(r.Clocks))
 	fmt.Printf("  energy:          %.1f fJ/bit (wire %.1f + postamble %.1f + logic %.1f)\n",
@@ -137,6 +137,9 @@ func main() {
 	fmt.Printf("  write gaps:      %v\n", r.WriteGaps)
 	fmt.Printf("  read latency:    %.1f clocks average\n", r.AvgReadLatency)
 	fmt.Printf("  idle frequency:  %.2f\n", r.IdleFrequency)
+	if r.Channels > 1 {
+		fmt.Printf("  channel balance: %.3f (max/min bits)\n", r.ChannelBalance())
+	}
 	writeExports(tracer, *traceOut, prof, *foldedOut)
 }
 

@@ -298,7 +298,8 @@ func (ch *Channel) SendBurst(data []byte, codeLength int) error {
 }
 
 // takeTally gives a profiled channel a tally from the pool when it has
-// none: at its first transfer, and at the first after PublishProfile.
+// none: at its first transfer, and at the first after PublishProfile or
+// DetachTally.
 func (ch *Channel) takeTally() {
 	if ch.tally == nil && ch.prof != nil {
 		ch.tally = obs.NewTally(ch.exact)
@@ -310,19 +311,18 @@ func (ch *Channel) takeTally() {
 // and hands the tally back for reuse; a second call adds nothing. Until
 // it is called, Config.Profile holds none of the channel's energy.
 // Runners publish once per run, after the run's checks pass.
-func (ch *Channel) PublishProfile() {
-	ch.tally.Publish(ch.prof)
-	ch.tally = nil
-}
+func (ch *Channel) PublishProfile() { ch.DetachTally().Publish(ch.prof) }
 
-// AppendProfileCells is PublishProfile for a caller that adds the cells
-// to Config.Profile itself: it appends to dst the cells PublishProfile
-// would add (obs.Tally.AppendCells), adds nothing to Config.Profile,
-// and hands the tally back for reuse; a second call appends nothing.
-func (ch *Channel) AppendProfileCells(dst []obs.ProfileCell) []obs.ProfileCell {
-	dst = ch.tally.AppendCells(dst)
+// DetachTally is PublishProfile for a caller that publishes later: it
+// detaches and returns what the channel has attributed since its last
+// publish, adding nothing to Config.Profile. The caller publishes it
+// there once (obs.Tally.Publish), in an order of its choosing. The
+// channel's next transfer starts a fresh tally; a second call returns
+// nil, as does a channel without a profile.
+func (ch *Channel) DetachTally() *obs.Tally {
+	t := ch.tally
 	ch.tally = nil
-	return dst
+	return t
 }
 
 // sendMTA accounts a dense burst in expected mode; in exact mode it

@@ -318,35 +318,41 @@ func TestPublishProfileContract(t *testing.T) {
 	}
 }
 
-// AppendProfileCells has PublishProfile's one-shot contract but adds
-// nothing to the configured profile: its cells, added to an empty
-// profile, equal what an identically driven channel publishes, and a
-// second call appends nothing.
-func TestAppendProfileCellsContract(t *testing.T) {
+// DetachTally has PublishProfile's one-shot contract but adds nothing to
+// the configured profile: the detached tally, published into an empty
+// profile, equals what an identically driven channel publishes; a
+// second call returns nil; and the channel's next transfer starts a
+// fresh tally.
+func TestDetachTallyContract(t *testing.T) {
 	for _, exact := range []bool{false, true} {
 		pub, dst := obs.NewProfile(), obs.NewProfile()
 		cfg := Config{ExactData: exact, MTALogicPerBit: -1, SparseLogicPerBit: -1}
 		cfg.Profile = pub
 		publisher := New(cfg)
 		cfg.Profile = dst
-		appender := New(cfg)
+		detacher := New(cfg)
 		driveWorkload(t, publisher, rand.New(rand.NewSource(5)), 60)
-		driveWorkload(t, appender, rand.New(rand.NewSource(5)), 60)
+		driveWorkload(t, detacher, rand.New(rand.NewSource(5)), 60)
 		publisher.PublishProfile()
-		cells := appender.AppendProfileCells(nil)
+		tally := detacher.DetachTally()
 		if n := len(dst.Snapshot().Cells); n != 0 {
-			t.Fatalf("exact=%v: appending put %d cells in the configured profile", exact, n)
+			t.Fatalf("exact=%v: detaching put %d cells in the configured profile", exact, n)
+		}
+		if again := detacher.DetachTally(); again != nil {
+			t.Fatalf("exact=%v: a second detach returned a tally", exact)
 		}
 		got := obs.NewProfile()
-		for _, c := range cells {
-			got.Add(c.Phase, c.Codec, c.Wire, c.Level, c.Trans, c.FJ, c.Count)
+		tally.Publish(got)
+		if len(got.Snapshot().Cells) == 0 || !sameCells(pub.Snapshot(), got.Snapshot()) {
+			t.Fatalf("exact=%v: the detached tally differs from the published profile", exact)
 		}
-		if len(cells) == 0 || !sameCells(pub.Snapshot(), got.Snapshot()) {
-			t.Fatalf("exact=%v: %d appended cells differ from the published profile", exact, len(cells))
+		driveWorkload(t, detacher, rand.New(rand.NewSource(6)), 20)
+		if detacher.DetachTally() == nil {
+			t.Fatalf("exact=%v: transfers after a detach started no tally", exact)
 		}
-		if again := appender.AppendProfileCells(nil); len(again) != 0 {
-			t.Fatalf("exact=%v: a second append returned %d cells", exact, len(again))
-		}
+	}
+	if ch := New(Config{}); ch.DetachTally() != nil {
+		t.Fatal("a channel without a profile returned a tally")
 	}
 }
 

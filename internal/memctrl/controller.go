@@ -67,6 +67,15 @@ func (s *Stats) Merge(o Stats) {
 	}
 }
 
+// AverageReadLatency returns the mean read latency in clocks (0 before
+// any read is served); on merged statistics, the mean over every read.
+func (s Stats) AverageReadLatency() float64 {
+	if s.ReadsServed == 0 {
+		return 0
+	}
+	return float64(s.ReadLatencySum) / float64(s.ReadsServed)
+}
+
 // Equal reports exact equality of two snapshots — the comparison the
 // sequential vs. sharded differential gates use.
 func (s Stats) Equal(o Stats) bool {
@@ -228,12 +237,11 @@ func (c *Controller) BusStats() bus.Stats { return c.ch.Stats() }
 // profile holds none of this controller's energy until it is called.
 func (c *Controller) PublishProfile() { c.ch.PublishProfile() }
 
-// AppendProfileCells appends to dst the cells PublishProfile would add
-// and adds nothing to the profile (see bus.Channel.AppendProfileCells);
-// the caller adds them, once, in an order of its choosing.
-func (c *Controller) AppendProfileCells(dst []obs.ProfileCell) []obs.ProfileCell {
-	return c.ch.AppendProfileCells(dst)
-}
+// DetachTally detaches the channel's energy attribution since the last
+// publish and adds nothing to the profile (see bus.Channel.DetachTally);
+// the caller publishes it into Config.Bus.Profile, once, in an order of
+// its choosing.
+func (c *Controller) DetachTally() *obs.Tally { return c.ch.DetachTally() }
 
 // BusEvents returns the recorded bus event sequence (empty unless
 // Config.Bus.Record was set).
@@ -910,12 +918,7 @@ func (c *Controller) Finish() {
 }
 
 // AverageReadLatency returns mean read latency in clocks.
-func (c *Controller) AverageReadLatency() float64 {
-	if c.st.ReadsServed == 0 {
-		return 0
-	}
-	return float64(c.st.ReadLatencySum) / float64(c.st.ReadsServed)
-}
+func (c *Controller) AverageReadLatency() float64 { return c.st.AverageReadLatency() }
 
 // Describe summarizes the controller configuration for reports.
 func (c *Controller) Describe() string {

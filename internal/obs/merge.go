@@ -1,10 +1,10 @@
 package obs
 
-// Merge adds every cell of src into p. The fleet rolls per-shard and
-// per-app profiles up through their snapshot cells instead (report's
-// addCells); Merge is the dense reference those cell roll-ups are held
-// to bit for bit. Nil receivers and sources are inert, like every
-// profile operation.
+// Merge adds every cell of src into p. The fleet runners publish each
+// channel's tally into the shared profile in (app, channel) order
+// instead; merging one dense profile per shard in that order is the
+// reference those publishes are held to bit for bit. Nil receivers and
+// sources are inert, like every profile operation.
 func (p *Profile) Merge(src *Profile) {
 	if p == nil || src == nil {
 		return

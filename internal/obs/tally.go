@@ -159,48 +159,12 @@ func (t *Tally) Publish(p *Profile) {
 	if t == nil {
 		return
 	}
-	t.drain(func(ph Phase, codec, wire, level int, tc TransClass, fj float64, n int64) {
-		p.Add(ph, codec, wire, level, tc, fj, n)
-	})
-}
-
-// AppendCells appends to dst the cells that publishing t into an empty
-// Profile would leave there — the same keys, FJ bits and counts as that
-// Profile's snapshot, in tally order rather than snapshot order — then
-// zeroes the cells and returns the tally to the pool, as Publish does.
-// Each key appears at most once, and adding the cells to a Profile with
-// Profile.Add adds exactly what Publish would have. A nil t returns dst
-// unchanged.
-func (t *Tally) AppendCells(dst []ProfileCell) []ProfileCell {
-	if t == nil {
-		return dst
-	}
-	t.drain(func(ph Phase, codec, wire, level int, tc TransClass, fj float64, n int64) {
-		// Keep what Profile.Add keeps: positive energy, positive counts.
-		c := ProfileCell{Phase: ph, Codec: codec, Wire: wire, Level: level, Trans: tc}
-		if fj > 0 {
-			c.FJ = fj
-		}
-		if n > 0 {
-			c.Count = n
-		}
-		if c.FJ > 0 || c.Count > 0 {
-			dst = append(dst, c)
-		}
-	})
-	return dst
-}
-
-// drain hands every non-empty cell of a non-nil t to f under its
-// Profile key, zeroes it, and returns the tally to its pool. f does not
-// escape, so Publish stays allocation-free.
-func (t *Tally) drain(f func(ph Phase, codec, wire, level int, tc TransClass, fj float64, n int64)) {
 	for i := range t.agg {
 		c := &t.agg[i]
 		if c.empty() {
 			continue
 		}
-		f(Phase(i/NumProfileCodecs), i%NumProfileCodecs, WireAgg, LevelMix, TransMix, c.fj, c.n)
+		p.Add(Phase(i/NumProfileCodecs), i%NumProfileCodecs, WireAgg, LevelMix, TransMix, c.fj, c.n)
 		*c = tallyCell{}
 	}
 	if t.sym == nil {
@@ -214,7 +178,7 @@ func (t *Tally) drain(f func(ph Phase, codec, wire, level int, tc TransClass, fj
 				for level := 0; level < ProfileLevels; level++ {
 					for tc := TransClass(0); int(tc) < tallySymClasses; tc++ {
 						if c := &t.sym[i]; !c.empty() {
-							f(ph, codec, wire, level, tc, c.fj, c.n)
+							p.Add(ph, codec, wire, level, tc, c.fj, c.n)
 							*c = tallyCell{}
 						}
 						i++

@@ -145,103 +145,3 @@ func TestSymbolCell(t *testing.T) {
 		}
 	}
 }
-
-// cellKey is a profile cell's key, for comparing cell lists as sets.
-type cellKey struct {
-	ph                 Phase
-	codec, wire, level int
-	tc                 TransClass
-}
-
-func keyOf(c ProfileCell) cellKey { return cellKey{c.Phase, c.Codec, c.Wire, c.Level, c.Trans} }
-
-// AppendCells must list exactly the cells that publishing the same
-// samples into an empty profile leaves in its snapshot — same keys, FJ
-// bits and counts, each key once — for exact-mode (per-symbol) and
-// aggregate tallies alike, and leave the tally empty. The samples
-// include energy-only, count-only and non-positive aggregate samples,
-// zero-energy symbols, and keys outside the per-symbol cells.
-func TestTallyAppendCellsMatchesPublish(t *testing.T) {
-	for _, perSymbol := range []bool{true, false} {
-		rng := rand.New(rand.NewSource(11))
-		published, appended := NewTally(perSymbol), NewTally(perSymbol)
-		for k := 0; k < 20000; k++ {
-			ph := Phase(rng.Intn(NumPhases))
-			codec := rng.Intn(NumProfileCodecs)
-			if rng.Intn(4) == 0 {
-				fj, n := rng.Float64()*50, rng.Int63n(3)
-				switch rng.Intn(5) {
-				case 0:
-					fj = 0 // count-only when n > 0
-				case 1:
-					fj = -fj
-				}
-				published.AddAggregate(ph, codec, fj, n)
-				appended.AddAggregate(ph, codec, fj, n)
-				continue
-			}
-			wire, level := rng.Intn(ProfileWires+1), rng.Intn(ProfileLevels)
-			tc := TransClass(rng.Intn(int(TransSeam) + 2))
-			fj := float64(rng.Intn(8)) * 31.7 // includes zero-energy symbols
-			addSymbol(published, ph, codec, wire, level, tc, fj)
-			addSymbol(appended, ph, codec, wire, level, tc, fj)
-		}
-		p := NewProfile()
-		published.Publish(p)
-		want := p.Snapshot().Cells
-		got := appended.AppendCells(nil)
-		if len(want) < 40 {
-			t.Fatalf("perSymbol=%v: only %d cells — the test is vacuous", perSymbol, len(want))
-		}
-		if len(got) != len(want) {
-			t.Fatalf("perSymbol=%v: appended %d cells, want %d", perSymbol, len(got), len(want))
-		}
-		byKey := make(map[cellKey]ProfileCell, len(got))
-		for _, g := range got {
-			if _, dup := byKey[keyOf(g)]; dup {
-				t.Fatalf("perSymbol=%v: cell %+v appended twice", perSymbol, g)
-			}
-			byKey[keyOf(g)] = g
-		}
-		for _, w := range want {
-			g, ok := byKey[keyOf(w)]
-			if !ok {
-				t.Fatalf("perSymbol=%v: cell %+v not appended", perSymbol, w)
-			}
-			if !floats.Eq(g.FJ, w.FJ) || g.Count != w.Count {
-				t.Fatalf("perSymbol=%v: cell appended as %+v, want %+v", perSymbol, g, w)
-			}
-		}
-		for i := range appended.agg {
-			if !appended.agg[i].empty() {
-				t.Fatalf("perSymbol=%v: aggregate cell %d not zeroed", perSymbol, i)
-			}
-		}
-		for i := range appended.sym {
-			if !appended.sym[i].empty() {
-				t.Fatalf("perSymbol=%v: per-symbol cell %d not zeroed", perSymbol, i)
-			}
-		}
-	}
-}
-
-// AppendCells appends: a non-empty dst keeps its prefix, and a nil
-// tally returns dst unchanged.
-func TestTallyAppendCellsKeepsDst(t *testing.T) {
-	prefix := ProfileCell{Phase: PhaseLogic, Codec: 3, Wire: WireAgg, Level: LevelMix, Trans: TransMix, FJ: 1.5, Count: 2}
-	tl := NewTally(true)
-	tl.AddAggregate(PhaseLogic, 2, 10, 4)
-	addSymbol(tl, PhaseMTAPayload, 0, 3, 2, Trans1DV, 42.5)
-	got := tl.AppendCells([]ProfileCell{prefix})
-	if len(got) != 3 || got[0] != prefix {
-		t.Fatalf("appended onto one cell: got %+v, want the prefix then 2 cells", got)
-	}
-	var none *Tally
-	dst := []ProfileCell{prefix}
-	if got := none.AppendCells(dst); len(got) != 1 || &got[0] != &dst[0] {
-		t.Fatalf("nil tally changed dst: %+v", got)
-	}
-	if got := none.AppendCells(nil); got != nil {
-		t.Fatalf("nil tally appended %+v to nil", got)
-	}
-}

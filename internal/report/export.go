@@ -122,6 +122,16 @@ type EvalAppJSON struct {
 	MTABursts      int64   `json:"mta_bursts"`
 	SparseBursts   int64   `json:"sparse_bursts"`
 	Postambles     int64   `json:"postambles"`
+	// Balance is the max/min per-channel bit ratio, present above one
+	// channel. It is also omitted when not finite (an idle channel next
+	// to a busy one → +Inf): encoding/json cannot represent it, and a
+	// sentinel number would smuggle the ambiguity the sentinel exists to
+	// remove.
+	Balance *float64 `json:"balance,omitempty"`
+	// PerChannelBits is each channel's transferred data bits, in channel
+	// order — the striping-skew evidence behind Balance. Present above
+	// one channel.
+	PerChannelBits []float64 `json:"per_channel_bits,omitempty"`
 }
 
 // EvalFleetJSON is one fleet (policy × scheme) in the evaluation.
@@ -131,69 +141,36 @@ type EvalFleetJSON struct {
 	Apps         []EvalAppJSON `json:"apps"`
 }
 
-// EvalJSON is the machine-readable smores-eval output. It holds no
-// timestamps, host or scheduling data, so a fixed seed yields
-// byte-identical bytes at every worker count (cmd/smoke pins this).
+// EvalJSON is the machine-readable smores-eval output at any channel
+// count. It holds no timestamps, host or scheduling data, so a fixed
+// seed yields byte-identical bytes at every worker count (cmd/smoke
+// pins this).
 type EvalJSON struct {
+	Channels int             `json:"channels"`
 	Accesses int64           `json:"accesses"`
 	Seed     uint64          `json:"seed"`
 	Fleets   []EvalFleetJSON `json:"fleets"`
 }
 
-// MultiEvalAppJSON is one application row in the machine-readable
-// multi-channel evaluation.
-type MultiEvalAppJSON struct {
-	App      string  `json:"app"`
-	Suite    string  `json:"suite"`
-	PerBitFJ float64 `json:"perbit_fj"`
-	Reads    int64   `json:"reads"`
-	Writes   int64   `json:"writes"`
-	Clocks   int64   `json:"clocks"`
-	// Balance is the max/min per-channel bit ratio. It is omitted when
-	// not finite (no channels → NaN, an idle channel next to a busy one
-	// → +Inf): encoding/json cannot represent either, and a sentinel
-	// number would smuggle the ambiguity the sentinels exist to remove.
-	Balance *float64 `json:"balance,omitempty"`
-	// PerChannelBits is each channel's transferred data bits, in channel
-	// order — the striping-skew evidence behind Balance.
-	PerChannelBits []float64 `json:"per_channel_bits"`
-}
-
-// MultiEvalFleetJSON is one fleet (policy × scheme) of a multi-channel
-// evaluation.
-type MultiEvalFleetJSON struct {
-	Label        string             `json:"label"`
-	MeanPerBitFJ float64            `json:"mean_perbit_fj"`
-	Apps         []MultiEvalAppJSON `json:"apps"`
-}
-
-// MultiEvalJSON is the machine-readable `smores-eval -channels N`
-// output. Like CampaignJSON it contains no timestamps or host data, so
-// a fixed seed yields byte-identical bytes at every worker count (the
-// fleet determinism test pins this).
-type MultiEvalJSON struct {
-	Channels int                  `json:"channels"`
-	Accesses int64                `json:"accesses"`
-	Seed     uint64               `json:"seed"`
-	Fleets   []MultiEvalFleetJSON `json:"fleets"`
-}
-
-// ExportMultiEvalJSON writes the multi-channel evaluation as indented
-// JSON, one fleet per scheme with per-app rows.
-func ExportMultiEvalJSON(w io.Writer, mfrs []MultiFleetResult) error {
-	var out MultiEvalJSON
-	if len(mfrs) > 0 {
-		out.Channels = mfrs[0].Channels
-		out.Accesses = mfrs[0].Spec.Accesses
-		out.Seed = mfrs[0].Spec.Seed
+// ExportEvalJSON writes the full evaluation — every fleet's per-app
+// results — as indented JSON.
+func ExportEvalJSON(w io.Writer, frs []FleetResult) error {
+	var out EvalJSON
+	if len(frs) > 0 {
+		out.Channels = frs[0].Channels
+		out.Accesses = frs[0].Spec.Accesses
+		out.Seed = frs[0].Spec.Seed
 	}
-	for _, fr := range mfrs {
-		fj := MultiEvalFleetJSON{Label: fr.Label, MeanPerBitFJ: fr.MeanPerBit()}
+	for _, fr := range frs {
+		fj := EvalFleetJSON{Label: fr.Label, MeanPerBitFJ: fr.MeanPerBit()}
 		for _, r := range fr.Results {
-			row := MultiEvalAppJSON{
+			row := EvalAppJSON{
 				App: r.App.Name, Suite: r.App.Suite,
-				PerBitFJ: r.PerBit,
-				Reads:    r.Reads, Writes: r.Writes, Clocks: r.Clocks,
+				PerBitFJ: r.PerBit, IdleFrequency: r.IdleFrequency,
+				Reads: r.Reads, Writes: r.Writes, Clocks: r.Clocks,
+				AvgReadLatency: r.AvgReadLatency,
+				MTABursts:      r.Bus.MTABursts, SparseBursts: r.Bus.SparseBursts,
+				Postambles: r.Bus.Postambles,
 			}
 			if bal := r.ChannelBalance(); !math.IsNaN(bal) && !math.IsInf(bal, 0) {
 				row.Balance = &bal
@@ -202,33 +179,6 @@ func ExportMultiEvalJSON(w io.Writer, mfrs []MultiFleetResult) error {
 				row.PerChannelBits = append(row.PerChannelBits, st.DataBits)
 			}
 			fj.Apps = append(fj.Apps, row)
-		}
-		out.Fleets = append(out.Fleets, fj)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
-// ExportEvalJSON writes the full evaluation — every fleet's per-app
-// results — as indented JSON.
-func ExportEvalJSON(w io.Writer, frs []FleetResult) error {
-	var out EvalJSON
-	if len(frs) > 0 {
-		out.Accesses = frs[0].Spec.Accesses
-		out.Seed = frs[0].Spec.Seed
-	}
-	for _, fr := range frs {
-		fj := EvalFleetJSON{Label: fr.Label, MeanPerBitFJ: fr.MeanPerBit()}
-		for _, r := range fr.Results {
-			fj.Apps = append(fj.Apps, EvalAppJSON{
-				App: r.App.Name, Suite: r.App.Suite,
-				PerBitFJ: r.PerBit, IdleFrequency: r.IdleFrequency,
-				Reads: r.Reads, Writes: r.Writes, Clocks: r.Clocks,
-				AvgReadLatency: r.AvgReadLatency,
-				MTABursts:      r.Bus.MTABursts, SparseBursts: r.Bus.SparseBursts,
-				Postambles: r.Bus.Postambles,
-			})
 		}
 		out.Fleets = append(out.Fleets, fj)
 	}

@@ -10,16 +10,17 @@ import (
 )
 
 // ChannelBalance distinguishes its degenerate shapes with sentinels:
-// NaN when there are no channels to compare, 1 when every channel is
-// idle (trivially balanced), +Inf when a busy channel sits next to an
-// idle one, and the plain hi/lo ratio otherwise.
+// NaN when there is no per-channel detail to compare (a one-channel
+// result keeps none), 1 when every channel is idle (trivially
+// balanced), +Inf when a busy channel sits next to an idle one, and the
+// plain hi/lo ratio otherwise.
 func TestChannelBalanceSentinels(t *testing.T) {
-	ch := func(bits ...float64) MultiResult {
-		var mr MultiResult
+	ch := func(bits ...float64) AppResult {
+		var r AppResult
 		for _, b := range bits {
-			mr.PerChannel = append(mr.PerChannel, bus.Stats{DataBits: b})
+			r.PerChannel = append(r.PerChannel, bus.Stats{DataBits: b})
 		}
-		return mr
+		return r
 	}
 	if bal := ch().ChannelBalance(); !math.IsNaN(bal) {
 		t.Errorf("no channels: got %v, want NaN", bal)
@@ -38,31 +39,33 @@ func TestChannelBalanceSentinels(t *testing.T) {
 	}
 }
 
-// channelSpec must give every channel a decorrelated fault seed without
-// touching the caller's config.
+// Every channel's controller carries its channel id, and its injector a
+// decorrelated fault seed — channel 0 the configured one — without the
+// caller's config being touched.
 func TestChannelSpecDecorrelatesFaultSeeds(t *testing.T) {
 	base := RunSpec{Fault: &fault.Config{Model: fault.ModelUniform, Rate: 1e-3, Seed: 42}}
 	seen := map[uint64]bool{}
 	for i := 0; i < 4; i++ {
-		cs := channelSpec(base, i)
-		if cs.Channel != i {
-			t.Errorf("channel %d: Channel field = %d", i, cs.Channel)
+		if got := base.controllerConfig(i).Channel; got != i {
+			t.Errorf("channel %d: controller channel id = %d", i, got)
 		}
-		if cs.Fault == base.Fault {
-			t.Fatal("channelSpec must copy the fault config, not alias it")
+		_, in, err := base.newController(i)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if want := DecorrelateSeed(42, i); cs.Fault.Seed != want {
-			t.Errorf("channel %d seed = %d, want %d", i, cs.Fault.Seed, want)
+		seed := in.Config().Seed
+		if want := DecorrelateSeed(42, i); seed != want {
+			t.Errorf("channel %d seed = %d, want %d", i, seed, want)
 		}
-		if seen[cs.Fault.Seed] {
-			t.Errorf("channel %d reuses an earlier seed %d", i, cs.Fault.Seed)
+		if seen[seed] {
+			t.Errorf("channel %d reuses an earlier seed %d", i, seed)
 		}
-		seen[cs.Fault.Seed] = true
+		seen[seed] = true
 	}
 	if base.Fault.Seed != 42 {
 		t.Errorf("caller's config mutated: seed = %d", base.Fault.Seed)
 	}
-	if cs := channelSpec(RunSpec{}, 3); cs.Fault != nil || cs.Channel != 3 {
-		t.Errorf("no-fault spec: %+v", cs)
+	if _, in, err := (RunSpec{}).newController(3); err != nil || in != nil {
+		t.Errorf("no-fault spec built injector %v (err %v)", in, err)
 	}
 }

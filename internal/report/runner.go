@@ -5,11 +5,13 @@ package report
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"smores/internal/bus"
 	"smores/internal/core"
 	"smores/internal/fault"
+	"smores/internal/floats"
 	"smores/internal/gddr6x"
 	"smores/internal/gpu"
 	"smores/internal/memctrl"
@@ -29,6 +31,12 @@ type RunSpec struct {
 	// Seed makes runs reproducible; the same seed with different policies
 	// replays identical traffic.
 	Seed uint64
+	// Channels is the number of interleaved GDDR6X channels per app (the
+	// RTX 3090 has 24); 0 means 1, and a negative count is an error. One
+	// channel runs the gpu.Driver in front of one controller; more run the
+	// multi-channel engine (shard.go). Every channel runs the same
+	// encoding policy.
+	Channels int
 	// UseLLC interposes the 6 MB sectored cache.
 	UseLLC bool
 	// ExtraCodecLatency is the §V-A pipeline ablation.
@@ -46,31 +54,39 @@ type RunSpec struct {
 	// fast path. Implied by Fault.
 	ExactData bool
 	// Fault, when non-nil, installs a link-reliability injector built
-	// from this configuration on the run's channel (a fresh injector per
-	// run — they are stateful). The injector's layered detection stats
-	// surface in AppResult.Fault.
+	// from this configuration on every channel of the run (a fresh
+	// injector per channel and run — they are stateful). The injectors'
+	// layered detection stats surface in AppResult.Fault.
 	Fault *fault.Config
 	// Replay tunes the EDC retransmission machinery (see
 	// memctrl.ReplayConfig); only consulted when Fault is set.
 	Replay memctrl.ReplayConfig
 
 	// Tracer records cycle-level events for Chrome-trace export (nil
-	// disables tracing).
+	// disables tracing); each channel is its own track.
 	Tracer *obs.Tracer
 	// Profile attributes every femtojoule of bus energy into the energy
 	// profiler (phase × codec × wire × level × transition class). Each
-	// run tallies privately and publishes into Profile once, after it
-	// passes its checks; a failed run adds nothing. Fleet runners
-	// publish their runs in fleet order, so the cells are bit-identical
-	// at every worker count. The total reconciles with the summed
-	// bus.Stats of every run that published. Nil disables attribution.
+	// channel tallies privately, and a run publishes its tallies into
+	// Profile in channel order once it passes its checks; a failed run
+	// adds nothing. Fleet runners publish their runs in fleet order, so
+	// the cells are bit-identical at every worker count. The total
+	// reconciles with the summed bus.Stats of every run that published.
+	// Nil disables attribution.
 	Profile *obs.Profile
-	// Channel identifies the controller in traces.
-	Channel int
 }
 
-// controllerConfig assembles the memctrl configuration for a spec.
-func (s RunSpec) controllerConfig() memctrl.Config {
+// channels returns the spec's channel count: Channels, with 0 read as 1.
+func (s RunSpec) channels() (int, error) {
+	if s.Channels < 0 {
+		return 0, fmt.Errorf("report: channel count must not be negative, got %d", s.Channels)
+	}
+	return max(s.Channels, 1), nil
+}
+
+// controllerConfig assembles channel ch's memctrl configuration; the
+// channel id keeps trace tracks distinguishable.
+func (s RunSpec) controllerConfig(ch int) memctrl.Config {
 	scheme := s.Scheme
 	if s.WindowClocks > 0 {
 		scheme.WindowClocks = s.WindowClocks
@@ -81,7 +97,7 @@ func (s RunSpec) controllerConfig() memctrl.Config {
 		Pages:             s.Pages,
 		ExtraCodecLatency: s.ExtraCodecLatency,
 		Tracer:            s.Tracer,
-		Channel:           s.Channel,
+		Channel:           ch,
 	}
 	cfg.Bus.Profile = s.Profile
 	cfg.Bus.ExactData = s.ExactData || s.Fault != nil
@@ -92,84 +108,184 @@ func (s RunSpec) controllerConfig() memctrl.Config {
 	return cfg
 }
 
-// faultInjector builds a fresh link-reliability injector for one run
-// (nil spec.Fault yields nil). Injectors are stateful — never share one
-// across runs or channels.
-func (s RunSpec) faultInjector() (*fault.Injector, error) {
-	if s.Fault == nil {
-		return nil, nil
+// newController builds channel ch's controller and, when the spec sets
+// Fault, the fresh injector installed on it (nil otherwise). Each
+// channel's injector is seeded DecorrelateSeed(Fault.Seed, ch), so the
+// channels see independent error processes and channel 0 keeps the
+// configured seed.
+func (s RunSpec) newController(ch int) (*memctrl.Controller, *fault.Injector, error) {
+	cfg := s.controllerConfig(ch)
+	var in *fault.Injector
+	if s.Fault != nil {
+		fc := *s.Fault
+		fc.Seed = DecorrelateSeed(fc.Seed, ch)
+		var err error
+		if in, err = fault.New(fc); err != nil {
+			return nil, nil, err
+		}
+		cfg.Fault = in
 	}
-	return fault.New(*s.Fault)
+	ctrl, err := memctrl.New(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return ctrl, in, nil
+}
+
+// llcConfig returns the cache configuration, nil without UseLLC.
+func (s RunSpec) llcConfig() *gpu.LLCConfig {
+	if !s.UseLLC {
+		return nil
+	}
+	c := gpu.DefaultLLCConfig()
+	return &c
 }
 
 // DefaultAccesses is the per-app run length used by the evaluation
 // commands. Tests use smaller budgets.
 const DefaultAccesses = 60000
 
-// AppResult is one (application, policy) simulation outcome.
+// AppResult is one (application, policy) simulation outcome, over one
+// channel or several. Across channels, counts and energies are sums and
+// histograms merge; Clocks, Ctrl.Clock and Ctrl.MaxGapClocks take the
+// maximum (see memctrl.Stats.Merge).
 type AppResult struct {
-	App    workload.Profile
-	Label  string
-	PerBit float64 // fJ per transferred data bit, total
-	Bus    bus.Stats
-	Ctrl   memctrl.Stats
+	App      workload.Profile
+	Label    string
+	Channels int
+	PerBit   float64 // fJ per transferred data bit, total
+	Bus      bus.Stats
+	// PerChannel holds each channel's bus statistics in channel order;
+	// Bus is their merge. It is nil on one channel.
+	PerChannel []bus.Stats
+	Ctrl       memctrl.Stats
 	// ReadGaps and WriteGaps are idle-clock histograms (Fig. 5).
 	ReadGaps  *stats.Histogram
 	WriteGaps *stats.Histogram
-	Clocks    int64
-	Reads     int64
-	Writes    int64
+	// LLC is the cache's statistics (zero value without UseLLC).
+	LLC    gpu.LLCStats
+	Clocks int64
+	Reads  int64
+	Writes int64
 	// AvgReadLatency is in command clocks.
 	AvgReadLatency float64
 	// IdleFrequency is the fraction of transfers followed by any gap —
 	// the paper sorts Fig. 8's applications by it.
 	IdleFrequency float64
-	// Fault holds the link-reliability injector's layered detection
+	// Fault holds the link-reliability injectors' layered detection
 	// accounting (zero value when RunSpec.Fault was nil).
 	Fault fault.Stats
 	// ReplayedReads counts retransmissions observed on completed reads.
 	ReplayedReads int64
 }
 
-// RunApp simulates one application under one spec. The generator comes
-// from workload.OpenGenerator, so trace-backed fleet members replay
-// their recorded stream while synthetic apps synthesize from the seed.
+// ChannelBalance returns the max/min ratio of per-channel transferred
+// bits: 1.0 means perfectly balanced striping (including the degenerate
+// all-channels-idle case), larger means skew. The two failure shapes
+// are distinct sentinels rather than ambiguous zeros: NaN for a result
+// without per-channel detail (a one-channel run keeps none), +Inf when
+// at least one channel moved data while another moved none (infinitely
+// imbalanced).
+func (r AppResult) ChannelBalance() float64 {
+	if len(r.PerChannel) == 0 {
+		return math.NaN()
+	}
+	lo, hi := r.PerChannel[0].DataBits, r.PerChannel[0].DataBits
+	for _, st := range r.PerChannel {
+		lo, hi = min(lo, st.DataBits), max(hi, st.DataBits)
+	}
+	if floats.IsZero(hi) {
+		return 1 // nothing moved anywhere: trivially balanced
+	}
+	if floats.IsZero(lo) {
+		return math.Inf(1)
+	}
+	return hi / lo
+}
+
+// derive sets the per-bit energy, read latency and idle frequency
+// from the merged statistics and checks the controller invariants; on a
+// violation the caller must discard r.
+func (r *AppResult) derive() error {
+	r.PerBit = r.Bus.PerBit()
+	r.AvgReadLatency = r.Ctrl.AverageReadLatency()
+	if t := r.ReadGaps.Total() + r.WriteGaps.Total(); t > 0 {
+		gapped := float64(t) - float64(r.ReadGaps.Count(0)+r.WriteGaps.Count(0))
+		r.IdleFrequency = gapped / float64(t)
+	}
+	if r.Ctrl.DecisionMismatches != 0 {
+		return fmt.Errorf("report: %s: %d DRAM/GPU decision mismatches", r.App.Name, r.Ctrl.DecisionMismatches)
+	}
+	if r.Ctrl.BusConflicts != 0 {
+		return fmt.Errorf("report: %s: %d data-bus conflicts", r.App.Name, r.Ctrl.BusConflicts)
+	}
+	return nil
+}
+
+// RunApp simulates one application under one spec, over spec.Channels
+// channels, on the calling goroutine. The generator comes from
+// workload.OpenGenerator, so trace-backed fleet members replay their
+// recorded stream while synthetic apps synthesize from the seed.
 // spec.Accesses must be positive: synthetic generators never end. The
-// run's energy attribution reaches spec.Profile only if it succeeds.
+// run's energy attribution reaches spec.Profile only if it succeeds. A
+// one-app RunFleetApps runs the same app with its channels spread over
+// a worker pool.
 func RunApp(p workload.Profile, spec RunSpec) (AppResult, error) {
-	ar, ctrl, err := runApp(p, spec, false)
+	channels, err := spec.channels()
 	if err != nil {
 		return AppResult{}, err
 	}
-	ctrl.PublishProfile()
+	var tallies []*obs.Tally
+	if spec.Profile != nil {
+		tallies = make([]*obs.Tally, channels)
+	}
+	ar, err := runApp(nil, p, spec, 1, tallies)
+	if err != nil {
+		return AppResult{}, err
+	}
+	for _, t := range tallies {
+		t.Publish(spec.Profile)
+	}
 	return ar, nil
 }
 
-// runApp is RunApp without the publish: it returns the controller, whose
-// attribution the caller publishes into spec.Profile (nil on error).
-// perClock pins the controller and driver to the one-clock-at-a-time
-// tick loop, the oracle TestEventSkipBitIdentical compares next-event
-// skipping against.
-func runApp(p workload.Profile, spec RunSpec, perClock bool) (AppResult, *memctrl.Controller, error) {
+// runApp is RunApp on the engine spec's channel count selects, without
+// the publish: one channel runs runDriver, more run runSharded on
+// planner pl (a fresh one when nil) with their shards on a pool of the
+// given size. When tallies is non-nil (one slot per channel), a
+// successful run leaves each channel's profile tally in its slot for
+// the caller to publish.
+func runApp(pl *shard.Planner, p workload.Profile, spec RunSpec, workers int, tallies []*obs.Tally) (AppResult, error) {
 	if spec.Accesses <= 0 {
-		return AppResult{}, nil, fmt.Errorf("report: %s: run needs a positive access budget (generators are endless), got %d",
+		return AppResult{}, fmt.Errorf("report: %s: run needs a positive access budget (generators are endless), got %d",
 			p.Name, spec.Accesses)
 	}
+	channels, err := spec.channels()
+	if err != nil {
+		return AppResult{}, err
+	}
+	if channels == 1 {
+		return runDriver(p, spec, tallies, false)
+	}
+	if pl == nil {
+		pl = new(shard.Planner)
+	}
+	return runSharded(pl, p, spec, channels, workers, tallies)
+}
+
+// runDriver is the one-channel engine: the gpu.Driver, with its inline
+// LLC, in front of one controller. A successful run leaves its profile
+// tally in tallies[0] when tallies is non-nil. perClock pins the
+// controller and driver to the one-clock-at-a-time tick loop, the
+// oracle TestEventSkipBitIdentical compares next-event skipping against.
+func runDriver(p workload.Profile, spec RunSpec, tallies []*obs.Tally, perClock bool) (AppResult, error) {
 	gen, err := workload.OpenGenerator(p, spec.Seed)
 	if err != nil {
-		return AppResult{}, nil, err
+		return AppResult{}, err
 	}
-	in, err := spec.faultInjector()
+	ctrl, in, err := spec.newController(0)
 	if err != nil {
-		return AppResult{}, nil, err
-	}
-	ccfg := spec.controllerConfig()
-	if in != nil {
-		ccfg.Fault = in
-	}
-	ctrl, err := memctrl.New(ccfg)
-	if err != nil {
-		return AppResult{}, nil, err
+		return AppResult{}, err
 	}
 	if perClock {
 		ctrl.DisableEventSkip()
@@ -177,56 +293,48 @@ func runApp(p workload.Profile, spec RunSpec, perClock bool) (AppResult, *memctr
 	dcfg := gpu.DriverConfig{
 		MSHRs:       p.MSHRs,
 		MaxAccesses: spec.Accesses,
-	}
-	if spec.UseLLC {
-		llc := gpu.DefaultLLCConfig()
-		dcfg.LLC = &llc
+		LLC:         spec.llcConfig(),
 	}
 	drv, err := gpu.NewDriver(dcfg, ctrl, gen)
 	if err != nil {
-		return AppResult{}, nil, err
+		return AppResult{}, err
 	}
 	res, err := drv.Run()
 	if err != nil {
-		return AppResult{}, nil, fmt.Errorf("report: %s under %s: %w", p.Name, ctrl.Describe(), err)
+		return AppResult{}, fmt.Errorf("report: %s under %s: %w", p.Name, ctrl.Describe(), err)
 	}
 
 	ar := AppResult{
-		App:            p,
-		Label:          ctrl.Describe(),
-		PerBit:         ctrl.BusStats().PerBit(),
-		Bus:            ctrl.BusStats(),
-		Ctrl:           ctrl.Stats(),
-		ReadGaps:       ctrl.ReadGapHistogram(),
-		WriteGaps:      ctrl.WriteGapHistogram(),
-		Clocks:         res.Clocks,
-		Reads:          res.DRAMReads,
-		Writes:         res.DRAMWrites,
-		AvgReadLatency: ctrl.AverageReadLatency(),
-		ReplayedReads:  res.ReplayedReads,
+		App:           p,
+		Label:         ctrl.Describe(),
+		Channels:      1,
+		Bus:           ctrl.BusStats(),
+		Ctrl:          ctrl.Stats(),
+		ReadGaps:      ctrl.ReadGapHistogram(),
+		WriteGaps:     ctrl.WriteGapHistogram(),
+		LLC:           res.LLC,
+		Clocks:        res.Clocks,
+		Reads:         res.DRAMReads,
+		Writes:        res.DRAMWrites,
+		ReplayedReads: res.ReplayedReads,
 	}
 	// Invariant violations return the zero AppResult: a populated result
 	// must never ride alongside an error, or callers can accidentally
-	// consume statistics the violation just invalidated (the same
-	// contract as the multi-channel runners).
+	// consume statistics the violation just invalidated.
 	if in != nil {
 		ar.Fault = in.Stats()
 		if !ar.Fault.Conserves() {
-			return AppResult{}, nil, fmt.Errorf("report: %s: fault detection layers do not partition corrupted bursts: %v",
+			return AppResult{}, fmt.Errorf("report: %s: fault detection layers do not partition corrupted bursts: %v",
 				p.Name, ar.Fault)
 		}
 	}
-	if t := ar.ReadGaps.Total() + ar.WriteGaps.Total(); t > 0 {
-		gapped := float64(t) - float64(ar.ReadGaps.Count(0)+ar.WriteGaps.Count(0))
-		ar.IdleFrequency = gapped / float64(t)
+	if err := ar.derive(); err != nil {
+		return AppResult{}, err
 	}
-	if ar.Ctrl.DecisionMismatches != 0 {
-		return AppResult{}, nil, fmt.Errorf("report: %s: %d DRAM/GPU decision mismatches", p.Name, ar.Ctrl.DecisionMismatches)
+	if tallies != nil {
+		tallies[0] = ctrl.DetachTally()
 	}
-	if ar.Ctrl.BusConflicts != 0 {
-		return AppResult{}, nil, fmt.Errorf("report: %s: %d data-bus conflicts", p.Name, ar.Ctrl.BusConflicts)
-	}
-	return ar, ctrl, nil
+	return ar, nil
 }
 
 // PolicySpecs returns the standard evaluation matrix: the two baselines
@@ -244,11 +352,13 @@ func PolicySpecs(accesses int64, seed uint64, useLLC bool) []RunSpec {
 	}
 }
 
-// FleetResult is the outcome of running every app under one spec.
+// FleetResult is the outcome of running every app of a fleet under one
+// spec.
 type FleetResult struct {
-	Spec    RunSpec
-	Label   string
-	Results []AppResult
+	Spec     RunSpec
+	Channels int
+	Label    string
+	Results  []AppResult
 }
 
 // RunFleet simulates all 42 applications under one spec, sequentially.
@@ -261,8 +371,10 @@ func RunFleet(spec RunSpec) (FleetResult, error) {
 
 // FleetOptions tunes a fleet run.
 type FleetOptions struct {
-	// Workers bounds concurrent app simulations. 0 selects GOMAXPROCS;
-	// 1 runs sequentially with no goroutines (the benchmarked path).
+	// Workers bounds concurrent simulations: apps, or a one-app fleet's
+	// channels. 0 selects GOMAXPROCS; 1 runs sequentially with no
+	// goroutines (the benchmarked path). Results are identical for every
+	// value (test-enforced).
 	Workers int
 }
 
@@ -272,7 +384,16 @@ type FleetOptions struct {
 func appSeed(seed uint64, i int) uint64 { return DecorrelateSeed(seed, i) }
 
 // RunFleetApps simulates every application of fleet (pass
-// workload.Fleet() for all 42) under one spec on the shard worker pool.
+// workload.Fleet() for all 42) over spec.Channels channels on the shard
+// worker pool. A fleet of several apps runs one app per worker, its
+// channels in channel order on that worker, so live memory is bounded
+// by the worker count times one app, not by apps × channels; each
+// worker keeps one multi-channel front end (a shard.Planner: about
+// 1.2 MB of LLC plus the streams of the largest app it has run) for
+// every app it takes. A one-app fleet spreads its channels over the
+// pool instead. Per-app seeds follow the fleet-position contract
+// (appSeed), so app 0 runs with spec.Seed itself.
+//
 // Every app runs, whatever the others do. Results are ordered by fleet
 // position at every worker count; on error the lowest-indexed failure is
 // reported, the successfully completed results are preserved in fleet
@@ -282,24 +403,38 @@ func appSeed(seed uint64, i int) uint64 { return DecorrelateSeed(seed, i) }
 // same at every worker count: a pool that stopped at its first failure
 // would keep a scheduling-dependent subset.
 //
-// Successful runs publish their attribution into spec.Profile in fleet
-// order, so its cells are bit-identical at every worker count. A run
-// that finishes before its predecessors keeps its controller until they
-// have published; whichever worker completes the finished prefix then
-// publishes it, so no worker waits on another's run.
+// Successful runs publish their channel tallies into spec.Profile in
+// (app, channel) order, so its cells are bit-identical at every worker
+// count. A run that finishes before its predecessors keeps its tallies
+// until they have published; whichever worker completes the finished
+// prefix then publishes it, so no worker waits on another's run.
 //
 //smores:partialok documented partial-failure contract: completed app results are preserved alongside the lowest-indexed error
 func RunFleetApps(fleet []workload.Profile, spec RunSpec, opts FleetOptions) (FleetResult, error) {
+	channels, err := spec.channels()
+	if err != nil {
+		return FleetResult{}, err
+	}
+	appWorkers, shardWorkers := opts.Workers, 1
+	if len(fleet) == 1 {
+		appWorkers, shardWorkers = 1, opts.Workers
+	}
+	var planners []shard.Planner
+	if channels > 1 {
+		planners = make([]shard.Planner, shard.Workers(appWorkers, len(fleet)))
+	}
 	results := make([]AppResult, len(fleet))
-	failed := make([]bool, len(fleet))
-	pub := newFleetPublisher(len(fleet))
-	err := shard.RunJobs(len(fleet), opts.Workers, func(_, i int) error {
+	pub := newFleetPublisher(spec.Profile, len(fleet), channels)
+	err = shard.RunJobs(len(fleet), appWorkers, func(w, i int) error {
 		appSpec := spec
 		appSpec.Seed = appSeed(spec.Seed, i)
-		r, ctrl, err := runApp(fleet[i], appSpec, false)
-		pub.finish(i, ctrl)
+		var pl *shard.Planner
+		if planners != nil {
+			pl = &planners[w]
+		}
+		r, err := runApp(pl, fleet[i], appSpec, shardWorkers, pub.slots(i))
+		pub.finish(i, err == nil)
 		if err != nil {
-			failed[i] = true
 			return fmt.Errorf("report: fleet app %d: %w", i, err)
 		}
 		results[i] = r
@@ -309,43 +444,75 @@ func RunFleetApps(fleet []workload.Profile, spec RunSpec, opts FleetOptions) (Fl
 	// would allocate a fleet's worth of AppResults on every run.
 	n := 0
 	for i := range results {
-		if !failed[i] {
+		if pub.state[i] == appDone {
 			results[n] = results[i]
 			n++
 		}
 	}
 	clear(results[n:])
-	fr := FleetResult{Spec: spec, Results: results[:n]}
+	fr := FleetResult{Spec: spec, Channels: channels, Results: results[:n]}
 	if n > 0 {
 		fr.Label = results[n-1].Label
 	}
 	return fr, err
 }
 
-// fleetPublisher publishes a fleet's runs into the shared profile in
-// fleet order, whatever order the runs finish in.
+// Fleet-publisher app states.
+const (
+	appRunning = iota
+	appDone
+	appFailed
+)
+
+// fleetPublisher publishes a fleet's channel tallies into the shared
+// profile in (app, channel) order, whatever order the apps finish in.
+// It allocates its per-app storage once per fleet, and none for the
+// tallies when the fleet is not profiled.
 type fleetPublisher struct {
+	prof     *obs.Profile
+	channels int
 	mu       sync.Mutex
-	finished []bool
-	ctrls    []*memctrl.Controller // finished runs waiting on a predecessor
-	next     int                   // first run not yet published
+	state    []uint8
+	tallies  []*obs.Tally // per (app, channel); a finished app's wait here for its predecessors
+	next     int          // first app not yet published
 }
 
-func newFleetPublisher(n int) *fleetPublisher {
-	return &fleetPublisher{finished: make([]bool, n), ctrls: make([]*memctrl.Controller, n)}
+func newFleetPublisher(prof *obs.Profile, apps, channels int) *fleetPublisher {
+	fp := &fleetPublisher{prof: prof, channels: channels, state: make([]uint8, apps)}
+	if prof != nil {
+		fp.tallies = make([]*obs.Tally, apps*channels)
+	}
+	return fp
 }
 
-// finish records run i as finished, with its controller (nil when the
-// run failed), and publishes the longest finished prefix not yet
-// published.
-func (fp *fleetPublisher) finish(i int, ctrl *memctrl.Controller) {
+// slots returns app i's tally slots, one per channel (nil when the fleet
+// is not profiled). Only the run of app i writes them, before finish.
+func (fp *fleetPublisher) slots(i int) []*obs.Tally {
+	if fp.tallies == nil {
+		return nil
+	}
+	return fp.tallies[i*fp.channels : (i+1)*fp.channels]
+}
+
+// finish records app i as finished, successfully or not, and publishes
+// the longest finished prefix not yet published. A failed app's tallies
+// go back to their pool unpublished.
+func (fp *fleetPublisher) finish(i int, ok bool) {
 	fp.mu.Lock()
 	defer fp.mu.Unlock()
-	fp.finished[i], fp.ctrls[i] = true, ctrl
-	for ; fp.next < len(fp.finished) && fp.finished[fp.next]; fp.next++ {
-		if c := fp.ctrls[fp.next]; c != nil {
-			c.PublishProfile()
-			fp.ctrls[fp.next] = nil
+	fp.state[i] = appFailed
+	if ok {
+		fp.state[i] = appDone
+	}
+	for ; fp.next < len(fp.state) && fp.state[fp.next] != appRunning; fp.next++ {
+		prof := fp.prof
+		if fp.state[fp.next] == appFailed {
+			prof = nil
+		}
+		slots := fp.slots(fp.next)
+		for ch, t := range slots {
+			t.Publish(prof)
+			slots[ch] = nil
 		}
 	}
 }
@@ -357,6 +524,18 @@ func (fr FleetResult) MeanPerBit() float64 {
 		xs = append(xs, r.PerBit)
 	}
 	return stats.Mean(xs)
+}
+
+// MeanClocks returns the fleet-average run length in clocks.
+func (fr FleetResult) MeanClocks() float64 {
+	if len(fr.Results) == 0 {
+		return 0
+	}
+	var sum int64
+	for _, r := range fr.Results {
+		sum += r.Clocks
+	}
+	return float64(sum) / float64(len(fr.Results))
 }
 
 // AggregateGaps merges the per-app gap histograms (reads or writes). The

@@ -3,7 +3,6 @@ package report
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
@@ -19,7 +18,7 @@ import (
 
 // requireIdentical asserts two sharded multichannel results are
 // bit-identical: stats, per-channel stats, histograms, counters.
-func requireIdentical(t *testing.T, tag string, a, b MultiResult) {
+func requireIdentical(t *testing.T, tag string, a, b AppResult) {
 	t.Helper()
 	if !a.Bus.Equal(b.Bus) {
 		t.Fatalf("%s: merged bus stats diverged:\n%+v\nvs\n%+v", tag, a.Bus, b.Bus)
@@ -57,6 +56,18 @@ func requireIdentical(t *testing.T, tag string, a, b MultiResult) {
 	}
 }
 
+// runChannels runs p over the given channel count as a one-app fleet,
+// which runs it with spec.Seed and spreads its shards over a pool of
+// the given size.
+func runChannels(p workload.Profile, spec RunSpec, channels, workers int) (AppResult, error) {
+	spec.Channels = channels
+	fr, err := RunFleetApps([]workload.Profile{p}, spec, FleetOptions{Workers: workers})
+	if err != nil {
+		return AppResult{}, err
+	}
+	return fr.Results[0], nil
+}
+
 // The differential gate: for a fixed seed, the sharded engine must
 // produce byte-identical results — stats, histograms, profile cells —
 // at every worker count, across all 5 policies and several channel
@@ -74,14 +85,14 @@ func TestShardedDeterministicMatrix(t *testing.T) {
 			seqProf := obs.NewProfile()
 			s := spec
 			s.Profile = seqProf
-			seq, err := RunAppMultiChannel(p, s, channels, ShardOptions{Workers: 1})
+			seq, err := runChannels(p, s, channels, 1)
 			if err != nil {
 				t.Fatalf("policy %d channels %d sequential: %v", pi, channels, err)
 			}
 			for _, workers := range []int{2, 4, 8} {
 				parProf := obs.NewProfile()
 				s.Profile = parProf
-				par, err := RunAppMultiChannel(p, s, channels, ShardOptions{Workers: workers})
+				par, err := runChannels(p, s, channels, workers)
 				if err != nil {
 					t.Fatalf("policy %d channels %d workers %d: %v", pi, channels, workers, err)
 				}
@@ -105,14 +116,14 @@ func TestShardedDeterministicWithFaults(t *testing.T) {
 		Seed:     13,
 		Fault:    &fault.Config{Model: fault.ModelUniform, Rate: 1e-3, EDC: true, Seed: 99},
 	}
-	seq, err := RunAppMultiChannel(p, spec, 4, ShardOptions{Workers: 1})
+	seq, err := runChannels(p, spec, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if seq.Fault.CorruptedBursts == 0 {
 		t.Fatal("injector never fired — the test is vacuous")
 	}
-	par, err := RunAppMultiChannel(p, spec, 4, ShardOptions{Workers: 4})
+	par, err := runChannels(p, spec, 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,9 +135,9 @@ func TestShardedDeterministicWithFaults(t *testing.T) {
 // scaling with channel count.
 func TestShardedPhysics(t *testing.T) {
 	p, _ := workload.ByName("srad")
-	base, err := RunAppMultiChannel(p, RunSpec{
-		Policy: memctrl.BaselineMTA, Accesses: 4000, Seed: 5,
-	}, 4, ShardOptions{})
+	base, err := RunApp(p, RunSpec{
+		Policy: memctrl.BaselineMTA, Accesses: 4000, Seed: 5, Channels: 4,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,20 +160,20 @@ func TestShardedPhysics(t *testing.T) {
 	if !floats.Eq(bits, base.Bus.DataBits) {
 		t.Errorf("merged DataBits %.0f disagrees with per-channel sum %.0f", base.Bus.DataBits, bits)
 	}
-	one, err := RunAppMultiChannel(p, RunSpec{
+	one, err := RunApp(p, RunSpec{
 		Policy: memctrl.BaselineMTA, Accesses: 4000, Seed: 5,
-	}, 1, ShardOptions{})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if base.Clocks >= one.Clocks {
 		t.Errorf("4 shards (%d clocks) not faster than 1 (%d)", base.Clocks, one.Clocks)
 	}
-	sm, err := RunAppMultiChannel(p, RunSpec{
+	sm, err := RunApp(p, RunSpec{
 		Policy:   memctrl.SMOREs,
 		Scheme:   PolicySpecs(0, 0, false)[3].Scheme,
-		Accesses: 4000, Seed: 5,
-	}, 4, ShardOptions{})
+		Accesses: 4000, Seed: 5, Channels: 4,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,8 +185,10 @@ func TestShardedPhysics(t *testing.T) {
 	}
 }
 
-// A one-channel run differs from RunApp in only two pinned ways (the
-// shard package doc and docs/PERFORMANCE.md state them):
+// A one-channel run of the multi-channel engine differs from RunApp's
+// one-channel engine in only two pinned ways (the shard package doc and
+// docs/PERFORMANCE.md state them). RunApp never selects the sharded
+// engine at one channel, so the test calls it directly:
 //
 //   - Without the LLC every statistic — bus stats, gap histograms,
 //     reads/writes, fault stats, controller counters — matches, except
@@ -202,7 +215,7 @@ func TestShardedSingleChannelMatchesRunAppTraffic(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: RunApp: %v", tag, err)
 				}
-				sh, err := RunAppMultiChannel(p, spec, 1, ShardOptions{Workers: 1})
+				sh, err := runSharded(new(shard.Planner), p, spec, 1, 1, nil)
 				if err != nil {
 					t.Fatalf("%s: one channel: %v", tag, err)
 				}
@@ -253,35 +266,42 @@ func TestShardedSingleChannelMatchesRunAppTraffic(t *testing.T) {
 
 func TestShardedValidation(t *testing.T) {
 	p, _ := workload.ByName("bfs")
-	if _, err := RunAppMultiChannel(p, RunSpec{Policy: memctrl.BaselineMTA, Accesses: 10}, 0, ShardOptions{}); err == nil {
-		t.Error("zero channels must error")
+	if _, err := RunApp(p, RunSpec{Policy: memctrl.BaselineMTA, Accesses: 10, Channels: -1}); err == nil {
+		t.Error("a negative channel count must error")
+	}
+	if _, err := RunFleetApps([]workload.Profile{p}, RunSpec{Accesses: 10, Channels: -2}, FleetOptions{}); err == nil {
+		t.Error("a fleet with a negative channel count must error")
+	}
+	zero, err := RunApp(p, RunSpec{Policy: memctrl.BaselineMTA, Accesses: 10})
+	if err != nil || zero.Channels != 1 || zero.PerChannel != nil {
+		t.Errorf("zero channels must run one channel with no per-channel detail: %+v, %v", zero, err)
 	}
 	bad := p
 	bad.MSHRs = 0
-	if mr, err := RunAppMultiChannel(bad, RunSpec{Accesses: 10}, 2, ShardOptions{}); err == nil {
+	if r, err := RunApp(bad, RunSpec{Accesses: 10, Channels: 2}); err == nil {
 		t.Error("invalid profile must error")
-	} else if mr.Channels != 0 || mr.PerChannel != nil || mr.Reads != 0 {
-		t.Errorf("error must come with the zero MultiResult, got %+v", mr)
+	} else if r.Channels != 0 || r.PerChannel != nil || r.Reads != 0 {
+		t.Errorf("error must come with the zero AppResult, got %+v", r)
 	}
-	if _, err := RunAppMultiChannel(p, RunSpec{Policy: memctrl.BaselineMTA}, 2, ShardOptions{}); err == nil {
+	if _, err := RunApp(p, RunSpec{Policy: memctrl.BaselineMTA, Channels: 2}); err == nil {
 		t.Error("zero access budget must error (generators are endless)")
 	}
 }
 
 // The fleet scheduler must be worker-count invariant end to end: the
 // exported JSON — every row of every app — is byte-identical between a
-// sequential and a saturated pool, and errors surface as the lowest-
-// indexed app with a zero-value result.
+// sequential and a saturated pool.
 func TestFleetMultiChannelDeterministic(t *testing.T) {
 	fleet := workload.Fleet()[:5]
 	spec := PolicySpecs(800, 17, true)[2]
-	render := func(workers int) ([]byte, MultiFleetResult) {
-		fr, err := RunFleetAppsMultiChannel(fleet, spec, 3, ShardOptions{Workers: workers})
+	spec.Channels = 3
+	render := func(workers int) ([]byte, FleetResult) {
+		fr, err := RunFleetApps(fleet, spec, FleetOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
 		var b bytes.Buffer
-		if err := ExportMultiEvalJSON(&b, []MultiFleetResult{fr}); err != nil {
+		if err := ExportEvalJSON(&b, []FleetResult{fr}); err != nil {
 			t.Fatal(err)
 		}
 		return b.Bytes(), fr
@@ -304,8 +324,8 @@ func TestFleetMultiChannelDeterministic(t *testing.T) {
 
 // Each fleet worker keeps one front end — LLC and plan streams — for
 // every app it takes. Nothing may leak from one app into the next: at
-// every worker count, each app's result must equal RunAppMultiChannel of
-// that app alone, seeded as the fleet seeds it. The apps' working sets
+// every worker count, each app's result must equal RunApp of that app
+// alone, seeded as the fleet seeds it. The apps' working sets
 // are shrunk so that they share lines: a line left in the cache by one
 // app would turn some of the next app's misses into hits.
 func TestFleetMultiChannelMatchesSingleApps(t *testing.T) {
@@ -314,19 +334,19 @@ func TestFleetMultiChannelMatchesSingleApps(t *testing.T) {
 		fleet[i].WorkingSetSectors = 1 << 14
 	}
 	spec := PolicySpecs(1000, 29, true)[3]
-	const channels = 4
-	want := make([]MultiResult, len(fleet))
+	spec.Channels = 4
+	want := make([]AppResult, len(fleet))
 	for i, p := range fleet {
 		s := spec
 		s.Seed = DecorrelateSeed(spec.Seed, i)
-		mr, err := RunAppMultiChannel(p, s, channels, ShardOptions{Workers: 1})
+		r, err := RunApp(p, s)
 		if err != nil {
 			t.Fatalf("app %d alone: %v", i, err)
 		}
-		want[i] = mr
+		want[i] = r
 	}
 	for _, workers := range []int{1, 3} {
-		fr, err := RunFleetAppsMultiChannel(fleet, spec, channels, ShardOptions{Workers: workers})
+		fr, err := RunFleetApps(fleet, spec, FleetOptions{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers %d: %v", workers, err)
 		}
@@ -354,8 +374,9 @@ func TestFleetMultiChannelReusesFrontEnd(t *testing.T) {
 	}
 	fleet := workload.Fleet()[:6]
 	spec := PolicySpecs(2000, 1, true)[2]
+	spec.Channels = 4
 	fleetBytes := allocated(func() {
-		_, err = RunFleetAppsMultiChannel(fleet, spec, 4, ShardOptions{Workers: 1})
+		_, err = RunFleetApps(fleet, spec, FleetOptions{Workers: 1})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -386,60 +407,25 @@ func requireSameCells(t *testing.T, tag string, want, got []obs.ProfileCell) {
 	}
 }
 
-// Adding a profile's snapshot cells must reproduce merging the dense
-// profile bit for bit — the property that lets the engine carry each
-// shard's attribution as cells rather than as a dense profile. The
-// sources are fed energy-only, count-only and non-positive samples, and
-// the destinations start non-empty.
-func TestAddCellsMatchesMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	merged, added := obs.NewProfile(), obs.NewProfile()
-	for _, dst := range []*obs.Profile{merged, added} {
-		dst.Add(obs.PhaseSparsePayload, 1, obs.WireAgg, obs.LevelMix, obs.TransMix, 0.1, 3)
-	}
-	for src := 0; src < 4; src++ {
-		p := obs.NewProfile()
-		for k := 0; k < 300; k++ {
-			fj := rng.Float64() * 100
-			n := rng.Int63n(4)
-			switch rng.Intn(5) {
-			case 0:
-				fj = 0
-			case 1:
-				fj = -fj
-			}
-			p.Add(obs.Phase(rng.Intn(int(obs.NumPhases))), rng.Intn(obs.NumProfileCodecs),
-				rng.Intn(obs.ProfileWires+1), rng.Intn(obs.ProfileLevels+1),
-				obs.TransClass(rng.Intn(int(obs.NumTransClasses))), fj, n)
-		}
-		merged.Merge(p)
-		addCells(added, p.Snapshot().Cells)
-	}
-	want := merged.Snapshot().Cells
-	if len(want) < 100 {
-		t.Fatalf("only %d merged cells — the test is vacuous", len(want))
-	}
-	requireSameCells(t, "cells vs merge", want, added.Snapshot().Cells)
-}
-
-// The fleet path adds each shard's profile cells to spec.Profile only
-// after every app has finished. At every worker count the result must
-// equal, bit for bit, a reference that runs the apps one at a time
-// through RunAppMultiChannel into one profile: the (app, channel) order
-// in which shard cells are added. That reference must in turn equal
-// merging, in (app, channel) order, one dense profile per shard built
-// from that shard's cells alone.
+// The fleet publishes each app's channel tallies into spec.Profile in
+// (app, channel) order, whatever order the apps finish in. At every
+// worker count the cells must equal, bit for bit, a reference that runs
+// the apps one at a time through RunApp into one profile. That
+// reference must in turn equal merging, in (app, channel) order, one
+// dense profile per shard built from that shard's tally alone.
 func TestFleetMultiChannelProfileCells(t *testing.T) {
 	fleet := workload.Fleet()[:4]
 	faulty := PolicySpecs(500, 23, false)[3]
 	faulty.Fault = &fault.Config{Model: fault.ModelUniform, Rate: 1e-3, EDC: true, Seed: 5}
+	faulty.Channels = 4
+	expected := PolicySpecs(800, 17, true)[2]
+	expected.Channels = 3
 	cases := []struct {
-		name     string
-		spec     RunSpec
-		channels int
+		name string
+		spec RunSpec
 	}{
-		{"expected", PolicySpecs(800, 17, true)[2], 3},
-		{"exact-faults", faulty, 4},
+		{"expected", expected},
+		{"exact-faults", faulty},
 	}
 	for _, c := range cases {
 		ref, dense := obs.NewProfile(), obs.NewProfile()
@@ -447,19 +433,17 @@ func TestFleetMultiChannelProfileCells(t *testing.T) {
 			s := c.spec
 			s.Seed = DecorrelateSeed(c.spec.Seed, i)
 			s.Profile = ref
-			if _, err := RunAppMultiChannel(p, s, c.channels, ShardOptions{Workers: 1}); err != nil {
+			if _, err := RunApp(p, s); err != nil {
 				t.Fatalf("%s: reference app %d: %v", c.name, i, err)
 			}
-			as, err := buildAppShards(new(shard.Planner), p, s, c.channels)
-			if err == nil {
-				err = as.runUnits(1)
-			}
-			if err != nil {
+			tallies := make([]*obs.Tally, s.Channels)
+			s.Profile = obs.NewProfile() // makes the shards tally; never published into
+			if _, err := runSharded(new(shard.Planner), p, s, s.Channels, 1, tallies); err != nil {
 				t.Fatalf("%s: dense reference app %d: %v", c.name, i, err)
 			}
-			for _, cells := range as.cells {
+			for _, tl := range tallies {
 				sp := obs.NewProfile()
-				addCells(sp, cells)
+				tl.Publish(sp)
 				dense.Merge(sp)
 			}
 		}
@@ -473,7 +457,7 @@ func TestFleetMultiChannelProfileCells(t *testing.T) {
 			prof := obs.NewProfile()
 			s := c.spec
 			s.Profile = prof
-			fr, err := RunFleetAppsMultiChannel(fleet, s, c.channels, ShardOptions{Workers: workers})
+			fr, err := RunFleetApps(fleet, s, FleetOptions{Workers: workers})
 			if err != nil {
 				t.Fatalf("%s: %v", tag, err)
 			}
@@ -491,20 +475,21 @@ func TestFleetMultiChannelProfileCells(t *testing.T) {
 	}
 }
 
-// Profiling a sharded run must cost only the cells each shard hands
-// over, not a dense profile per shard (about 0.59 MB each): eight
-// shards' worth of cells is a few kilobytes. The profile itself is
-// built before the measurement, and a warm-up run fills the pools.
+// Profiling a sharded run must cost only the tally cells each shard
+// hands over, not a dense profile per shard (about 0.59 MB each): eight
+// expected-mode tallies are about 8 KB. The profile itself is built
+// before the measurement, and a warm-up run fills the pools.
 func TestShardedProfileAllocatesOnlyCells(t *testing.T) {
 	p, _ := workload.ByName("bfs")
 	spec := PolicySpecs(2000, 1, true)[2]
+	spec.Channels = 8
 	prof := obs.NewProfile()
 	run := func(prof *obs.Profile) uint64 {
 		s := spec
 		s.Profile = prof
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if _, err := RunAppMultiChannel(p, s, 8, ShardOptions{Workers: 1}); err != nil {
+		if _, err := RunApp(p, s); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
@@ -523,29 +508,56 @@ func TestShardedProfileAllocatesOnlyCells(t *testing.T) {
 	}
 }
 
-// A failing fleet returns the zero result and the lowest-indexed app's
-// error at every worker count, and adds nothing to spec.Profile — even
-// though the apps around the failures ran and profiled their shards.
+// A failing multi-channel fleet follows the one-channel contract
+// (TestRunFleetPartialFailure): at every worker count it returns the
+// lowest-indexed app's error, keeps the completed results in fleet
+// order with the label of the last, and publishes exactly the
+// successful apps, in fleet order — the cells equal those of the
+// successful apps run one at a time — though the failed apps' other
+// shards ran and tallied.
 func TestFleetMultiChannelErrorContract(t *testing.T) {
 	fleet := append([]workload.Profile{}, workload.Fleet()[:5]...)
 	for _, i := range []int{1, 3} {
 		fleet[i].MSHRs = 0
 	}
+	spec := RunSpec{Policy: memctrl.SMOREs, Scheme: PolicySpecs(0, 0, false)[2].Scheme,
+		Accesses: 300, Seed: 1, Channels: 2}
+	ref := obs.NewProfile()
+	var want []AppResult
+	for _, i := range []int{0, 2, 4} {
+		s := spec
+		s.Seed = DecorrelateSeed(spec.Seed, i)
+		s.Profile = ref
+		r, err := RunApp(fleet[i], s)
+		if err != nil {
+			t.Fatalf("reference app %d: %v", i, err)
+		}
+		want = append(want, r)
+	}
 	for _, workers := range []int{1, 4} {
 		prof := obs.NewProfile()
-		spec := RunSpec{Policy: memctrl.BaselineMTA, Accesses: 100, Seed: 1, Profile: prof}
-		fr, err := RunFleetAppsMultiChannel(fleet, spec, 2, ShardOptions{Workers: workers})
+		s := spec
+		s.Profile = prof
+		fr, err := RunFleetApps(fleet, s, FleetOptions{Workers: workers})
 		if err == nil {
 			t.Fatalf("workers %d: invalid apps must fail the fleet", workers)
 		}
 		if !strings.Contains(err.Error(), "fleet app 1:") {
 			t.Errorf("workers %d: error %q does not name fleet app 1", workers, err)
 		}
-		if fr.Results != nil || fr.Label != "" || fr.Channels != 0 {
-			t.Errorf("workers %d: error must come with the zero fleet result, got %+v", workers, fr)
+		if len(fr.Results) != len(want) || fr.Channels != 2 {
+			t.Fatalf("workers %d: kept %d results over %d channels, want %d over 2",
+				workers, len(fr.Results), fr.Channels, len(want))
 		}
-		if cells := prof.Snapshot().Cells; len(cells) != 0 {
-			t.Errorf("workers %d: a failed fleet added %d cells to the profile", workers, len(cells))
+		for k := range want {
+			requireIdentical(t, fmt.Sprintf("workers %d result %d", workers, k), want[k], fr.Results[k])
+		}
+		if fr.Label != want[len(want)-1].Label {
+			t.Errorf("workers %d: label %q not from the last successful result", workers, fr.Label)
+		}
+		requireSameCells(t, fmt.Sprintf("workers %d profile", workers), ref.Snapshot().Cells, prof.Snapshot().Cells)
+		if err := ReconcileProfile(prof, fr); err != nil {
+			t.Errorf("workers %d: %v", workers, err)
 		}
 	}
 }
@@ -557,9 +569,10 @@ func TestRenderMultiChannelSummary(t *testing.T) {
 		t.Errorf("empty summary = %q", s)
 	}
 	fleet := workload.Fleet()[:2]
-	var mfrs []MultiFleetResult
+	var mfrs []FleetResult
 	for _, spec := range PolicySpecs(400, 3, false)[:2] {
-		fr, err := RunFleetAppsMultiChannel(fleet, spec, 2, ShardOptions{Workers: 2})
+		spec.Channels = 2
+		fr, err := RunFleetApps(fleet, spec, FleetOptions{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,9 +4,9 @@ package report
 // runners consume into columnar stores (internal/tracestore), one store
 // per application on the shard worker pool, with shard-parallel
 // compression inside each store. A store recorded here replays
-// byte-identically through RunApp / RunAppMultiChannel because the
-// per-app seeds come from the same appSeed derivation the fleet runners
-// use.
+// byte-identically through RunApp and RunFleetApps, at any channel
+// count, because the per-app seeds come from the same appSeed
+// derivation the fleet runners use.
 
 import (
 	"fmt"

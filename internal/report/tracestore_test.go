@@ -122,12 +122,12 @@ func TestStoreReplayShardedByteIdentical(t *testing.T) {
 		PolicySpecs(accesses, seed, false)[2],
 		PolicySpecs(accesses, seed, false)[0],
 	} {
-		live, err := RunAppMultiChannel(p, spec, channels, ShardOptions{Workers: 1})
+		live, err := runChannels(p, spec, channels, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 4} {
-			replay, err := RunAppMultiChannel(sp, spec, channels, ShardOptions{Workers: workers})
+			replay, err := runChannels(sp, spec, channels, workers)
 			if err != nil {
 				t.Fatal(err)
 			}

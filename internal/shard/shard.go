@@ -24,9 +24,9 @@
 // is that for a fixed seed the results are bit-identical across every
 // worker count, including the sequential one.
 //
-// A one-channel run differs from the single-channel runner
-// (report.RunApp) in two ways, pinned by
-// report.TestShardedSingleChannelMatchesRunAppTraffic:
+// A one-channel run of this engine differs from the one-channel engine
+// (report.RunApp at one channel: the gpu.Driver with its inline LLC) in
+// two ways, pinned by report.TestShardedSingleChannelMatchesRunAppTraffic:
 //
 //   - Without an LLC every statistic matches except timing at the end
 //     of the stream: the unit's driver has no access budget, so it
@@ -248,7 +248,7 @@ func (u *Unit) Err() error { return u.err }
 // worker count reports. onDone, when non-nil, is invoked after each
 // unit finishes (possibly concurrently), on the worker that ran it and
 // before that worker takes its next unit; the multi-channel engine takes
-// each shard's profile cells there.
+// each shard's profile tally there.
 func RunUnits(units []*Unit, workers int, onDone func(*Unit)) error {
 	return RunJobs(len(units), workers, func(_, i int) error {
 		err := units[i].Run()

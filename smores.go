@@ -100,10 +100,12 @@ func Fleet() []Workload { return workload.Fleet() }
 // WorkloadByName looks up one of the 42 applications.
 func WorkloadByName(name string) (Workload, bool) { return workload.ByName(name) }
 
-// RunApp simulates one application under one configuration.
+// RunApp simulates one application under one configuration, over
+// RunSpec.Channels interleaved channels (one when zero).
 func RunApp(w Workload, spec RunSpec) (AppResult, error) { return report.RunApp(w, spec) }
 
-// RunFleet simulates all 42 applications under one configuration.
+// RunFleet simulates all 42 applications under one configuration, at
+// any channel count.
 func RunFleet(spec RunSpec) (FleetResult, error) { return report.RunFleet(spec) }
 
 // PaperSchemes returns the three Table V design points.
