@@ -6,10 +6,12 @@ package smoke
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -24,16 +26,41 @@ var mains = []string{
 	"smores-verilog",
 }
 
-// buildMains compiles every cmd/ binary into a shared temp dir once.
+// The mains are built on first use into one temp dir that every test
+// shares; TestMain removes it. A failed build fails every test that
+// asks for the binaries.
+var (
+	buildOnce sync.Once
+	binDir    string
+	buildErr  error
+)
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if binDir != "" {
+		os.RemoveAll(binDir)
+	}
+	os.Exit(code)
+}
+
+// buildMains compiles every cmd/ binary into the shared dir, once per
+// test run, and returns the dir.
 func buildMains(t *testing.T) string {
 	t.Helper()
-	dir := t.TempDir()
-	cmd := exec.Command("go", "build", "-o", dir+string(filepath.Separator), "smores/cmd/...")
-	cmd.Env = append(os.Environ(), "GOFLAGS=-mod=mod")
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("building mains: %v\n%s", err, out)
+	buildOnce.Do(func() {
+		if binDir, buildErr = os.MkdirTemp("", "smores-smoke-"); buildErr != nil {
+			return
+		}
+		cmd := exec.Command("go", "build", "-o", binDir+string(filepath.Separator), "smores/cmd/...")
+		cmd.Env = append(os.Environ(), "GOFLAGS=-mod=mod")
+		if out, err := cmd.CombinedOutput(); err != nil {
+			buildErr = fmt.Errorf("%v\n%s", err, out)
+		}
+	})
+	if buildErr != nil {
+		t.Fatalf("building mains: %v", buildErr)
 	}
-	return dir
+	return binDir
 }
 
 func bin(dir, name string) string {

@@ -169,4 +169,25 @@ func TestTraceImportEval(t *testing.T) {
 	if !bytes.Contains(raw, []byte(`"cam"`)) {
 		t.Error("evaluation JSON has no row for the imported workload")
 	}
+
+	// A store whose block fails its checksum fails the evaluation, and
+	// the error names the member.
+	bad := filepath.Join(work, "bad.store")
+	runTool(t, dir, "smores-trace", "-record", "bfs", "-n", "2000", "-seed", "1", "-store", bad, "-shards", "1", "-name", "bfs-bad")
+	col := filepath.Join(bad, "shard-000000.sector")
+	raw, err = os.ReadFile(col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)/2] ^= 0xff
+	if err := os.WriteFile(col, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	evalOut, err := exec.Command(bin(dir, "smores-eval"), "-table5", "-accesses", "200", "-trace", bad).CombinedOutput()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() == 0 {
+		t.Errorf("smores-eval -trace over a corrupt store: err=%v, want a failing exit\n%s", err, evalOut)
+	}
+	if !bytes.Contains(evalOut, []byte("bfs-bad: access stream ended on an error")) {
+		t.Errorf("smores-eval -trace over a corrupt store did not name it:\n%s", evalOut)
+	}
 }

@@ -291,7 +291,7 @@ func doReplay(dir, chrome, folded, profJSON string) error {
 	if err := rep.Err(); err != nil {
 		return err
 	}
-	ctrl.PublishProfile()
+	ctrl.DetachTally().Publish(prof)
 	fmt.Printf("replayed %d accesses in %d clocks: %.1f fJ/bit, gaps %v\n",
 		res.Accesses, res.Clocks, ctrl.BusStats().PerBit(), ctrl.ReadGapHistogram())
 	if tracer != nil {

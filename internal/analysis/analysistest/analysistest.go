@@ -115,8 +115,7 @@ func runOne(t *testing.T, prog *load.Program, session *analysis.Session, srcRoot
 			t.Fatal(err)
 		}
 		for line, specs := range parseWants(t, full, string(src)) {
-			key := fmt.Sprintf("%s:%d", full, line)
-			wants[key] = append(wants[key], specs...)
+			wants[fmt.Sprintf("%s:%d", full, line)] = specs
 		}
 	}
 

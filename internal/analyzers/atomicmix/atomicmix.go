@@ -1,16 +1,17 @@
 // Package atomicmix defines an Analyzer that forbids mixing sync/atomic
-// operations with plain loads and stores on the same memory. The obs
-// profile cells and the shard engine's counters rely on lock-free
-// atomics; a single plain read of an atomically updated field is a data
-// race the race detector only catches when the interleaving happens to
-// occur in a test run. The rule is mechanical: once any code passes &x to a
+// operations with plain loads and stores on the same memory. Counters
+// shared across goroutines through sync/atomic are only safe if every
+// access is atomic; a single plain read of an atomically updated field
+// is a data race the race detector only catches when the interleaving
+// happens to occur in a test run. No simulator package uses sync/atomic
+// today (the energy profile publishes under a mutex); the rule keeps
+// any future use honest. It is mechanical: once any code passes &x to a
 // sync/atomic function, every access to x must be atomic.
 //
 // A field or package variable becomes "atomic" the moment its address
 // flows into a sync/atomic call; the analyzer exports an AtomicFact for
-// it, so accesses in dependent packages are checked too (the registry
-// pattern: internal/obs owns the counters, simulation packages read
-// them). Plain address-taking (&x without a surrounding atomic call) is
+// it, so accesses in dependent packages are checked too (one package
+// owns the counters, others read them). Plain address-taking (&x without a surrounding atomic call) is
 // allowed — the pointer is assumed to feed further atomic use — as is
 // composite-literal initialization before the value is published.
 // Fields typed atomic.Int64 and friends are inherently safe (the type

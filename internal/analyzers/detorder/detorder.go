@@ -13,8 +13,9 @@
 //     Sprint/Errorf are pure and stay legal);
 //   - calls to methods conventionally order-sensitive in this codebase:
 //     Write*, Encode, Merge, Observe, Record, Emit;
-//   - appends that are never followed by a sort of the target slice in
-//     the same function (a sorted append is the sanctioned idiom);
+//   - appends to a slice variable, a field (x.f) or an element (s[i])
+//     that are never followed by a sort of that slice in the same
+//     function (a sorted append is the sanctioned idiom);
 //   - floating-point accumulation of loop-derived values (float
 //     addition does not commute in rounding);
 //   - channel sends.
@@ -182,7 +183,9 @@ func callSink(pass *analysis.Pass, call *ast.CallExpr) string {
 	return ""
 }
 
-// appendTarget recognizes `s = append(s, ...)` and returns s's object.
+// appendTarget recognizes `s = append(s, ...)`, `x.f = append(x.f, ...)`
+// and `s[i] = append(s[i], ...)` and returns the appended slice's
+// variable: s, the field f, or s.
 func appendTarget(pass *analysis.Pass, as *ast.AssignStmt) (*types.Var, bool) {
 	if len(as.Lhs) != 1 || len(as.Rhs) != 1 {
 		return nil, false
@@ -198,12 +201,25 @@ func appendTarget(pass *analysis.Pass, as *ast.AssignStmt) (*types.Var, bool) {
 	if b, ok := pass.TypesInfo.Uses[fn].(*types.Builtin); !ok || b.Name() != "append" {
 		return nil, false
 	}
-	id, ok := ast.Unparen(call.Args[0]).(*ast.Ident)
-	if !ok {
-		return nil, false
+	v := sliceVar(pass, call.Args[0])
+	return v, v != nil
+}
+
+// sliceVar returns the variable a slice expression names: s for s, the
+// field f for x.f, and the variable of s for s[i]; nil for any other
+// expression.
+func sliceVar(pass *analysis.Pass, e ast.Expr) *types.Var {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		v, _ := pass.TypesInfo.ObjectOf(e).(*types.Var)
+		return v
+	case *ast.SelectorExpr:
+		v, _ := pass.TypesInfo.ObjectOf(e.Sel).(*types.Var)
+		return v
+	case *ast.IndexExpr:
+		return sliceVar(pass, e.X)
 	}
-	v, ok := pass.TypesInfo.ObjectOf(id).(*types.Var)
-	return v, ok
+	return nil
 }
 
 // sortedLater reports whether the function body contains a sorting call
@@ -238,8 +254,7 @@ func sortedLater(pass *analysis.Pass, fd *ast.FuncDecl, target *types.Var) bool 
 			return true
 		}
 		for _, arg := range call.Args {
-			if id, ok := ast.Unparen(arg).(*ast.Ident); ok &&
-				pass.TypesInfo.ObjectOf(id) == target {
+			if sliceVar(pass, arg) == target {
 				found = true
 			}
 		}

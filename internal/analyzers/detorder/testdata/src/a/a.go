@@ -58,6 +58,36 @@ func sortedAppend(m map[string]int, w io.Writer) {
 	}
 }
 
+type doc struct{ events []string }
+
+func fieldAppend(m map[string]int, d *doc) {
+	for k := range m {
+		d.events = append(d.events, k) // want `map iteration order feeds append to events with no later sort of it in fieldAppend`
+	}
+}
+
+// sortedFieldAppend sorts the field it collected into: clean.
+func sortedFieldAppend(m map[string]int, d *doc) {
+	for k := range m {
+		d.events = append(d.events, k)
+	}
+	sort.Strings(d.events)
+}
+
+func indexAppend(m map[string]int, rows [][]string) {
+	for k := range m {
+		rows[0] = append(rows[0], k) // want `map iteration order feeds append to rows with no later sort of it in indexAppend`
+	}
+}
+
+// sortedIndexAppend sorts the element it collected into: clean.
+func sortedIndexAppend(m map[string]int, rows [][]string) {
+	for k := range m {
+		rows[0] = append(rows[0], k)
+	}
+	sort.Strings(rows[0])
+}
+
 // pure shapes stay legal: Sprintf is pure, writing into another map is
 // commutative, and integer accumulation commutes.
 func pure(m map[string]int) (map[string]string, int) {

@@ -1,6 +1,6 @@
 // Package nilsafeobs defines an Analyzer enforcing the observability
-// layer's core contract: every obs handle is optional, a nil *Profile /
-// *Tally / *Tracer / *FloatCounter must behave as a disabled no-op, and
+// layer's core contract: every obs handle is optional, a nil *Profile
+// or *Tracer must behave as a disabled no-op, and
 // the uninstrumented hot path pays only a predictable nil check. That
 // only holds if every exported pointer-receiver method starts by
 // guarding the receiver — one missing guard turns "observability off"

@@ -75,9 +75,9 @@ type Config struct {
 	// transition class). In exact-data mode each transmitted symbol is
 	// attributed individually; in expected mode the closed-form energies
 	// land in aggregate cells. The channel tallies the samples privately
-	// (obs.Tally) and adds them to Profile only when PublishProfile is
-	// called, so a caller driving the channel must publish before it
-	// reads Profile. The published total reconciles with
+	// (obs.NewTally) and adds nothing to Profile itself: a caller driving
+	// the channel publishes the tally, DetachTally().Publish(Profile),
+	// before it reads Profile. The published total reconciles with
 	// Stats.TotalEnergy (test-enforced). Nil disables attribution; the
 	// hot path then pays one nil check per accounting block.
 	Profile *obs.Profile
@@ -191,9 +191,10 @@ type Channel struct {
 	events    []Event
 	stats     Stats
 	prof      *obs.Profile
-	// tally collects prof's samples until PublishProfile adds them (nil
-	// without a profile, and between a publish and the next transfer).
-	tally *obs.Tally
+	// tally collects prof's samples until DetachTally hands them over
+	// (nil without a profile, and between a detach and the next
+	// transfer).
+	tally *obs.Profile
 	// fault is the installed link-reliability hook (nil = perfect link);
 	// verdict latches the hook's judgement of the most recent burst.
 	fault   BurstHook
@@ -297,29 +298,42 @@ func (ch *Channel) SendBurst(data []byte, codeLength int) error {
 	return err
 }
 
+// Energy attribution: the channel's accounting paths feed every
+// femtojoule they add to Stats into a private tally keyed like the
+// obs.Profile cells (phase × codec × wire × level × transition class),
+// and the channel's runner publishes the tally into Config.Profile.
+//
+// In exact-data mode each transmitted symbol is attributed individually
+// with its real voltage-step class, by the symbol kernel in kernel.go
+// that also integrates its energy; in expected mode the closed-form
+// energies land in aggregate cells (wire="agg", level="mix",
+// transition="mix"). Either way the profiler's TotalEnergy reconciles
+// with Stats.TotalEnergy to float round-off once published — a property
+// the conservation tests enforce for every policy × scheme combination.
+//
+// Phase partition of Stats:
+//
+//	WireEnergy      = mta-payload + dbi-wire + sparse-payload + idle-shift
+//	PostambleEnergy = postamble
+//	LogicEnergy     = logic
+//	ReplayEnergy    = replay (retransmission wire+logic, see hook.go)
+
 // takeTally gives a profiled channel a tally from the pool when it has
-// none: at its first transfer, and at the first after PublishProfile or
-// DetachTally.
+// none: at its first transfer, and at the first after DetachTally.
 func (ch *Channel) takeTally() {
 	if ch.tally == nil && ch.prof != nil {
 		ch.tally = obs.NewTally(ch.exact)
 	}
 }
 
-// PublishProfile adds everything the channel has attributed since its
-// last publish to Config.Profile, one Profile.Add per non-empty cell,
-// and hands the tally back for reuse; a second call adds nothing. Until
-// it is called, Config.Profile holds none of the channel's energy.
-// Runners publish once per run, after the run's checks pass.
-func (ch *Channel) PublishProfile() { ch.DetachTally().Publish(ch.prof) }
-
-// DetachTally is PublishProfile for a caller that publishes later: it
-// detaches and returns what the channel has attributed since its last
-// publish, adding nothing to Config.Profile. The caller publishes it
-// there once (obs.Tally.Publish), in an order of its choosing. The
+// DetachTally detaches and returns what the channel has attributed since
+// the last detach, adding nothing to Config.Profile. Until the caller
+// publishes it there, once, with DetachTally().Publish(Config.Profile),
+// the profile holds none of that energy; runners publish once per run,
+// after the run's checks pass, in an order of their choosing. The
 // channel's next transfer starts a fresh tally; a second call returns
 // nil, as does a channel without a profile.
-func (ch *Channel) DetachTally() *obs.Tally {
+func (ch *Channel) DetachTally() *obs.Profile {
 	t := ch.tally
 	ch.tally = nil
 	return t

@@ -61,7 +61,7 @@ func TestExactAttributionDigest(t *testing.T) {
 					c.name, st.Violations, st.Postambles)
 			}
 			if c.profile {
-				ch.PublishProfile()
+				publish(ch)
 				reconcile(t, ch, p)
 				hashCells(h, p.Snapshot().Cells)
 			}
@@ -102,7 +102,7 @@ func driveDigestSchedule(t *testing.T, ch *Channel, rng *rand.Rand, bursts int) 
 			}
 		}
 		if i == bursts/2 {
-			ch.PublishProfile()
+			publish(ch)
 		}
 		switch rng.Intn(5) {
 		case 0, 1:

@@ -205,7 +205,7 @@ func TestReplayBurstAccounting(t *testing.T) {
 		if err := ch.ReplayBurst(data, codeLength); err != nil {
 			t.Fatal(err)
 		}
-		ch.PublishProfile()
+		publish(ch)
 		after := ch.Stats()
 
 		if after.ReplayBursts != 1 {

@@ -10,6 +10,10 @@ import (
 	"smores/internal/obs"
 )
 
+// publish publishes everything ch has attributed since its last detach
+// into its configured profile, as the runners do.
+func publish(ch *Channel) { ch.DetachTally().Publish(ch.prof) }
+
 // reconcile asserts the published profiler's totals match the channel's
 // stats to float round-off (summation orders differ between the two
 // paths, so exact bit equality is not achievable; the bound is a few
@@ -91,7 +95,7 @@ func TestProfileConservation(t *testing.T) {
 			})
 			rng := rand.New(rand.NewSource(42))
 			driveWorkload(t, ch, rng, 400)
-			ch.PublishProfile()
+			publish(ch)
 			reconcile(t, ch, p)
 
 			if ch.Stats().Violations != 0 {
@@ -128,7 +132,7 @@ func TestProfileExactModeDetail(t *testing.T) {
 	ch := New(Config{ExactData: true, Profile: p})
 	rng := rand.New(rand.NewSource(7))
 	driveWorkload(t, ch, rng, 300)
-	ch.PublishProfile()
+	publish(ch)
 
 	s := p.Snapshot()
 	if len(s.Cells) == 0 {
@@ -213,10 +217,19 @@ func TestProfileExpectedSparseSplit(t *testing.T) {
 		if err := ch.SendBurst(nil, cl); err != nil {
 			t.Fatal(err)
 		}
-		ch.PublishProfile()
+		publish(ch)
 		idx := obs.ProfileCodecIndex(cl)
-		payload, _ := p.Cell(obs.PhaseSparsePayload, idx, obs.WireAgg, obs.LevelMix, obs.TransMix)
-		dbiE, _ := p.Cell(obs.PhaseDBIWire, idx, obs.WireAgg, obs.LevelMix, obs.TransMix)
+		var payload, dbiE float64
+		for _, c := range p.Snapshot().Cells {
+			if c.Codec == idx && c.Wire == obs.WireAgg {
+				switch c.Phase {
+				case obs.PhaseSparsePayload:
+					payload = c.FJ
+				case obs.PhaseDBIWire:
+					dbiE = c.FJ
+				}
+			}
+		}
 		want := Groups * sc.ExpectedBurstEnergy(GroupBurstBytes)
 		if got := payload + dbiE; math.Abs(got-want) > 1e-9*want {
 			t.Errorf("%s: payload+dbi = %g, want %g", sc.Name(), got, want)
@@ -256,7 +269,7 @@ func FuzzProfileConservation(f *testing.F) {
 					t.Fatal(err)
 				}
 				if i == int(bursts)/2 {
-					ch.PublishProfile()
+					publish(ch)
 				}
 				switch rng.Intn(3) {
 				case 0:
@@ -272,84 +285,41 @@ func FuzzProfileConservation(f *testing.F) {
 				ch.Postamble()
 			}
 			ch.Idle(2)
-			ch.PublishProfile()
+			publish(ch)
 			reconcile(t, ch, p)
 		}
 	})
 }
 
-// TestPublishProfileContract pins when a channel's attribution reaches
-// its profile: none of it before PublishProfile, all of it at the call,
-// nothing more on a second call, and transfers after a publish at the
-// next one. An expected-mode channel's tally has no per-symbol part.
-func TestPublishProfileContract(t *testing.T) {
+// TestDetachTallyContract pins when a channel's attribution reaches its
+// profile: none of it before the detached tally is published, all of it
+// at the publish, nothing from a second detach, and transfers after a
+// detach at the next one. A channel without a profile has no tally.
+func TestDetachTallyContract(t *testing.T) {
 	for _, exact := range []bool{false, true} {
 		p := obs.NewProfile()
 		ch := New(Config{ExactData: exact, MTALogicPerBit: -1, SparseLogicPerBit: -1, Profile: p})
 		rng := rand.New(rand.NewSource(5))
 		driveWorkload(t, ch, rng, 60)
-		if got := ch.tally.PerSymbol(); got != exact {
-			t.Fatalf("exact=%v: tally has a per-symbol part: %v", exact, got)
-		}
+		tally := ch.DetachTally()
 		if n := len(p.Snapshot().Cells); n != 0 {
 			t.Fatalf("exact=%v: %d cells reached the profile before any publish", exact, n)
 		}
-		ch.PublishProfile()
+		if again := ch.DetachTally(); again != nil {
+			t.Fatalf("exact=%v: a second detach returned a tally", exact)
+		}
+		tally.Publish(p)
 		reconcile(t, ch, p)
 		first := p.Snapshot()
-		ch.PublishProfile()
-		if again := p.Snapshot(); !sameCells(first, again) {
-			t.Fatalf("exact=%v: a second publish changed the profile", exact)
+		if len(first.Cells) == 0 {
+			t.Fatalf("exact=%v: the publish added no cells", exact)
 		}
 		driveWorkload(t, ch, rng, 60)
 		if later := p.Snapshot(); !sameCells(first, later) {
-			t.Fatalf("exact=%v: transfers after a publish reached the profile unpublished", exact)
+			t.Fatalf("exact=%v: transfers after a detach reached the profile unpublished", exact)
 		}
-		ch.PublishProfile()
+		publish(ch)
 		reconcile(t, ch, p)
-	}
-
-	// A channel that never publishes leaves its profile empty.
-	p := obs.NewProfile()
-	ch := New(Config{ExactData: true, Profile: p})
-	driveWorkload(t, ch, rand.New(rand.NewSource(6)), 20)
-	if n := len(p.Snapshot().Cells); n != 0 {
-		t.Fatalf("an unpublished channel put %d cells in its profile", n)
-	}
-}
-
-// DetachTally has PublishProfile's one-shot contract but adds nothing to
-// the configured profile: the detached tally, published into an empty
-// profile, equals what an identically driven channel publishes; a
-// second call returns nil; and the channel's next transfer starts a
-// fresh tally.
-func TestDetachTallyContract(t *testing.T) {
-	for _, exact := range []bool{false, true} {
-		pub, dst := obs.NewProfile(), obs.NewProfile()
-		cfg := Config{ExactData: exact, MTALogicPerBit: -1, SparseLogicPerBit: -1}
-		cfg.Profile = pub
-		publisher := New(cfg)
-		cfg.Profile = dst
-		detacher := New(cfg)
-		driveWorkload(t, publisher, rand.New(rand.NewSource(5)), 60)
-		driveWorkload(t, detacher, rand.New(rand.NewSource(5)), 60)
-		publisher.PublishProfile()
-		tally := detacher.DetachTally()
-		if n := len(dst.Snapshot().Cells); n != 0 {
-			t.Fatalf("exact=%v: detaching put %d cells in the configured profile", exact, n)
-		}
-		if again := detacher.DetachTally(); again != nil {
-			t.Fatalf("exact=%v: a second detach returned a tally", exact)
-		}
-		got := obs.NewProfile()
-		tally.Publish(got)
-		if len(got.Snapshot().Cells) == 0 || !sameCells(pub.Snapshot(), got.Snapshot()) {
-			t.Fatalf("exact=%v: the detached tally differs from the published profile", exact)
-		}
-		driveWorkload(t, detacher, rand.New(rand.NewSource(6)), 20)
-		if detacher.DetachTally() == nil {
-			t.Fatalf("exact=%v: transfers after a detach started no tally", exact)
-		}
 	}
 	if ch := New(Config{}); ch.DetachTally() != nil {
 		t.Fatal("a channel without a profile returned a tally")

@@ -232,16 +232,11 @@ func (c *Controller) Stats() Stats { return c.st }
 // BusStats returns the channel energy/occupancy statistics.
 func (c *Controller) BusStats() bus.Stats { return c.ch.Stats() }
 
-// PublishProfile adds the channel's energy attribution since the last
-// publish to Config.Bus.Profile (see bus.Channel.PublishProfile). The
-// profile holds none of this controller's energy until it is called.
-func (c *Controller) PublishProfile() { c.ch.PublishProfile() }
-
 // DetachTally detaches the channel's energy attribution since the last
-// publish and adds nothing to the profile (see bus.Channel.DetachTally);
-// the caller publishes it into Config.Bus.Profile, once, in an order of
-// its choosing.
-func (c *Controller) DetachTally() *obs.Tally { return c.ch.DetachTally() }
+// detach and adds nothing to the profile (see bus.Channel.DetachTally).
+// Config.Bus.Profile holds none of this controller's energy until the
+// caller publishes it there: c.DetachTally().Publish(profile).
+func (c *Controller) DetachTally() *obs.Profile { return c.ch.DetachTally() }
 
 // BusEvents returns the recorded bus event sequence (empty unless
 // Config.Bus.Record was set).

@@ -47,7 +47,7 @@ func TestProfileConservationAllPolicies(t *testing.T) {
 				}})
 			}
 			feed(t, c, arrivals)
-			c.PublishProfile()
+			c.DetachTally().Publish(prof)
 
 			want := c.BusStats().TotalEnergy()
 			got := prof.TotalEnergy()

@@ -227,7 +227,7 @@ func TestReplayProfileConservation(t *testing.T) {
 	cfg.Fault = in
 	c := newCtrl(t, cfg)
 	feed(t, c, seqReads(300, 0, 10))
-	c.PublishProfile()
+	c.DetachTally().Publish(prof)
 
 	st := c.BusStats()
 	if st.ReplayEnergy <= 0 {

@@ -199,13 +199,8 @@ type chromeEvent struct {
 	S    string         `json:"s,omitempty"` // instant scope
 }
 
-// laneNames maps trace lanes to human names in the viewer.
-var laneNames = map[int]string{
-	0: "command bus",
-	1: "data bus",
-	2: "codec seams",
-	3: "counters",
-}
+// laneNames names the trace lanes in the viewer, indexed by lane.
+var laneNames = [...]string{"command bus", "data bus", "codec seams", "counters"}
 
 // WriteChromeTrace renders the retained events as Chrome trace-event
 // JSON: one process per channel, four named threads (command bus, data

@@ -106,6 +106,28 @@ func TestWriteChromeTrace(t *testing.T) {
 	}
 }
 
+// Writing one tracer's trace again must give the same bytes: the
+// metadata naming each channel's lanes comes in lane order.
+func TestWriteChromeTraceStable(t *testing.T) {
+	tr := NewTracer(64)
+	for ch := int32(0); ch < 4; ch++ {
+		tr.Emit(TraceEvent{Cycle: int64(ch), Dur: 1, Type: EvRD, Bank: 1, Channel: ch})
+	}
+	var first bytes.Buffer
+	if err := tr.WriteChromeTrace(&first); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		var again bytes.Buffer
+		if err := tr.WriteChromeTrace(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), again.Bytes()) {
+			t.Fatalf("write %d differs from the first", i+1)
+		}
+	}
+}
+
 func TestEventTypeStrings(t *testing.T) {
 	seen := map[string]bool{}
 	for e := EvACT; e <= EvQueueDepth; e++ {

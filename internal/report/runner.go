@@ -235,16 +235,11 @@ func RunApp(p workload.Profile, spec RunSpec) (AppResult, error) {
 	if err != nil {
 		return AppResult{}, err
 	}
-	var tallies []*obs.Tally
-	if spec.Profile != nil {
-		tallies = make([]*obs.Tally, channels)
-	}
-	ar, err := runApp(nil, p, spec, 1, tallies)
+	pub := newFleetPublisher(spec.Profile, 1, channels)
+	ar, err := runApp(nil, p, spec, 1, pub.slots(0))
+	pub.finish(0, err == nil)
 	if err != nil {
 		return AppResult{}, err
-	}
-	for _, t := range tallies {
-		t.Publish(spec.Profile)
 	}
 	return ar, nil
 }
@@ -255,7 +250,7 @@ func RunApp(p workload.Profile, spec RunSpec) (AppResult, error) {
 // given size. When tallies is non-nil (one slot per channel), a
 // successful run leaves each channel's profile tally in its slot for
 // the caller to publish.
-func runApp(pl *shard.Planner, p workload.Profile, spec RunSpec, workers int, tallies []*obs.Tally) (AppResult, error) {
+func runApp(pl *shard.Planner, p workload.Profile, spec RunSpec, workers int, tallies []*obs.Profile) (AppResult, error) {
 	if spec.Accesses <= 0 {
 		return AppResult{}, fmt.Errorf("report: %s: run needs a positive access budget (generators are endless), got %d",
 			p.Name, spec.Accesses)
@@ -278,7 +273,7 @@ func runApp(pl *shard.Planner, p workload.Profile, spec RunSpec, workers int, ta
 // tally in tallies[0] when tallies is non-nil. perClock pins the
 // controller and driver to the one-clock-at-a-time tick loop, the
 // oracle TestEventSkipBitIdentical compares next-event skipping against.
-func runDriver(p workload.Profile, spec RunSpec, tallies []*obs.Tally, perClock bool) (AppResult, error) {
+func runDriver(p workload.Profile, spec RunSpec, tallies []*obs.Profile, perClock bool) (AppResult, error) {
 	gen, err := workload.OpenGenerator(p, spec.Seed)
 	if err != nil {
 		return AppResult{}, err
@@ -302,6 +297,9 @@ func runDriver(p workload.Profile, spec RunSpec, tallies []*obs.Tally, perClock 
 	res, err := drv.Run()
 	if err != nil {
 		return AppResult{}, fmt.Errorf("report: %s under %s: %w", p.Name, ctrl.Describe(), err)
+	}
+	if err := streamErr(p, gen); err != nil {
+		return AppResult{}, err
 	}
 
 	ar := AppResult{
@@ -335,6 +333,21 @@ func runDriver(p workload.Profile, spec RunSpec, tallies []*obs.Tally, perClock 
 		tallies[0] = ctrl.DetachTally()
 	}
 	return ar, nil
+}
+
+// streamErr returns the error that ended gen's access stream early, if
+// gen can fail mid-stream (a trace-store replay stops at a bad block and
+// keeps the error in Err): a run over a truncated stream must fail, not
+// report on the accesses before the fault.
+func streamErr(p workload.Profile, gen gpu.Generator) error {
+	g, ok := gen.(interface{ Err() error })
+	if !ok {
+		return nil
+	}
+	if err := g.Err(); err != nil {
+		return fmt.Errorf("report: %s: access stream ended on an error: %w", p.Name, err)
+	}
+	return nil
 }
 
 // PolicySpecs returns the standard evaluation matrix: the two baselines
@@ -473,21 +486,21 @@ type fleetPublisher struct {
 	channels int
 	mu       sync.Mutex
 	state    []uint8
-	tallies  []*obs.Tally // per (app, channel); a finished app's wait here for its predecessors
-	next     int          // first app not yet published
+	tallies  []*obs.Profile // per (app, channel); a finished app's wait here for its predecessors
+	next     int            // first app not yet published
 }
 
 func newFleetPublisher(prof *obs.Profile, apps, channels int) *fleetPublisher {
 	fp := &fleetPublisher{prof: prof, channels: channels, state: make([]uint8, apps)}
 	if prof != nil {
-		fp.tallies = make([]*obs.Tally, apps*channels)
+		fp.tallies = make([]*obs.Profile, apps*channels)
 	}
 	return fp
 }
 
 // slots returns app i's tally slots, one per channel (nil when the fleet
 // is not profiled). Only the run of app i writes them, before finish.
-func (fp *fleetPublisher) slots(i int) []*obs.Tally {
+func (fp *fleetPublisher) slots(i int) []*obs.Profile {
 	if fp.tallies == nil {
 		return nil
 	}

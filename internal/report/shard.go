@@ -33,13 +33,16 @@ import (
 // tallies is non-nil) as soon as it finishes, on its worker. On any
 // error — construction, invariant violation, label disagreement — the
 // zero AppResult is returned.
-func runSharded(pl *shard.Planner, p workload.Profile, spec RunSpec, channels, workers int, tallies []*obs.Tally) (AppResult, error) {
+func runSharded(pl *shard.Planner, p workload.Profile, spec RunSpec, channels, workers int, tallies []*obs.Profile) (AppResult, error) {
 	gen, err := workload.OpenGenerator(p, spec.Seed)
 	if err != nil {
 		return AppResult{}, err
 	}
 	plan, err := pl.Build(gen, channels, spec.Accesses, spec.llcConfig())
 	if err != nil {
+		return AppResult{}, err
+	}
+	if err := streamErr(p, gen); err != nil {
 		return AppResult{}, err
 	}
 	units := make([]*shard.Unit, channels)

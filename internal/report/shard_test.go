@@ -411,8 +411,8 @@ func requireSameCells(t *testing.T, tag string, want, got []obs.ProfileCell) {
 // (app, channel) order, whatever order the apps finish in. At every
 // worker count the cells must equal, bit for bit, a reference that runs
 // the apps one at a time through RunApp into one profile. That
-// reference must in turn equal merging, in (app, channel) order, one
-// dense profile per shard built from that shard's tally alone.
+// reference must in turn equal publishing each shard's tally by hand,
+// in (app, channel) order.
 func TestFleetMultiChannelProfileCells(t *testing.T) {
 	fleet := workload.Fleet()[:4]
 	faulty := PolicySpecs(500, 23, false)[3]
@@ -428,7 +428,7 @@ func TestFleetMultiChannelProfileCells(t *testing.T) {
 		{"exact-faults", faulty},
 	}
 	for _, c := range cases {
-		ref, dense := obs.NewProfile(), obs.NewProfile()
+		ref, byHand := obs.NewProfile(), obs.NewProfile()
 		for i, p := range fleet {
 			s := c.spec
 			s.Seed = DecorrelateSeed(c.spec.Seed, i)
@@ -436,22 +436,20 @@ func TestFleetMultiChannelProfileCells(t *testing.T) {
 			if _, err := RunApp(p, s); err != nil {
 				t.Fatalf("%s: reference app %d: %v", c.name, i, err)
 			}
-			tallies := make([]*obs.Tally, s.Channels)
+			tallies := make([]*obs.Profile, s.Channels)
 			s.Profile = obs.NewProfile() // makes the shards tally; never published into
 			if _, err := runSharded(new(shard.Planner), p, s, s.Channels, 1, tallies); err != nil {
-				t.Fatalf("%s: dense reference app %d: %v", c.name, i, err)
+				t.Fatalf("%s: by-hand reference app %d: %v", c.name, i, err)
 			}
 			for _, tl := range tallies {
-				sp := obs.NewProfile()
-				tl.Publish(sp)
-				dense.Merge(sp)
+				tl.Publish(byHand)
 			}
 		}
 		want := ref.Snapshot().Cells
 		if len(want) == 0 {
 			t.Fatalf("%s: the reference profile is empty — the test is vacuous", c.name)
 		}
-		requireSameCells(t, c.name+" reference vs dense merge", dense.Snapshot().Cells, want)
+		requireSameCells(t, c.name+" reference vs by-hand publishes", byHand.Snapshot().Cells, want)
 		for _, workers := range []int{1, 2, 8} {
 			tag := fmt.Sprintf("%s workers %d", c.name, workers)
 			prof := obs.NewProfile()
@@ -475,9 +473,9 @@ func TestFleetMultiChannelProfileCells(t *testing.T) {
 	}
 }
 
-// Profiling a sharded run must cost only the tally cells each shard
-// hands over, not a dense profile per shard (about 0.59 MB each): eight
-// expected-mode tallies are about 8 KB. The profile itself is built
+// Profiling a sharded run must cost only the tallies each shard hands
+// over, and those come from a pool: eight expected-mode tallies are
+// about 7 KB, one exact-mode tally 282 KB. The profile itself is built
 // before the measurement, and a warm-up run fills the pools.
 func TestShardedProfileAllocatesOnlyCells(t *testing.T) {
 	p, _ := workload.ByName("bfs")

@@ -9,9 +9,11 @@ package report
 // first-class fleet members.
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"smores/internal/gpu"
@@ -264,6 +266,56 @@ func TestRecordAppStoreMatchesSMTRFixture(t *testing.T) {
 			if got[i].Access != want[i].Access {
 				t.Fatalf("shards=%d: record %d = %+v, fixture %+v", shards, i, got[i].Access, want[i].Access)
 			}
+		}
+	}
+}
+
+// A replay that stops at a bad block fails its run, at one channel and
+// at several, rather than reporting on the records before the fault; in
+// a fleet the other apps' results are kept and the store app's error
+// is returned.
+func TestStoreReplayCorruptBlockFails(t *testing.T) {
+	const accesses, seed = 10000, 3
+	p, _ := workload.ByName("bfs")
+	rec := p
+	rec.Name = "bfs-corrupt"
+	dir := filepath.Join(t.TempDir(), rec.Name)
+	if _, err := RecordAppStore(rec, dir, RecordOptions{Accesses: accesses, Seed: seed, Shards: 1}); err != nil {
+		t.Fatal(err)
+	}
+	// Flip one byte three quarters of the way into the sector column:
+	// the blocks before it replay, the block holding it fails its
+	// checksum.
+	col := filepath.Join(dir, "shard-000000.sector")
+	raw, err := os.ReadFile(col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)*3/4] ^= 0xff
+	if err := os.WriteFile(col, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sp, err := tracestore.RegisterFleetMember(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { workload.UnregisterExternal(sp.Name) })
+
+	for _, channels := range []int{1, 4} {
+		spec := PolicySpecs(accesses, seed, false)[2]
+		spec.Channels = channels
+		if _, err := RunApp(sp, spec); !errors.Is(err, tracestore.ErrCorrupt) || !strings.Contains(err.Error(), sp.Name) {
+			t.Errorf("%d channels: RunApp over a corrupt store returned %v, want a tracestore.ErrCorrupt naming %s",
+				channels, err, sp.Name)
+		}
+
+		fleet := []workload.Profile{workload.Fleet()[0], sp, workload.Fleet()[2]}
+		fr, err := RunFleetApps(fleet, spec, FleetOptions{Workers: 2})
+		if !errors.Is(err, tracestore.ErrCorrupt) || !strings.Contains(err.Error(), "fleet app 1") {
+			t.Errorf("%d channels: fleet error %v, want app 1's tracestore.ErrCorrupt", channels, err)
+		}
+		if len(fr.Results) != 2 || fr.Results[0].App.Name != fleet[0].Name || fr.Results[1].App.Name != fleet[2].Name {
+			t.Errorf("%d channels: fleet kept %d results, want apps 0 and 2", channels, len(fr.Results))
 		}
 	}
 }
