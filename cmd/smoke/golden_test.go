@@ -1,8 +1,11 @@
 package smoke
 
-// Golden outputs: smores-eval's printed tables and -json export for a
-// fixed seed, committed under testdata/. Any change that moves a
-// printed number shows up here as a text diff. Rewrite the files with
+// Golden outputs: the paper artifacts' printed tables and -json exports
+// for a fixed seed, committed under testdata/: smores-eval's tables at
+// one and four channels, smores-codebook's figures and tables, a small
+// smores-fault campaign, and smores-sim's eye analysis. Any change that
+// moves a printed number shows up here as a text diff. Rewrite the
+// files with
 //
 //	go test ./cmd/smoke -run TestEvalGolden -update
 //
@@ -25,28 +28,40 @@ func TestEvalGolden(t *testing.T) {
 		t.Skip("builds binaries and runs full fleets")
 	}
 	dir := buildMains(t)
-	eval := bin(dir, "smores-eval")
 	cases := []struct {
 		name string
+		main string
 		args []string
+		json bool // pin the -json export too
 	}{
-		{"eval-all-20000", []string{"-all", "-accesses", "20000", "-seed", "1", "-j", "2"}},
-		{"eval-channels4-all-4000", []string{"-channels", "4", "-all", "-accesses", "4000", "-seed", "1"}},
+		{"eval-all-20000", "smores-eval", []string{"-all", "-accesses", "20000", "-seed", "1", "-j", "2"}, true},
+		{"eval-channels4-all-4000", "smores-eval", []string{"-channels", "4", "-all", "-accesses", "4000", "-seed", "1"}, true},
+		{"codebook-all", "smores-codebook", []string{"-all"}, false},
+		{"fault-3apps", "smores-fault", []string{"-apps", "3", "-models", "uniform,bursty,eye",
+			"-accesses", "1000", "-rates", "1e-3", "-seed", "1"}, true},
+		{"sim-eye", "smores-sim", []string{"-eye"}, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			jsonPath := filepath.Join(t.TempDir(), "eval.json")
+			args := c.args
+			jsonPath := filepath.Join(t.TempDir(), "export.json")
+			if c.json {
+				args = append(args, "-json", jsonPath)
+			}
 			var stdout, stderr bytes.Buffer
-			cmd := exec.Command(eval, append(c.args, "-json", jsonPath)...)
+			cmd := exec.Command(bin(dir, c.main), args...)
 			cmd.Stdout, cmd.Stderr = &stdout, &stderr
 			if err := cmd.Run(); err != nil {
-				t.Fatalf("smores-eval %v: %v\n%s", c.args, err, stderr.String())
+				t.Fatalf("%s %v: %v\n%s", c.main, args, err, stderr.String())
+			}
+			checkGolden(t, filepath.Join("testdata", c.name+".txt"), stdout.Bytes())
+			if !c.json {
+				return
 			}
 			exported, err := os.ReadFile(jsonPath)
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkGolden(t, filepath.Join("testdata", c.name+".txt"), stdout.Bytes())
 			checkGolden(t, filepath.Join("testdata", c.name+".json"), exported)
 		})
 	}

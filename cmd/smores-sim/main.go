@@ -39,7 +39,7 @@ func main() {
 		channels  = flag.Int("channels", 1, "number of interleaved GDDR6X channels")
 		shardJ    = flag.Int("j", 0, "with -channels >1: concurrent channel simulations (0 = GOMAXPROCS, 1 = sequential)")
 		traceOut  = flag.String("trace", "", "write a Chrome trace-event JSON (load in Perfetto) to this file")
-		traceCap  = flag.Int("trace-depth", obs.DefaultTraceCapacity, "ring-buffer capacity of the tracer (most recent events kept)")
+		traceCap  = flag.Int("trace-depth", obs.DefaultTraceCapacity, "ring-buffer capacity of the tracer (most recent events kept); each channel keeps its own ring while it runs, so tracing can hold up to channels × capacity events")
 		foldedOut = flag.String("folded", "", "write the energy-attribution profile as folded stacks (flamegraph.pl input) to this file")
 		cpuProf   = cpuprof.Flag()
 	)

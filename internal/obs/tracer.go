@@ -100,10 +100,10 @@ type TraceEvent struct {
 // first — so instrumented code pays one predictable branch when tracing
 // is off.
 type Tracer struct {
-	mu    sync.Mutex
-	buf   []TraceEvent
-	next  uint64 // total events ever emitted
-	drops uint64 // events overwritten by wraparound
+	mu   sync.Mutex
+	buf  []TraceEvent
+	head int    // slot of the oldest retained event once buf is full
+	next uint64 // total events ever emitted
 }
 
 // DefaultTraceCapacity bounds the ring buffer when 0 is requested.
@@ -121,20 +121,62 @@ func NewTracer(capacity int) *Tracer {
 // Enabled reports whether events will be recorded.
 func (t *Tracer) Enabled() bool { return t != nil }
 
+// Capacity returns how many events the ring retains.
+func (t *Tracer) Capacity() int {
+	if t == nil {
+		return 0
+	}
+	return cap(t.buf)
+}
+
 // Emit records one event.
 func (t *Tracer) Emit(e TraceEvent) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
+	t.emit(e)
+	t.mu.Unlock()
+}
+
+// emit records one event; t.mu is held.
+func (t *Tracer) emit(e TraceEvent) {
 	if len(t.buf) < cap(t.buf) {
 		t.buf = append(t.buf, e)
 	} else {
-		t.buf[t.next%uint64(cap(t.buf))] = e
-		t.drops++
+		t.buf[t.head] = e
+		if t.head++; t.head == len(t.buf) {
+			t.head = 0
+		}
 	}
 	t.next++
-	t.mu.Unlock()
+}
+
+// Append adds src's events to t as though they had been emitted into t
+// after t's own, in src's order, and counts them in Emitted and
+// Dropped. When src's capacity is at least t's, t then retains exactly
+// what those emissions would have left; when a smaller src has dropped
+// events, t keeps only src's retained ones. A runner can give each
+// worker a private tracer of t's capacity and append them in a fixed
+// order, so the trace does not depend on the workers' timing. src must
+// no longer be emitted into; appending t to itself does nothing.
+func (t *Tracer) Append(src *Tracer) {
+	if t == nil || src == nil || t == src {
+		return
+	}
+	events := src.Events()
+	emitted := src.Emitted()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if lost := emitted - uint64(len(events)); lost > 0 {
+		// src's ring wrapped: every event t retains is older than the
+		// ones src dropped.
+		t.buf, t.head = t.buf[:0], 0
+		t.next += lost
+	}
+	for _, e := range events {
+		t.emit(e)
+	}
 }
 
 // Len returns the number of retained events.
@@ -158,14 +200,14 @@ func (t *Tracer) Emitted() uint64 {
 	return t.next
 }
 
-// Dropped returns how many events wraparound overwrote.
+// Dropped returns how many emitted events the ring no longer retains.
 func (t *Tracer) Dropped() uint64 {
 	if t == nil {
 		return 0
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.drops
+	return t.next - uint64(len(t.buf))
 }
 
 // Events returns the retained events in emission order (oldest first).
@@ -176,13 +218,8 @@ func (t *Tracer) Events() []TraceEvent {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := make([]TraceEvent, 0, len(t.buf))
-	if len(t.buf) < cap(t.buf) {
-		return append(out, t.buf...)
-	}
-	start := t.next % uint64(cap(t.buf))
-	out = append(out, t.buf[start:]...)
-	out = append(out, t.buf[:start]...)
-	return out
+	out = append(out, t.buf[t.head:]...)
+	return append(out, t.buf[:t.head]...)
 }
 
 // chromeEvent is one Chrome trace-event JSON object (the "JSON Array

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"testing"
 )
 
@@ -29,6 +30,65 @@ func TestTracerRingWraparound(t *testing.T) {
 		if want := int64(12 + i); e.Cycle != want {
 			t.Fatalf("event %d cycle = %d, want %d (ring must rotate chronologically)", i, e.Cycle, want)
 		}
+	}
+}
+
+// Appending private tracers leaves a tracer as emitting their events
+// into it directly would: the same retained events in the same order,
+// the same Emitted and Dropped, and the same ring for later emits.
+func TestTracerAppendMatchesEmit(t *testing.T) {
+	for _, c := range []struct {
+		name                  string
+		first, parts, perPart int
+	}{
+		{"no-ring-wraps", 2, 2, 2},
+		{"target-wraps", 3, 4, 5},
+		{"parts-wrap", 5, 3, 20},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			want, got := NewTracer(8), NewTracer(8)
+			var cycle int64
+			emit := func(trs ...*Tracer) {
+				for _, tr := range trs {
+					tr.Emit(TraceEvent{Cycle: cycle, Type: EvRD})
+				}
+				cycle++
+			}
+			for i := 0; i < c.first; i++ {
+				emit(want, got)
+			}
+			for p := 0; p < c.parts; p++ {
+				part := NewTracer(got.Capacity())
+				for i := 0; i < c.perPart; i++ {
+					emit(want, part)
+				}
+				got.Append(part)
+			}
+			for i := 0; i < 3; i++ {
+				emit(want, got)
+			}
+			if got.Emitted() != want.Emitted() || got.Dropped() != want.Dropped() {
+				t.Fatalf("emitted/dropped %d/%d, want %d/%d", got.Emitted(), got.Dropped(), want.Emitted(), want.Dropped())
+			}
+			if g, w := got.Events(), want.Events(); !slices.Equal(g, w) {
+				t.Fatalf("retained %v, want %v", g, w)
+			}
+		})
+	}
+
+	// A smaller ring that wrapped lost events the target would have
+	// kept: the target keeps only its retained ones, counting the rest
+	// as dropped.
+	got, part := NewTracer(8), NewTracer(4)
+	got.Emit(TraceEvent{Cycle: -1})
+	for i := int64(0); i < 6; i++ {
+		part.Emit(TraceEvent{Cycle: i})
+	}
+	got.Append(part)
+	got.Append(got)
+	if got.Emitted() != 7 || got.Dropped() != 3 || !slices.Equal(got.Events(), part.Events()) {
+		t.Fatalf("after a wrapped smaller ring: emitted %d, dropped %d, events %v; want 7, 3, %v",
+			got.Emitted(), got.Dropped(), got.Events(), part.Events())
 	}
 }
 

@@ -63,7 +63,11 @@ type RunSpec struct {
 	Replay memctrl.ReplayConfig
 
 	// Tracer records cycle-level events for Chrome-trace export (nil
-	// disables tracing); each channel is its own track.
+	// disables tracing); each channel is its own track. On several
+	// channels each channel traces into a private ring of Tracer's
+	// capacity, appended to Tracer in channel order when the run ends,
+	// so the trace is the same at every worker count. Several apps of a
+	// fleet sharing one Tracer interleave in the order they run.
 	Tracer *obs.Tracer
 	// Profile attributes every femtojoule of bus energy into the energy
 	// profiler (phase × codec × wire × level × transition class). Each

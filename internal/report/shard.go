@@ -47,8 +47,21 @@ func runSharded(pl *shard.Planner, p workload.Profile, spec RunSpec, channels, w
 	}
 	units := make([]*shard.Unit, channels)
 	injectors := make([]*fault.Injector, channels)
+	// Each channel traces into a private ring of the shared tracer's
+	// capacity, appended to the shared one in channel order once every
+	// shard has run, so the trace does not depend on which shard
+	// finishes first.
+	var tracers []*obs.Tracer
+	if spec.Tracer != nil {
+		tracers = make([]*obs.Tracer, channels)
+	}
 	for ch := range units {
-		ctrl, in, err := spec.newController(ch)
+		chSpec := spec
+		if tracers != nil {
+			tracers[ch] = obs.NewTracer(spec.Tracer.Capacity())
+			chSpec.Tracer = tracers[ch]
+		}
+		ctrl, in, err := chSpec.newController(ch)
 		if err != nil {
 			return AppResult{}, err
 		}
@@ -64,6 +77,9 @@ func runSharded(pl *shard.Planner, p workload.Profile, spec RunSpec, channels, w
 			tallies[u.Channel] = u.Ctrl.DetachTally()
 		}
 	})
+	for _, tr := range tracers {
+		spec.Tracer.Append(tr)
+	}
 	if err != nil {
 		return AppResult{}, err
 	}

@@ -130,6 +130,54 @@ func TestShardedDeterministicWithFaults(t *testing.T) {
 	requireIdentical(t, "faulted", seq, par)
 }
 
+// A multi-channel Chrome trace is the same at every worker count, when
+// the ring holds every event and when it wraps: the channels trace
+// privately and the runner appends them in channel order, so neither
+// the interleaving nor the events a wrapping ring keeps depend on
+// which shard finishes first.
+func TestShardedChromeTraceWorkerInvariant(t *testing.T) {
+	p, _ := workload.ByName("bfs")
+	spec := PolicySpecs(3000, 1, false)[2]
+	chrome := func(capacity, workers int) ([]byte, uint64) {
+		s := spec
+		s.Tracer = obs.NewTracer(capacity)
+		if _, err := runChannels(p, s, 4, workers); err != nil {
+			t.Fatal(err)
+		}
+		var b bytes.Buffer
+		if err := s.Tracer.WriteChromeTrace(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes(), s.Tracer.Dropped()
+	}
+	for _, c := range []struct {
+		capacity int
+		wraps    bool
+	}{{1 << 15, false}, {4000, true}} {
+		seq, dropped := chrome(c.capacity, 1)
+		if (dropped > 0) != c.wraps {
+			t.Fatalf("capacity %d dropped %d events; the case wants wraps=%v", c.capacity, dropped, c.wraps)
+		}
+		par, _ := chrome(c.capacity, 3)
+		if !bytes.Equal(seq, par) {
+			t.Errorf("capacity %d: the trace at 3 workers differs from 1 worker's at byte %d",
+				c.capacity, firstByteDiff(seq, par))
+		}
+	}
+}
+
+// firstByteDiff returns the offset of the first byte where a and b
+// differ, or the shorter length when one is a prefix of the other.
+func firstByteDiff(a, b []byte) int {
+	n := min(len(a), len(b))
+	for i := 0; i < n; i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return n
+}
+
 // The sharded engine must uphold the multichannel physics contracts:
 // striping balance, bit conservation, SMOREs savings, throughput
 // scaling with channel count.

@@ -9,8 +9,10 @@ package report
 // first-class fleet members.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -156,15 +158,22 @@ func TestStoreReplayShardedByteIdentical(t *testing.T) {
 
 // TestRecordFleetStores checks the fleet recorder: per-app seeds must
 // match the fleet runner's derivation, so each store replays its app's
-// fleet traffic verbatim.
+// fleet traffic verbatim, and the stores' files are the same bytes at
+// every worker count, whichever goroutines' pooled compressors wrote
+// them.
 func TestRecordFleetStores(t *testing.T) {
 	const accesses, seed = 800, 3
 	fleet := workload.Fleet()[:3]
+	seqBase := t.TempDir()
+	if _, err := RecordFleetStores(fleet, seqBase, RecordOptions{Accesses: accesses, Seed: seed, Shards: 3, Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
 	base := t.TempDir()
-	manifests, err := RecordFleetStores(fleet, base, RecordOptions{Accesses: accesses, Seed: seed, Workers: 2})
+	manifests, err := RecordFleetStores(fleet, base, RecordOptions{Accesses: accesses, Seed: seed, Shards: 3, Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireSameTree(t, seqBase, base)
 	if len(manifests) != len(fleet) {
 		t.Fatalf("got %d manifests for %d apps", len(manifests), len(fleet))
 	}
@@ -202,6 +211,39 @@ func TestRecordFleetStores(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertSameRun(t, p.Name, live, replay)
+	}
+}
+
+// requireSameTree fails unless the directory trees under a and b hold
+// the same file names with the same bytes.
+func requireSameTree(t *testing.T, a, b string) {
+	t.Helper()
+	files := func(root string) map[string][]byte {
+		out := map[string][]byte{}
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
+			rel, err := filepath.Rel(root, path)
+			if err != nil {
+				return err
+			}
+			out[rel], err = os.ReadFile(path)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	fa, fb := files(a), files(b)
+	if len(fa) == 0 || len(fa) != len(fb) {
+		t.Fatalf("trees hold %d and %d files", len(fa), len(fb))
+	}
+	for name, data := range fa {
+		if other, ok := fb[name]; !ok || !bytes.Equal(data, other) {
+			t.Errorf("%s differs between the trees (present in both: %v)", name, ok)
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package tracestore
 
 import (
+	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -663,5 +665,99 @@ func TestScanReusesBlockBuffers(t *testing.T) {
 	t.Logf("the scan allocated %d bytes; one block decodes to %d", got, decoded)
 	if got >= 3*decoded {
 		t.Fatalf("a %d-block scan allocated %d bytes, want under three blocks' columns (%d)", blocks, got, 3*decoded)
+	}
+}
+
+// Every column block a pooled compressor wrote holds the bytes a fresh
+// flate.NewWriter at DefaultCompression writes for the same raw column,
+// over access-only and payload stores of many blocks, written by one
+// shard and by three, so pooled compressors cross goroutines.
+// Recompressing in the test, rather than pinning a digest of the
+// compressed bytes, keeps the test independent of the Go release.
+func TestPooledDeflateMatchesFresh(t *testing.T) {
+	for _, payload := range []bool{false, true} {
+		for _, shards := range []int{1, 3} {
+			recs := genRecords(41, 3000, payload)
+			s, dir := mustWrite(t, recs, Meta{Name: "pooled", Payload: payload, BlockRecords: 100}, shards)
+			checked := 0
+			for _, si := range s.shards {
+				for f := FieldThink; f < numFields; f++ {
+					if !si.fields().Has(f) {
+						continue
+					}
+					data, err := os.ReadFile(filepath.Join(dir, si.Name+"."+f.String()))
+					if err != nil {
+						t.Fatal(err)
+					}
+					for b, blk := range si.Blocks {
+						loc := blk.Cols[f]
+						stored := data[loc.Offset : loc.Offset+int64(loc.CompLen)]
+						raw, err := io.ReadAll(flate.NewReader(bytes.NewReader(stored)))
+						if err != nil || len(raw) != int(loc.RawLen) {
+							t.Fatalf("%s block %d %s: inflated %d bytes (%v), want %d", si.Name, b, f, len(raw), err, loc.RawLen)
+						}
+						var fresh bytes.Buffer
+						zw, err := flate.NewWriter(&fresh, flate.DefaultCompression)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if _, err := zw.Write(raw); err != nil {
+							t.Fatal(err)
+						}
+						if err := zw.Close(); err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(stored, fresh.Bytes()) {
+							t.Fatalf("payload=%v shards=%d: %s block %d %s column differs from a fresh compressor's bytes",
+								payload, shards, si.Name, b, f)
+						}
+						checked++
+					}
+				}
+			}
+			cols := 3
+			if payload {
+				cols = 4
+			}
+			if want := len(recs) / 100 * cols; checked != want {
+				t.Fatalf("payload=%v shards=%d: checked %d column blocks, want %d", payload, shards, checked, want)
+			}
+		}
+	}
+}
+
+// The writer's twin of TestScanReusesBlockBuffers: column blocks share
+// pooled compressors, so writing a 16-block shard allocates less than
+// two compressors' worth instead of one compressor per column block.
+func TestWriteReusesCompressors(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops compressors at random under the race detector")
+	}
+	const block, blocks = 1024, 16
+	recs := genRecords(43, block*blocks, false)
+	dir := t.TempDir()
+	write := func(name string) {
+		if _, err := WriteRecords(filepath.Join(dir, name), Meta{Name: "reuse", BlockRecords: block}, recs, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := flate.NewWriter(io.Discard, flate.DefaultCompression); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	compressor := after.TotalAlloc - before.TotalAlloc
+	write("warm")
+	runtime.ReadMemStats(&before)
+	write("measured")
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("writing %d blocks allocated %d bytes; one compressor is %d", blocks, got, compressor)
+	if got >= 2*compressor {
+		t.Fatalf("writing a %d-block shard allocated %d bytes, want under two compressors' worth (%d)",
+			blocks, got, 2*compressor)
 	}
 }

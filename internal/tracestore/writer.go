@@ -358,12 +358,26 @@ func (sw *ShardWriter) flushBlock() error {
 	return nil
 }
 
-// deflate compresses raw with stdlib flate at the default level.
+// deflaters pools flate compressors at DefaultCompression across shard
+// writers, so a column block costs its output buffer and not a fresh
+// compressor's ~800 KB of hash chains and window, and no idle shard
+// writer holds one. Reset makes a pooled compressor equivalent to a
+// fresh NewWriter at the same level, so the stored bytes do not depend
+// on which compressor, or which goroutine, wrote a block.
+var deflaters sync.Pool
+
+// deflate compresses raw with stdlib flate at the default level. A
+// compressor whose Write or Close failed is dropped, not pooled.
 func deflate(raw []byte) ([]byte, error) {
 	var buf bytes.Buffer
-	zw, err := flate.NewWriter(&buf, flate.DefaultCompression)
-	if err != nil {
-		return nil, err
+	zw, ok := deflaters.Get().(*flate.Writer)
+	if ok {
+		zw.Reset(&buf)
+	} else {
+		var err error
+		if zw, err = flate.NewWriter(&buf, flate.DefaultCompression); err != nil {
+			return nil, err
+		}
 	}
 	if _, err := zw.Write(raw); err != nil {
 		return nil, err
@@ -371,6 +385,7 @@ func deflate(raw []byte) ([]byte, error) {
 	if err := zw.Close(); err != nil {
 		return nil, err
 	}
+	deflaters.Put(zw)
 	return buf.Bytes(), nil
 }
 
