@@ -44,7 +44,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSchedulerMatchesLinearScan -fuzztime 10s ./internal/memctrl/
 
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x .
+	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem .
 
 # bench-selftest vets and tests the benchmark module. bench/ is a module
 # of its own, so `make test` never reaches it; its self-tests replay

@@ -199,10 +199,12 @@ type Channel struct {
 	// verdict latches the hook's judgement of the most recent burst.
 	fault   BurstHook
 	verdict BurstVerdict
-	// expCache memoizes per-codec expected burst energies: expected mode
-	// otherwise recomputes the DBI multinomial on every burst, and the
-	// values are per-codec constants for a fixed family and model.
-	expCache [core.MaxSparseSymbols + 1]*expSparseEnergy
+	// expCache memoizes per-codec expected burst energies, indexed by
+	// code length and valid where expSet has the length's bit: expected
+	// mode otherwise recomputes the DBI multinomial on every burst, and
+	// the values are per-codec constants for a fixed family and model.
+	expCache [core.MaxSparseSymbols + 1]expSparseEnergy
+	expSet   uint16
 	// levelE caches the model's per-level symbol energies: exact mode
 	// integrates energy symbol by symbol and a direct array load beats a
 	// method call with a validity check in the innermost loop.
@@ -222,6 +224,15 @@ type expSparseEnergy struct {
 
 // New builds a channel, filling defaults for nil config fields.
 func New(cfg Config) *Channel {
+	ch := new(Channel)
+	ch.Reset(cfg)
+	return ch
+}
+
+// Reset rebuilds ch for cfg exactly as New(cfg) would. It keeps only
+// storage: the exact-mode column buffers. A tally not yet detached is
+// discarded.
+func (ch *Channel) Reset(cfg Config) {
 	if cfg.Model == nil {
 		cfg.Model = pam4.DefaultEnergyModel()
 	}
@@ -241,7 +252,12 @@ func New(cfg Config) *Channel {
 	if cfg.SparseLogicPerBit < 0 {
 		cfg.SparseLogicPerBit = DefaultSparseLogicPerBit
 	}
-	ch := &Channel{
+	ch.tally.Publish(nil)
+	txCols := ch.txCols
+	for g := range txCols {
+		txCols[g] = txCols[g][:0]
+	}
+	*ch = Channel{
 		model:       cfg.Model,
 		mtaCodec:    cfg.MTACodec,
 		family:      cfg.Family,
@@ -253,11 +269,11 @@ func New(cfg Config) *Channel {
 		prof:        cfg.Profile,
 		fault:       cfg.Fault,
 		levelE:      cfg.Model.LevelEnergies(),
+		txCols:      txCols,
 	}
 	for g := range ch.states {
 		ch.states[g] = mta.IdleGroupState()
 	}
-	return ch
 }
 
 // Stats returns a snapshot of accumulated statistics.
@@ -450,10 +466,8 @@ var expShared sync.Map // *core.SparseGroupCodec → expSparseEnergy
 // array is the contention-free fast path; the process-wide map shares
 // the one-time computation across the fleet.
 func (ch *Channel) expectedSparse(sc *core.SparseGroupCodec, codeLength int) expSparseEnergy {
-	if codeLength >= 0 && codeLength < len(ch.expCache) {
-		if c := ch.expCache[codeLength]; c != nil {
-			return *c
-		}
+	if codeLength >= 0 && codeLength < len(ch.expCache) && ch.expSet&(1<<codeLength) != 0 {
+		return ch.expCache[codeLength]
 	}
 	var e expSparseEnergy
 	if v, ok := expShared.Load(sc); ok {
@@ -466,7 +480,8 @@ func (ch *Channel) expectedSparse(sc *core.SparseGroupCodec, codeLength int) exp
 		expShared.Store(sc, e)
 	}
 	if codeLength >= 0 && codeLength < len(ch.expCache) {
-		ch.expCache[codeLength] = &e
+		ch.expCache[codeLength] = e
+		ch.expSet |= 1 << codeLength
 	}
 	return e
 }

@@ -3,6 +3,7 @@ package bus
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"smores/internal/core"
@@ -353,5 +354,94 @@ func TestSharedDefaultsAreStable(t *testing.T) {
 	}
 	if c := New(Config{Model: m}); c.MTACodec() == a.MTACodec() {
 		t.Error("custom-model channel reused the default-model codec")
+	}
+}
+
+// sendMix drives a channel through a random sequence of dense and sparse
+// bursts, replays, postambles and idles. The same seed on two equal
+// channels sends the same sequence.
+func sendMix(t *testing.T, ch *Channel, seed int64) {
+	t.Helper()
+	r := rand.New(rand.NewSource(seed))
+	lengths := ch.Family().Lengths()
+	for i := 0; i < 300; i++ {
+		data := randomSector(r)
+		cl := 0
+		if r.Intn(2) == 0 {
+			cl = lengths[r.Intn(len(lengths))]
+		}
+		if err := ch.SendBurst(data, cl); err != nil {
+			t.Fatal(err)
+		}
+		if ch.exact && r.Intn(10) == 0 {
+			if err := ch.ReplayBurst(data, cl); err != nil {
+				t.Fatal(err)
+			}
+		}
+		switch r.Intn(4) {
+		case 0:
+			if ch.NeedsPostamble() {
+				ch.Postamble()
+			}
+			ch.Idle(int64(1 + r.Intn(12)))
+		case 1:
+			ch.Idle(UIsPerClock)
+		}
+	}
+}
+
+// A Reset channel accounts a burst sequence exactly as a new channel for
+// its configuration does: statistics, attributed energy, recorded events
+// and the hook's verdicts. Consecutive configurations switch the sparse
+// family or the energy model, so an expected-energy memo kept across
+// families would show in the wire energy.
+func TestResetMatchesNewChannel(t *testing.T) {
+	m900, err := pam4.NewEnergyModel(pam4.DefaultDriver(), 900)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noDBI, err := core.NewFamily(pam4.DefaultEnergyModel(), core.FamilyConfig{Levels: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fam900, err := core.NewFamily(m900, core.DefaultFamilyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs := []func() Config{
+		func() Config { return Config{Profile: obs.NewProfile()} },
+		func() Config { return Config{Family: noDBI, Profile: obs.NewProfile(), LevelShiftedIdle: true} },
+		func() Config {
+			return Config{Model: m900, Family: fam900, ExactData: true, Profile: obs.NewProfile(),
+				MTALogicPerBit: -1, SparseLogicPerBit: -1, Fault: newDrawingHook(1e-2)}
+		},
+		func() Config { return Config{Model: m900, Family: fam900, Record: true} },
+		func() Config { return Config{Model: m900, Profile: obs.NewProfile(), LevelShiftedIdle: true} },
+		func() Config { return Config{ExactData: true, Record: true, Fault: &recordingHook{}} },
+	}
+	ch := New(cfgs[0]())
+	for i := range cfgs {
+		sendMix(t, ch, int64(i))
+		next := cfgs[(i+1)%len(cfgs)]
+		ch.Reset(next())
+		fresh := New(next())
+		sendMix(t, ch, 99)
+		sendMix(t, fresh, 99)
+		if !ch.Stats().Equal(fresh.Stats()) {
+			t.Errorf("config %d: reset channel\n %+v\nnew channel\n %+v", i+1, ch.Stats(), fresh.Stats())
+		}
+		got, want := ch.DetachTally(), fresh.DetachTally()
+		if !reflect.DeepEqual(got.Snapshot(), want.Snapshot()) {
+			t.Errorf("config %d: attributed energy %.6g fJ, new channel %.6g fJ",
+				i+1, got.Snapshot().TotalFJ, want.Snapshot().TotalFJ)
+		}
+		got.Publish(nil)
+		want.Publish(nil)
+		if !reflect.DeepEqual(ch.Events(), fresh.Events()) {
+			t.Errorf("config %d: recorded events differ", i+1)
+		}
+		if ch.LastBurstVerdict() != fresh.LastBurstVerdict() || ch.NeedsPostamble() != fresh.NeedsPostamble() {
+			t.Errorf("config %d: trailing state differs", i+1)
+		}
 	}
 }

@@ -11,6 +11,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"smores/internal/codec"
 	"smores/internal/mta"
@@ -164,18 +165,28 @@ var shiftSteps = func() (t [pam4.NumLevels][pam4.NumLevels]pam4.Level) {
 
 // DecodeGroupBurst reverses EncodeGroupBurst. state must hold the same
 // trailing levels the encoder saw; it is advanced on success and left
-// unchanged on failure.
+// unchanged on failure. It is AppendDecodeGroupBurst into a fresh slice.
 func (c *SparseGroupCodec) DecodeGroupBurst(cols []mta.Column, dataBytes int, state *mta.GroupState) ([]byte, bool) {
+	return c.AppendDecodeGroupBurst(nil, cols, dataBytes, state)
+}
+
+// AppendDecodeGroupBurst is DecodeGroupBurst appending the decoded bytes
+// to dst, so a caller that decodes into storage it owns allocates
+// nothing. It returns the extended slice on success, and dst unchanged
+// on failure.
+func (c *SparseGroupCodec) AppendDecodeGroupBurst(dst []byte, cols []mta.Column, dataBytes int, state *mta.GroupState) ([]byte, bool) {
 	n := c.book.Spec().OutputSymbols
 	if dataBytes <= 0 || dataBytes%BytesPerSlot != 0 {
-		return nil, false
+		return dst, false
 	}
 	codesPerWire := dataBytes / BytesPerSlot * 2
 	if len(cols) != codesPerWire*n {
-		return nil, false
+		return dst, false
 	}
 	st := *state
-	data := make([]byte, dataBytes)
+	out := slices.Grow(dst, dataBytes)[:len(dst)+dataBytes]
+	data := out[len(dst):]
+	clear(data)
 	for slot := 0; slot < codesPerWire; slot++ {
 		byteIdx := slot / 2 * BytesPerSlot
 		loNibble := slot%2 == 0
@@ -192,7 +203,7 @@ func (c *SparseGroupCodec) DecodeGroupBurst(cols []mta.Column, dataBytes int, st
 				v := col[w]
 				if st[w] == pam4.L3 {
 					if v == pam4.L0 {
-						return nil, false
+						return dst, false
 					}
 					v = v.ShiftDown()
 				}
@@ -202,7 +213,7 @@ func (c *SparseGroupCodec) DecodeGroupBurst(cols []mta.Column, dataBytes int, st
 			if c.dbi {
 				unswapped, ok := UndoDBISwap(unshifted)
 				if !ok {
-					return nil, false
+					return dst, false
 				}
 				// Canonical-swap check: the metadata must be the swap the
 				// encoder would have chosen for this column; otherwise the
@@ -210,11 +221,11 @@ func (c *SparseGroupCodec) DecodeGroupBurst(cols []mta.Column, dataBytes int, st
 				preSwap := unswapped
 				preSwap[mta.DBIWire] = pam4.L0
 				if ApplyDBISwap(preSwap) != unshifted {
-					return nil, false
+					return dst, false
 				}
 				unshifted = unswapped
 			} else if unshifted[mta.DBIWire] != pam4.L0 {
-				return nil, false
+				return dst, false
 			}
 			for w := 0; w < mta.GroupDataWires; w++ {
 				wireSeqs[w] = wireSeqs[w].Append(unshifted[w])
@@ -223,7 +234,7 @@ func (c *SparseGroupCodec) DecodeGroupBurst(cols []mta.Column, dataBytes int, st
 		for w := 0; w < mta.GroupDataWires; w++ {
 			nib, ok := c.book.Decode(wireSeqs[w])
 			if !ok {
-				return nil, false
+				return dst, false
 			}
 			if loNibble {
 				data[byteIdx+w] |= nib
@@ -233,5 +244,5 @@ func (c *SparseGroupCodec) DecodeGroupBurst(cols []mta.Column, dataBytes int, st
 		}
 	}
 	*state = st
-	return data, true
+	return out, true
 }

@@ -334,11 +334,10 @@ func (in *Injector) decode(codeLength int, pre [bus.Groups]mta.GroupState) bool 
 	}
 	for g := 0; g < bus.Groups; g++ {
 		st := pre[g]
-		data, ok := sc.DecodeGroupBurst(in.rxCols[g], bus.GroupBurstBytes, &st)
-		if !ok {
+		off := g * bus.GroupBurstBytes
+		if _, ok := sc.AppendDecodeGroupBurst(in.decoded[off:off], in.rxCols[g], bus.GroupBurstBytes, &st); !ok {
 			return false
 		}
-		copy(in.decoded[g*bus.GroupBurstBytes:], data)
 	}
 	return true
 }

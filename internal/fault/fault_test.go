@@ -4,8 +4,10 @@ import (
 	"testing"
 
 	"smores/internal/bus"
+	"smores/internal/core"
 	"smores/internal/edc"
 	"smores/internal/floats"
+	"smores/internal/mta"
 	"smores/internal/pam4"
 	"smores/internal/rng"
 )
@@ -292,5 +294,44 @@ func TestReplayVerdictObserved(t *testing.T) {
 	s := in.Stats()
 	if s.Bursts != 2 || s.ReplayBursts != 1 {
 		t.Fatalf("want 2 bursts / 1 replay, got %d / %d", s.Bursts, s.ReplayBursts)
+	}
+}
+
+// The receiver model decodes a corrupted sparse burst into the
+// injector's own buffer, so after warm-up OnBurst allocates nothing on
+// that path either.
+func TestOnBurstCorruptedSparseAllocFree(t *testing.T) {
+	in, err := New(Config{Model: ModelUniform, Rate: 2e-3, Seed: 9, EDC: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const codeLength = 4
+	sc := core.DefaultFamily().ByLength(codeLength)
+	data := make([]byte, bus.BurstBytes)
+	rng.New(3).Fill(data)
+	var pre [bus.Groups]mta.GroupState
+	var tx [bus.Groups][]mta.Column
+	for g := range pre {
+		pre[g] = mta.IdleGroupState()
+		st := pre[g]
+		if tx[g], err = sc.AppendGroupBurst(nil, data[g*bus.GroupBurstBytes:(g+1)*bus.GroupBurstBytes], &st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bursts := func() {
+		for i := 0; i < 500; i++ {
+			in.OnBurst(data, codeLength, pre, tx, false)
+		}
+	}
+	bursts() // grows the receive buffers
+	before := in.Stats()
+	allocs := testing.AllocsPerRun(1, bursts)
+	after := in.Stats()
+	if decoded := after.CaughtCodebook + after.CaughtEDC + after.Silent -
+		(before.CaughtCodebook + before.CaughtEDC + before.Silent); decoded == 0 {
+		t.Fatal("no corrupted burst reached the decoder")
+	}
+	if allocs != 0 {
+		t.Fatalf("500 bursts allocated %.0f times", allocs)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // Device tracks per-bank state and enforces command legality. The memory
@@ -43,12 +44,24 @@ type bank struct {
 
 // NewDevice builds a device with all banks precharged.
 func NewDevice(t Timing) (*Device, error) {
-	if err := t.Validate(); err != nil {
+	d := new(Device)
+	if err := d.Reset(t); err != nil {
 		return nil, err
 	}
-	d := &Device{
+	return d, nil
+}
+
+// Reset rebuilds d for timing t exactly as NewDevice(t) would, reusing
+// only its bank table's storage. On error d is unchanged.
+func (d *Device) Reset(t Timing) error {
+	if err := t.Validate(); err != nil {
+		return err
+	}
+	banks := slices.Grow(d.banks[:0], t.Banks)[:t.Banks]
+	clear(banks)
+	*d = Device{
 		t:        t,
-		banks:    make([]bank, t.Banks),
+		banks:    banks,
 		lastACT:  -1 << 40,
 		lastCol:  -1 << 40,
 		refDue:   t.TREFI,
@@ -60,7 +73,7 @@ func NewDevice(t Timing) (*Device, error) {
 			d.group0 |= 1 << uint(b)
 		}
 	}
-	return d, nil
+	return nil
 }
 
 // Timing returns the device's timing parameters.

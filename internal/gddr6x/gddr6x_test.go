@@ -3,6 +3,7 @@ package gddr6x
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -429,4 +430,83 @@ func checkMaskQueries(d *Device, m uint64, now int64) error {
 		}
 	}
 	return nil
+}
+
+// driveDevice issues a random legal command sequence from clock 0:
+// activates, column commands, precharges, and all-bank and per-bank
+// refreshes. The same seed on two equal devices issues the same commands.
+func driveDevice(t *testing.T, d *Device, seed int64, steps int) {
+	t.Helper()
+	r := rand.New(rand.NewSource(seed))
+	now := int64(0)
+	for step := 0; step < steps; step++ {
+		now += int64(r.Intn(4))
+		b := r.Intn(d.Timing().Banks)
+		row, open := d.OpenRow(b)
+		a := Address{Bank: uint8(b), Row: row}
+		pb := d.NextRefreshBank()
+		var err error
+		switch {
+		case d.RefreshDue(now):
+			if d.CanRefresh(now) {
+				err = d.Refresh(now)
+			} else if d.CanPrecharge(b, now) {
+				err = d.Precharge(b, now)
+			}
+		case d.PerBankRefreshDue(now) && d.CanRefreshBank(pb, now):
+			err = d.RefreshBank(pb, now)
+		case !open && d.CanActivate(b, now):
+			err = d.Activate(b, uint32(r.Intn(4)), now)
+		case open && r.Intn(8) == 0 && d.CanPrecharge(b, now):
+			err = d.Precharge(b, now)
+		case open && r.Intn(3) == 0 && d.CanWrite(a, now):
+			err = d.Write(a, now)
+		case open && d.CanRead(a, now):
+			err = d.Read(a, now)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// A Reset device equals a new one for the same timing, field for field,
+// whether the bank count grows or shrinks, and stays equal under the same
+// commands; a Reset that fails leaves the device as it was.
+func TestResetMatchesNewDevice(t *testing.T) {
+	wide, narrow := DefaultTiming(), DefaultTiming()
+	wide.Banks, wide.BankGroups, wide.TREFI = 32, 8, 3000
+	narrow.Banks, narrow.BankGroups, narrow.TRCD = 8, 2, 12
+	d := mustDevice(t)
+	for i, tm := range []Timing{wide, narrow, DefaultTiming()} {
+		driveDevice(t, d, int64(i+1), 4000)
+		if _, _, _, _, refs := d.Counters(); refs == 0 {
+			t.Fatalf("timing %d: no refresh to undo", i)
+		}
+		if err := d.Reset(tm); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := NewDevice(tm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(d, fresh) {
+			t.Fatalf("timing %d: reset device\n %+v\nnew device\n %+v", i, d, fresh)
+		}
+		driveDevice(t, d, 9, 4000)
+		driveDevice(t, fresh, 9, 4000)
+		if !reflect.DeepEqual(d, fresh) {
+			t.Fatalf("timing %d: reset and new devices diverged under the same commands", i)
+		}
+	}
+	before := *d
+	before.banks = append([]bank(nil), d.banks...)
+	bad := DefaultTiming()
+	bad.Banks = 0
+	if err := d.Reset(bad); err == nil {
+		t.Fatal("Reset accepted zero banks")
+	}
+	if !reflect.DeepEqual(*d, before) {
+		t.Fatal("a failed Reset changed the device")
+	}
 }

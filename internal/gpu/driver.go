@@ -80,7 +80,7 @@ type Driver struct {
 	res          RunResult
 }
 
-// NewDriver builds a driver. ctrl must be freshly constructed; the driver
+// NewDriver builds a driver. ctrl must be new or just Reset; the driver
 // owns its completion callback.
 func NewDriver(cfg DriverConfig, ctrl *memctrl.Controller, gen Generator) (*Driver, error) {
 	if cfg.MSHRs <= 0 {

@@ -180,13 +180,32 @@ type xfer struct {
 
 // New builds a controller.
 func New(cfg Config) (*Controller, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
+	c := new(Controller)
+	if err := c.Reset(cfg); err != nil {
 		return nil, err
 	}
-	dev, err := gddr6x.NewDevice(cfg.Timing)
-	if err != nil {
-		return nil, err
+	return c, nil
+}
+
+// Reset rebuilds c for cfg exactly as New(cfg) would, so a caller that
+// runs many simulations one after another can keep one controller. It
+// keeps only storage: the queue slots, the completion list, the device's
+// bank table, the channel's buffers and the gap histograms' buckets. The
+// completion callback is cleared, and so is everything the previous
+// configuration referenced (tracer, profile, fault hook). On error c is
+// unchanged.
+func (c *Controller) Reset(cfg Config) error {
+	cfg = cfg.withDefaults()
+	if err := cfg.validate(); err != nil {
+		return err
+	}
+	dev, ch, readGaps, writeGaps := c.dev, c.ch, c.readGaps, c.writeGaps
+	if dev == nil {
+		dev, ch = new(gddr6x.Device), new(bus.Channel)
+		readGaps, writeGaps = new(stats.Histogram), new(stats.Histogram)
+	}
+	if err := dev.Reset(cfg.Timing); err != nil {
+		return err
 	}
 	if cfg.Policy == OptimizedMTA {
 		cfg.Bus.LevelShiftedIdle = true
@@ -194,14 +213,20 @@ func New(cfg Config) (*Controller, error) {
 	if cfg.Fault != nil {
 		cfg.Bus.Fault = cfg.Fault
 	}
-	c := &Controller{
-		cfg:       cfg,
-		dev:       dev,
-		ch:        bus.New(cfg.Bus),
-		readGaps:  stats.NewHistogram(cfg.GapHistBuckets),
-		writeGaps: stats.NewHistogram(cfg.GapHistBuckets),
-		tr:        cfg.Tracer,
-		chanID:    int32(cfg.Channel),
+	ch.Reset(cfg.Bus)
+	readGaps.Reset(cfg.GapHistBuckets)
+	writeGaps.Reset(cfg.GapHistBuckets)
+	*c = Controller{
+		cfg:         cfg,
+		dev:         dev,
+		ch:          ch,
+		readQ:       queue{slots: c.readQ.slots[:0]},
+		writeQ:      queue{slots: c.writeQ.slots[:0]},
+		completions: c.completions[:0],
+		readGaps:    readGaps,
+		writeGaps:   writeGaps,
+		tr:          cfg.Tracer,
+		chanID:      int32(cfg.Channel),
 	}
 	c.readQ.init(Read)
 	c.writeQ.init(Write)
@@ -214,7 +239,7 @@ func New(cfg Config) (*Controller, error) {
 			c.faultWin = make([]bool, c.replay.DegradeWindow)
 		}
 	}
-	return c, nil
+	return nil
 }
 
 // OnReadDone registers the completion callback (data fully arrived and

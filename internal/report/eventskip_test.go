@@ -25,7 +25,7 @@ func TestEventSkipBitIdentical(t *testing.T) {
 		t.Run(spec.Policy.String()+"/"+spec.Scheme.String(), func(t *testing.T) {
 			for _, ai := range apps {
 				p := fleet[ai]
-				want, err := runDriver(p, spec, nil, true)
+				want, err := runDriver(new(runStack), p, spec, nil, true)
 				if err != nil {
 					t.Fatalf("%s legacy: %v", p.Name, err)
 				}

@@ -49,7 +49,7 @@ func TestChannelSpecDecorrelatesFaultSeeds(t *testing.T) {
 		if got := base.controllerConfig(i).Channel; got != i {
 			t.Errorf("channel %d: controller channel id = %d", i, got)
 		}
-		_, in, err := base.newController(i)
+		_, in, err := new(runStack).controller(base, i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func TestChannelSpecDecorrelatesFaultSeeds(t *testing.T) {
 	if base.Fault.Seed != 42 {
 		t.Errorf("caller's config mutated: seed = %d", base.Fault.Seed)
 	}
-	if _, in, err := (RunSpec{}).newController(3); err != nil || in != nil {
+	if _, in, err := new(runStack).controller(RunSpec{}, 3); err != nil || in != nil {
 		t.Errorf("no-fault spec built injector %v (err %v)", in, err)
 	}
 }

@@ -112,12 +112,45 @@ func (s RunSpec) controllerConfig(ch int) memctrl.Config {
 	return cfg
 }
 
-// newController builds channel ch's controller and, when the spec sets
-// Fault, the fresh injector installed on it (nil otherwise). Each
-// channel's injector is seeded DecorrelateSeed(Fault.Seed, ch), so the
-// channels see independent error processes and channel 0 keeps the
-// configured seed.
-func (s RunSpec) newController(ch int) (*memctrl.Controller, *fault.Injector, error) {
+// runStack is one worker's simulation stack: the multi-channel front end
+// and one controller per channel, Reset for every run it serves, so a
+// worker builds and grows their storage once instead of per run. Runs
+// on one stack must not overlap.
+type runStack struct {
+	planner shard.Planner
+	ctrls   []*memctrl.Controller
+}
+
+// stacks pools runStacks across RunApp and RunFleetApps calls.
+var stacks sync.Pool
+
+// getStack takes a stack from the pool, or builds an empty one.
+func getStack() *runStack {
+	if st, ok := stacks.Get().(*runStack); ok {
+		return st
+	}
+	return new(runStack)
+}
+
+// putStack returns st to the pool. Its controllers are Reset to the
+// default configuration first, so a pooled stack keeps only storage:
+// nothing a run referenced (tracer, profile, fault injector, or the
+// driver and generator behind the completion callback) stays reachable
+// through it.
+func putStack(st *runStack) {
+	for _, c := range st.ctrls {
+		// The zero configuration is valid, so this Reset cannot fail.
+		_ = c.Reset(memctrl.Config{})
+	}
+	stacks.Put(st)
+}
+
+// controller returns the stack's controller for channel ch, Reset for
+// spec s, and, when s sets Fault, the fresh injector installed on it
+// (nil otherwise). Each channel's injector is seeded
+// DecorrelateSeed(Fault.Seed, ch), so the channels see independent error
+// processes and channel 0 keeps the configured seed.
+func (st *runStack) controller(s RunSpec, ch int) (*memctrl.Controller, *fault.Injector, error) {
 	cfg := s.controllerConfig(ch)
 	var in *fault.Injector
 	if s.Fault != nil {
@@ -129,8 +162,11 @@ func (s RunSpec) newController(ch int) (*memctrl.Controller, *fault.Injector, er
 		}
 		cfg.Fault = in
 	}
-	ctrl, err := memctrl.New(cfg)
-	if err != nil {
+	for len(st.ctrls) <= ch {
+		st.ctrls = append(st.ctrls, new(memctrl.Controller))
+	}
+	ctrl := st.ctrls[ch]
+	if err := ctrl.Reset(cfg); err != nil {
 		return nil, nil, err
 	}
 	return ctrl, in, nil
@@ -239,22 +275,23 @@ func RunApp(p workload.Profile, spec RunSpec) (AppResult, error) {
 	if err != nil {
 		return AppResult{}, err
 	}
+	st := getStack()
 	pub := newFleetPublisher(spec.Profile, 1, channels)
-	ar, err := runApp(nil, p, spec, 1, pub.slots(0))
+	ar, err := runApp(st, p, spec, 1, pub.slots(0))
 	pub.finish(0, err == nil)
+	putStack(st)
 	if err != nil {
 		return AppResult{}, err
 	}
 	return ar, nil
 }
 
-// runApp is RunApp on the engine spec's channel count selects, without
-// the publish: one channel runs runDriver, more run runSharded on
-// planner pl (a fresh one when nil) with their shards on a pool of the
-// given size. When tallies is non-nil (one slot per channel), a
-// successful run leaves each channel's profile tally in its slot for
-// the caller to publish.
-func runApp(pl *shard.Planner, p workload.Profile, spec RunSpec, workers int, tallies []*obs.Profile) (AppResult, error) {
+// runApp is RunApp on the engine spec's channel count selects, on stack
+// st and without the publish: one channel runs runDriver, more run
+// runSharded with their shards on a pool of the given size. When tallies
+// is non-nil (one slot per channel), a successful run leaves each
+// channel's profile tally in its slot for the caller to publish.
+func runApp(st *runStack, p workload.Profile, spec RunSpec, workers int, tallies []*obs.Profile) (AppResult, error) {
 	if spec.Accesses <= 0 {
 		return AppResult{}, fmt.Errorf("report: %s: run needs a positive access budget (generators are endless), got %d",
 			p.Name, spec.Accesses)
@@ -264,25 +301,23 @@ func runApp(pl *shard.Planner, p workload.Profile, spec RunSpec, workers int, ta
 		return AppResult{}, err
 	}
 	if channels == 1 {
-		return runDriver(p, spec, tallies, false)
+		return runDriver(st, p, spec, tallies, false)
 	}
-	if pl == nil {
-		pl = new(shard.Planner)
-	}
-	return runSharded(pl, p, spec, channels, workers, tallies)
+	return runSharded(st, p, spec, channels, workers, tallies)
 }
 
 // runDriver is the one-channel engine: the gpu.Driver, with its inline
-// LLC, in front of one controller. A successful run leaves its profile
-// tally in tallies[0] when tallies is non-nil. perClock pins the
-// controller and driver to the one-clock-at-a-time tick loop, the
-// oracle TestEventSkipBitIdentical compares next-event skipping against.
-func runDriver(p workload.Profile, spec RunSpec, tallies []*obs.Profile, perClock bool) (AppResult, error) {
+// LLC, in front of stack st's channel-0 controller. A successful run
+// leaves its profile tally in tallies[0] when tallies is non-nil.
+// perClock pins the controller and driver to the one-clock-at-a-time
+// tick loop, the oracle TestEventSkipBitIdentical compares next-event
+// skipping against.
+func runDriver(st *runStack, p workload.Profile, spec RunSpec, tallies []*obs.Profile, perClock bool) (AppResult, error) {
 	gen, err := workload.OpenGenerator(p, spec.Seed)
 	if err != nil {
 		return AppResult{}, err
 	}
-	ctrl, in, err := spec.newController(0)
+	ctrl, in, err := st.controller(spec, 0)
 	if err != nil {
 		return AppResult{}, err
 	}
@@ -404,12 +439,20 @@ func appSeed(seed uint64, i int) uint64 { return DecorrelateSeed(seed, i) }
 // workload.Fleet() for all 42) over spec.Channels channels on the shard
 // worker pool. A fleet of several apps runs one app per worker, its
 // channels in channel order on that worker, so live memory is bounded
-// by the worker count times one app, not by apps × channels; each
-// worker keeps one multi-channel front end (a shard.Planner: about
-// 1.2 MB of LLC plus the streams of the largest app it has run) for
-// every app it takes. A one-app fleet spreads its channels over the
-// pool instead. Per-app seeds follow the fleet-position contract
-// (appSeed), so app 0 runs with spec.Seed itself.
+// by the worker count times one app, not by apps × channels. A one-app
+// fleet spreads its channels over the pool instead. Per-app seeds
+// follow the fleet-position contract (appSeed), so app 0 runs with
+// spec.Seed itself.
+//
+// Each worker runs its apps on one simulation stack, taken for the call
+// from a package pool that RunApp shares: a multi-channel front end (a
+// shard.Planner: about 1.2 MB of LLC plus the streams of the largest app
+// it has run) and one controller per channel, each Reset for every run.
+// The stacks go back to the pool when the call ends. Between calls a
+// pooled stack keeps that storage reachable and nothing else: no result
+// points into it, and no spec's tracer, profile, fault injector or
+// generator stays reachable through it. The pool drops idle stacks at
+// garbage collection.
 //
 // Every app runs, whatever the others do. Results are ordered by fleet
 // position at every worker count; on error the lowest-indexed failure is
@@ -436,20 +479,16 @@ func RunFleetApps(fleet []workload.Profile, spec RunSpec, opts FleetOptions) (Fl
 	if len(fleet) == 1 {
 		appWorkers, shardWorkers = 1, opts.Workers
 	}
-	var planners []shard.Planner
-	if channels > 1 {
-		planners = make([]shard.Planner, shard.Workers(appWorkers, len(fleet)))
+	sts := make([]*runStack, shard.Workers(appWorkers, len(fleet)))
+	for w := range sts {
+		sts[w] = getStack()
 	}
 	results := make([]AppResult, len(fleet))
 	pub := newFleetPublisher(spec.Profile, len(fleet), channels)
 	err = shard.RunJobs(len(fleet), appWorkers, func(w, i int) error {
 		appSpec := spec
 		appSpec.Seed = appSeed(spec.Seed, i)
-		var pl *shard.Planner
-		if planners != nil {
-			pl = &planners[w]
-		}
-		r, err := runApp(pl, fleet[i], appSpec, shardWorkers, pub.slots(i))
+		r, err := runApp(sts[w], fleet[i], appSpec, shardWorkers, pub.slots(i))
 		pub.finish(i, err == nil)
 		if err != nil {
 			return fmt.Errorf("report: fleet app %d: %w", i, err)
@@ -457,6 +496,9 @@ func RunFleetApps(fleet []workload.Profile, spec RunSpec, opts FleetOptions) (Fl
 		results[i] = r
 		return nil
 	})
+	for _, st := range sts {
+		putStack(st)
+	}
 	// Compact the successes in place: copying them to a second slice
 	// would allocate a fleet's worth of AppResults on every run.
 	n := 0

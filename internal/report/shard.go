@@ -25,20 +25,20 @@ import (
 )
 
 // runSharded simulates p over the given channel count on the
-// multi-channel engine: the front-end epoch on pl, then the channels'
-// shards on a pool of the given size, merged in channel order. The
-// shards replay pl's streams, so pl must not build again until this
-// returns; nothing the result keeps points into the plan. Each shard
-// that succeeds leaves its profile tally in tallies[channel] (when
-// tallies is non-nil) as soon as it finishes, on its worker. On any
-// error — construction, invariant violation, label disagreement — the
-// zero AppResult is returned.
-func runSharded(pl *shard.Planner, p workload.Profile, spec RunSpec, channels, workers int, tallies []*obs.Profile) (AppResult, error) {
+// multi-channel engine of stack st: the front-end epoch on its planner,
+// then the channels' shards, each on the stack's controller for its
+// channel, on a pool of the given size, merged in channel order. The
+// shards replay the planner's streams; nothing the result keeps points
+// into the plan or the controllers. Each shard that succeeds leaves its
+// profile tally in tallies[channel] (when tallies is non-nil) as soon as
+// it finishes, on its worker. On any error — construction, invariant
+// violation, label disagreement — the zero AppResult is returned.
+func runSharded(st *runStack, p workload.Profile, spec RunSpec, channels, workers int, tallies []*obs.Profile) (AppResult, error) {
 	gen, err := workload.OpenGenerator(p, spec.Seed)
 	if err != nil {
 		return AppResult{}, err
 	}
-	plan, err := pl.Build(gen, channels, spec.Accesses, spec.llcConfig())
+	plan, err := st.planner.Build(gen, channels, spec.Accesses, spec.llcConfig())
 	if err != nil {
 		return AppResult{}, err
 	}
@@ -61,7 +61,7 @@ func runSharded(pl *shard.Planner, p workload.Profile, spec RunSpec, channels, w
 			tracers[ch] = obs.NewTracer(spec.Tracer.Capacity())
 			chSpec.Tracer = tracers[ch]
 		}
-		ctrl, in, err := chSpec.newController(ch)
+		ctrl, in, err := st.controller(chSpec, ch)
 		if err != nil {
 			return AppResult{}, err
 		}

@@ -12,7 +12,6 @@ import (
 	"smores/internal/gpu"
 	"smores/internal/memctrl"
 	"smores/internal/obs"
-	"smores/internal/shard"
 	"smores/internal/workload"
 )
 
@@ -263,7 +262,7 @@ func TestShardedSingleChannelMatchesRunAppTraffic(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: RunApp: %v", tag, err)
 				}
-				sh, err := runSharded(new(shard.Planner), p, spec, 1, 1, nil)
+				sh, err := runSharded(new(runStack), p, spec, 1, 1, nil)
 				if err != nil {
 					t.Fatalf("%s: one channel: %v", tag, err)
 				}
@@ -486,7 +485,7 @@ func TestFleetMultiChannelProfileCells(t *testing.T) {
 			}
 			tallies := make([]*obs.Profile, s.Channels)
 			s.Profile = obs.NewProfile() // makes the shards tally; never published into
-			if _, err := runSharded(new(shard.Planner), p, s, s.Channels, 1, tallies); err != nil {
+			if _, err := runSharded(new(runStack), p, s, s.Channels, 1, tallies); err != nil {
 				t.Fatalf("%s: by-hand reference app %d: %v", c.name, i, err)
 			}
 			for _, tl := range tallies {
@@ -524,18 +523,24 @@ func TestFleetMultiChannelProfileCells(t *testing.T) {
 // Profiling a sharded run must cost only the tallies each shard hands
 // over, and those come from a pool: eight expected-mode tallies are
 // about 7 KB, one exact-mode tally 282 KB. The profile itself is built
-// before the measurement, and a warm-up run fills the pools.
+// before the measurement, and a warm-up run fills the pools. Every run
+// does what RunApp does on one simulation stack the test holds, so no
+// measured run depends on the stack pool keeping what it is given.
 func TestShardedProfileAllocatesOnlyCells(t *testing.T) {
 	p, _ := workload.ByName("bfs")
 	spec := PolicySpecs(2000, 1, true)[2]
 	spec.Channels = 8
 	prof := obs.NewProfile()
+	st := new(runStack)
 	run := func(prof *obs.Profile) uint64 {
 		s := spec
 		s.Profile = prof
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if _, err := RunApp(p, s); err != nil {
+		pub := newFleetPublisher(s.Profile, 1, s.Channels)
+		_, err := runApp(st, p, s, 1, pub.slots(0))
+		pub.finish(0, err == nil)
+		if err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)

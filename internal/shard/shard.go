@@ -209,7 +209,7 @@ type Unit struct {
 	ran    bool
 }
 
-// NewUnit wires a shard from a freshly constructed controller, a driver
+// NewUnit wires a shard from a new or just Reset controller, a driver
 // configuration (MSHRs should be the per-channel share, not the pooled
 // total), and the channel's planned stream. The unit owns the
 // controller's completion callback; cfg.LLC must be nil — the shared

@@ -6,6 +6,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"smores/internal/floats"
@@ -21,10 +22,19 @@ type Histogram struct {
 
 // NewHistogram creates a histogram with the given number of exact buckets.
 func NewHistogram(buckets int) *Histogram {
-	if buckets < 1 {
-		buckets = 1
-	}
-	return &Histogram{counts: make([]int64, buckets)}
+	h := new(Histogram)
+	h.Reset(buckets)
+	return h
+}
+
+// Reset empties h and gives it the given number of exact buckets, exactly
+// as NewHistogram(buckets) would build it; it reuses h's bucket storage
+// when that is large enough.
+func (h *Histogram) Reset(buckets int) {
+	buckets = max(buckets, 1)
+	counts := slices.Grow(h.counts[:0], buckets)[:buckets]
+	clear(counts)
+	*h = Histogram{counts: counts}
 }
 
 // Add records a sample (negative samples clamp to bucket 0).

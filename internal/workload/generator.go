@@ -28,7 +28,7 @@ func NewGenerator(p Profile, seed uint64) (*Generator, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	g := &Generator{p: p, r: rng.New(seed)}
+	g := &Generator{p: p, r: rng.New(seed), history: make([]uint64, 0, historyLen)}
 	g.cursor = g.r.Uint64() % p.WorkingSetSectors
 	return g, nil
 }
