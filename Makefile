@@ -11,8 +11,11 @@ build:
 test:
 	$(GO) test ./...
 
+# race runs the concurrency-sensitive packages under the race detector.
+# RACEFLAGS passes extra go test flags; CI sets RACEFLAGS=-json and runs
+# make -s, so stdout is the test event stream alone.
 race:
-	$(GO) test -race ./internal/obs/ ./internal/report/ ./internal/memctrl/ ./internal/gpu/ ./internal/shard/ ./internal/tracestore/ ./internal/bus/ ./internal/fault/
+	$(GO) test -race $(RACEFLAGS) ./internal/obs/ ./internal/report/ ./internal/memctrl/ ./internal/gpu/ ./internal/shard/ ./internal/tracestore/ ./internal/bus/ ./internal/fault/
 
 # lint runs the in-repo gates that need no network. CI layers
 # staticcheck and govulncheck on top (installed there with go install,

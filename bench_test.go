@@ -246,10 +246,7 @@ func BenchmarkFig5GapHistogram(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	gaps, err := fr.AggregateGaps(true)
-	if err != nil {
-		b.Fatal(err)
-	}
+	gaps := fr.AggregateGaps(true)
 	b.ReportMetric(gaps.Fraction(0)*100, "%gap0") // paper: 59.2
 	b.ReportMetric(gaps.Fraction(1)*100, "%gap1") // paper: 29.1
 	b.ReportMetric(gaps.OverflowFraction()*100, "%gap>16")

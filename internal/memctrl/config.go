@@ -114,10 +114,6 @@ type Config struct {
 	// costs an extra cycle.
 	ExtraCodecLatency int64
 
-	// GapHistBuckets sizes the idle-gap histograms (Fig. 5 uses 0..16
-	// plus a ">16" tail). Zero selects 17.
-	GapHistBuckets int
-
 	// Fault installs a link-reliability hook on the owned channel (see
 	// bus.BurstHook); it enables the EDC replay machinery below. Requires
 	// Bus.ExactData — the hook needs real symbols to corrupt. Nil keeps
@@ -151,9 +147,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.WriteLo == 0 {
 		c.WriteLo = c.WriteQueueCap / 4
-	}
-	if c.GapHistBuckets == 0 {
-		c.GapHistBuckets = 17
 	}
 	// Exhaustive gap detection relies on WRITE commands being staged early
 	// in the DRAM (§V-A) so a stretched read response never collides with

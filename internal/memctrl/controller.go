@@ -146,8 +146,8 @@ type Controller struct {
 	completions []Request // sorted by Done; delivered ones are compacted out
 	onReadDone  func(*Request)
 
-	readGaps  *stats.Histogram
-	writeGaps *stats.Histogram
+	readGaps  stats.Histogram
+	writeGaps stats.Histogram
 	st        Stats
 
 	// tr is the cycle-level tracer (nil disables emission; call sites
@@ -190,19 +190,17 @@ func New(cfg Config) (*Controller, error) {
 // Reset rebuilds c for cfg exactly as New(cfg) would, so a caller that
 // runs many simulations one after another can keep one controller. It
 // keeps only storage: the queue slots, the completion list, the device's
-// bank table, the channel's buffers and the gap histograms' buckets. The
-// completion callback is cleared, and so is everything the previous
-// configuration referenced (tracer, profile, fault hook). On error c is
-// unchanged.
+// bank table and the channel's buffers. The completion callback is
+// cleared, and so is everything the previous configuration referenced
+// (tracer, profile, fault hook). On error c is unchanged.
 func (c *Controller) Reset(cfg Config) error {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return err
 	}
-	dev, ch, readGaps, writeGaps := c.dev, c.ch, c.readGaps, c.writeGaps
+	dev, ch := c.dev, c.ch
 	if dev == nil {
 		dev, ch = new(gddr6x.Device), new(bus.Channel)
-		readGaps, writeGaps = new(stats.Histogram), new(stats.Histogram)
 	}
 	if err := dev.Reset(cfg.Timing); err != nil {
 		return err
@@ -214,8 +212,6 @@ func (c *Controller) Reset(cfg Config) error {
 		cfg.Bus.Fault = cfg.Fault
 	}
 	ch.Reset(cfg.Bus)
-	readGaps.Reset(cfg.GapHistBuckets)
-	writeGaps.Reset(cfg.GapHistBuckets)
 	*c = Controller{
 		cfg:         cfg,
 		dev:         dev,
@@ -223,8 +219,6 @@ func (c *Controller) Reset(cfg Config) error {
 		readQ:       queue{slots: c.readQ.slots[:0]},
 		writeQ:      queue{slots: c.writeQ.slots[:0]},
 		completions: c.completions[:0],
-		readGaps:    readGaps,
-		writeGaps:   writeGaps,
 		tr:          cfg.Tracer,
 		chanID:      int32(cfg.Channel),
 	}
@@ -267,14 +261,13 @@ func (c *Controller) DetachTally() *obs.Profile { return c.ch.DetachTally() }
 // Config.Bus.Record was set).
 func (c *Controller) BusEvents() []bus.Event { return c.ch.Events() }
 
-// ReadGapHistogram returns a snapshot of idle data-bus clocks observed
-// after read transfers (Fig. 5a). The clone is independent of the
-// controller: further ticks do not mutate it.
-func (c *Controller) ReadGapHistogram() *stats.Histogram { return c.readGaps.Clone() }
+// ReadGapHistogram returns a copy of the idle data-bus clocks observed
+// after read transfers (Fig. 5a); further ticks do not change it.
+func (c *Controller) ReadGapHistogram() stats.Histogram { return c.readGaps }
 
-// WriteGapHistogram returns a snapshot of idle clocks after write
-// transfers (Fig. 5b); see ReadGapHistogram for aliasing guarantees.
-func (c *Controller) WriteGapHistogram() *stats.Histogram { return c.writeGaps.Clone() }
+// WriteGapHistogram returns a copy of the idle clocks observed after
+// write transfers (Fig. 5b).
+func (c *Controller) WriteGapHistogram() stats.Histogram { return c.writeGaps }
 
 // QueueLens returns the current read and write queue depths.
 func (c *Controller) QueueLens() (reads, writes int) {

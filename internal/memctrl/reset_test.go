@@ -22,8 +22,8 @@ type resetCase struct {
 // resetCases spans every dimension Reset must rebuild: all five
 // policies, expected and exact data, faults off, on, and with graceful
 // degradation, open and closed pages, all-bank and per-bank refresh, and
-// non-default gap buckets and timing. Each case differs from the next
-// in several of them.
+// non-default timing. Each case differs from the next in several of
+// them.
 func resetCases(t *testing.T) []resetCase {
 	variable := core.Scheme{Specification: core.VariableCode, Detection: core.Exhaustive}
 	static := core.Scheme{Specification: core.StaticCode, Detection: core.Exhaustive}
@@ -50,15 +50,15 @@ func resetCases(t *testing.T) []resetCase {
 		{"baseline/expected/open/refab", plain(Config{Policy: BaselineMTA})},
 		{"optimized/exact/closed/refpb", plain(Config{Policy: OptimizedMTA, Pages: ClosedPage,
 			Refresh: PerBank, Bus: bus.Config{ExactData: true}})},
-		{"variable/faults/buckets9", faulty(Config{Policy: SMOREs, Scheme: variable, GapHistBuckets: 9},
+		{"variable/faults", faulty(Config{Policy: SMOREs, Scheme: variable},
 			fault.Config{Model: fault.ModelUniform, Rate: 1e-3, Seed: 3, EDC: true})},
 		{"static/expected/wide-timing/refpb", plain(Config{Policy: SMOREs, Scheme: static,
 			Timing: wide, Refresh: PerBank})},
 		{"conservative/degrading/closed", faulty(Config{Policy: SMOREs, Scheme: conservative, Pages: ClosedPage,
 			Replay: ReplayConfig{DegradeThreshold: 0.05, DegradeWindow: 16}},
 			fault.Config{Model: fault.ModelUniform, Rate: 2e-3, Seed: 5, EDC: true})},
-		{"variable/exact/wide-timing/buckets33", plain(Config{Policy: SMOREs, Scheme: variable,
-			Timing: wide, GapHistBuckets: 33, Bus: bus.Config{ExactData: true}})},
+		{"variable/exact/wide-timing", plain(Config{Policy: SMOREs, Scheme: variable,
+			Timing: wide, Bus: bus.Config{ExactData: true}})},
 	}
 }
 
@@ -68,7 +68,7 @@ type resetOutcome struct {
 	degraded            bool
 	st                  Stats
 	bus                 bus.Stats
-	readGaps, writeGaps *stats.Histogram
+	readGaps, writeGaps stats.Histogram
 	tally               obs.ProfileSnapshot
 	fault               fault.Stats
 }

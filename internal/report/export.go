@@ -9,6 +9,7 @@ import (
 	"strconv"
 
 	"smores/internal/pam4"
+	"smores/internal/stats"
 )
 
 // Machine-readable exports of the evaluation, for plotting the paper's
@@ -47,29 +48,21 @@ func ExportFleetCSV(w io.Writer, fr FleetResult) error {
 
 // ExportGapsCSV writes the aggregate gap histogram (Figure 5) as
 // (gap, read_fraction, write_fraction) rows, with the overflow tail
-// (">N-1" for N buckets; ">16" at the default sizing) as the final row.
+// (">16") as the final row.
 func ExportGapsCSV(w io.Writer, fr FleetResult) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"gap_clocks", "read_fraction", "write_fraction"}); err != nil {
 		return err
 	}
-	reads, err := fr.AggregateGaps(true)
-	if err != nil {
-		return err
-	}
-	writes, err := fr.AggregateGaps(false)
-	if err != nil {
-		return err
-	}
-	buckets := reads.Buckets()
-	for g := 0; g < buckets; g++ {
+	reads, writes := fr.AggregateGaps(true), fr.AggregateGaps(false)
+	for g := 0; g < stats.Buckets; g++ {
 		if err := cw.Write([]string{
 			strconv.Itoa(g), f(reads.Fraction(g)), f(writes.Fraction(g)),
 		}); err != nil {
 			return err
 		}
 	}
-	if err := cw.Write([]string{">" + strconv.Itoa(buckets-1),
+	if err := cw.Write([]string{">" + strconv.Itoa(stats.Buckets-1),
 		f(reads.OverflowFraction()), f(writes.OverflowFraction())}); err != nil {
 		return err
 	}

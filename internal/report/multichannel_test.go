@@ -7,6 +7,8 @@ import (
 	"smores/internal/bus"
 	"smores/internal/fault"
 	"smores/internal/floats"
+	"smores/internal/memctrl"
+	"smores/internal/workload"
 )
 
 // ChannelBalance distinguishes its degenerate shapes with sentinels:
@@ -67,5 +69,39 @@ func TestChannelSpecDecorrelatesFaultSeeds(t *testing.T) {
 	}
 	if _, in, err := new(runStack).controller(RunSpec{}, 3); err != nil || in != nil {
 		t.Errorf("no-fault spec built injector %v (err %v)", in, err)
+	}
+}
+
+// A run takes its label from channel 0 alone. That holds because every
+// channel's controller is built from one controllerConfig, whose policy
+// and scheme are all Describe reads: for every evaluated policy the
+// label is the same at one and four channels, and every channel's
+// configuration describes itself by it.
+func TestLabelSameAtEveryChannelCount(t *testing.T) {
+	p, _ := workload.ByName("bfs")
+	for _, spec := range PolicySpecs(300, 1, false) {
+		one := ""
+		for _, channels := range []int{1, 4} {
+			spec.Channels = channels
+			r, err := RunApp(p, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if channels == 1 {
+				one = r.Label
+			} else if r.Label != one {
+				t.Errorf("label %q at %d channels, %q at one", r.Label, channels, one)
+			}
+			for ch := range channels {
+				c, err := memctrl.New(spec.controllerConfig(ch))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := c.Describe(); got != r.Label {
+					t.Errorf("%d channels: label %q, but channel %d's controller describes itself as %q",
+						channels, r.Label, ch, got)
+				}
+			}
+		}
 	}
 }

@@ -41,9 +41,6 @@ type RunSpec struct {
 	UseLLC bool
 	// ExtraCodecLatency is the §V-A pipeline ablation.
 	ExtraCodecLatency int64
-	// WindowClocks overrides the conservative detection window (0 keeps
-	// the paper's 8 clocks).
-	WindowClocks int
 	// Timing overrides the GDDR6X timing parameters (nil keeps defaults).
 	Timing *gddr6x.Timing
 	// Pages selects the row-buffer policy ablation.
@@ -91,13 +88,9 @@ func (s RunSpec) channels() (int, error) {
 // controllerConfig assembles channel ch's memctrl configuration; the
 // channel id keeps trace tracks distinguishable.
 func (s RunSpec) controllerConfig(ch int) memctrl.Config {
-	scheme := s.Scheme
-	if s.WindowClocks > 0 {
-		scheme.WindowClocks = s.WindowClocks
-	}
 	cfg := memctrl.Config{
 		Policy:            s.Policy,
-		Scheme:            scheme,
+		Scheme:            s.Scheme,
 		Pages:             s.Pages,
 		ExtraCodecLatency: s.ExtraCodecLatency,
 		Tracer:            s.Tracer,
@@ -186,9 +179,9 @@ func (s RunSpec) llcConfig() *gpu.LLCConfig {
 const DefaultAccesses = 60000
 
 // AppResult is one (application, policy) simulation outcome, over one
-// channel or several. Across channels, counts and energies are sums and
-// histograms merge; Clocks, Ctrl.Clock and Ctrl.MaxGapClocks take the
-// maximum (see memctrl.Stats.Merge).
+// channel or several, folded together by addChannel. Across channels,
+// counts and energies are sums and histograms merge; Clocks, Ctrl.Clock
+// and Ctrl.MaxGapClocks take the maximum (see memctrl.Stats.Merge).
 type AppResult struct {
 	App      workload.Profile
 	Label    string
@@ -200,8 +193,8 @@ type AppResult struct {
 	PerChannel []bus.Stats
 	Ctrl       memctrl.Stats
 	// ReadGaps and WriteGaps are idle-clock histograms (Fig. 5).
-	ReadGaps  *stats.Histogram
-	WriteGaps *stats.Histogram
+	ReadGaps  stats.Histogram
+	WriteGaps stats.Histogram
 	// LLC is the cache's statistics (zero value without UseLLC).
 	LLC    gpu.LLCStats
 	Clocks int64
@@ -241,6 +234,43 @@ func (r AppResult) ChannelBalance() float64 {
 		return math.Inf(1)
 	}
 	return hi / lo
+}
+
+// addChannel folds channel ch's finished run into r: its controller's
+// bus, controller and gap statistics, its driver's result, and its fault
+// injector's accounting (in is nil on a clean link), which must
+// partition the corrupted bursts. Folding one channel into a zero r
+// yields exactly that channel's values. Channel 0 names the result: every
+// channel's controller is built from one controllerConfig, whose policy
+// and scheme alone make up the label. When r.PerChannel is non-nil,
+// PerChannel[ch] keeps the channel's bus statistics. On an error the
+// caller must discard r.
+func (r *AppResult) addChannel(ch int, ctrl *memctrl.Controller, res gpu.RunResult, in *fault.Injector) error {
+	if in != nil {
+		fs := in.Stats()
+		if !fs.Conserves() {
+			return fmt.Errorf("report: %s channel %d: fault detection layers do not partition corrupted bursts: %v",
+				r.App.Name, ch, fs)
+		}
+		r.Fault.Add(fs)
+	}
+	if ch == 0 {
+		r.Label = ctrl.Describe()
+	}
+	bs := ctrl.BusStats()
+	if r.PerChannel != nil {
+		r.PerChannel[ch] = bs
+	}
+	r.Bus.Merge(bs)
+	r.Ctrl.Merge(ctrl.Stats())
+	r.ReadGaps.Merge(ctrl.ReadGapHistogram())
+	r.WriteGaps.Merge(ctrl.WriteGapHistogram())
+	// Parallel channels: the run is as long as its slowest channel.
+	r.Clocks = max(r.Clocks, res.Clocks)
+	r.Reads += res.DRAMReads
+	r.Writes += res.DRAMWrites
+	r.ReplayedReads += res.ReplayedReads
+	return nil
 }
 
 // derive sets the per-bit energy, read latency and idle frequency
@@ -341,29 +371,12 @@ func runDriver(st *runStack, p workload.Profile, spec RunSpec, tallies []*obs.Pr
 		return AppResult{}, err
 	}
 
-	ar := AppResult{
-		App:           p,
-		Label:         ctrl.Describe(),
-		Channels:      1,
-		Bus:           ctrl.BusStats(),
-		Ctrl:          ctrl.Stats(),
-		ReadGaps:      ctrl.ReadGapHistogram(),
-		WriteGaps:     ctrl.WriteGapHistogram(),
-		LLC:           res.LLC,
-		Clocks:        res.Clocks,
-		Reads:         res.DRAMReads,
-		Writes:        res.DRAMWrites,
-		ReplayedReads: res.ReplayedReads,
-	}
 	// Invariant violations return the zero AppResult: a populated result
 	// must never ride alongside an error, or callers can accidentally
 	// consume statistics the violation just invalidated.
-	if in != nil {
-		ar.Fault = in.Stats()
-		if !ar.Fault.Conserves() {
-			return AppResult{}, fmt.Errorf("report: %s: fault detection layers do not partition corrupted bursts: %v",
-				p.Name, ar.Fault)
-		}
+	ar := AppResult{App: p, Channels: 1, LLC: res.LLC}
+	if err := ar.addChannel(0, ctrl, res, in); err != nil {
+		return AppResult{}, err
 	}
 	if err := ar.derive(); err != nil {
 		return AppResult{}, err
@@ -597,28 +610,16 @@ func (fr FleetResult) MeanClocks() float64 {
 	return float64(sum) / float64(len(fr.Results))
 }
 
-// AggregateGaps merges the per-app gap histograms (reads or writes). The
-// aggregate is sized from the first result's histogram, so fleets run
-// with a non-default memctrl.Config.GapHistBuckets aggregate correctly;
-// a bucket-count mismatch between results surfaces as an error rather
-// than a panic. An empty fleet yields an empty default-sized histogram.
-func (fr FleetResult) AggregateGaps(reads bool) (*stats.Histogram, error) {
-	pick := func(r AppResult) *stats.Histogram {
+// AggregateGaps merges the per-app gap histograms (reads or writes); an
+// empty fleet yields an empty histogram.
+func (fr FleetResult) AggregateGaps(reads bool) stats.Histogram {
+	var agg stats.Histogram
+	for _, r := range fr.Results {
 		if reads {
-			return r.ReadGaps
-		}
-		return r.WriteGaps
-	}
-	buckets := 17
-	if len(fr.Results) > 0 {
-		buckets = pick(fr.Results[0]).Buckets()
-	}
-	agg := stats.NewHistogram(buckets)
-	for i, r := range fr.Results {
-		if err := agg.Merge(pick(r)); err != nil {
-			return nil, fmt.Errorf("report: aggregating gaps of app %d (%s): %w",
-				i, r.App.Name, err)
+			agg.Merge(r.ReadGaps)
+		} else {
+			agg.Merge(r.WriteGaps)
 		}
 	}
-	return agg, nil
+	return agg
 }

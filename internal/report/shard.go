@@ -31,8 +31,8 @@ import (
 // shards replay the planner's streams; nothing the result keeps points
 // into the plan or the controllers. Each shard that succeeds leaves its
 // profile tally in tallies[channel] (when tallies is non-nil) as soon as
-// it finishes, on its worker. On any error — construction, invariant
-// violation, label disagreement — the zero AppResult is returned.
+// it finishes, on its worker. On any error — construction or invariant
+// violation — the zero AppResult is returned.
 func runSharded(st *runStack, p workload.Profile, spec RunSpec, channels, workers int, tallies []*obs.Profile) (AppResult, error) {
 	gen, err := workload.OpenGenerator(p, spec.Seed)
 	if err != nil {
@@ -86,41 +86,13 @@ func runSharded(st *runStack, p workload.Profile, spec RunSpec, channels, worker
 
 	ar := AppResult{
 		App:        p,
-		Label:      units[0].Ctrl.Describe(),
 		Channels:   channels,
 		PerChannel: make([]bus.Stats, channels),
-		ReadGaps:   units[0].Ctrl.ReadGapHistogram(),
-		WriteGaps:  units[0].Ctrl.WriteGapHistogram(),
 		LLC:        plan.LLC,
 	}
 	for ch, u := range units {
-		c, res := u.Ctrl, u.Result()
-		if got := c.Describe(); got != ar.Label {
-			return AppResult{}, fmt.Errorf("report: channel %d label %q disagrees with channel 0's %q", ch, got, ar.Label)
-		}
-		// Parallel channels: the run is as long as its slowest shard.
-		ar.Clocks = max(ar.Clocks, res.Clocks)
-		ar.Reads += res.DRAMReads
-		ar.Writes += res.DRAMWrites
-		ar.ReplayedReads += res.ReplayedReads
-		ar.PerChannel[ch] = c.BusStats()
-		ar.Bus.Merge(ar.PerChannel[ch])
-		ar.Ctrl.Merge(c.Stats())
-		if ch > 0 {
-			if err := ar.ReadGaps.Merge(c.ReadGapHistogram()); err != nil {
-				return AppResult{}, fmt.Errorf("report: merging channel %d read gaps: %w", ch, err)
-			}
-			if err := ar.WriteGaps.Merge(c.WriteGapHistogram()); err != nil {
-				return AppResult{}, fmt.Errorf("report: merging channel %d write gaps: %w", ch, err)
-			}
-		}
-		if in := injectors[ch]; in != nil {
-			fs := in.Stats()
-			if !fs.Conserves() {
-				return AppResult{}, fmt.Errorf("report: %s channel %d: fault detection layers do not partition corrupted bursts: %v",
-					p.Name, ch, fs)
-			}
-			ar.Fault.Add(fs)
+		if err := ar.addChannel(ch, u.Ctrl, u.Result(), injectors[ch]); err != nil {
+			return AppResult{}, err
 		}
 	}
 	if err := ar.derive(); err != nil {

@@ -1,40 +1,29 @@
 // Package stats provides the small statistical containers the evaluation
-// harness needs: integer histograms with overflow buckets (for idle-gap
-// distributions), running summaries, and aggregate helpers.
+// harness needs: a fixed-size integer histogram with an overflow bucket
+// (for idle-gap distributions) and aggregate helpers.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"slices"
 	"strings"
 
 	"smores/internal/floats"
 )
 
-// Histogram counts integer samples in [0, Buckets) plus an overflow bucket.
+// Buckets is a Histogram's number of exact buckets: Fig. 5 reports idle
+// gaps of 0 to 16 clocks exactly and longer ones as ">16", the overflow
+// bucket.
+const Buckets = 17
+
+// Histogram counts integer samples in [0, Buckets) plus an overflow
+// bucket. It is a plain value: the zero value is empty, and assigning a
+// Histogram copies it.
 type Histogram struct {
-	counts   []int64
+	counts   [Buckets]int64
 	overflow int64
 	total    int64
 	sum      float64
-}
-
-// NewHistogram creates a histogram with the given number of exact buckets.
-func NewHistogram(buckets int) *Histogram {
-	h := new(Histogram)
-	h.Reset(buckets)
-	return h
-}
-
-// Reset empties h and gives it the given number of exact buckets, exactly
-// as NewHistogram(buckets) would build it; it reuses h's bucket storage
-// when that is large enough.
-func (h *Histogram) Reset(buckets int) {
-	buckets = max(buckets, 1)
-	counts := slices.Grow(h.counts[:0], buckets)[:buckets]
-	clear(counts)
-	*h = Histogram{counts: counts}
 }
 
 // Add records a sample (negative samples clamp to bucket 0).
@@ -52,28 +41,17 @@ func (h *Histogram) Add(v int) {
 }
 
 // Total returns the number of recorded samples.
-func (h *Histogram) Total() int64 { return h.total }
+func (h Histogram) Total() int64 { return h.total }
 
-// Buckets returns the number of exact buckets (excluding overflow).
-func (h *Histogram) Buckets() int { return len(h.counts) }
-
-// Equal reports whether two histograms have identical bucket layout and
-// contents (counts, overflow, total, and running sum).
-func (h *Histogram) Equal(o *Histogram) bool {
-	if len(h.counts) != len(o.counts) || h.overflow != o.overflow ||
-		h.total != o.total || !floats.Eq(h.sum, o.sum) {
-		return false
-	}
-	for i, c := range h.counts {
-		if c != o.counts[i] {
-			return false
-		}
-	}
-	return true
+// Equal reports whether two histograms have identical contents (counts,
+// overflow, total, and running sum).
+func (h Histogram) Equal(o Histogram) bool {
+	return h.counts == o.counts && h.overflow == o.overflow &&
+		h.total == o.total && floats.Eq(h.sum, o.sum)
 }
 
 // Count returns the samples recorded exactly at v.
-func (h *Histogram) Count(v int) int64 {
+func (h Histogram) Count(v int) int64 {
 	if v < 0 || v >= len(h.counts) {
 		return 0
 	}
@@ -81,10 +59,10 @@ func (h *Histogram) Count(v int) int64 {
 }
 
 // Overflow returns the samples at or beyond the bucket range.
-func (h *Histogram) Overflow() int64 { return h.overflow }
+func (h Histogram) Overflow() int64 { return h.overflow }
 
 // Fraction returns the fraction of samples exactly at v.
-func (h *Histogram) Fraction(v int) float64 {
+func (h Histogram) Fraction(v int) float64 {
 	if h.total == 0 {
 		return 0
 	}
@@ -92,7 +70,7 @@ func (h *Histogram) Fraction(v int) float64 {
 }
 
 // OverflowFraction returns the fraction of samples beyond the bucket range.
-func (h *Histogram) OverflowFraction() float64 {
+func (h Histogram) OverflowFraction() float64 {
 	if h.total == 0 {
 		return 0
 	}
@@ -101,7 +79,7 @@ func (h *Histogram) OverflowFraction() float64 {
 
 // TailFraction returns the fraction of samples at or above v (including
 // overflow).
-func (h *Histogram) TailFraction(v int) float64 {
+func (h Histogram) TailFraction(v int) float64 {
 	if h.total == 0 {
 		return 0
 	}
@@ -117,42 +95,25 @@ func (h *Histogram) TailFraction(v int) float64 {
 
 // Mean returns the mean of all samples (overflow samples contribute their
 // true values, which are retained in the running sum).
-func (h *Histogram) Mean() float64 {
+func (h Histogram) Mean() float64 {
 	if h.total == 0 {
 		return 0
 	}
 	return h.sum / float64(h.total)
 }
 
-// Clone returns an independent deep copy of the histogram. Accessors
-// that expose a histogram beyond the owning module's lifetime should
-// return a clone so later mutation cannot alias into the snapshot.
-func (h *Histogram) Clone() *Histogram {
-	return &Histogram{
-		counts:   append([]int64(nil), h.counts...),
-		overflow: h.overflow,
-		total:    h.total,
-		sum:      h.sum,
-	}
-}
-
-// Merge adds another histogram's samples into h. Histograms must have the
-// same bucket count.
-func (h *Histogram) Merge(o *Histogram) error {
-	if len(h.counts) != len(o.counts) {
-		return fmt.Errorf("stats: merging histograms of %d and %d buckets", len(h.counts), len(o.counts))
-	}
+// Merge adds another histogram's samples into h.
+func (h *Histogram) Merge(o Histogram) {
 	for i, c := range o.counts {
 		h.counts[i] += c
 	}
 	h.overflow += o.overflow
 	h.total += o.total
 	h.sum += o.sum
-	return nil
 }
 
 // String renders the first buckets as percentages, for logs.
-func (h *Histogram) String() string {
+func (h Histogram) String() string {
 	var b strings.Builder
 	for i := range h.counts {
 		if i >= 8 {
@@ -164,42 +125,6 @@ func (h *Histogram) String() string {
 	fmt.Fprintf(&b, "≥%d:%.1f%%", len(h.counts), h.OverflowFraction()*100)
 	return b.String()
 }
-
-// Summary accumulates count/mean/min/max of float samples.
-type Summary struct {
-	n        int64
-	sum      float64
-	min, max float64
-}
-
-// Add records one sample.
-func (s *Summary) Add(v float64) {
-	if s.n == 0 || v < s.min {
-		s.min = v
-	}
-	if s.n == 0 || v > s.max {
-		s.max = v
-	}
-	s.n++
-	s.sum += v
-}
-
-// N returns the sample count.
-func (s *Summary) N() int64 { return s.n }
-
-// Mean returns the sample mean (0 when empty).
-func (s *Summary) Mean() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.sum / float64(s.n)
-}
-
-// Min returns the smallest sample (0 when empty).
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest sample (0 when empty).
-func (s *Summary) Max() float64 { return s.max }
 
 // Mean returns the arithmetic mean of xs (0 for empty input).
 func Mean(xs []float64) float64 {

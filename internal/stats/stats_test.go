@@ -1,14 +1,14 @@
 package stats
 
 import (
+	"fmt"
 	"math"
-	"strings"
 	"testing"
 )
 
 func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram(4)
-	for _, v := range []int{0, 0, 1, 3, 7, -2} {
+	var h Histogram
+	for _, v := range []int{0, 0, 1, 3, 17, -2} {
 		h.Add(v)
 	}
 	if h.Total() != 6 {
@@ -35,51 +35,40 @@ func TestHistogramBasics(t *testing.T) {
 	if got := h.TailFraction(1); math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("TailFraction(1) = %g", got)
 	}
-	// Mean uses true values including overflow: (0+0+1+3+7+0)/6.
-	if got := h.Mean(); math.Abs(got-11.0/6) > 1e-12 {
+	// Mean uses true values including overflow: (0+0+1+3+17+0)/6.
+	if got := h.Mean(); math.Abs(got-21.0/6) > 1e-12 {
 		t.Errorf("Mean = %g", got)
 	}
-	if !strings.Contains(h.String(), "%") {
-		t.Error("String should render percentages")
+	if got, want := h.String(), "0:50.0% 1:16.7% 2:0.0% 3:16.7% 4:0.0% 5:0.0% 6:0.0% 7:0.0% …≥17:16.7%"; got != want {
+		t.Errorf("String = %q, want %q", got, want)
+	}
+	if got := fmt.Sprintf("%v", &h); got != h.String() {
+		t.Errorf("%%v of a pointer = %q, want String's %q", got, h.String())
 	}
 }
 
 func TestHistogramEmpty(t *testing.T) {
-	h := NewHistogram(0) // clamps to one bucket
-	if h.Fraction(0) != 0 || h.Mean() != 0 || h.OverflowFraction() != 0 || h.TailFraction(0) != 0 {
+	var h Histogram
+	if h.Total() != 0 || !h.Equal(Histogram{}) ||
+		h.Fraction(0) != 0 || h.Mean() != 0 || h.OverflowFraction() != 0 || h.TailFraction(0) != 0 {
 		t.Error("empty histogram statistics must be zero")
 	}
 }
 
 func TestHistogramMerge(t *testing.T) {
-	a, b := NewHistogram(4), NewHistogram(4)
+	var a, b Histogram
 	a.Add(1)
 	b.Add(1)
-	b.Add(9)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Total() != 3 || a.Count(1) != 2 || a.Overflow() != 1 {
+	b.Add(20)
+	a.Merge(b)
+	if a.Total() != 3 || a.Count(1) != 2 || a.Overflow() != 1 || math.Abs(a.Mean()-22.0/3) > 1e-12 {
 		t.Error("merge result wrong")
 	}
-	if err := a.Merge(NewHistogram(5)); err == nil {
-		t.Error("mismatched merge must error")
-	}
-}
-
-func TestSummary(t *testing.T) {
-	var s Summary
-	if s.Mean() != 0 || s.N() != 0 {
-		t.Error("empty summary")
-	}
-	for _, v := range []float64{2, -1, 5} {
-		s.Add(v)
-	}
-	if s.N() != 3 || s.Min() != -1 || s.Max() != 5 {
-		t.Errorf("summary: n=%d min=%g max=%g", s.N(), s.Min(), s.Max())
-	}
-	if math.Abs(s.Mean()-2) > 1e-12 {
-		t.Errorf("Mean = %g", s.Mean())
+	// A copy is independent of its source.
+	c := a
+	c.Add(2)
+	if a.Total() != 3 || a.Equal(c) {
+		t.Error("adding to a copy changed the original")
 	}
 }
 

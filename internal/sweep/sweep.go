@@ -45,9 +45,7 @@ func (cfg Config) spec(policy memctrl.EncodingPolicy, scheme core.Scheme, timing
 
 // windowSpec is the conservative-window sweep's spec for a w-clock window.
 func windowSpec(cfg Config, w int) report.RunSpec {
-	s := cfg.spec(memctrl.SMOREs, core.Scheme{Specification: core.StaticCode, Detection: core.Conservative}, nil)
-	s.WindowClocks = w
-	return s
+	return cfg.spec(memctrl.SMOREs, core.Scheme{Specification: core.StaticCode, Detection: core.Conservative, WindowClocks: w}, nil)
 }
 
 // fleetMean runs spec over fleet and returns the fleet-mean fJ/bit.
