@@ -8,6 +8,7 @@ package smores
 // the usual ns/op.
 
 import (
+	"path/filepath"
 	"testing"
 
 	"smores/internal/bus"
@@ -23,6 +24,7 @@ import (
 	"smores/internal/report"
 	"smores/internal/rng"
 	"smores/internal/sweep"
+	"smores/internal/tracestore"
 	"smores/internal/verilog"
 	"smores/internal/workload"
 )
@@ -497,6 +499,46 @@ func BenchmarkErrorDetectionStudy(b *testing.B) {
 		rate = fam.ByLength(3).Book().SingleSymbolErrors().DetectionRate()
 	}
 	b.ReportMetric(rate*100, "%detected(4b3s)")
+}
+
+// BenchmarkStoreReplay replays a 3-app fleet recorded into 2-shard
+// trace stores through variable SMOREs on one worker: trace-store block
+// decode feeding the one-channel engine, the path bench/'s store-replay
+// workload measures. Recording and registering the stores is set-up,
+// outside the timer, so -benchmem reports the replay path's own
+// allocations.
+func BenchmarkStoreReplay(b *testing.B) {
+	const accesses = 12000
+	dir := b.TempDir()
+	fleet := workload.Fleet()[:3]
+	named := make([]workload.Profile, len(fleet))
+	for i, p := range fleet {
+		named[i] = p
+		named[i].Name = p.Name + "-store"
+	}
+	opts := report.RecordOptions{Accesses: accesses, Seed: 1, Shards: 2, Workers: 1}
+	if _, err := report.RecordFleetStores(named, dir, opts); err != nil {
+		b.Fatal(err)
+	}
+	members := make([]workload.Profile, len(named))
+	for i, p := range named {
+		m, err := tracestore.RegisterFleetMember(filepath.Join(dir, p.Name))
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer workload.UnregisterExternal(m.Name)
+		members[i] = m
+	}
+	spec := report.PolicySpecs(accesses, 1, false)[2]
+	var fr report.FleetResult
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if fr, err = report.RunFleetApps(members, spec, report.FleetOptions{Workers: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(fr.MeanPerBit(), "fJ/bit")
 }
 
 // BenchmarkMultiChannel runs one app over four channels, its shards

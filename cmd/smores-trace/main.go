@@ -265,6 +265,7 @@ func doReplay(dir, chrome, folded, profJSON string) error {
 	if err != nil {
 		return err
 	}
+	defer rep.Close()
 	cfg := memctrl.Config{Policy: memctrl.BaselineMTA}
 	var tracer *obs.Tracer
 	if chrome != "" {

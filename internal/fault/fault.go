@@ -128,7 +128,7 @@ type Config struct {
 // one per channel (the campaign runner builds one per app × point).
 type Injector struct {
 	cfg      Config
-	rng      *rng.RNG
+	rng      rng.RNG
 	family   *core.Family
 	mtaCodec *mta.Codec
 	stats    Stats
@@ -150,8 +150,21 @@ type Injector struct {
 
 // New builds an injector. The returned value satisfies bus.BurstHook.
 func New(cfg Config) (*Injector, error) {
+	in := new(Injector)
+	if err := in.Reset(cfg); err != nil {
+		return nil, err
+	}
+	return in, nil
+}
+
+// Reset rebuilds in for cfg exactly as New(cfg) would, so a runner that
+// keeps one injector per channel restarts it for every run: the
+// statistics, the error process's generator and model state all start
+// afresh. It keeps only the receive buffers' storage. On error in is
+// unchanged.
+func (in *Injector) Reset(cfg Config) error {
 	if cfg.Rate < 0 || cfg.Rate >= 1 {
-		return nil, fmt.Errorf("fault: error rate %g outside [0, 1)", cfg.Rate)
+		return fmt.Errorf("fault: error rate %g outside [0, 1)", cfg.Rate)
 	}
 	if cfg.Family == nil {
 		cfg.Family = core.DefaultFamily()
@@ -162,48 +175,52 @@ func New(cfg Config) (*Injector, error) {
 	if cfg.BurstLen <= 0 {
 		cfg.BurstLen = 4
 	}
-	in := &Injector{
+	fresh := Injector{
 		cfg:      cfg,
-		rng:      rng.New(cfg.Seed),
 		family:   cfg.Family,
 		mtaCodec: cfg.MTACodec,
 	}
 	switch cfg.Model {
 	case ModelUniform:
-		in.rateT = rng.BoolThreshold(cfg.Rate)
+		fresh.rateT = rng.BoolThreshold(cfg.Rate)
 	case ModelEyeBiased:
 		sigma := cfg.EyeSigmaMV
 		a, err := eyesim.New(eyesim.DefaultConfig())
 		if err != nil {
-			return nil, err
+			return err
 		}
 		eye := a.WorstCaseAggressorEye(pam4.MaxTransition)
 		if sigma <= 0 {
 			if cfg.Rate <= 0 {
-				return nil, fmt.Errorf("fault: eye-biased model needs Rate > 0 or an explicit EyeSigmaMV")
+				return fmt.Errorf("fault: eye-biased model needs Rate > 0 or an explicit EyeSigmaMV")
 			}
 			sigma, err = eyesim.SigmaForErrorProbFromEye(eye, cfg.Rate)
 			if err != nil {
-				return nil, err
+				return err
 			}
 		}
-		in.slip, err = eyesim.SlipMatrixFromEye(eye, sigma)
+		fresh.slip, err = eyesim.SlipMatrixFromEye(eye, sigma)
 		if err != nil {
-			return nil, err
+			return err
 		}
 	case ModelBursty:
 		if cfg.Rate >= badSlip {
-			return nil, fmt.Errorf("fault: bursty rate %g must stay below the bad-state slip %g", cfg.Rate, badSlip)
+			return fmt.Errorf("fault: bursty rate %g must stay below the bad-state slip %g", cfg.Rate, badSlip)
 		}
 		pBG := 1 / cfg.BurstLen
 		// Stationary bad fraction πB = rate/badSlip; πB = pGB/(pGB+pBG).
 		piB := cfg.Rate / badSlip
-		in.pbgT = rng.BoolThreshold(pBG)
-		in.pgbT = rng.BoolThreshold(pBG * piB / (1 - piB))
+		fresh.pbgT = rng.BoolThreshold(pBG)
+		fresh.pgbT = rng.BoolThreshold(pBG * piB / (1 - piB))
 	default:
-		return nil, fmt.Errorf("fault: unknown model %d", cfg.Model)
+		return fmt.Errorf("fault: unknown model %d", cfg.Model)
 	}
-	return in, nil
+	fresh.rng.Seed(cfg.Seed)
+	for g := range fresh.rxCols {
+		fresh.rxCols[g] = in.rxCols[g][:0]
+	}
+	*in = fresh
+	return nil
 }
 
 // Stats returns the accumulated injection/detection statistics.

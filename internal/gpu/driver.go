@@ -58,9 +58,17 @@ func (r RunResult) Bandwidth() float64 {
 }
 
 // Driver connects a workload generator, the LLC, and one channel's memory
-// controller, advancing them in lockstep.
+// controller, advancing them in lockstep. The zero value becomes a
+// driver through Reset. A driver must not be copied once built or
+// Reset: it points into itself (llc at its inline cache, its completion
+// callback at the driver), so a copy would drive the original's cache
+// and counters. Its noCopy marker makes go vet's copylocks check flag
+// copies, also of structs that hold a Driver by value.
 type Driver struct {
-	cfg  DriverConfig
+	_   noCopy
+	cfg DriverConfig
+	// llc is the inline cache, &cache, or nil when the driver bypasses
+	// it.
 	llc  *LLC
 	ctrl *memctrl.Controller
 	gen  Generator
@@ -78,30 +86,65 @@ type Driver struct {
 	thinkLeft    int64
 	reqID        uint64
 	res          RunResult
+
+	// Storage kept across Resets, after the fields the run loop reads:
+	// the inline cache's lines, whether or not llc points at them, and
+	// the controller's completion callback, built once per driver so
+	// that a Reset installs it without allocating.
+	cache    LLC
+	readDone func(*memctrl.Request)
 }
 
+// noCopy marks a struct that must not be copied: go vet's copylocks
+// check flags copies of any value holding one, as it does sync.Mutex.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
+
 // NewDriver builds a driver. ctrl must be new or just Reset; the driver
-// owns its completion callback.
+// owns its completion callback. A nil gen is a workload that has ended.
 func NewDriver(cfg DriverConfig, ctrl *memctrl.Controller, gen Generator) (*Driver, error) {
+	d := new(Driver)
+	if err := d.Reset(cfg, ctrl, gen); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// Reset rebuilds d to drive gen into ctrl under cfg exactly as
+// NewDriver(cfg, ctrl, gen) would, so a runner that keeps one driver
+// per worker restarts it for every run. It keeps only storage: the
+// writeback buffer, the completion callback and the inline cache's
+// lines, which a later cfg.LLC of at most the same size reuses. Nothing
+// else of the previous run stays reachable: a Reset with a nil gen lets
+// go of the last run's generator. On error d is unchanged.
+func (d *Driver) Reset(cfg DriverConfig, ctrl *memctrl.Controller, gen Generator) error {
 	if cfg.MSHRs <= 0 {
 		cfg.MSHRs = 32
 	}
 	if cfg.MaxClocks <= 0 {
 		cfg.MaxClocks = 1 << 32
 	}
-	d := &Driver{cfg: cfg, ctrl: ctrl, gen: gen}
+	cache := d.cache
 	if cfg.LLC != nil {
-		llc, err := NewLLC(*cfg.LLC)
-		if err != nil {
-			return nil, err
+		if err := cache.Reset(*cfg.LLC); err != nil {
+			return err
 		}
-		d.llc = llc
 	}
-	ctrl.OnReadDone(func(r *memctrl.Request) {
-		d.inflight--
-		d.res.ReplayedReads += int64(r.Replayed)
-	})
-	return d, nil
+	readDone := d.readDone
+	if readDone == nil {
+		readDone = func(r *memctrl.Request) {
+			d.inflight--
+			d.res.ReplayedReads += int64(r.Replayed)
+		}
+	}
+	*d = Driver{cfg: cfg, cache: cache, ctrl: ctrl, gen: gen, readDone: readDone, pendingWB: d.pendingWB[:0]}
+	if cfg.LLC != nil {
+		d.llc = &d.cache
+	}
+	ctrl.OnReadDone(readDone)
+	return nil
 }
 
 // Run drives the workload to completion and returns the result.

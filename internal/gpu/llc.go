@@ -86,24 +86,32 @@ type LLC struct {
 
 // NewLLC builds the cache.
 func NewLLC(cfg LLCConfig) (*LLC, error) {
-	if err := cfg.Validate(); err != nil {
+	l := new(LLC)
+	if err := l.Reset(cfg); err != nil {
 		return nil, err
 	}
-	return &LLC{
-		cfg:     cfg,
-		lines:   make([]llcLine, cfg.Sets()*cfg.Ways),
-		sets:    uint64(cfg.Sets()),
-		perLine: cfg.SectorsPerLine(),
-	}, nil
+	return l, nil
 }
 
-// Reset empties the cache for reuse: every line invalid, the LRU clock
-// and the statistics zeroed. A reset cache makes the same hit, victim
-// and writeback decisions as a fresh one from NewLLC with its config.
-func (l *LLC) Reset() {
-	clear(l.lines)
-	l.tick = 0
-	l.stats = LLCStats{}
+// Reset rebuilds l for cfg exactly as NewLLC(cfg) would: every line
+// invalid, the LRU clock and the statistics zeroed, so a reset cache
+// makes the same hit, victim and writeback decisions as a fresh one.
+// It reuses the line storage l already holds when that is large
+// enough; the zero LLC holds none. On error l is unchanged.
+func (l *LLC) Reset(cfg LLCConfig) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	n := cfg.Sets() * cfg.Ways
+	lines := l.lines
+	if cap(lines) < n {
+		lines = make([]llcLine, n)
+	} else {
+		lines = lines[:n]
+		clear(lines)
+	}
+	*l = LLC{cfg: cfg, lines: lines, sets: uint64(cfg.Sets()), perLine: cfg.SectorsPerLine()}
+	return nil
 }
 
 // Stats returns a snapshot of cache statistics.

@@ -177,7 +177,9 @@ func TestLLCResetMatchesFresh(t *testing.T) {
 	if st := reused.Stats(); st.Writebacks == 0 {
 		t.Fatalf("warm-up wrote nothing back — the test is vacuous: %+v", st)
 	}
-	reused.Reset()
+	if err := reused.Reset(cfg); err != nil {
+		t.Fatal(err)
+	}
 	fresh := mustLLC(t, cfg)
 	if reused.Stats() != fresh.Stats() {
 		t.Fatalf("reset stats %+v, want a fresh cache's %+v", reused.Stats(), fresh.Stats())

@@ -139,8 +139,9 @@ type Controller struct {
 	degraded     bool
 
 	// payload generates random burst data in exact-data mode (encrypted
-	// traffic is uniform random, so synthesized payloads are faithful).
-	payload *rng.RNG
+	// traffic is uniform random, so synthesized payloads are faithful);
+	// expected mode sends no data.
+	payload rng.RNG
 	buf     [bus.BurstBytes]byte
 
 	completions []Request // sorted by Done; delivered ones are compacted out
@@ -225,7 +226,7 @@ func (c *Controller) Reset(cfg Config) error {
 	c.readQ.init(Read)
 	c.writeQ.init(Write)
 	if cfg.Bus.ExactData {
-		c.payload = rng.New(0x5310_4E5)
+		c.payload.Seed(0x5310_4E5)
 	}
 	if cfg.Fault != nil {
 		c.replay = cfg.Replay.withDefaults()
@@ -754,7 +755,7 @@ func (c *Controller) decidePending(gap, gpuGap int, known bool, nextKind Kind) {
 	}
 
 	var data []byte
-	if c.payload != nil {
+	if c.cfg.Bus.ExactData {
 		c.payload.Fill(c.buf[:])
 		data = c.buf[:]
 	}

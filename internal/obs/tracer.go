@@ -126,6 +126,8 @@ func (t *Tracer) Capacity() int {
 	if t == nil {
 		return 0
 	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	return cap(t.buf)
 }
 

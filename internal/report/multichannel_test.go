@@ -51,11 +51,11 @@ func TestChannelSpecDecorrelatesFaultSeeds(t *testing.T) {
 		if got := base.controllerConfig(i).Channel; got != i {
 			t.Errorf("channel %d: controller channel id = %d", i, got)
 		}
-		_, in, err := new(runStack).controller(base, i)
-		if err != nil {
+		st := new(runStack)
+		if _, err := st.controller(base, i); err != nil {
 			t.Fatal(err)
 		}
-		seed := in.Config().Seed
+		seed := st.injector(base, i).Config().Seed
 		if want := DecorrelateSeed(42, i); seed != want {
 			t.Errorf("channel %d seed = %d, want %d", i, seed, want)
 		}
@@ -67,8 +67,12 @@ func TestChannelSpecDecorrelatesFaultSeeds(t *testing.T) {
 	if base.Fault.Seed != 42 {
 		t.Errorf("caller's config mutated: seed = %d", base.Fault.Seed)
 	}
-	if _, in, err := new(runStack).controller(RunSpec{}, 3); err != nil || in != nil {
-		t.Errorf("no-fault spec built injector %v (err %v)", in, err)
+	st := new(runStack)
+	if _, err := st.controller(RunSpec{}, 3); err != nil {
+		t.Fatal(err)
+	}
+	if in := st.injector(RunSpec{}, 3); in != nil {
+		t.Errorf("no-fault spec built injector %v", in)
 	}
 }
 

@@ -5,6 +5,7 @@ package report
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"sync"
 
@@ -105,13 +106,24 @@ func (s RunSpec) controllerConfig(ch int) memctrl.Config {
 	return cfg
 }
 
-// runStack is one worker's simulation stack: the multi-channel front end
-// and one controller per channel, Reset for every run it serves, so a
-// worker builds and grows their storage once instead of per run. Runs
-// on one stack must not overlap.
+// runStack is one worker's simulation stack: the synthetic generator,
+// the one-channel driver, the multi-channel front end, and per channel a
+// controller, a fault injector and a shard unit, each Reset for every
+// run it serves, so a worker builds and grows their storage once
+// instead of per run. Runs on one stack must not overlap.
 type runStack struct {
+	gen     workload.Generator
+	drv     gpu.Driver
 	planner shard.Planner
-	ctrls   []*memctrl.Controller
+	chans   []*channelStack
+	units   []*shard.Unit // the current sharded run's units, in channel order
+}
+
+// channelStack is one channel's part of a runStack.
+type channelStack struct {
+	ctrl  memctrl.Controller
+	fault fault.Injector
+	unit  shard.Unit
 }
 
 // stacks pools runStacks across RunApp and RunFleetApps calls.
@@ -125,44 +137,55 @@ func getStack() *runStack {
 	return new(runStack)
 }
 
-// putStack returns st to the pool. Its controllers are Reset to the
+// putStack returns st to the pool. Everything in it is Reset to the
 // default configuration first, so a pooled stack keeps only storage:
-// nothing a run referenced (tracer, profile, fault injector, or the
-// driver and generator behind the completion callback) stays reachable
-// through it.
+// nothing a run referenced (its replay or the store behind it, tracer,
+// profile, or a fault configuration's codecs) stays reachable through
+// it. The zero configurations are valid, so these Resets cannot fail.
 func putStack(st *runStack) {
-	for _, c := range st.ctrls {
-		// The zero configuration is valid, so this Reset cannot fail.
-		_ = c.Reset(memctrl.Config{})
+	if len(st.chans) > 0 {
+		_ = st.drv.Reset(gpu.DriverConfig{}, &st.chans[0].ctrl, nil)
+	}
+	for _, c := range st.chans {
+		_ = c.unit.Reset(0, &c.ctrl, gpu.DriverConfig{}, nil)
+		_ = c.fault.Reset(fault.Config{})
+		_ = c.ctrl.Reset(memctrl.Config{})
 	}
 	stacks.Put(st)
 }
 
 // controller returns the stack's controller for channel ch, Reset for
-// spec s, and, when s sets Fault, the fresh injector installed on it
-// (nil otherwise). Each channel's injector is seeded
-// DecorrelateSeed(Fault.Seed, ch), so the channels see independent error
-// processes and channel 0 keeps the configured seed.
-func (st *runStack) controller(s RunSpec, ch int) (*memctrl.Controller, *fault.Injector, error) {
+// spec s. When s sets Fault, the channel's injector is Reset and
+// installed on it (see injector), seeded DecorrelateSeed(Fault.Seed,
+// ch), so the channels see independent error processes and channel 0
+// keeps the configured seed.
+func (st *runStack) controller(s RunSpec, ch int) (*memctrl.Controller, error) {
+	for len(st.chans) <= ch {
+		st.chans = append(st.chans, new(channelStack))
+	}
+	c := st.chans[ch]
 	cfg := s.controllerConfig(ch)
-	var in *fault.Injector
 	if s.Fault != nil {
 		fc := *s.Fault
 		fc.Seed = DecorrelateSeed(fc.Seed, ch)
-		var err error
-		if in, err = fault.New(fc); err != nil {
-			return nil, nil, err
+		if err := c.fault.Reset(fc); err != nil {
+			return nil, err
 		}
-		cfg.Fault = in
+		cfg.Fault = &c.fault
 	}
-	for len(st.ctrls) <= ch {
-		st.ctrls = append(st.ctrls, new(memctrl.Controller))
+	if err := c.ctrl.Reset(cfg); err != nil {
+		return nil, err
 	}
-	ctrl := st.ctrls[ch]
-	if err := ctrl.Reset(cfg); err != nil {
-		return nil, nil, err
+	return &c.ctrl, nil
+}
+
+// injector returns the fault injector of channel ch's last run under
+// spec s, or nil when s runs a clean link.
+func (st *runStack) injector(s RunSpec, ch int) *fault.Injector {
+	if s.Fault == nil {
+		return nil
 	}
-	return ctrl, in, nil
+	return &st.chans[ch].fault
 }
 
 // llcConfig returns the cache configuration, nil without UseLLC.
@@ -293,9 +316,10 @@ func (r *AppResult) derive() error {
 }
 
 // RunApp simulates one application under one spec, over spec.Channels
-// channels, on the calling goroutine. The generator comes from
-// workload.OpenGenerator, so trace-backed fleet members replay their
-// recorded stream while synthetic apps synthesize from the seed.
+// channels, on the calling goroutine. The run opens its stream with
+// workload.ReopenGenerator, so trace-backed fleet members replay their
+// recorded stream (closed once the run has read it) while synthetic
+// apps restart the worker stack's generator in place from the seed.
 // spec.Accesses must be positive: synthetic generators never end. The
 // run's energy attribution reaches spec.Profile only if it succeeds. A
 // one-app RunFleetApps runs the same app with its channels spread over
@@ -336,46 +360,47 @@ func runApp(st *runStack, p workload.Profile, spec RunSpec, workers int, tallies
 	return runSharded(st, p, spec, channels, workers, tallies)
 }
 
-// runDriver is the one-channel engine: the gpu.Driver, with its inline
-// LLC, in front of stack st's channel-0 controller. A successful run
-// leaves its profile tally in tallies[0] when tallies is non-nil.
-// perClock pins the controller and driver to the one-clock-at-a-time
-// tick loop, the oracle TestEventSkipBitIdentical compares next-event
-// skipping against.
+// runDriver is the one-channel engine: stack st's gpu.Driver, with its
+// inline LLC, in front of the stack's channel-0 controller. The
+// generator is closed once the driver has run (or failed to start). A
+// successful run leaves its profile tally in tallies[0] when tallies is
+// non-nil. perClock pins the controller and driver to the
+// one-clock-at-a-time tick loop, the oracle TestEventSkipBitIdentical
+// compares next-event skipping against.
 func runDriver(st *runStack, p workload.Profile, spec RunSpec, tallies []*obs.Profile, perClock bool) (AppResult, error) {
-	gen, err := workload.OpenGenerator(p, spec.Seed)
+	gen, err := workload.ReopenGenerator(&st.gen, p, spec.Seed)
 	if err != nil {
 		return AppResult{}, err
 	}
-	ctrl, in, err := st.controller(spec, 0)
+	ctrl, err := st.controller(spec, 0)
+	if err == nil {
+		if perClock {
+			ctrl.DisableEventSkip()
+		}
+		err = st.drv.Reset(gpu.DriverConfig{
+			MSHRs:       p.MSHRs,
+			MaxAccesses: spec.Accesses,
+			LLC:         spec.llcConfig(),
+		}, ctrl, gen)
+	}
 	if err != nil {
+		_ = endStream(p, gen) // the run already failed
 		return AppResult{}, err
 	}
-	if perClock {
-		ctrl.DisableEventSkip()
-	}
-	dcfg := gpu.DriverConfig{
-		MSHRs:       p.MSHRs,
-		MaxAccesses: spec.Accesses,
-		LLC:         spec.llcConfig(),
-	}
-	drv, err := gpu.NewDriver(dcfg, ctrl, gen)
-	if err != nil {
-		return AppResult{}, err
-	}
-	res, err := drv.Run()
+	res, err := st.drv.Run()
+	endErr := endStream(p, gen)
 	if err != nil {
 		return AppResult{}, fmt.Errorf("report: %s under %s: %w", p.Name, ctrl.Describe(), err)
 	}
-	if err := streamErr(p, gen); err != nil {
-		return AppResult{}, err
+	if endErr != nil {
+		return AppResult{}, endErr
 	}
 
 	// Invariant violations return the zero AppResult: a populated result
 	// must never ride alongside an error, or callers can accidentally
 	// consume statistics the violation just invalidated.
 	ar := AppResult{App: p, Channels: 1, LLC: res.LLC}
-	if err := ar.addChannel(0, ctrl, res, in); err != nil {
+	if err := ar.addChannel(0, ctrl, res, st.injector(spec, 0)); err != nil {
 		return AppResult{}, err
 	}
 	if err := ar.derive(); err != nil {
@@ -387,17 +412,26 @@ func runDriver(st *runStack, p workload.Profile, spec RunSpec, tallies []*obs.Pr
 	return ar, nil
 }
 
-// streamErr returns the error that ended gen's access stream early, if
-// gen can fail mid-stream (a trace-store replay stops at a bad block and
-// keeps the error in Err): a run over a truncated stream must fail, not
-// report on the accesses before the fault.
-func streamErr(p workload.Profile, gen gpu.Generator) error {
-	g, ok := gen.(interface{ Err() error })
-	if !ok {
-		return nil
+// endStream closes gen once a run has read all it will of it, when gen
+// holds resources (a trace-store replay is an io.Closer: it holds
+// column files and pooled decode buffers until closed, also when the
+// run's access budget stops it before the end of the store). It returns
+// the error that ended the stream early, if gen can fail mid-stream (a
+// replay stops at a bad block and keeps the error in Err): a run over a
+// truncated stream must fail, not report on the accesses before the
+// fault. Failing that, it returns the close's error.
+func endStream(p workload.Profile, gen gpu.Generator) error {
+	var closeErr error
+	if c, ok := gen.(io.Closer); ok {
+		closeErr = c.Close()
 	}
-	if err := g.Err(); err != nil {
-		return fmt.Errorf("report: %s: access stream ended on an error: %w", p.Name, err)
+	if g, ok := gen.(interface{ Err() error }); ok {
+		if err := g.Err(); err != nil {
+			return fmt.Errorf("report: %s: access stream ended on an error: %w", p.Name, err)
+		}
+	}
+	if closeErr != nil {
+		return fmt.Errorf("report: %s: closing the access stream: %w", p.Name, closeErr)
 	}
 	return nil
 }
@@ -458,14 +492,19 @@ func appSeed(seed uint64, i int) uint64 { return DecorrelateSeed(seed, i) }
 // spec.Seed itself.
 //
 // Each worker runs its apps on one simulation stack, taken for the call
-// from a package pool that RunApp shares: a multi-channel front end (a
-// shard.Planner: about 1.2 MB of LLC plus the streams of the largest app
-// it has run) and one controller per channel, each Reset for every run.
-// The stacks go back to the pool when the call ends. Between calls a
-// pooled stack keeps that storage reachable and nothing else: no result
-// points into it, and no spec's tracer, profile, fault injector or
-// generator stays reachable through it. The pool drops idle stacks at
-// garbage collection.
+// from a package pool that RunApp shares: a synthetic generator, a
+// one-channel driver (with its inline LLC's 1.2 MB once a run has used
+// it), a multi-channel front end (a shard.Planner: about 1.2 MB of LLC
+// plus the streams of the largest app it has run), and per channel a
+// controller, a fault injector and a shard unit, each Reset for every
+// run. A steady-state run therefore builds none of them. A replayed
+// store member still opens its replay, which the run closes as soon as
+// it has read what it needs: its column files close and its decode
+// columns go back to the trace store's pool. The stacks go back to the
+// pool when the call ends. Between calls a pooled stack keeps that
+// storage reachable and nothing else: no result points into it, and no
+// run's replay, store, tracer or profile stays reachable through it.
+// The pool drops idle stacks at garbage collection.
 //
 // Every app runs, whatever the others do. Results are ordered by fleet
 // position at every worker count; on error the lowest-indexed failure is

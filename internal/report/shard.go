@@ -17,7 +17,6 @@ import (
 	"strings"
 
 	"smores/internal/bus"
-	"smores/internal/fault"
 	"smores/internal/gpu"
 	"smores/internal/obs"
 	"smores/internal/shard"
@@ -34,19 +33,21 @@ import (
 // it finishes, on its worker. On any error — construction or invariant
 // violation — the zero AppResult is returned.
 func runSharded(st *runStack, p workload.Profile, spec RunSpec, channels, workers int, tallies []*obs.Profile) (AppResult, error) {
-	gen, err := workload.OpenGenerator(p, spec.Seed)
+	gen, err := workload.ReopenGenerator(&st.gen, p, spec.Seed)
 	if err != nil {
 		return AppResult{}, err
 	}
 	plan, err := st.planner.Build(gen, channels, spec.Accesses, spec.llcConfig())
+	// The plan holds every access the shards replay: the generator is
+	// done with.
+	endErr := endStream(p, gen)
 	if err != nil {
 		return AppResult{}, err
 	}
-	if err := streamErr(p, gen); err != nil {
-		return AppResult{}, err
+	if endErr != nil {
+		return AppResult{}, endErr
 	}
-	units := make([]*shard.Unit, channels)
-	injectors := make([]*fault.Injector, channels)
+	units := st.units[:0]
 	// Each channel traces into a private ring of the shared tracer's
 	// capacity, appended to the shared one in channel order once every
 	// shard has run, so the trace does not depend on which shard
@@ -55,23 +56,25 @@ func runSharded(st *runStack, p workload.Profile, spec RunSpec, channels, worker
 	if spec.Tracer != nil {
 		tracers = make([]*obs.Tracer, channels)
 	}
-	for ch := range units {
+	for ch := 0; ch < channels; ch++ {
 		chSpec := spec
 		if tracers != nil {
 			tracers[ch] = obs.NewTracer(spec.Tracer.Capacity())
 			chSpec.Tracer = tracers[ch]
 		}
-		ctrl, in, err := st.controller(chSpec, ch)
+		ctrl, err := st.controller(chSpec, ch)
 		if err != nil {
 			return AppResult{}, err
 		}
-		injectors[ch] = in
 		// Each shard gets the app's MSHR count as its per-channel share,
 		// so the app holds p.MSHRs × channels in total.
-		if units[ch], err = shard.NewUnit(ch, ctrl, gpu.DriverConfig{MSHRs: p.MSHRs}, plan.Streams[ch]); err != nil {
+		u := &st.chans[ch].unit
+		if err := u.Reset(ch, ctrl, gpu.DriverConfig{MSHRs: p.MSHRs}, plan.Streams[ch]); err != nil {
 			return AppResult{}, err
 		}
+		units = append(units, u)
 	}
+	st.units = units
 	err = shard.RunUnits(units, workers, func(u *shard.Unit) {
 		if tallies != nil && u.Err() == nil {
 			tallies[u.Channel] = u.Ctrl.DetachTally()
@@ -91,7 +94,7 @@ func runSharded(st *runStack, p workload.Profile, spec RunSpec, channels, worker
 		LLC:        plan.LLC,
 	}
 	for ch, u := range units {
-		if err := ar.addChannel(ch, u.Ctrl, u.Result(), injectors[ch]); err != nil {
+		if err := ar.addChannel(ch, u.Ctrl, u.Result(), st.injector(spec, ch)); err != nil {
 			return AppResult{}, err
 		}
 	}

@@ -68,6 +68,9 @@ func RecordAppStore(p workload.Profile, dir string, opts RecordOptions) (tracest
 		}
 		recs = append(recs, tracestore.Record{Access: a})
 	}
+	if err := endStream(p, gen); err != nil {
+		return tracestore.Manifest{}, err
+	}
 	meta := tracestore.Meta{
 		Name:   p.Name,
 		Suite:  p.Suite,

@@ -15,6 +15,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -247,6 +248,56 @@ func requireSameTree(t *testing.T, a, b string) {
 	}
 }
 
+// Runs close the replays they open. With the collector off, no
+// finalizer closes a file for them, so ten replays of a 2-shard store
+// that stop at their access budget in its first shard, then ten whose
+// budget is the store's length (they never ask for the record past its
+// end), then ten re-recordings of a part of it, at one channel and at
+// four, must leave the process's open-file count where it was.
+func TestReplaysCloseTheirFiles(t *testing.T) {
+	openFiles := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("cannot count open files: %v", err)
+		}
+		return len(ents)
+	}
+	openFiles()
+	const records = 3000
+	p, _ := workload.ByName("bfs")
+	sp := recordMember(t, p, records, 5)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	replay := func(i int, accesses int64) {
+		spec := PolicySpecs(accesses, 5, false)[2]
+		spec.Channels = 1 + 3*(i%2)
+		if _, err := RunApp(sp, spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	replay(0, records)
+	before := openFiles()
+	for i := 0; i < 10; i++ {
+		replay(i, records/3)
+	}
+	partial := openFiles()
+	for i := 0; i < 10; i++ {
+		replay(i, records)
+	}
+	full := openFiles()
+	dir := t.TempDir()
+	for i := 0; i < 10; i++ {
+		opts := RecordOptions{Accesses: records / 3, Seed: 5, Shards: 1}
+		if _, err := RecordAppStore(sp, filepath.Join(dir, fmt.Sprint(i)), opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recorded := openFiles()
+	if partial != before || full != before || recorded != before {
+		t.Fatalf("open files: %d before, %d after partial replays, %d after full-budget replays, %d after re-recordings",
+			before, partial, full, recorded)
+	}
+}
+
 // TestRecordAppStoreShortStream documents the finite-stream contract:
 // recording from a replayed store (finite) stops at the stream's end
 // rather than erroring.
@@ -315,7 +366,8 @@ func TestRecordAppStoreMatchesSMTRFixture(t *testing.T) {
 // A replay that stops at a bad block fails its run, at one channel and
 // at several, rather than reporting on the records before the fault; in
 // a fleet the other apps' results are kept and the store app's error
-// is returned.
+// is returned. Re-recording the store fails too, rather than writing
+// the records before the fault as a shorter store.
 func TestStoreReplayCorruptBlockFails(t *testing.T) {
 	const accesses, seed = 10000, 3
 	p, _ := workload.ByName("bfs")
@@ -359,5 +411,9 @@ func TestStoreReplayCorruptBlockFails(t *testing.T) {
 		if len(fr.Results) != 2 || fr.Results[0].App.Name != fleet[0].Name || fr.Results[1].App.Name != fleet[2].Name {
 			t.Errorf("%d channels: fleet kept %d results, want apps 0 and 2", channels, len(fr.Results))
 		}
+	}
+	rerecord := filepath.Join(t.TempDir(), "rerecord")
+	if _, err := RecordAppStore(sp, rerecord, RecordOptions{Accesses: accesses, Seed: seed, Shards: 1}); !errors.Is(err, tracestore.ErrCorrupt) {
+		t.Errorf("re-recording a corrupt store returned %v, want a tracestore.ErrCorrupt", err)
 	}
 }

@@ -6,7 +6,8 @@ package rng
 
 import "math"
 
-// RNG is a xoshiro256★★ generator. The zero value is invalid; use New.
+// RNG is a xoshiro256★★ generator. The zero value is invalid; use New,
+// or Seed a zero value.
 type RNG struct {
 	s [4]uint64
 }
@@ -15,6 +16,13 @@ type RNG struct {
 // expanded through SplitMix64, which never yields the all-zero state.
 func New(seed uint64) *RNG {
 	r := &RNG{}
+	r.Seed(seed)
+	return r
+}
+
+// Seed puts r in the state New(seed) starts from, so a simulation
+// component that keeps its generator across runs reseeds it in place.
+func (r *RNG) Seed(seed uint64) {
 	sm := seed
 	for i := range r.s {
 		sm += 0x9e3779b97f4a7c15
@@ -23,7 +31,6 @@ func New(seed uint64) *RNG {
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 		r.s[i] = z ^ (z >> 31)
 	}
-	return r
 }
 
 // Fork derives an independent generator from this one, for giving each

@@ -25,6 +25,21 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// Seed on a used generator restarts New's stream for the new seed.
+func TestSeedMatchesNew(t *testing.T) {
+	r := New(42)
+	for i := 0; i < 10; i++ {
+		r.Uint64()
+	}
+	r.Seed(43)
+	want := New(43)
+	for i := 0; i < 100; i++ {
+		if r.Uint64() != want.Uint64() {
+			t.Fatalf("draw %d: a reseeded generator left New's stream", i)
+		}
+	}
+}
+
 func TestZeroSeedIsValid(t *testing.T) {
 	r := New(0)
 	seen := make(map[uint64]bool)

@@ -72,16 +72,15 @@ func BuildPlan(gen gpu.Generator, channels int, maxAccesses int64, llcCfg *gpu.L
 }
 
 // Planner runs front-end epochs into one front end that it keeps
-// between builds: an LLC, emptied by Reset before each plan, and the
+// between builds: an LLC, Reset for each plan's configuration, and the
 // per-channel stream buffers, truncated and refilled by each plan. A
 // caller that builds many plans one after another (a fleet worker, one
 // app at a time) thus allocates the cache and the streams once, not per
 // plan. The zero value is ready to use; a Planner is not safe for
 // concurrent use.
 type Planner struct {
-	plan   Plan
-	llc    *gpu.LLC
-	llcCfg gpu.LLCConfig // the configuration llc was built with
+	plan Plan
+	llc  gpu.LLC
 }
 
 // Build runs the front-end epoch: it consumes maxAccesses accesses from
@@ -108,16 +107,10 @@ func (pl *Planner) Build(gen gpu.Generator, channels int, maxAccesses int64, llc
 	}
 	var llc *gpu.LLC
 	if llcCfg != nil {
-		if pl.llc == nil || pl.llcCfg != *llcCfg {
-			l, err := gpu.NewLLC(*llcCfg)
-			if err != nil {
-				return nil, err
-			}
-			pl.llc, pl.llcCfg = l, *llcCfg
-		} else {
-			pl.llc.Reset()
+		if err := pl.llc.Reset(*llcCfg); err != nil {
+			return nil, err
 		}
-		llc = pl.llc
+		llc = &pl.llc
 	}
 	// Reslicing up to capacity reaches buffers an earlier, wider plan
 	// grew, so a plan with fewer channels keeps them for the next one.
@@ -195,7 +188,9 @@ func (g *StreamGen) Next() (gpu.Access, bool) {
 // Unit is one shard: a channel's controller plus the single-channel
 // driver replaying that channel's stream. Units share no mutable state,
 // so any scheduling of Run calls across goroutines yields identical
-// results.
+// results. The zero value becomes a unit through Reset. A unit must not
+// be copied once built or Reset, since its driver replays the unit's
+// own stream; go vet flags copies through the driver's noCopy marker.
 type Unit struct {
 	// Channel is the shard's channel id (its position in the plan).
 	Channel int
@@ -203,10 +198,10 @@ type Unit struct {
 	// final bus statistics, gap histograms, and controller counters.
 	Ctrl *memctrl.Controller
 
-	drv    *gpu.Driver
+	drv    gpu.Driver
+	stream StreamGen
 	result gpu.RunResult
 	err    error
-	ran    bool
 }
 
 // NewUnit wires a shard from a new or just Reset controller, a driver
@@ -215,21 +210,35 @@ type Unit struct {
 // controller's completion callback; cfg.LLC must be nil — the shared
 // cache already ran in the front-end epoch.
 func NewUnit(channel int, ctrl *memctrl.Controller, cfg gpu.DriverConfig, stream []gpu.Access) (*Unit, error) {
+	u := new(Unit)
+	if err := u.Reset(channel, ctrl, cfg, stream); err != nil {
+		return nil, err
+	}
+	return u, nil
+}
+
+// Reset rewires u exactly as NewUnit(channel, ctrl, cfg, stream) would,
+// so a runner that keeps one unit per channel restarts it for every
+// run. It keeps only its driver's storage. The stream is not copied
+// (see NewStreamGen); a nil stream is an empty one. On error u is
+// unchanged.
+func (u *Unit) Reset(channel int, ctrl *memctrl.Controller, cfg gpu.DriverConfig, stream []gpu.Access) error {
 	if cfg.LLC != nil {
-		return nil, fmt.Errorf("shard: unit %d: the LLC belongs to the front-end epoch, not the shard", channel)
+		return fmt.Errorf("shard: unit %d: the LLC belongs to the front-end epoch, not the shard", channel)
 	}
-	drv, err := gpu.NewDriver(cfg, ctrl, NewStreamGen(stream))
-	if err != nil {
-		return nil, fmt.Errorf("shard: unit %d: %w", channel, err)
+	if err := u.drv.Reset(cfg, ctrl, &u.stream); err != nil {
+		return fmt.Errorf("shard: unit %d: %w", channel, err)
 	}
-	return &Unit{Channel: channel, Ctrl: ctrl, drv: drv}, nil
+	u.Channel, u.Ctrl = channel, ctrl
+	u.stream = StreamGen{ops: stream}
+	u.result, u.err = gpu.RunResult{}, nil
+	return nil
 }
 
 // Run drives the shard to completion. It is called once per unit (by
 // RunUnits or directly).
 func (u *Unit) Run() error {
 	u.result, u.err = u.drv.Run()
-	u.ran = true
 	if u.err != nil {
 		u.err = fmt.Errorf("shard: unit %d: %w", u.Channel, u.err)
 	}

@@ -387,3 +387,49 @@ func TestRunJobs(t *testing.T) {
 		}
 	}
 }
+
+// A unit Reset after a wedged run (its error and partial result kept)
+// to another channel's stream and driver configuration runs exactly as
+// a fresh NewUnit over a fresh controller does; a Reset that puts a
+// cache on the unit fails and changes nothing.
+func TestUnitResetMatchesNew(t *testing.T) {
+	ops := record(t, "bert", 4, 2000)
+	plan, err := BuildPlan(&reGen{ops: ops}, 2, 2000, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl, err := memctrl.New(memctrl.Config{Channel: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := NewUnit(0, ctrl, gpu.DriverConfig{MSHRs: 8, MaxClocks: 50}, plan.Streams[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u.Run() == nil {
+		t.Fatal("the wedged first run succeeded")
+	}
+	llc := gpu.DefaultLLCConfig()
+	if err := u.Reset(1, ctrl, gpu.DriverConfig{LLC: &llc}, plan.Streams[1]); err == nil || u.Channel != 0 || u.Err() == nil {
+		t.Fatalf("Reset with a cache: err %v, channel %d, kept error %v", err, u.Channel, u.Err())
+	}
+	if err := ctrl.Reset(memctrl.Config{Channel: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := u.Reset(1, ctrl, gpu.DriverConfig{MSHRs: 16}, plan.Streams[1]); err != nil {
+		t.Fatal(err)
+	}
+	if u.Err() != nil || u.Result() != (gpu.RunResult{}) {
+		t.Fatalf("a Reset unit kept its last run: err %v, result %+v", u.Err(), u.Result())
+	}
+	if err := u.Run(); err != nil {
+		t.Fatal(err)
+	}
+	fresh := buildUnits(t, plan, 16)[1]
+	if err := fresh.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if u.Channel != 1 || u.Result() != fresh.Result() || !u.Ctrl.Stats().Equal(fresh.Ctrl.Stats()) {
+		t.Fatalf("a Reset unit's run differs from a fresh one's:\ngot  %+v\nwant %+v", u.Result(), fresh.Result())
+	}
+}

@@ -173,22 +173,35 @@ func resize[T any](buf []T, n int) []T {
 // enforces).
 func decodeThinks(dst []int64, raw []byte, n int) ([]int64, error) {
 	out := resize(dst, n)
-	r := bytes.NewReader(raw)
-	for i := 0; i < n; i++ {
-		v, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, fmt.Errorf("think record %d: %w", i, err)
+	for i := range out {
+		v, k := binary.Uvarint(raw)
+		if k <= 0 {
+			return nil, fmt.Errorf("think record %d: %w", i, varintErr(k))
 		}
 		if v > math.MaxInt64 {
 			return nil, fmt.Errorf("think record %d: value %d overflows int64", i, v)
 		}
 		out[i] = int64(v)
+		raw = raw[k:]
 	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("think column: %d trailing bytes", r.Len())
+	if len(raw) != 0 {
+		return nil, fmt.Errorf("think column: %d trailing bytes", len(raw))
 	}
 	return out, nil
 }
+
+// varintErr names the failure binary.Uvarint or binary.Varint reports
+// with a non-positive length k: the column ended inside a varint (0),
+// or the varint runs past 64 bits (negative).
+func varintErr(k int) error {
+	if k == 0 {
+		return io.ErrUnexpectedEOF
+	}
+	return errVarintOverflow
+}
+
+// errVarintOverflow reports a column varint longer than 64 bits.
+var errVarintOverflow = errors.New("varint overflows a 64-bit integer")
 
 // encodeSectors appends the sector column's raw bytes: the first value
 // absolute, every later value a zigzag-varint delta from its
@@ -212,24 +225,22 @@ func encodeSectors(dst []byte, sectors []uint64) []byte {
 // decodeSectors parses n sector values into dst's storage.
 func decodeSectors(dst []uint64, raw []byte, n int) ([]uint64, error) {
 	out := resize(dst, n)
-	r := bytes.NewReader(raw)
-	for i := 0; i < n; i++ {
+	for i := range out {
+		var k int
 		if i == 0 {
-			v, err := binary.ReadUvarint(r)
-			if err != nil {
-				return nil, fmt.Errorf("sector record 0: %w", err)
-			}
-			out[0] = v
-			continue
+			out[0], k = binary.Uvarint(raw)
+		} else {
+			var d int64
+			d, k = binary.Varint(raw)
+			out[i] = out[i-1] + uint64(d)
 		}
-		d, err := binary.ReadVarint(r)
-		if err != nil {
-			return nil, fmt.Errorf("sector record %d: %w", i, err)
+		if k <= 0 {
+			return nil, fmt.Errorf("sector record %d: %w", i, varintErr(k))
 		}
-		out[i] = out[i-1] + uint64(d)
+		raw = raw[k:]
 	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("sector column: %d trailing bytes", r.Len())
+	if len(raw) != 0 {
+		return nil, fmt.Errorf("sector column: %d trailing bytes", len(raw))
 	}
 	return out, nil
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -113,23 +114,58 @@ type Reader struct {
 	sizes [numFields]int64 // byte length of each open column file
 	bi    int
 
-	// The decoded columns of the current block. The think, sector and
-	// flag slices are decoded into again by every block that fits them;
-	// payloads is fresh per block, because Record.Payload aliases it.
-	thinks   []int64
-	sectors  []uint64
-	writeFl  []bool
+	// cols holds the decode columns while the scan runs: taken from
+	// the pool at the first block read and given back when the scan
+	// ends or the reader closes (nil before and after). payloads is
+	// fresh per block, because Record.Payload aliases it.
+	cols     *columns
 	payloads []byte
 	n, pos   int
-	// comp and raw hold one column block's compressed and inflated
-	// bytes, reused across columns and blocks (a payload block inflates
-	// into its own buffer).
-	comp, raw []byte
 
 	bytesRead  [numFields]int64
 	blocksRead int64
 	blocksSkip int64
 	err        error
+}
+
+// columns is one reader's decode storage: the current block's think,
+// sector and flag columns, decoded into again by every block that fits
+// them, and one column block's compressed and inflated bytes, reused
+// across columns and blocks (a payload block inflates into its own
+// buffer).
+type columns struct {
+	thinks    []int64
+	sectors   []uint64
+	writeFl   []bool
+	comp, raw []byte
+}
+
+// decodeColumns pools readers' decode columns, the twin of inflaters:
+// a scan costs no fresh 32 KB think and sector columns when an earlier
+// scan, on any store, has finished with its own, and no finished or
+// closed reader holds any.
+var decodeColumns sync.Pool
+
+// takeColumns returns the reader's decode columns, taking them from the
+// pool (or building empty ones) at the first call of a scan.
+func (r *Reader) takeColumns() *columns {
+	if r.cols == nil {
+		var ok bool
+		if r.cols, ok = decodeColumns.Get().(*columns); !ok {
+			r.cols = new(columns)
+		}
+	}
+	return r.cols
+}
+
+// releaseColumns gives the decode columns back to the pool; the reader
+// holds no decoded block afterwards.
+func (r *Reader) releaseColumns() {
+	if r.cols != nil {
+		decodeColumns.Put(r.cols)
+		r.cols = nil
+	}
+	r.payloads, r.n, r.pos = nil, 0, 0
 }
 
 // NewReader starts a scan.
@@ -159,9 +195,24 @@ func (r *Reader) BytesRead(f Field) int64 { return r.bytesRead[f] }
 func (r *Reader) BlocksRead() int64    { return r.blocksRead }
 func (r *Reader) BlocksSkipped() int64 { return r.blocksSkip }
 
-// Close releases the reader's file handles. Safe to call at any point;
-// the reader also closes shard files as it crosses shard boundaries.
+// errClosed is the error Next returns once the reader is closed.
+var errClosed = fmt.Errorf("tracestore: Next on a closed reader: %w", fs.ErrClosed)
+
+// Close ends the scan: it closes the reader's column files and gives
+// its decode columns back to the pool. Safe to call at any point and
+// more than once; Next then fails (with fs.ErrClosed) unless the scan
+// had already ended, in which case it keeps returning that end.
 func (r *Reader) Close() error {
+	r.releaseColumns()
+	if r.err == nil {
+		r.err = errClosed
+	}
+	return r.closeFiles()
+}
+
+// closeFiles closes the open column files, as the reader does whenever
+// it crosses a shard boundary.
+func (r *Reader) closeFiles() error {
 	var first error
 	for f, file := range r.files {
 		if file == nil {
@@ -186,19 +237,19 @@ func (r *Reader) Next() (Record, error) {
 			i := r.pos
 			r.pos++
 			if r.opts.FilterSector {
-				if sec := r.sectors[i]; sec < r.opts.MinSector || sec > r.opts.MaxSector {
+				if sec := r.cols.sectors[i]; sec < r.opts.MinSector || sec > r.opts.MaxSector {
 					continue
 				}
 			}
 			var rec Record
 			if r.fields.Has(FieldThink) {
-				rec.Think = r.thinks[i]
+				rec.Think = r.cols.thinks[i]
 			}
 			if r.fields.Has(FieldSector) {
-				rec.Sector = r.sectors[i]
+				rec.Sector = r.cols.sectors[i]
 			}
 			if r.fields.Has(FieldFlags) {
-				rec.Write = r.writeFl[i]
+				rec.Write = r.cols.writeFl[i]
 			}
 			if r.fields.Has(FieldPayload) {
 				rec.Payload = r.payloads[i*PayloadBytes : (i+1)*PayloadBytes : (i+1)*PayloadBytes]
@@ -206,7 +257,10 @@ func (r *Reader) Next() (Record, error) {
 			return rec, nil
 		}
 		if err := r.nextBlock(); err != nil {
+			// The scan is over, at the end of the store or on an error: a
+			// reader kept past its end holds no decode columns.
 			r.err = err
+			r.releaseColumns()
 			return Record{}, err
 		}
 	}
@@ -217,17 +271,14 @@ func (r *Reader) Next() (Record, error) {
 func (r *Reader) nextBlock() error {
 	for {
 		if r.si >= len(r.s.shards) {
-			// The scan is over: a reader kept past its end holds no
-			// block buffers.
-			r.thinks, r.sectors, r.writeFl, r.payloads, r.comp, r.raw = nil, nil, nil, nil, nil, nil
-			if err := r.Close(); err != nil {
+			if err := r.closeFiles(); err != nil {
 				return err
 			}
 			return io.EOF
 		}
 		si := r.s.shards[r.si]
 		if r.bi >= len(si.Blocks) {
-			if err := r.Close(); err != nil {
+			if err := r.closeFiles(); err != nil {
 				return err
 			}
 			r.si++
@@ -254,28 +305,29 @@ func (r *Reader) loadBlock(si *shardIndex, blk blockIndex) error {
 	fail := func(err error) error {
 		return fmt.Errorf("%w: shard %s block %d: %s", ErrCorrupt, si.Name, r.bi-1, err)
 	}
+	c := r.takeColumns()
 	var err error
 	if r.fields.Has(FieldThink) {
-		if r.raw, err = r.readColumn(si, FieldThink, blk.Cols[FieldThink], r.raw); err != nil {
+		if c.raw, err = r.readColumn(si, FieldThink, blk.Cols[FieldThink], c.raw); err != nil {
 			return fail(err)
 		}
-		if r.thinks, err = decodeThinks(r.thinks, r.raw, n); err != nil {
+		if c.thinks, err = decodeThinks(c.thinks, c.raw, n); err != nil {
 			return fail(err)
 		}
 	}
 	if r.fields.Has(FieldSector) {
-		if r.raw, err = r.readColumn(si, FieldSector, blk.Cols[FieldSector], r.raw); err != nil {
+		if c.raw, err = r.readColumn(si, FieldSector, blk.Cols[FieldSector], c.raw); err != nil {
 			return fail(err)
 		}
-		if r.sectors, err = decodeSectors(r.sectors, r.raw, n); err != nil {
+		if c.sectors, err = decodeSectors(c.sectors, c.raw, n); err != nil {
 			return fail(err)
 		}
 	}
 	if r.fields.Has(FieldFlags) {
-		if r.raw, err = r.readColumn(si, FieldFlags, blk.Cols[FieldFlags], r.raw); err != nil {
+		if c.raw, err = r.readColumn(si, FieldFlags, blk.Cols[FieldFlags], c.raw); err != nil {
 			return fail(err)
 		}
-		if r.writeFl, err = decodeFlags(r.writeFl, r.raw, n); err != nil {
+		if c.writeFl, err = decodeFlags(c.writeFl, c.raw, n); err != nil {
 			return fail(err)
 		}
 	}
@@ -318,8 +370,9 @@ func (r *Reader) readColumn(si *shardIndex, f Field, loc colLoc, dst []byte) ([]
 		return nil, fmt.Errorf("%s column: block [%d, +%d) runs past the %d-byte file",
 			f, loc.Offset, loc.CompLen, r.sizes[f])
 	}
-	r.comp = resize(r.comp, int(loc.CompLen))
-	comp := r.comp
+	c := r.takeColumns()
+	c.comp = resize(c.comp, int(loc.CompLen))
+	comp := c.comp
 	if _, err := file.ReadAt(comp, loc.Offset); err != nil {
 		return nil, fmt.Errorf("%s column: %w", f, err)
 	}
@@ -334,23 +387,33 @@ func (r *Reader) readColumn(si *shardIndex, f Field, loc colLoc, dst []byte) ([]
 	return raw, nil
 }
 
-// inflaters pools flate decompressors across readers, so a block costs
-// its buffers and not a fresh decompressor's ~40 KB of tables and
-// window, and no idle reader holds one.
+// inflater is a pooled flate decompressor with the byte reader it
+// reads a block from, so a block costs neither.
+type inflater struct {
+	src bytes.Reader
+	zr  io.ReadCloser
+}
+
+// inflaters pools inflaters across readers, so a block costs its
+// buffers and not a fresh decompressor's ~40 KB of tables and window,
+// and no idle reader holds one.
 var inflaters sync.Pool
 
 // inflate decompresses a flate block expecting exactly want raw bytes,
 // into dst when it can hold them.
 func inflate(dst, comp []byte, want int) ([]byte, error) {
-	src := bytes.NewReader(comp)
-	zr, ok := inflaters.Get().(io.ReadCloser)
+	in, ok := inflaters.Get().(*inflater)
 	if !ok {
-		zr = flate.NewReader(src)
-	} else if err := zr.(flate.Resetter).Reset(src, nil); err != nil {
+		in = new(inflater)
+		in.zr = flate.NewReader(&in.src)
+	}
+	in.src.Reset(comp)
+	if err := in.zr.(flate.Resetter).Reset(&in.src, nil); err != nil {
 		return nil, fmt.Errorf("inflate: %w", err)
 	}
-	raw, err := readFull(zr, dst, want)
-	inflaters.Put(zr)
+	raw, err := readFull(in.zr, dst, want)
+	in.src.Reset(nil) // a pooled inflater keeps no block reachable
+	inflaters.Put(in)
 	if err != nil {
 		return nil, fmt.Errorf("inflate: %w", err)
 	}
@@ -358,9 +421,12 @@ func inflate(dst, comp []byte, want int) ([]byte, error) {
 }
 
 // Replayer adapts a Reader to gpu.Generator: the store replays as a
-// workload whose stream is byte-identical to the recorded one.
+// workload whose stream is byte-identical to the recorded one. It is an
+// io.Closer: a replay that stops before the end of the store (at an
+// access budget) keeps a shard's column files open and its decode
+// columns out of the pool until Close.
 type Replayer struct {
-	r   *Reader
+	r   *Reader // nil once closed
 	err error
 }
 
@@ -373,9 +439,10 @@ func (s *Store) Replayer() (*Replayer, error) {
 	return &Replayer{r: r}, nil
 }
 
-// Next implements gpu.Generator.
+// Next implements gpu.Generator. It returns false at the end of the
+// store, on a replay error and once the replay is closed.
 func (p *Replayer) Next() (gpu.Access, bool) {
-	if p.err != nil {
+	if p.err != nil || p.r == nil {
 		return gpu.Access{}, false
 	}
 	rec, err := p.r.Next()
@@ -389,8 +456,22 @@ func (p *Replayer) Next() (gpu.Access, bool) {
 	return rec.Access, true
 }
 
-// Err returns the first replay error (nil at a clean end of store).
+// Err returns the first replay error (nil at a clean end of store),
+// also after Close.
 func (p *Replayer) Err() error { return p.err }
+
+// Close ends the replay: it closes the reader's files and gives its
+// decode columns back to the pool. Next then returns false; Err keeps
+// the replay's error, which Close does not change. Closing twice is a
+// no-op.
+func (p *Replayer) Close() error {
+	if p.r == nil {
+		return nil
+	}
+	err := p.r.Close()
+	p.r = nil
+	return err
+}
 
 // ReadAll drains a store's records (intended for tools and tests).
 func ReadAll(s *Store, fields FieldSet) ([]Record, error) {

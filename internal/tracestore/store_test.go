@@ -8,10 +8,13 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 
@@ -616,13 +619,16 @@ func TestReplayerMatchesRecords(t *testing.T) {
 	}
 }
 
-// A scan decodes each block into the buffers its reader already holds:
-// a full access-field scan of a 16-block store allocates less than three
-// blocks' worth of decoded columns, where fresh columns per block would
-// take sixteen. A warm-up scan fills the decompressor pool first. Until
-// the measurement ends the collector stays off, because a collection
-// empties the pool, and one P runs the test, because a pool's per-P
-// slot is invisible to a goroutine that moved to another P.
+// A scan decodes each block into the buffers its reader already holds,
+// and a reader takes those buffers from the pool a finished scan gave
+// them back to: a second reader's full access-field scan of a 16-block
+// store allocates less than one block's worth of decoded columns, where
+// fresh columns per reader would take one and fresh columns per block
+// sixteen. A warm-up scan fills the column and decompressor pools
+// first. Neither reader is closed: the end of a scan gives its columns
+// back. Until the measurement ends the collector stays off, because a
+// collection empties the pools, and one P runs the test, because a
+// pool's per-P slot is invisible to a goroutine that moved to another P.
 func TestScanReusesBlockBuffers(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops decompressors at random under the race detector")
@@ -635,7 +641,6 @@ func TestScanReusesBlockBuffers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer r.Close()
 		for {
 			rec, err := r.Next()
 			if errors.Is(err, io.EOF) {
@@ -663,8 +668,8 @@ func TestScanReusesBlockBuffers(t *testing.T) {
 	decoded := uint64(block * (8 + 8 + 1)) // a block's think, sector and flag columns
 	got := after.TotalAlloc - before.TotalAlloc
 	t.Logf("the scan allocated %d bytes; one block decodes to %d", got, decoded)
-	if got >= 3*decoded {
-		t.Fatalf("a %d-block scan allocated %d bytes, want under three blocks' columns (%d)", blocks, got, 3*decoded)
+	if got >= decoded {
+		t.Fatalf("a second reader's %d-block scan allocated %d bytes, want under one block's columns (%d)", blocks, got, decoded)
 	}
 }
 
@@ -759,5 +764,130 @@ func TestWriteReusesCompressors(t *testing.T) {
 	if got >= 2*compressor {
 		t.Fatalf("writing a %d-block shard allocated %d bytes, want under two compressors' worth (%d)",
 			blocks, got, 2*compressor)
+	}
+}
+
+// The column decoders read varints straight from the inflated block and
+// reject every malformed one: a varint cut off by the end of the block,
+// one longer than 64 bits, a think above MaxInt64 and trailing bytes.
+// Well-formed columns round-trip through the encoders.
+func TestDecodeColumnsRejectMalformed(t *testing.T) {
+	thinks := []int64{0, 1, 127, 128, math.MaxInt64}
+	if got, err := decodeThinks(nil, encodeThinks(nil, thinks), len(thinks)); err != nil || !slices.Equal(got, thinks) {
+		t.Fatalf("think round trip = %v, %v", got, err)
+	}
+	sectors := []uint64{math.MaxUint64, 0, 5, 3, 1 << 40}
+	if got, err := decodeSectors(nil, encodeSectors(nil, sectors), len(sectors)); err != nil || !slices.Equal(got, sectors) {
+		t.Fatalf("sector round trip = %v, %v", got, err)
+	}
+	overlong := append(bytes.Repeat([]byte{0x80}, 10), 0x01) // 11 bytes
+	tooWide := append(bytes.Repeat([]byte{0xff}, 9), 0x02)   // a 10th byte above 1
+	for _, tc := range []struct {
+		name string
+		raw  []byte
+		n    int
+	}{
+		{"empty", nil, 1},
+		{"truncated", []byte{0x05, 0x80}, 2},
+		{"overlong", overlong, 1},
+		{"too-wide", tooWide, 1},
+		{"trailing", []byte{0x05, 0x06, 0x07}, 2},
+	} {
+		if _, err := decodeThinks(nil, tc.raw, tc.n); err == nil {
+			t.Errorf("think column %s: decoded without an error", tc.name)
+		}
+		if _, err := decodeSectors(nil, tc.raw, tc.n); err == nil {
+			t.Errorf("sector column %s: decoded without an error", tc.name)
+		}
+	}
+	if _, err := decodeThinks(nil, binary.AppendUvarint(nil, 1<<63), 1); err == nil {
+		t.Error("a think above MaxInt64 decoded without an error")
+	}
+	if _, err := decodeSectors(nil, append(binary.AppendUvarint(nil, 9), overlong...), 2); err == nil {
+		t.Error("an overlong sector delta decoded without an error")
+	}
+}
+
+// A replay stopped before the end of its store and closed lets go of
+// its files and decode columns: Next returns false and Err stays nil.
+// A replay that stopped on a corrupt block keeps its error after Close.
+// Closing twice is a no-op.
+func TestReplayerClose(t *testing.T) {
+	recs := genRecords(17, 3000, false)
+	s, dir := mustWrite(t, recs, Meta{Name: "close", BlockRecords: 500}, 2)
+	p, err := s.Replayer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 700; i++ {
+		if _, ok := p.Next(); !ok {
+			t.Fatalf("replay ended at %d", i)
+		}
+	}
+	r := p.r
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if r.cols != nil || r.files != [numFields]*os.File{} {
+		t.Fatal("a closed replay still holds decode columns or files")
+	}
+	if _, ok := p.Next(); ok || p.Err() != nil {
+		t.Fatalf("after Close: Next ok=%v, Err %v; want false and nil", ok, p.Err())
+	}
+	if err := p.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+
+	flipByte(t, filepath.Join(dir, s.Manifest.Shards[1].Name+".sector"), 10)
+	p, err = s.Replayer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		if _, ok := p.Next(); !ok {
+			break
+		}
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(p.Err(), ErrCorrupt) {
+		t.Fatalf("after Close, Err = %v, want the replay's ErrCorrupt", p.Err())
+	}
+}
+
+// Next on a reader closed mid-scan fails with fs.ErrClosed instead of
+// scanning on from a block whose columns went back to the pool; a
+// reader closed after its scan ended keeps returning io.EOF.
+func TestReaderNextAfterClose(t *testing.T) {
+	s, _ := mustWrite(t, genRecords(19, 1000, false), Meta{Name: "closed", BlockRecords: 100}, 1)
+	r, err := s.NewReader(ReadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Next(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Next(); !errors.Is(err, fs.ErrClosed) {
+		t.Fatalf("Next after Close: %v, want fs.ErrClosed", err)
+	}
+	if _, err := ReadAll(s, AccessFields); err != nil {
+		t.Fatal(err)
+	}
+	r, err = s.NewReader(ReadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for err == nil {
+		_, err = r.Next()
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Next(); !errors.Is(err, io.EOF) {
+		t.Fatalf("Next after the end and Close: %v, want io.EOF", err)
 	}
 }

@@ -84,9 +84,25 @@ func lookupExternal(name string) (External, bool) {
 // recorded trace when p names a registered external, otherwise the
 // synthetic generator seeded with seed. Runner layers call this so
 // trace-backed fleet members are interchangeable with synthetic apps.
+// A replay may hold files (a trace-store replay is an io.Closer, and
+// its caller closes it once the stream is no longer read).
 func OpenGenerator(p Profile, seed uint64) (gpu.Generator, error) {
+	return ReopenGenerator(nil, p, seed)
+}
+
+// ReopenGenerator is OpenGenerator for a caller that keeps a synthetic
+// generator between runs: a synthetic stream Resets g and returns it,
+// where OpenGenerator builds a new generator (as a nil g does here). A
+// registered external opens its replay and leaves g alone.
+func ReopenGenerator(g *Generator, p Profile, seed uint64) (gpu.Generator, error) {
 	if e, ok := lookupExternal(p.Name); ok {
 		return e.Open()
 	}
-	return NewGenerator(p, seed)
+	if g == nil {
+		g = new(Generator)
+	}
+	if err := g.Reset(p, seed); err != nil {
+		return nil, err
+	}
+	return g, nil
 }

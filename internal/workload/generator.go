@@ -13,7 +13,7 @@ const historyLen = 256
 // gpu.Generator.
 type Generator struct {
 	p      Profile
-	r      *rng.RNG
+	r      rng.RNG
 	cursor uint64
 	// burstLeft counts remaining accesses in the current burst.
 	burstLeft int
@@ -25,12 +25,29 @@ type Generator struct {
 
 // NewGenerator builds a generator with its own deterministic stream.
 func NewGenerator(p Profile, seed uint64) (*Generator, error) {
-	if err := p.Validate(); err != nil {
+	g := new(Generator)
+	if err := g.Reset(p, seed); err != nil {
 		return nil, err
 	}
-	g := &Generator{p: p, r: rng.New(seed), history: make([]uint64, 0, historyLen)}
-	g.cursor = g.r.Uint64() % p.WorkingSetSectors
 	return g, nil
+}
+
+// Reset rebuilds g for p and seed exactly as NewGenerator(p, seed)
+// would, so a runner that keeps one generator per worker restarts it
+// for every run. It keeps only the reuse history's storage. On error g
+// is unchanged.
+func (g *Generator) Reset(p Profile, seed uint64) error {
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	history := g.history[:0]
+	if history == nil {
+		history = make([]uint64, 0, historyLen)
+	}
+	*g = Generator{p: p, history: history}
+	g.r.Seed(seed)
+	g.cursor = g.r.Uint64() % p.WorkingSetSectors
+	return nil
 }
 
 // Profile returns the generator's profile.

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 
 	"smores/internal/gpu"
@@ -189,5 +190,52 @@ func TestGeneratorBurstLengths(t *testing.T) {
 	mean := float64(runLen) / float64(runs)
 	if mean < 3.2 || mean > 4.8 {
 		t.Errorf("mean burst length = %.2f, want ≈4", mean)
+	}
+}
+
+// TestGeneratorResetMatchesNew leaves a generator mid-burst, with a
+// full reuse history, Resets it to another profile and seed, and holds
+// it to a fresh NewGenerator: the same state bit for bit and the same
+// stream. A Reset to an invalid profile fails and changes nothing.
+func TestGeneratorResetMatchesNew(t *testing.T) {
+	fleet := Fleet()
+	g, err := NewGenerator(fleet[0], 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range append(fleet[1:6:6], fleet[0]) {
+		for n := 0; len(g.history) < historyLen || g.burstLeft == 0; n++ {
+			if n > 1_000_000 {
+				t.Fatalf("case %d: no mid-burst state with a full history", i)
+			}
+			g.Next()
+		}
+		seed := uint64(100 + i)
+		if err := g.Reset(p, seed); err != nil {
+			t.Fatal(err)
+		}
+		want, err := NewGenerator(p, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(*g, *want) {
+			t.Fatalf("%s: a Reset generator's state differs from NewGenerator's", p.Name)
+		}
+		for n := 0; n < 20000; n++ {
+			a, _ := g.Next()
+			b, _ := want.Next()
+			if a != b {
+				t.Fatalf("%s: access %d after Reset = %+v, NewGenerator's %+v", p.Name, n, a, b)
+			}
+		}
+	}
+	before := *g
+	bad := fleet[0]
+	bad.WorkingSetSectors = 0
+	if err := g.Reset(bad, 1); err == nil {
+		t.Fatal("Reset accepted an invalid profile")
+	}
+	if !reflect.DeepEqual(*g, before) {
+		t.Fatal("a failed Reset changed the generator")
 	}
 }
